@@ -8,7 +8,7 @@ inequality
 
 over the radius grid, and reports defect estimates against the bound n + 1,
 the first-main-theorem cap N_f <= d*T_f + C, and the per-radius
-admissibility floor.  Writes the sweep as CSV next to this script.
+admissibility floor.  Writes the sweep as CSV to the working directory.
 """
 
 from pathlib import Path
@@ -44,6 +44,6 @@ print("r, T_f, margin at a few radii:")
 for row in rows[::5]:
     print(f"  r = {row[0]:5.1f}   T_f = {row[1]:8.4f}   margin = {row[-2]:8.4f}")
 
-out = here / "sweep_conic.csv"
+out = Path("sweep_conic.csv").resolve()
 out.write_bytes(emit_report(report, "csv"))
 print(f"\nfull CSV written to {out}")

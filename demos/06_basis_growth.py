@@ -10,7 +10,7 @@ asserted.
 
 from fractions import Fraction
 
-from nevlab.algebra import MultiPoly, RationalFunction
+from nevlab.algebra import RATIONAL_FUNCTION, MultiPoly, RationalFunction
 from nevlab.filtration import build_table, filtration_basis
 from nevlab.gradedgeom import HomogeneousIdeal
 from nevlab.nevanlinna import (
@@ -41,7 +41,7 @@ print("== the conic, moving target, curve (1 : e^z : e^(2z)), N = 4 ==")
 x = [MultiPoly.variable(3, i) for i in range(3)]
 conic = HomogeneousIdeal(3, [x[0] * x[2] - x[1] * x[1]])
 z = RationalFunction.z()
-q1 = (x[0] * x[0]).lift().scale(1 + z * z * Fraction(1, 4))
+q1 = (x[0] * x[0]).over(RATIONAL_FUNCTION).scale(1 + z * z * Fraction(1, 4))
 table = build_table(conic, [q1], 4)
 basis = filtration_basis(table)
 curve2 = EntireCurve(components=(Const(1), Exp(Z()), Exp(Mul(Const(2), Z()))))

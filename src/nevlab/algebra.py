@@ -5,6 +5,10 @@ on this module being exact: coefficients are either `fractions.Fraction` or
 :class:`RationalFunction` (a reduced quotient of univariate polynomials in z
 with Fraction coefficients, monic denominator).  No floating point enters.
 
+A computation picks its field once, from its targets: `coefficient_field`
+returns Q when every coefficient is constant and Q(z) otherwise, and
+`MultiPoly.over` converts the inputs to it.
+
 Multivariate homogeneous polynomials are stored sparsely as a dict mapping
 exponent tuples (one entry per variable x0..xM, summing to the degree) to a
 nonzero field element.  The monomial order used everywhere for vector and
@@ -319,14 +323,6 @@ _RF_ONE = RationalFunction((Fraction(1),), (Fraction(1),), _raw=True)
 _RF_Z = RationalFunction((Fraction(0), Fraction(1)), (Fraction(1),), _raw=True)
 
 
-def rf_canonicalize(num, den) -> RationalFunction:
-    """Build the reduced, monic-denominator representative of num/den.
-
-    `num` and `den` are coefficient sequences (low degree first) or scalars.
-    """
-    return RationalFunction(num, den)
-
-
 def clear_denominators(row: Sequence[RationalFunction]) -> list[tuple[Fraction, ...]]:
     """Primitive polynomial representative of a Q(z)-row (same span line).
 
@@ -370,6 +366,16 @@ def field_one(field: str):
     return Fraction(1) if field == RATIONAL else _RF_ONE
 
 
+def coefficient_field(polys) -> str:
+    """The field a computation on `polys` runs over: Q when every coefficient of
+    every polynomial is constant, Q(z) otherwise."""
+    for p in polys:
+        if p.field == RATIONAL_FUNCTION and not all(
+                c.is_constant for c in p.terms.values()):
+            return RATIONAL_FUNCTION
+    return RATIONAL
+
+
 def field_coerce(field: str, value):
     """Coerce ints/Fractions (and, over Q(z), rational functions) into `field`."""
     if field == RATIONAL:
@@ -385,11 +391,6 @@ def field_coerce(field: str, value):
     if isinstance(value, (int, Fraction)):
         return RationalFunction.from_fraction(value)
     raise FieldMismatch(f"cannot coerce {value!r} into Q(z)")
-
-
-def format_scalar(value) -> str:
-    """Canonical text for a field element (exact rationals print as p/q)."""
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +576,16 @@ class MultiPoly:
         return hash((self.nvars, self.field, tuple(self.items())))
 
     # -- field moves -------------------------------------------------------
-    def lift(self) -> "MultiPoly":
-        """View a Q-polynomial as a Q(z)-polynomial."""
-        if self.field == RATIONAL_FUNCTION:
+    def over(self, field: str) -> "MultiPoly":
+        """The same polynomial with coefficients in `field`.
+
+        Q -> Q(z) always succeeds; Q(z) -> Q needs constant coefficients.
+        """
+        if field == self.field:
             return self
-        return MultiPoly(self.nvars, RATIONAL_FUNCTION,
-                         {e: RationalFunction.from_fraction(c)
-                          for e, c in self.terms.items()}, _raw=True)
+        return MultiPoly(self.nvars, field,
+                         {e: field_coerce(field, c) for e, c in self.terms.items()},
+                         _raw=True)
 
     def specialize(self, a) -> "MultiPoly":
         """Evaluate all coefficients at z = a; terms that vanish are dropped."""
@@ -611,7 +615,7 @@ class MultiPoly:
                 (f"x{i}" if p == 1 else f"x{i}^{p}")
                 for i, p in enumerate(exp) if p > 0
             )
-            cs = format_scalar(c)
+            cs = str(c)
             needs_braces = self.field == RATIONAL_FUNCTION and not (
                 isinstance(c, RationalFunction) and c.is_constant)
             if needs_braces:
@@ -632,16 +636,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
-
-
-def poly_multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact product; degrees add when both factors are homogeneous."""
-    return p * q
-
-
-def poly_specialize(p: MultiPoly, a) -> MultiPoly:
-    """Specialize a Q(z)-polynomial at z = a (PoleAtPoint if a denominator vanishes)."""
-    return p.specialize(a)
 
 
 def normalize_degrees(Qs: Sequence[MultiPoly]) -> tuple[int, list[MultiPoly]]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     MultiPoly,
+    coefficient_field,
     field_zero,
     monomial_basis,
     monomial_count,
@@ -167,7 +168,8 @@ def _cell_from_parts(I, N, d, nvars, QI, U: GradedSubspace, basis_index,
     pivots = set(L.pivot_cols)
     reps = [MultiPoly.monomial(nvars, src_basis[j], 1, QI.field)
             for j in range(src_dim) if j not in pivots]
-    assert len(reps) == m
+    if len(reps) != m:
+        raise BasisDefect(f"cell {I}: {len(reps)} coset representatives for m = {m}")
     return FiltrationCell(I=I, N=N, L=L, m=m, reps=reps)
 
 
@@ -179,18 +181,18 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     ideal's degree-N piece together with all Q^E-multiples for E in tau_N
     lexicographically above I.
     """
-    Jz = J.lift()
-    Qs = [q.lift() for q in Qs]
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs]
     d = _common_degree(Qs)
     n = len(Qs)
     if N - d * tuple_norm(I) < 0:
         raise DegreeMismatch(f"N - d*|I| < 0 for I={I}, N={N}, d={d}")
-    nvars = Jz.nvars
+    nvars = J.nvars
     basis_N = monomial_basis(nvars - 1, N)
     basis_index = {exp: i for i, exp in enumerate(basis_N)}
     width = len(basis_N)
     tau, _ = tuple_sets(N, d, n)
-    U = Jz.graded_piece(N)
+    U = J.graded_piece(N).over(field)
     cache: dict[tuple[int, ...], MultiPoly] = {}
     higher = [E for E in tau if E > I]
     powers = _power_products(Qs, higher, cache)
@@ -210,16 +212,16 @@ def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
     Cells are computed in descending lex order so the span of higher
     Q^E-multiples can be extended incrementally instead of rebuilt per cell.
     """
-    Jz = J.lift()
-    Qs = [q.lift() for q in Qs]
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs]
     d = _common_degree(Qs)
     n = len(Qs)
-    nvars = Jz.nvars
+    nvars = J.nvars
     basis_N = monomial_basis(nvars - 1, N)
     basis_index = {exp: i for i, exp in enumerate(basis_N)}
     width = len(basis_N)
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
-    U = Jz.graded_piece(N)
+    U = J.graded_piece(N).over(field)
     cache: dict[tuple[int, ...], MultiPoly] = {}
     powers = _power_products(Qs, tau, cache)
     cells: dict[tuple[int, ...], FiltrationCell] = {}
@@ -229,7 +231,7 @@ def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
         U = U.extended_with(_multiples_rows(powers[I], N - d * tuple_norm(I),
                                             basis_index, width))
     return FiltrationTable(
-        N=N, d=d, n=n, nvars=nvars, ideal=Jz, Qs=Qs, cells=cells,
+        N=N, d=d, n=n, nvars=nvars, ideal=J, Qs=Qs, cells=cells,
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
 
 
@@ -255,8 +257,9 @@ def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
     if total != table.hilbert_value:
         raise BasisDefect(
             f"sum of m_N^I = {total} differs from H_V(N) = {table.hilbert_value}")
-    ideal_piece = table.ideal.graded_piece(table.N)
-    zero = field_zero(table.Qs[0].field)
+    field = table.Qs[0].field
+    ideal_piece = table.ideal.graded_piece(table.N).over(field)
+    zero = field_zero(field)
     rows = []
     for p in products:
         row = [zero] * width
@@ -296,14 +299,14 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     Raises NotStabilized when either the quotient dimensions or some cell
     sequence fail to settle within the scan bounds.
     """
-    Jz = J.lift()
-    Qs = [q.lift() for q in Qs]
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs]
     d = _common_degree(Qs)
     n = len(Qs)
     values = []
     for k in range(k_max + 1):
-        piece = Jz.graded_piece(k, extra=Qs)
-        values.append(monomial_count(Jz.M, k) - piece.dim)
+        piece = J.graded_piece(k, extra=Qs)
+        values.append(monomial_count(J.M, k) - piece.dim)
     n0 = None
     for start in range(0, k_max - window + 2):
         tail = values[start:]

@@ -22,11 +22,11 @@ from itertools import combinations
 
 from .algebra import (
     RATIONAL,
-    RATIONAL_FUNCTION,
     InhomogeneousInput,
     MultiPoly,
     PoleAtPoint,
     clear_denominators,
+    coefficient_field,
     field_one,
     field_zero,
     monomial_basis,
@@ -42,10 +42,19 @@ class NotStabilized(RuntimeError):
     """Finite differences or dimension scans did not settle within the window."""
 
 
-class HomogeneousIdeal:
-    """A homogeneous ideal given by generators, with cached graded pieces."""
+class CertificateDefect(RuntimeError):
+    """An exact certificate failed its own check: an implementation bug."""
 
-    def __init__(self, nvars: int, generators, field_tag: str = RATIONAL):
+
+class HomogeneousIdeal:
+    """A homogeneous ideal over Q given by generators, with cached graded pieces.
+
+    The variety ideal always has rational coefficients, so its pieces are
+    reduced over Q once; a computation over Q(z) views them with
+    GradedSubspace.over.
+    """
+
+    def __init__(self, nvars: int, generators):
         gens = []
         for g in generators:
             if g.is_zero:
@@ -54,24 +63,14 @@ class HomogeneousIdeal:
                 raise InhomogeneousInput(f"generator {g} is not homogeneous")
             if g.nvars != nvars:
                 raise ValueError("generator variable count mismatch")
-            gens.append(g.lift() if field_tag == RATIONAL_FUNCTION else g)
+            gens.append(g.over(RATIONAL))
         self.nvars = nvars
-        self.field = field_tag
         self.generators = tuple(gens)
         self._piece_cache: dict[int, GradedSubspace] = {}
-        self._lifted: "HomogeneousIdeal | None" = None
 
     @property
     def M(self) -> int:
         return self.nvars - 1
-
-    def lift(self) -> "HomogeneousIdeal":
-        if self.field == RATIONAL_FUNCTION:
-            return self
-        if self._lifted is None:
-            self._lifted = HomogeneousIdeal(self.nvars, self.generators,
-                                            RATIONAL_FUNCTION)
-        return self._lifted
 
     def graded_piece(self, k: int, extra=()) -> GradedSubspace:
         if not extra and k in self._piece_cache:
@@ -83,17 +82,17 @@ class HomogeneousIdeal:
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
-        return f"HomogeneousIdeal(<{gens}> in {self.nvars} vars over {self.field})"
+        return f"HomogeneousIdeal(<{gens}> in {self.nvars} vars over Q)"
 
 
-def macaulay_rows(generators, k: int, nvars: int, field_tag: str):
+def macaulay_rows(generators, k: int, nvars: int, field: str):
     """Rows g*m (g a generator, m a monomial of degree k - deg g) in degree-k coordinates.
 
     Returns (rows, labels) where labels[i] = (generator index, shift monomial).
     """
     basis = monomial_basis(nvars - 1, k)
     index = {exp: i for i, exp in enumerate(basis)}
-    zero = field_zero(field_tag)
+    zero = field_zero(field)
     rows, labels = [], []
     for gi, g in enumerate(generators):
         e = g.degree
@@ -110,18 +109,19 @@ def macaulay_rows(generators, k: int, nvars: int, field_tag: str):
 
 
 def ideal_graded_piece(J: HomogeneousIdeal, extra, k: int) -> GradedSubspace:
-    """Degree-k slice of the ideal generated by J's generators plus `extra`."""
+    """Degree-k slice of the ideal generated by J's generators plus `extra`,
+    over the field that `extra` calls for."""
     if k < 0:
         raise ValueError("negative degree")
-    gens = list(J.generators)
     for q in extra:
         if not q.is_homogeneous:
             raise InhomogeneousInput(f"{q} is not homogeneous")
-        gens.append(q.lift() if J.field == RATIONAL_FUNCTION else q)
-    rows, _ = macaulay_rows(gens, k, J.nvars, J.field)
+    field = coefficient_field(extra)
+    gens = [g.over(field) for g in (*J.generators, *extra)]
+    rows, _ = macaulay_rows(gens, k, J.nvars, field)
     return GradedSubspace.from_rows(
         rows, ambient_degree=k, nvars=J.nvars,
-        cols=monomial_count(J.M, k), field=J.field)
+        cols=monomial_count(J.M, k), field=field)
 
 
 def hilbert_function(J: HomogeneousIdeal, k: int) -> int:
@@ -177,7 +177,8 @@ def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertR
 
 
 def specialize_space(W: GradedSubspace, a) -> GradedSubspace:
-    """Evaluate a Q(z)-subspace at z = a and re-echelonize over Q.
+    """Evaluate a Q(z)-subspace at z = a and re-echelonize over Q; a subspace
+    over Q is returned unchanged.
 
     Each echelon row is first replaced by its primitive polynomial
     representative (denominators cleared, common z-factor divided out), so the
@@ -186,6 +187,8 @@ def specialize_space(W: GradedSubspace, a) -> GradedSubspace:
     discrete set of a the dimension is preserved (rank drops are the
     detectable bad set).
     """
+    if W.field == RATIONAL:
+        return W
     a = Fraction(a)
     rows = []
     for row in W.basis.entries:
@@ -240,23 +243,23 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
     substitution.  None means NOT_FOUND within the cutoff, which is
     inconclusive for genuinely admissible systems with larger s.
     """
-    gens = list(J.generators) + [q for q in Qs if not q.is_zero]
-    nvars = J.nvars
-    ftag = J.field
     for q in Qs:
         if not q.is_homogeneous:
             raise InhomogeneousInput(f"{q} is not homogeneous")
+    field = coefficient_field(Qs)
+    gens = [g.over(field) for g in (*J.generators, *Qs) if not g.is_zero]
+    nvars = J.nvars
     for s in range(1, s_max + 1):
         basis = monomial_basis(nvars - 1, s)
-        rows, labels = macaulay_rows(gens, s, nvars, ftag)
+        rows, labels = macaulay_rows(gens, s, nvars, field)
         if not rows:
             continue
         piece = GradedSubspace.from_rows(
-            rows, ambient_degree=s, nvars=nvars, cols=len(basis), field=ftag)
+            rows, ambient_degree=s, nvars=nvars, cols=len(basis), field=field)
         targets = []
         index = {exp: i for i, exp in enumerate(basis)}
-        zero = field_zero(ftag)
-        one = field_one(ftag)
+        zero = field_zero(field)
+        one = field_one(field)
         for i in range(nvars):
             exp = [0] * nvars
             exp[i] = s
@@ -265,15 +268,17 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
             targets.append(v)
         if not all(piece.contains(v) for v in targets):
             continue
-        A = ExactMatrix.from_rows(rows, len(basis), ftag)
+        A = ExactMatrix.from_rows(rows, len(basis), field)
         sols = solve_row_combinations(A, targets)
         cofactors = []
         for sol in sols:
-            assert sol is not None
-            per_gen = [MultiPoly.zero(nvars, ftag) for _ in gens]
+            if sol is None:
+                raise CertificateDefect(
+                    f"x_i^{s} passed the membership test but has no cofactors")
+            per_gen = [MultiPoly.zero(nvars, field) for _ in gens]
             for coeff, (gi, m) in zip(sol, labels):
                 if coeff:
-                    per_gen[gi] = per_gen[gi] + MultiPoly.monomial(nvars, m, coeff, ftag)
+                    per_gen[gi] = per_gen[gi] + MultiPoly.monomial(nvars, m, coeff, field)
             cofactors.append(per_gen)
         return NullstellensatzCertificate(s=s, cofactors=cofactors, generators=gens)
     return None
@@ -313,9 +318,10 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
                         evidence_window: int | None = None) -> list[SubsetReport]:
     """Per-(n+1)-subset admissibility report for hypersurfaces of common degree.
 
-    Positive answers are sound (each carries a re-verifiable certificate at a
-    random integer witness); negative answers report the stabilized positive
-    Hilbert value of the specialized quotient and are marked heuristic.
+    Positive answers are sound: each carries a certificate at a random integer
+    witness, re-verified here before it counts (CertificateDefect if not).
+    Negative answers report the stabilized positive Hilbert value of the
+    specialized quotient and are marked heuristic.
     """
     degs = {q.degree for q in Qs}
     if len(degs) != 1:
@@ -324,8 +330,6 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
     d = degs.pop()
     if s_max is None:
         s_max = default_s_max(d, n, J)
-    if J.field != RATIONAL:
-        raise ValueError("admissibility_check expects the variety ideal over Q")
     rng = random.Random(seed)
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):
@@ -343,6 +347,10 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
             last_specialized = specialized
             cert = nullstellensatz_certificate(J, specialized, s_max)
             if cert is not None:
+                if not cert.verify():
+                    raise CertificateDefect(
+                        f"certificate for subset {subset} at witness {a} "
+                        "fails re-verification")
                 report.witnesses_succeeded += 1
                 report.certificates.append(AdmissibilityCertificate(
                     subset=subset, witness=a, s=cert.s, certificate=cert))

@@ -6,19 +6,19 @@ normalized (reduced row echelon form) and chosen deterministically as the
 first nonzero entry in column order, so echelon bases and coset
 representatives are reproducible.
 
-Matrices whose Q(z) entries all happen to be constants are reduced over Q
-and lifted back: Gaussian elimination never leaves the subfield, so this is
-an exact shortcut, not a screen.
+Every matrix is reduced over its own field tag and entries are never
+inspected to pick a cheaper one.  The field is chosen once, by the callers,
+from the targets (`algebra.coefficient_field`): Q when every target
+coefficient is constant, Q(z) otherwise.  The variety ideal is always over Q;
+a Q(z) computation views its echelon pieces over Q(z) with
+`GradedSubspace.over`, since an RREF over Q is already an RREF over Q(z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
-    RATIONAL_FUNCTION,
-    RationalFunction,
     field_coerce,
     field_one,
     field_zero,
@@ -87,21 +87,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _demote_to_q(m: ExactMatrix):
-    """If every Q(z) entry is constant, return the Fraction grid, else None."""
-    if m.field != RATIONAL_FUNCTION:
-        return None
-    grid = []
-    for row in m.entries:
-        out = []
-        for v in row:
-            if not v.is_constant:
-                return None
-            out.append(v.constant_value())
-        grid.append(out)
-    return grid
-
-
 def _rref_rows(grid: list[list], cols: int, zero, one, pivot_limit: int | None = None):
     """In-place reduced row echelon form on a list-of-lists grid.
 
@@ -149,12 +134,6 @@ def _rref_rows(grid: list[list], cols: int, zero, one, pivot_limit: int | None =
 
 def row_reduce(m: ExactMatrix) -> tuple[int, ExactMatrix, list[int]]:
     """Reduced row echelon form with rank and pivot columns; exact throughout."""
-    demoted = _demote_to_q(m)
-    if demoted is not None:
-        rank, pivots = _rref_rows(demoted, m.cols, Fraction(0), Fraction(1))
-        lifted = [[RationalFunction.from_fraction(v) for v in row] for row in demoted]
-        rref = ExactMatrix(m.rows, m.cols, m.field, lifted, _raw=True)
-        return rank, rref, pivots
     grid = [row[:] for row in m.entries]
     rank, pivots = _rref_rows(grid, m.cols, field_zero(m.field), field_one(m.field))
     return rank, ExactMatrix(m.rows, m.cols, m.field, grid, _raw=True), pivots
@@ -252,6 +231,15 @@ class GradedSubspace:
         rem, _ = self.reduce_vector(v)
         return not any(rem)
 
+    def over(self, field: str) -> "GradedSubspace":
+        """The same subspace with its echelon basis converted entry by entry to
+        `field`; an RREF over Q is already an RREF over Q(z)."""
+        if field == self.field:
+            return self
+        entries = [[field_coerce(field, v) for v in row] for row in self.basis.entries]
+        basis = ExactMatrix(self.basis.rows, self.basis.cols, field, entries, _raw=True)
+        return GradedSubspace(self.ambient_degree, self.nvars, basis, self.pivot_cols)
+
     def extended_with(self, rows) -> "GradedSubspace":
         """Subspace spanned by this basis together with extra row vectors."""
         if not rows:
@@ -302,35 +290,22 @@ def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | N
     for v in targets:
         if len(v) != A.cols:
             raise DimensionMismatch("target length does not match matrix columns")
-    field = A.field
-    t = A.transpose()
-    width = t.cols + len(targets)
-    aug = ExactMatrix(t.rows, width, field, _raw=True, entries=[
-        t.entries[i][:] + [targets[k][i] for k in range(len(targets))]
-        for i in range(t.rows)
-    ])
-    demoted = _demote_to_q(aug)
-    if demoted is not None:
-        grid = demoted
-        zero, one = Fraction(0), Fraction(1)
-        lift = RationalFunction.from_fraction
-    else:
-        grid = [row[:] for row in aug.entries]
-        zero, one = field_zero(field), field_one(field)
-        lift = None
-    rank, pivots = _rref_rows(grid, width, zero, one, pivot_limit=t.cols)
+    # The augmented grid [A^T | targets]: one row per column of A.
+    grid = [[row[i] for row in A.entries] + [v[i] for v in targets]
+            for i in range(A.cols)]
+    zero = field_zero(A.field)
+    rank, pivots = _rref_rows(grid, A.rows + len(targets), zero,
+                              field_one(A.field), pivot_limit=A.rows)
     results: list[list | None] = []
     for k in range(len(targets)):
-        col = t.cols + k
+        col = A.rows + k
         # Rows past the rank have a zero coefficient block; any leftover RHS
         # entry there means this target is outside the rowspace.
-        if any(grid[r][col] for r in range(rank, t.rows)):
+        if any(grid[r][col] for r in range(rank, A.cols)):
             results.append(None)
             continue
-        x = [zero] * t.cols
+        x = [zero] * A.rows
         for r, pc in enumerate(pivots):
             x[pc] = grid[r][col]
-        if lift is not None:
-            x = [lift(v) for v in x]
         results.append(x)
     return results

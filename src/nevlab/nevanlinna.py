@@ -230,11 +230,6 @@ def pow_(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
-def expr_eval_and_diff(e: Expr, z) -> tuple[complex, complex]:
-    """(value, derivative value) at z, via the exact-tree symbolic derivative."""
-    return e.eval(z), e.diff().eval(z)
-
-
 def eval_on(e: Expr, z) -> np.ndarray:
     """Evaluate on an array of points, broadcasting constant subtrees."""
     z = np.asarray(z, dtype=complex)
@@ -774,7 +769,7 @@ def curve_residual(generators: list[MultiPoly], curve: EntireCurve,
         d = P.degree
         if d is None:
             continue
-        gp = compose_form(P.lift(), curve)
+        gp = compose_form(P, curve)
         for r in radii:
             z = r * np.exp(1j * theta)
             vals = np.abs(eval_on(gp, z))

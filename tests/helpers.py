@@ -4,10 +4,13 @@ from fractions import Fraction
 
 from nevlab.algebra import (
     RATIONAL,
+    RATIONAL_FUNCTION,
     MultiPoly,
     RationalFunction,
+    monomial_count,
 )
-from nevlab.gradedgeom import HomogeneousIdeal
+from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
+from nevlab.linear import GradedSubspace
 
 
 def xvar(i, nvars=3, field=RATIONAL):
@@ -31,6 +34,16 @@ def twisted_cubic_ideal():
     return HomogeneousIdeal(4, [x0 * x2 - x1 * x1,
                                 x1 * x3 - x2 * x2,
                                 x0 * x3 - x1 * x2])
+
+
+def piece_over_qz(J, k):
+    """J's degree-k piece by generic elimination over Q(z) of its lifted
+    Macaulay rows, independent of the Q reduction J caches."""
+    gens = [g.over(RATIONAL_FUNCTION) for g in J.generators]
+    rows, _ = macaulay_rows(gens, k, J.nvars, RATIONAL_FUNCTION)
+    return GradedSubspace.from_rows(rows, ambient_degree=k, nvars=J.nvars,
+                                    cols=monomial_count(J.M, k),
+                                    field=RATIONAL_FUNCTION)
 
 
 def rand_fraction(rng, bound=9):

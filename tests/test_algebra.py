@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nevlab.algebra import (
+    RATIONAL,
     RATIONAL_FUNCTION,
     FieldMismatch,
     InhomogeneousInput,
@@ -12,11 +13,9 @@ from nevlab.algebra import (
     PoleAtPoint,
     RationalFunction,
     ZeroDenominator,
+    coefficient_field,
     monomial_basis,
     normalize_degrees,
-    poly_multiply,
-    poly_specialize,
-    rf_canonicalize,
 )
 
 from helpers import rand_rational_function, xvar
@@ -25,22 +24,22 @@ from helpers import rand_rational_function, xvar
 class TestRationalFunction:
     def test_common_factor_cancellation(self):
         # (z^2 - 1)/(z - 1) -> z + 1
-        r = rf_canonicalize((-1, 0, 1), (-1, 1))
+        r = RationalFunction((-1, 0, 1), (-1, 1))
         assert r.num == (Fraction(1), Fraction(1))
         assert r.den == (Fraction(1),)
 
     def test_zero_normalization(self):
-        r = rf_canonicalize((0,), (3, 1))
+        r = RationalFunction((0,), (3, 1))
         assert r.is_zero
         assert r.den == (Fraction(1),)
 
     def test_monic_scaling(self):
-        r = rf_canonicalize((0, 2), (2,))
+        r = RationalFunction((0, 2), (2,))
         assert r == RationalFunction.z()
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            rf_canonicalize((1,), (0,))
+            RationalFunction((1,), (0,))
 
     def test_field_axioms_randomized(self):
         rng = random.Random(7)
@@ -69,25 +68,25 @@ class TestRationalFunction:
 class TestMultiPoly:
     def test_difference_of_squares(self):
         x0, x1 = xvar(0, 2), xvar(1, 2)
-        p = poly_multiply(x0 + x1, x0 - x1)
+        p = (x0 + x1) * (x0 - x1)
         assert p == x0 * x0 - x1 * x1
 
     def test_coefficient_carries_through(self):
         x0 = xvar(0, 2, RATIONAL_FUNCTION)
         x1 = xvar(1, 2, RATIONAL_FUNCTION)
         z = RationalFunction.z()
-        p = poly_multiply(x0.scale(z), x1)
+        p = x0.scale(z) * x1
         assert p == (x0 * x1).scale(z)
 
     def test_multiply_identity(self):
         x0, x1, x2 = (xvar(i) for i in range(3))
         g = x0 * x2 - x1 * x1
         one = MultiPoly.constant(3, 1)
-        assert poly_multiply(g, one) == g
+        assert g * one == g
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
-            poly_multiply(xvar(0, 2), xvar(1, 2, RATIONAL_FUNCTION))
+            xvar(0, 2) * xvar(1, 2, RATIONAL_FUNCTION)
 
     def test_degree_conventions(self):
         assert MultiPoly.zero(3).degree is None
@@ -101,7 +100,7 @@ class TestMultiPoly:
         x0, x1, x2 = (xvar(i, 3, RATIONAL_FUNCTION) for i in range(3))
         z = RationalFunction.z()
         p = (x0 * x0).scale(z) + x1 * x2
-        q = poly_specialize(p, 3)
+        q = p.specialize(3)
         x0q, x1q, x2q = (xvar(i) for i in range(3))
         assert q == (x0q * x0q).scale(3) + x1q * x2q
 
@@ -109,13 +108,13 @@ class TestMultiPoly:
         x0 = xvar(0, 3, RATIONAL_FUNCTION)
         p = x0.scale(RationalFunction((1,), (-1, 1)))  # (1/(z-1)) x0
         with pytest.raises(PoleAtPoint):
-            poly_specialize(p, 1)
+            p.specialize(1)
 
     def test_specialize_vanishing_term(self):
         x0, x1, x2 = (xvar(i, 3, RATIONAL_FUNCTION) for i in range(3))
         z = RationalFunction.z()
         p = (x0 * x0).scale(z - 2) + x1 * x1
-        q = poly_specialize(p, 2)
+        q = p.specialize(2)
         x1q = xvar(1)
         assert q == x1q * x1q
 
@@ -128,11 +127,31 @@ class TestMultiPoly:
             q = rand_poly(rng, 3, 3, RATIONAL_FUNCTION)
             for a in (0, 1, rng.randint(-20, 20)):
                 try:
-                    lhs = poly_specialize(p * q, a)
-                    rhs = poly_specialize(p, a) * poly_specialize(q, a)
+                    lhs = (p * q).specialize(a)
+                    rhs = p.specialize(a) * q.specialize(a)
                 except PoleAtPoint:
                     continue
                 assert lhs == rhs
+
+    def test_over_round_trip(self):
+        x0, x1 = xvar(0, 2), xvar(1, 2)
+        p = (x0 * x1).scale(Fraction(2, 3)) - x1 * x1
+        pz = p.over(RATIONAL_FUNCTION)
+        assert pz.field == RATIONAL_FUNCTION
+        assert pz.over(RATIONAL_FUNCTION) is pz
+        assert pz.over(RATIONAL) == p
+        moving = xvar(0, 2, RATIONAL_FUNCTION).scale(RationalFunction.z())
+        with pytest.raises(ValueError):
+            moving.over(RATIONAL)
+
+    def test_coefficient_field(self):
+        z = RationalFunction.z()
+        x0, x1 = xvar(0, 2), xvar(1, 2)
+        u0, u1 = (xvar(i, 2, RATIONAL_FUNCTION) for i in range(2))
+        assert coefficient_field([]) == RATIONAL
+        assert coefficient_field([x0, x1]) == RATIONAL
+        assert coefficient_field([u0, u1.scale(3)]) == RATIONAL
+        assert coefficient_field([x0, u1 - u0.scale(z)]) == RATIONAL_FUNCTION
 
     def test_homogeneous_scaling_symbolic(self):
         # p(t x) = t^k p(x) with t = z over Q(z)

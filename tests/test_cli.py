@@ -244,9 +244,9 @@ class TestEmit:
     def test_canonical_rationals(self):
         from fractions import Fraction
 
-        from nevlab.algebra import format_scalar
+        from nevlab.algebra import MultiPoly
 
-        assert format_scalar(Fraction(4, 6)) == "2/3"
+        assert str(MultiPoly.constant(2, Fraction(4, 6))) == "2/3"
 
 
 class TestMainExitCodes:

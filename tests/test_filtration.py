@@ -27,13 +27,13 @@ from nevlab.filtration import (
 from nevlab.gradedgeom import NotStabilized, hilbert_function, specialize_space
 from nevlab.linear import ExactMatrix, membership, row_reduce
 
-from helpers import conic_ideal, p1_ideal, rand_poly, xvar
+from helpers import conic_ideal, p1_ideal, piece_over_qz, rand_poly, xvar
 
 
 def _coeff_row(p, k, width_index):
     basis, index = width_index
     row = [RationalFunction.zero()] * len(basis)
-    for exp, c in p.lift().terms.items():
+    for exp, c in p.over(RATIONAL_FUNCTION).terms.items():
         row[index[exp]] = c
     return row
 
@@ -49,14 +49,13 @@ def oracle_m(J, Qs, N, I):
     Uses only Macaulay row construction and row_reduce, not the preimage or
     kernel machinery that filtration_space is built on.
     """
-    Jz = J.lift()
-    Qs = [q.lift() for q in Qs]
+    Qs = [q.over(RATIONAL_FUNCTION) for q in Qs]
     d = Qs[0].degree
     n = len(Qs)
-    nvars = Jz.nvars
+    nvars = J.nvars
     wi = _width_index(nvars, N)
     tau, _ = tuple_sets(N, d, n)
-    rows = [row[:] for row in Jz.graded_piece(N).basis.entries]
+    rows = [row[:] for row in piece_over_qz(J, N).basis.entries]
     for E in tau:
         if E > I:
             QE = MultiPoly.constant(nvars, 1, RATIONAL_FUNCTION)
@@ -174,13 +173,12 @@ class TestTables:
     def test_remark_ideal_multiples_inside_l(self):
         # Every element of (I(V), Q)_{N - d|I|} lies in L_N^I.
         J = conic_ideal()
-        q = (xvar(0) * xvar(0)).lift()
+        q = (xvar(0) * xvar(0)).over(RATIONAL_FUNCTION)
         table = build_table(J, [q], 8)
-        Jz = J.lift()
         for I in table.tau:
             cell = table.cells[I]
             k = 8 - 2 * tuple_norm(I)
-            piece = Jz.graded_piece(k, extra=[q]) if k >= 2 else Jz.graded_piece(k)
+            piece = J.graded_piece(k, extra=[q]) if k >= 2 else J.graded_piece(k)
             for row in piece.basis.entries:
                 assert membership(list(row), cell.L)[0]
 
@@ -205,7 +203,7 @@ class TestTables:
                 gamma = MultiPoly(3, RATIONAL_FUNCTION,
                                   {basis_src[j]: gamma_vec[j]
                                    for j in range(len(basis_src))})
-                P = rand_poly(rng, 3, k, RATIONAL, terms=2).lift()
+                P = rand_poly(rng, 3, k, RATIONAL, terms=2).over(RATIONAL_FUNCTION)
                 prod = gamma * P
                 vec = prod.coefficient_vector(basis_dst)
                 assert membership(vec, target.L)[0]
@@ -235,6 +233,38 @@ class TestTables:
             assert moving.cells[I].m == fixed.cells[I].m
             spec = specialize_space(moving.cells[I].L, 7)
             assert spec.dim == moving.cells[I].L.dim
+
+
+class TestFieldPolicy:
+    def test_mixed_constant_and_moving_targets_stay_over_qz(self):
+        # P^2 with the fixed line x0 and the moving line x1 - z*x0: one
+        # moving target puts the whole table over Q(z), and its cells match
+        # the table of a generic specialization.
+        from nevlab.gradedgeom import HomogeneousIdeal
+
+        J = HomogeneousIdeal(3, [])
+        z = RationalFunction.z()
+        x0 = xvar(0, 3, RATIONAL_FUNCTION)
+        x1 = xvar(1, 3, RATIONAL_FUNCTION)
+        moving = build_table(J, [x0, x1 - x0.scale(z)], 3)
+        assert all(q.field == RATIONAL_FUNCTION for q in moving.Qs)
+        assert all(cell.L.field == RATIONAL_FUNCTION for cell in moving.cells.values())
+        fixed = build_table(J, [xvar(0), xvar(1) - xvar(0).scale(7)], 3)
+        assert {I: c.m for I, c in moving.cells.items()} == {
+            I: c.m for I, c in fixed.cells.items()}
+        assert moving.total_m() == moving.hilbert_value == 10
+
+    def test_constant_targets_tagged_qz_run_over_q(self):
+        J = conic_ideal()
+        q = xvar(0) * xvar(0)
+        qz = q.over(RATIONAL_FUNCTION)
+        table = build_table(J, [qz], 8)
+        assert table.Qs == [q]
+        assert all(cell.L.field == RATIONAL for cell in table.cells.values())
+        assert {I: c.m for I, c in table.cells.items()} == {
+            I: c.m for I, c in build_table(J, [q], 8).cells.items()}
+        assert filtration_space(J, [qz], 8, (1,)).L.field == RATIONAL
+        assert stabilization_scan(J, [qz], 8).c == 4
 
 
 class TestBasis:
@@ -339,10 +369,11 @@ class TestProductDecomposition:
         assert pd.degree_p == 6
         assert 1 * pd.exponents[0] + pd.degree_p == 3 * table.hilbert_value
         # residual factors multiply to x1^6
-        prod = MultiPoly.constant(2, 1, RATIONAL_FUNCTION)
+        field = table.Qs[0].field
+        prod = MultiPoly.constant(2, 1, field)
         for p, k in pd.p_factors:
             prod = prod * p ** k
-        assert prod == (xvar(1, 2) ** 6).lift()
+        assert prod == (xvar(1, 2) ** 6).over(field)
 
     def test_conic_exponents_and_ratio(self):
         J = conic_ideal()

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from nevlab.algebra import (
+    RATIONAL,
     RATIONAL_FUNCTION,
+    MultiPoly,
     RationalFunction,
 )
 from nevlab.gradedgeom import (
     ADMISSIBLE,
     NOT_ADMISSIBLE_EVIDENCE,
+    CertificateDefect,
     HomogeneousIdeal,
     NotStabilized,
     admissibility_check,
@@ -21,7 +24,7 @@ from nevlab.gradedgeom import (
 )
 from nevlab.linear import GradedSubspace
 
-from helpers import conic_ideal, p1_ideal, twisted_cubic_ideal, xvar
+from helpers import conic_ideal, p1_ideal, piece_over_qz, twisted_cubic_ideal, xvar
 
 
 class TestGradedPieces:
@@ -40,6 +43,13 @@ class TestGradedPieces:
         x0 = xvar(0, 2)
         piece = ideal_graded_piece(J, [x0], 2)
         assert piece.dim == 2  # x0^2, x0x1
+
+    def test_ideal_is_over_q(self):
+        u0 = xvar(0, 2, RATIONAL_FUNCTION)
+        J = HomogeneousIdeal(2, [u0.scale(3)])
+        assert J.generators == (xvar(0, 2).scale(3),)
+        with pytest.raises(ValueError):
+            HomogeneousIdeal(2, [u0.scale(RationalFunction.z())])
 
 
 class TestHilbert:
@@ -117,10 +127,9 @@ class TestSpecializeSpace:
         # dimension as over Q, and random specializations keep it.
         rng = random.Random(2)
         J = conic_ideal()
-        Jz = J.lift()
         for N in (2, 4, 6):
             piece_q = J.graded_piece(N)
-            piece_z = Jz.graded_piece(N)
+            piece_z = piece_over_qz(J, N)
             assert piece_q.dim == piece_z.dim
             for _ in range(5):
                 a = rng.randint(-997, 997)
@@ -145,6 +154,10 @@ class TestSpecializeSpace:
             else:
                 assert a == 2
         assert preserved >= 9
+
+    def test_rational_subspace_returned_unchanged(self):
+        W = conic_ideal().graded_piece(4)
+        assert specialize_space(W, 3) is W
 
     def test_cleared_pole_still_specializes(self):
         # span{x0/(z-1)} is the same line as span{x0}: the value space at
@@ -180,7 +193,7 @@ class TestNullstellensatz:
     def test_function_field_certificate(self):
         # over Q(z) itself: x1 = (x1 - z*x0) + z*x0, cofactors in the
         # function field rather than at a specialized witness
-        J = p1_ideal().lift()
+        J = p1_ideal()
         z = RationalFunction.z()
         x0 = xvar(0, 2, RATIONAL_FUNCTION)
         x1 = xvar(1, 2, RATIONAL_FUNCTION)
@@ -189,6 +202,14 @@ class TestNullstellensatz:
         assert cert.verify()
         cofactor_on_x0 = cert.cofactors[1][0]
         assert cofactor_on_x0.terms[(0, 0)] == z
+
+    def test_constant_targets_tagged_qz_certified_over_q(self):
+        x0, x2 = xvar(0), xvar(2)
+        Qs = [x0.over(RATIONAL_FUNCTION), x2.over(RATIONAL_FUNCTION)]
+        cert = nullstellensatz_certificate(conic_ideal(), Qs, 4)
+        assert cert is not None and cert.s == 2
+        assert all(g.field == RATIONAL for g in cert.generators)
+        assert cert.verify()
 
 
 class TestAdmissibility:
@@ -222,7 +243,8 @@ class TestAdmissibility:
     def test_conic_squares_mixed(self):
         J = conic_ideal()
         x0, x1, x2 = (xvar(i) for i in range(3))
-        Qs = [(x0 * x0).lift(), (x2 * x2).lift(), (x1 * x1).lift()]
+        Qs = [(x0 * x0).over(RATIONAL_FUNCTION), (x2 * x2).over(RATIONAL_FUNCTION),
+              (x1 * x1).over(RATIONAL_FUNCTION)]
         reports = admissibility_check(J, Qs, n=1, trials=3, s_max=4, seed=3)
         by_subset = {r.subset: r for r in reports}
         # {x0^2, x2^2} has no common zero on V: certificate with s <= 4.
@@ -235,16 +257,38 @@ class TestAdmissibility:
     def test_certificates_reverify_exactly(self):
         J = conic_ideal()
         x0, x2 = xvar(0), xvar(2)
-        Qs = [(x0 * x0).lift(), (x2 * x2).lift()]
+        Qs = [(x0 * x0).over(RATIONAL_FUNCTION), (x2 * x2).over(RATIONAL_FUNCTION)]
         reports = admissibility_check(J, Qs, n=1, trials=4, s_max=4, seed=9)
         for rep in reports:
             for cert in rep.certificates:
                 assert cert.certificate.verify()
 
+    def test_corrupted_certificate_rejected(self, monkeypatch):
+        # admissibility_check re-verifies every certificate before it counts:
+        # a cofactor bumped by a constant adds a nonzero multiple of its
+        # generator, and the check raises instead of reporting ADMISSIBLE.
+        import nevlab.gradedgeom as gg
+
+        genuine = gg.nullstellensatz_certificate
+
+        def corrupted(J, Qs, s_max):
+            cert = genuine(J, Qs, s_max)
+            if cert is not None:
+                bad = cert.cofactors[0][0]
+                cert.cofactors[0][0] = bad + MultiPoly.constant(bad.nvars, 1, bad.field)
+            return cert
+
+        J = conic_ideal()
+        Qs = [xvar(0) * xvar(0), xvar(2) * xvar(2)]
+        reports = admissibility_check(J, Qs, n=1, trials=2, s_max=4, seed=9)
+        assert reports[0].status == ADMISSIBLE
+        monkeypatch.setattr(gg, "nullstellensatz_certificate", corrupted)
+        with pytest.raises(CertificateDefect):
+            admissibility_check(J, Qs, n=1, trials=2, s_max=4, seed=9)
+
     def test_lifted_ideal_dimensions_match(self):
         # dim over Q(z) of the lifted ideal piece equals the dim over Q,
         # for constant-coefficient generators (the matrices coincide).
         J = conic_ideal()
-        Jz = J.lift()
         for N in range(0, 11):
-            assert Jz.graded_piece(N).dim == J.graded_piece(N).dim
+            assert piece_over_qz(J, N).dim == J.graded_piece(N).dim

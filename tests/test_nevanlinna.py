@@ -25,7 +25,6 @@ from nevlab.nevanlinna import (
     counting_N,
     curve_residual,
     defect_estimate,
-    expr_eval_and_diff,
     jensen_check,
     locate_zeros,
     smt_margin,
@@ -42,20 +41,24 @@ def exp_curve():
 
 class TestExpressions:
     def test_exp_at_zero(self):
-        v, dv = expr_eval_and_diff(Exp(Z()), 0j)
+        e = Exp(Z())
+        v, dv = e.eval(0j), e.diff().eval(0j)
         assert v == pytest.approx(1) and dv == pytest.approx(1)
 
     def test_product_rule(self):
-        v, dv = expr_eval_and_diff(Mul(Z(), Exp(Z())), 0j)
+        e = Mul(Z(), Exp(Z()))
+        v, dv = e.eval(0j), e.diff().eval(0j)
         assert v == pytest.approx(0) and dv == pytest.approx(1)
 
     def test_chain_rule(self):
-        v, dv = expr_eval_and_diff(Exp(Mul(Const(2), Z())), 1 + 0j)
+        e = Exp(Mul(Const(2), Z()))
+        v, dv = e.eval(1 + 0j), e.diff().eval(1 + 0j)
         assert v == pytest.approx(math.e ** 2)
         assert dv == pytest.approx(2 * math.e ** 2)
 
     def test_pow_derivative(self):
-        v, dv = expr_eval_and_diff(Pow(Z(), 3), 2 + 0j)
+        e = Pow(Z(), 3)
+        v, dv = e.eval(2 + 0j), e.diff().eval(2 + 0j)
         assert v == pytest.approx(8) and dv == pytest.approx(12)
 
     def test_overflow_guard(self):
@@ -175,7 +178,7 @@ class TestDefects:
     def test_unit_hyperplane_defect_zero(self):
         # Q = x1 - x0 on (1 : e^z): zeros of e^z - 1, N ~ T, defect ~ 0.
         f = exp_curve()
-        Q = (xvar(1, 2) - xvar(0, 2)).lift()
+        Q = (xvar(1, 2) - xvar(0, 2)).over(RATIONAL_FUNCTION)
         grid = np.linspace(5, 30, 11)
         delta, trace = defect_estimate(f, Q, grid)
         assert abs(delta) < 0.05
@@ -184,14 +187,15 @@ class TestDefects:
     def test_omitted_targets_have_defect_one(self):
         f = exp_curve()
         grid = np.linspace(5, 20, 6)
-        for Q in (xvar(0, 2).lift(), xvar(1, 2).lift()):
+        for Q in (xvar(0, 2).over(RATIONAL_FUNCTION),
+                  xvar(1, 2).over(RATIONAL_FUNCTION)):
             delta, _ = defect_estimate(f, Q, grid)
             assert delta == pytest.approx(1.0)
 
     def test_identically_zero_rejected(self):
         curve = EntireCurve(components=(Const(1), Exp(Z()),
                                         Exp(Mul(Const(2), Z()))))
-        Q = (xvar(0) * xvar(2) - xvar(1) * xvar(1)).lift()
+        Q = (xvar(0) * xvar(2) - xvar(1) * xvar(1)).over(RATIONAL_FUNCTION)
         with pytest.raises(IdenticallyZero):
             defect_estimate(curve, Q, [5, 10])
 
@@ -236,7 +240,7 @@ class TestSweep:
 
     def test_unchecked_admissibility_warns(self):
         f = exp_curve()
-        Qs = [xvar(0, 2).lift()]
+        Qs = [xvar(0, 2).over(RATIONAL_FUNCTION)]
         rep = smt_margin(f, Qs, n=0, epsilon=0.5, r_grid=[5, 10])
         assert any("admissibility" in w for w in rep.warnings)
 
