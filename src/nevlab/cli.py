@@ -509,8 +509,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     merged = dict(DEFAULT_OPTIONS)
     merged.update(options)
-    curve = nev.EntireCurve(components=components,
-                            variety_residual_tol=float(merged["residual_tol"]))
+    curve = nev.EntireCurve(components=components)
     return ProblemSpec(M=M, n=n, generators=generators,
                        hypersurfaces=hypersurfaces,
                        declared_degrees=declared_degrees, curve=curve,
@@ -624,11 +623,6 @@ def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
     return J, dim_v, deg_v
 
 
-def _normalized_targets(spec: ProblemSpec):
-    d, Qs = normalize_degrees(spec.hypersurfaces)
-    return d, Qs
-
-
 def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
     kmax = _opt(spec, flags, "kmax", int)
     window = _opt(spec, flags, "window", int)
@@ -653,7 +647,7 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
     smax = _opt(spec, flags, "smax", int)
     seed = _opt(spec, flags, "seed", int)
     J = spec.ideal()
-    d, Qs = _normalized_targets(spec)
+    d, Qs = normalize_degrees(spec.hypersurfaces)
     reports = gg.admissibility_check(J, Qs, spec.n, trials=trials, s_max=smax,
                                      seed=seed)
     rows = []
@@ -685,7 +679,7 @@ def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
     kmax = _opt(spec, flags, "kmax", int)
     window = _opt(spec, flags, "window", int)
     J = spec.ideal()
-    d, Qs = _normalized_targets(spec)
+    d, Qs = normalize_degrees(spec.hypersurfaces)
     Qn = Qs[: spec.n]  # the filtration runs on the first n targets
     scan = filt.stabilization_scan(J, Qn, kmax, window)
     table = filt.build_table(J, Qn, N, n0=scan.n0, kappa=scan.kappa)
@@ -792,12 +786,13 @@ def _require_admissible(spec: ProblemSpec, flags: dict):
     return rep
 
 
-def _require_on_variety(spec: ProblemSpec):
+def _require_on_variety(spec: ProblemSpec, flags: dict):
     residual = nev.curve_residual(spec.generators, spec.curve)
-    if residual > spec.curve.variety_residual_tol:
+    tol = _opt(spec, flags, "residual_tol", float)
+    if residual > tol:
         raise PreconditionError(
             f"curve residual {residual:.3g} exceeds tolerance "
-            f"{spec.curve.variety_residual_tol:.3g}: the curve does not lie on V")
+            f"{tol:.3g}: the curve does not lie on V")
     return residual
 
 
@@ -808,7 +803,7 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     _cross_check_dimension(spec, _opt(spec, flags, "kmax", int),
                            _opt(spec, flags, "window", int))
     adm = _require_admissible(spec, flags)
-    residual = _require_on_variety(spec)
+    residual = _require_on_variety(spec, flags)
     sweep = nev.smt_margin(spec.curve, spec.hypersurfaces, spec.n, epsilon,
                            grid, zero_tol=zero_tol, admissibility_checked=True)
     q = sweep.q
@@ -847,22 +842,19 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
 def cmd_defects(spec: ProblemSpec, flags: dict) -> RunReport:
     grid = _radius_grid(spec, flags)
     zero_tol = _opt(spec, flags, "zero_tol", float)
-    q = len(spec.hypersurfaces)
-    defects = []
-    traces = {}
-    for j in range(q):
-        delta, trace = nev.defect_estimate(spec.curve, spec.hypersurfaces[j],
-                                           grid, zero_tol=zero_tol)
-        defects.append(delta)
-        traces[f"target_{j + 1}"] = [[r, v] for r, v in trace]
+    data = nev.sweep_data(spec.curve, spec.hypersurfaces, grid, zero_tol=zero_tol)
+    estimates = [nev.defect_estimate(data.radii, data.Tf, Nf_j, d)
+                 for Nf_j, d in zip(data.Nf, data.degrees)]
+    defects = [delta for delta, _ in estimates]
+    traces = {f"target_{j + 1}": [[r, v] for r, v in trace]
+              for j, (_, trace) in enumerate(estimates)}
     results = {
         "defects": defects,
         "defect_sum": sum(defects),
         "n_plus_1": spec.n + 1,
         "traces": traces,
     }
-    table = (["target", "defect"],
-             [[j + 1, defects[j]] for j in range(q)])
+    table = (["target", "defect"], [[j + 1, delta] for j, delta in enumerate(defects)])
     return RunReport("defects", _echo(spec), results, table=table)
 
 
@@ -935,7 +927,8 @@ def main(argv=None) -> int:
         report = run_command(args.command, spec, flags)
         payload = emit_report(report, args.format)
     except (PreconditionError, gg.NotStabilized, InhomogeneousInput,
-            PoleAtPoint, nev.IdenticallyZero, filt.DegreeMismatch) as exc:
+            PoleAtPoint, nev.IdenticallyZero, nev.NonPolynomialCoefficient,
+            filt.DegreeMismatch) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (nev.OverflowGuard, nev.WindingAmbiguous) as exc:

@@ -6,7 +6,8 @@ is a circle average of log of the max-norm; zeros of composed targets are
 located by recursive rectangle subdivision driven by argument-principle
 winding numbers; counting functions discharge the log-weighted integral
 exactly over the located zeros; Jensen's formula ties the zero finder to the
-quadrature as a standing cross-check.
+quadrature as a standing cross-check.  One builder, sweep_data, locates each
+target's zeros once and tabulates T_f and N_f for the sweep and the defects.
 
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
@@ -20,10 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import RATIONAL_FUNCTION, MultiPoly, RationalFunction
+from .algebra import RATIONAL_FUNCTION, InhomogeneousInput, MultiPoly, RationalFunction
 
 TWO_PI = 2.0 * math.pi
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
+ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every probe
 
 
 class OverflowGuard(ArithmeticError):
@@ -40,6 +42,10 @@ class ZeroAtOrigin(ValueError):
 
 class IdenticallyZero(ValueError):
     """The composed target vanishes identically on the curve."""
+
+
+class NonPolynomialCoefficient(ValueError):
+    """A numeric target has a coefficient that is not a polynomial in z."""
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,6 @@ class EntireCurve:
     """M+1 entire components; not all identically zero."""
 
     components: tuple[Expr, ...]
-    variety_residual_tol: float = 1e-8
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -269,7 +274,7 @@ class EntireCurve:
 def rf_to_expr(coeff: RationalFunction) -> Expr:
     """Polynomial-in-z coefficient as an expression tree (Horner form)."""
     if len(coeff.den) != 1 or coeff.den[0] != 1:
-        raise ValueError(
+        raise NonPolynomialCoefficient(
             f"numeric targets need polynomial coefficients, got {coeff}")
     coeffs = coeff.num
     if not coeffs:
@@ -348,9 +353,6 @@ class ZeroList:
 
     def total(self) -> int:
         return sum(m for _, m in self.zeros)
-
-    def inside(self, r: float) -> list[tuple[complex, int]]:
-        return [(z, m) for z, m in self.zeros if abs(z) < r]
 
 
 _SPLIT_JITTER = (0.0, 0.0371, -0.0523, 0.1117, -0.1463, 0.1871, -0.2293)
@@ -582,46 +584,73 @@ def jensen_check(g: Expr, r: float, zeros: ZeroList | None = None,
     return abs(integral - math.log(abs(g0)) - jensen_sum)
 
 
-def defect_estimate(curve: EntireCurve, Q: MultiPoly, r_grid,
-                    zeros: ZeroList | None = None, zero_tol: float = 1e-6,
-                    probe_tol: float = 1e-12) -> tuple[float, list[tuple[float, float]]]:
-    """Defect estimate: min of 1 - N(r)/(d T(r)) over the top quartile of the grid.
+def defect_estimate(radii, Tf, Nf_j, d: int) -> tuple[float, list[tuple[float, float]]]:
+    """Defect estimate of one degree-d target: min of 1 - N(r)/(d T(r)) over
+    the top quartile of the grid.
 
     Returns (estimate, trace) where trace lists (r, 1 - N/(dT)) for the whole
-    grid.  Raises IdenticallyZero when |Q(f)| is below probe_tol * ||f||^d at
-    every probe point.
+    grid.
     """
-    r_grid = sorted(r_grid)
-    d = Q.degree
-    if d is None or d < 1:
-        raise ValueError("target must be homogeneous of degree >= 1")
-    gq = compose_form(Q, curve)
-    _assert_not_identically_zero(curve, gq, d, max(r_grid), probe_tol)
-    if zeros is None:
-        zeros = locate_zeros(gq, max(r_grid) * (1 + 1e-3) + 0.25, tol=zero_tol)
-    trace = []
-    for r in r_grid:
-        t = characteristic_T(curve, r)
-        n = counting_N(zeros, r)
-        trace.append((r, 1.0 - n / (d * t)))
+    trace = [(r, 1.0 - n / (d * t)) for r, t, n in zip(radii, Tf, Nf_j)]
     quartile = trace[3 * len(trace) // 4:] or trace
     return min(v for _, v in quartile), trace
-
-
-def _assert_not_identically_zero(curve, gq: Expr, d: int, r: float, tol: float):
-    theta = np.linspace(0.0, TWO_PI, 17)[:-1]
-    for rr in (1.5, 0.5 * r, r):
-        z = rr * np.exp(1j * theta)
-        vals = np.abs(eval_on(gq, z))
-        norm = np.exp(d * curve.log_max_norm(z))
-        if np.any(vals > tol * norm):
-            return
-    raise IdenticallyZero("the composed target vanishes at all probe points")
 
 
 # ---------------------------------------------------------------------------
 # The main-inequality sweep.
 # ---------------------------------------------------------------------------
+
+def _assert_not_identically_zero(curve, gq: Expr, d: int, r: float):
+    theta = np.linspace(0.0, TWO_PI, 17)[:-1]
+    for rr in (1.5, 0.5 * r, r):
+        z = rr * np.exp(1j * theta)
+        vals = np.abs(eval_on(gq, z))
+        norm = np.exp(d * curve.log_max_norm(z))
+        if np.any(vals > ZERO_PROBE_TOL * norm):
+            return
+    raise IdenticallyZero("the composed target vanishes at all probe points")
+
+
+@dataclass
+class SweepData:
+    """T_f, zeros and N_f of one curve against its targets on one radius grid."""
+
+    radii: list[float]
+    degrees: list[int]
+    composed: list[Expr]
+    zero_lists: list[ZeroList]
+    Tf: list[float]
+    Nf: list[list[float]]        # Nf[j][i]: target j at radius i
+
+
+def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
+               zero_tol: float = 1e-6) -> SweepData:
+    """Compose each target, locate its zeros once, and tabulate T_f and N_f.
+
+    Raises InhomogeneousInput for a target of degree < 1 and IdenticallyZero
+    when some |Q_j(f)| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point.
+    """
+    radii = sorted(float(r) for r in r_grid)
+    if not radii:
+        raise ValueError("empty radius grid")
+    degrees = []
+    for Q in Qs:
+        d = Q.degree
+        if d is None or d < 1:
+            raise InhomogeneousInput(f"target {Q} is not homogeneous of degree >= 1")
+        degrees.append(d)
+    composed = [compose_form(Q, curve) for Q in Qs]
+    for gq, d in zip(composed, degrees):
+        _assert_not_identically_zero(curve, gq, d, radii[-1])
+
+    locate_r = radii[-1] * (1 + 1e-3) + 0.25
+    zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]
+
+    Tf = [characteristic_T(curve, r) for r in radii]
+    Nf = [[counting_N(zl, r) for r in radii] for zl in zero_lists]
+    return SweepData(radii=radii, degrees=degrees, composed=composed,
+                     zero_lists=zero_lists, Tf=Tf, Nf=Nf)
+
 
 @dataclass
 class FloorFit:
@@ -651,10 +680,7 @@ def fit_admissibility_floor(radii, values) -> FloorFit:
 
 
 @dataclass
-class SweepReport:
-    radii: list[float]
-    Tf: list[float]
-    Nf: list[list[float]]        # Nf[j][i]: target j at radius i
+class SweepReport(SweepData):
     margins: list[float]
     defects: list[float]
     defect_sum: float
@@ -667,7 +693,6 @@ class SweepReport:
     epsilon: float
     q: int
     n: int
-    degrees: list[int]
     zero_counts: list[int]
     warnings: list[str] = dataclass_field(default_factory=list)
 
@@ -687,28 +712,12 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     membership (set admissibility_checked accordingly; it is only echoed into
     the warnings when False).
     """
-    radii = sorted(float(r) for r in r_grid)
-    if not radii:
-        raise ValueError("empty radius grid")
+    data = sweep_data(curve, Qs, r_grid, zero_tol=zero_tol)
+    radii, degrees, Tf, Nf = data.radii, data.degrees, data.Tf, data.Nf
     q = len(Qs)
     warnings: list[str] = []
     if not admissibility_checked:
         warnings.append("admissibility was not verified by the caller")
-    degrees = []
-    for Q in Qs:
-        d = Q.degree
-        if d is None or d < 1:
-            raise ValueError(f"target {Q} is not homogeneous of degree >= 1")
-        degrees.append(d)
-    composed = [compose_form(Q, curve) for Q in Qs]
-    for gq in composed:
-        _assert_not_identically_zero(curve, gq, 1, max(radii), 1e-12)
-
-    locate_r = max(radii) * (1 + 1e-3) + 0.25
-    zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]
-
-    Tf = [characteristic_T(curve, r) for r in radii]
-    Nf = [[counting_N(zl, r) for r in radii] for zl in zero_lists]
 
     factor = q - n - 1 - epsilon
     margins = []
@@ -717,18 +726,14 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     violations = [r for r, mgn in zip(radii, margins) if mgn < 0]
 
     jensen_max = 0.0
-    for gq, zl in zip(composed, zero_lists):
+    for gq, zl in zip(data.composed, data.zero_lists):
         for r in radii:
             jensen_max = max(jensen_max, jensen_check(gq, r, zeros=zl))
 
-    floor_values = [_admissibility_floor(curve, composed, degrees, r) for r in radii]
+    floor_values = [_admissibility_floor(curve, data.composed, degrees, r) for r in radii]
     floor_fit = fit_admissibility_floor(radii, floor_values)
 
-    defects = []
-    for j in range(q):
-        trace = [(r, 1.0 - Nf[j][i] / (degrees[j] * Tf[i])) for i, r in enumerate(radii)]
-        quartile = trace[3 * len(trace) // 4:] or trace
-        defects.append(min(v for _, v in quartile))
+    defects = [defect_estimate(radii, Tf, Nf[j], degrees[j])[0] for j in range(q)]
     defect_sum = sum(defects)
 
     fmt_constants = []
@@ -740,12 +745,11 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
                               for i in range(len(radii))))
 
     return SweepReport(
-        radii=radii, Tf=Tf, Nf=Nf, margins=margins, defects=defects,
+        **vars(data), margins=margins, defects=defects,
         defect_sum=defect_sum, violations=violations, floor_values=floor_values,
         floor_fit=floor_fit, fmt_constants=fmt_constants,
         fmt_excess=fmt_excess, jensen_max=jensen_max, epsilon=epsilon, q=q,
-        n=n, degrees=degrees, zero_counts=[zl.total() for zl in zero_lists],
-        warnings=warnings)
+        n=n, zero_counts=[zl.total() for zl in data.zero_lists], warnings=warnings)
 
 
 def _admissibility_floor(curve: EntireCurve, composed: list[Expr],

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nevlab import nevanlinna as nev
 from nevlab.algebra import RATIONAL, RationalFunction
 from nevlab.cli import (
     EXIT_NUMERIC,
@@ -303,3 +304,72 @@ class TestMainExitCodes:
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+P1_TEMPLATE = """
+[variety]
+M = 1
+n = 1
+
+[hypersurfaces]
+{targets}
+
+[curve]
+1
+{curve}
+"""
+
+
+def _write_p1(tmp_path, targets, curve="exp(z)"):
+    path = tmp_path / "p1.prob"
+    path.write_text(P1_TEMPLATE.format(targets=targets, curve=curve))
+    return path
+
+
+class TestSweepPipeline:
+    def test_defects_match_smt_with_one_T_per_radius(self, tmp_path, monkeypatch):
+        calls = []
+        original = nev.characteristic_T
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nev, "characteristic_T", counted)
+        grid = ["--r-max", "6", "--r-steps", "2"]
+        problem = str(PROBLEMS / "conic.prob")
+        payloads = {}
+        for cmd in ("defects", "smt"):
+            out = tmp_path / f"{cmd}.json"
+            calls.clear()
+            code = main([cmd, "--input", problem, *grid, "--format", "json",
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            payloads[cmd] = json.loads(out.read_text())["results"]
+            if cmd == "defects":
+                assert len(calls) == 2
+        assert payloads["defects"]["defects"] == payloads["smt"]["defects"]
+        assert payloads["defects"]["defect_sum"] == payloads["smt"]["defect_sum"]
+
+    def test_identically_zero_guard_scales_by_degree(self, tmp_path):
+        # 2e-12 * x0^2 on (1 : z): |Q(f)| = 2e-12 lies below 1e-12 * ||f||^2
+        # at every probe point, though above 1e-12 * ||f|| at |z| = 1.5
+        path = _write_p1(tmp_path, "degree 2: 2/1000000000000*x0^2", curve="z")
+        spec = load_problem(str(path))
+        with pytest.raises(nev.IdenticallyZero):
+            nev.sweep_data(spec.curve, spec.hypersurfaces, [5.0, 10.0])
+        with pytest.raises(nev.IdenticallyZero):
+            nev.smt_margin(spec.curve, spec.hypersurfaces, 1, 0.5, [5.0, 10.0])
+        assert main(["defects", "--input", str(path)]) == EXIT_PRECONDITION
+
+    def test_defects_degree_zero_target_is_precondition(self, tmp_path, capsys):
+        path = _write_p1(tmp_path, "degree 1: x0\ndegree 0: 3")
+        code = main(["defects", "--input", str(path), "--r-steps", "2"])
+        assert code == EXIT_PRECONDITION
+        assert "precondition failure" in capsys.readouterr().err
+
+    def test_zeros_non_polynomial_coefficient_is_precondition(self, tmp_path, capsys):
+        path = _write_p1(tmp_path, "degree 1: {1/(1+z)}*x0")
+        code = main(["zeros", "--input", str(path), "--r", "5"])
+        assert code == EXIT_PRECONDITION
+        assert "polynomial coefficients" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from nevlab.nevanlinna import (
     locate_zeros,
     smt_margin,
     sub,
+    sweep_data,
 )
 
 from helpers import xvar
@@ -180,7 +181,8 @@ class TestDefects:
         f = exp_curve()
         Q = (xvar(1, 2) - xvar(0, 2)).over(RATIONAL_FUNCTION)
         grid = np.linspace(5, 30, 11)
-        delta, trace = defect_estimate(f, Q, grid)
+        data = sweep_data(f, [Q], grid)
+        delta, trace = defect_estimate(data.radii, data.Tf, data.Nf[0], data.degrees[0])
         assert abs(delta) < 0.05
         assert len(trace) == 11
 
@@ -189,7 +191,8 @@ class TestDefects:
         grid = np.linspace(5, 20, 6)
         for Q in (xvar(0, 2).over(RATIONAL_FUNCTION),
                   xvar(1, 2).over(RATIONAL_FUNCTION)):
-            delta, _ = defect_estimate(f, Q, grid)
+            data = sweep_data(f, [Q], grid)
+            delta, _ = defect_estimate(data.radii, data.Tf, data.Nf[0], data.degrees[0])
             assert delta == pytest.approx(1.0)
 
     def test_identically_zero_rejected(self):
@@ -197,7 +200,7 @@ class TestDefects:
                                         Exp(Mul(Const(2), Z()))))
         Q = (xvar(0) * xvar(2) - xvar(1) * xvar(1)).over(RATIONAL_FUNCTION)
         with pytest.raises(IdenticallyZero):
-            defect_estimate(curve, Q, [5, 10])
+            sweep_data(curve, [Q], [5, 10])
 
 
 class TestCompose:
