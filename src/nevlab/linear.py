@@ -184,10 +184,6 @@ class GradedSubspace:
     def field(self) -> str:
         return self.basis.field
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.cols
-
     @classmethod
     def from_rows(cls, rows, *, ambient_degree: int, nvars: int, cols: int,
                   field: str) -> "GradedSubspace":

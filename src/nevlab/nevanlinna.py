@@ -4,9 +4,12 @@ Curves are tuples of expression trees in z (rational constants, z, +, *, -,
 integer powers, exp) with symbolic derivatives.  The characteristic function
 is a circle average of log of the max-norm; zeros of composed targets are
 located by recursive rectangle subdivision driven by argument-principle
-winding numbers; counting functions discharge the log-weighted integral
-exactly over the located zeros; Jensen's formula ties the zero finder to the
-quadrature as a standing cross-check.  One builder, sweep_data, locates each
+winding numbers.  The zero finder compiles each target and its derivative
+once into one Program and evaluates g'/g on every edge still open at a
+sample level in one call, at most 16385 points per evaluation.  Counting
+functions discharge the log-weighted integral exactly over the located
+zeros; Jensen's formula ties the zero finder to the quadrature as a standing
+cross-check.  One builder, sweep_data, locates each
 target's zeros once and tabulates T_f and N_f for the sweep and the defects.
 
 Floating point only lives here; every input the exact modules care about
@@ -16,6 +19,7 @@ stays exact upstream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -154,6 +158,8 @@ class Pow(Expr):
         return self.a.eval(z) ** self.k
 
     def diff(self):
+        if self.k == 0:
+            return Const(0)
         return mul(mul(Const(self.k), pow_(self.a, self.k - 1)), self.a.diff())
 
     def __str__(self):
@@ -167,18 +173,21 @@ class Exp(Expr):
         self.a = a
 
     def eval(self, z):
-        w = self.a.eval(z)
-        mx = np.max(np.real(w)) if np.ndim(w) else float(np.real(w))
-        if mx > EXP_REAL_CAP:
-            raise OverflowGuard(
-                f"exp argument real part {mx:.1f} exceeds the guard {EXP_REAL_CAP}")
-        return np.exp(w)
+        return _guarded_exp(self.a.eval(z))
 
     def diff(self):
         return mul(self.a.diff(), Exp(self.a))
 
     def __str__(self):
         return f"exp({self.a})"
+
+
+def _guarded_exp(w):
+    mx = np.max(np.real(w)) if np.ndim(w) else float(np.real(w))
+    if mx > EXP_REAL_CAP:
+        raise OverflowGuard(
+            f"exp argument real part {mx:.1f} exceeds the guard {EXP_REAL_CAP}")
+    return np.exp(w)
 
 
 def _paren(e: Expr) -> str:
@@ -236,9 +245,78 @@ def pow_(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
-def eval_on(e: Expr, z) -> np.ndarray:
-    """Evaluate on an array of points, broadcasting constant subtrees."""
+_OPERATORS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
+              Pow: operator.pow, Exp: _guarded_exp}
+
+
+class Program:
+    """Expression trees compiled into one flat list of numpy operations.
+
+    Structurally equal subtrees are hash-consed across all the trees, so a
+    shared exp(z) is computed once per point set.  Constants are converted to
+    complex once.  Each op applies the operator the tree would, to values of
+    the same types and in the tree's evaluation order, so the values are bit
+    for bit the tree's and the first exp argument past the guard raises the
+    tree's OverflowGuard.  A register is released after its last use.
+    """
+
+    def __init__(self, exprs):
+        self._init: list = [None]  # register values before a run; register 0 holds z
+        self._keys: dict = {}      # structural key -> register
+        self._ops: list = []       # (operator, destination, source registers)
+        seen: dict[int, int] = {}
+        self.outputs = tuple(self._emit(e, seen) for e in exprs)
+        last_use = {s: i for i, (_, _, srcs) in enumerate(self._ops) for s in srcs}
+        self._ops = [(fn, dst, srcs, tuple(s for s in set(srcs)
+                                           if last_use[s] == i and s not in self.outputs))
+                     for i, (fn, dst, srcs) in enumerate(self._ops)]
+
+    def _register(self, key, value=None) -> int:
+        reg = self._keys.get(key)
+        if reg is None:
+            reg = self._keys[key] = len(self._init)
+            self._init.append(value)
+        return reg
+
+    def _emit(self, e: Expr, seen: dict[int, int]) -> int:
+        reg = seen.get(id(e))
+        if reg is not None:
+            return reg
+        if isinstance(e, Const):
+            reg = self._register(("const", e.value), complex(e.value))
+        elif isinstance(e, Z):
+            reg = 0
+        else:
+            srcs = [self._emit(e.a, seen)]
+            if isinstance(e, (Add, Mul)):
+                srcs.append(self._emit(e.b, seen))
+            elif isinstance(e, Pow):
+                srcs.append(self._register(("int", e.k), e.k))
+            srcs = tuple(srcs)
+            key = (type(e), srcs)
+            if key not in self._keys:
+                self._ops.append((_OPERATORS[type(e)], self._register(key), srcs))
+            reg = self._keys[key]
+        seen[id(e)] = reg
+        return reg
+
+    def eval(self, z) -> list:
+        """Values of the compiled trees at z, constants left unbroadcast."""
+        regs = list(self._init)
+        regs[0] = z
+        for fn, dst, srcs, dead in self._ops:
+            regs[dst] = fn(*[regs[s] for s in srcs])
+            for s in dead:
+                regs[s] = None
+        return [regs[o] for o in self.outputs]
+
+
+def eval_on(e: Expr | Program, z):
+    """Evaluate on an array of points, broadcasting constant subtrees; a
+    Program gives a tuple with one array per compiled tree."""
     z = np.asarray(z, dtype=complex)
+    if isinstance(e, Program):
+        return tuple(np.broadcast_to(np.asarray(v), z.shape) for v in e.eval(z))
     return np.broadcast_to(np.asarray(e.eval(z)), z.shape)
 
 
@@ -359,55 +437,79 @@ _SPLIT_JITTER = (0.0, 0.0371, -0.0523, 0.1117, -0.1463, 0.1871, -0.2293)
 _TOP_GROW = (1.0, 1.017, 1.041, 1.073, 1.113)
 
 
-def _segment_integral(g: Expr, gp: Expr, a: complex, b: complex, n: int) -> complex:
+_LOOP_CAP = 16384  # samples per edge at the last loop-winding level
+
+
+def _edge_integrals(prog: Program, a, b, n: int, rows: int) -> list[complex]:
+    """Trapezoid integrals of g'/g along the segments a[i] -> b[i], n
+    intervals each, nan where a sample is not finite; `rows` segments per
+    program evaluation."""
     t = np.linspace(0.0, 1.0, n + 1)
-    z = a + (b - a) * t
-    gz = eval_on(g, z)
-    dz = eval_on(gp, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = dz / gz * (b - a)
-    if not np.all(np.isfinite(f)):
-        return complex(np.nan)
-    # uniform trapezoid on [0, 1]
-    return complex((f.sum() - 0.5 * (f[0] + f[-1])) / n)
+    out = []
+    for s in range(0, len(a), rows):
+        d = (b[s:s + rows] - a[s:s + rows])[:, None]
+        z = a[s:s + rows, None] + d * t
+        gz, dz = eval_on(prog, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = dz / gz * d
+        # uniform trapezoid on [0, 1], one row per segment
+        sums = (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n
+        finite = np.isfinite(f).all(axis=1)
+        out.extend(complex(v) if ok else complex(np.nan) for v, ok in zip(sums, finite))
+    return out
 
 
-def _loop_winding(g: Expr, gp: Expr, corners, *, start: int = 32,
-                  cap: int = 16384, snap: float = 0.25) -> int | None:
-    """Winding number of g along the closed polyline, or None when ambiguous."""
-    edges = list(zip(corners, corners[1:] + corners[:1]))
+def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CAP,
+                   snap: float = 0.25) -> list[int | None]:
+    """Winding number of g along each closed polyline, or None when ambiguous.
+
+    At each sample level the edges of every loop still open are evaluated
+    together, in row chunks of at most cap + 1 points.  Each loop keeps its
+    own edge points, per-edge sums, summation order and stopping rule, so
+    its result is the one a loop-by-loop evaluation gives.
+    """
+    edges = [list(zip(c, c[1:] + c[:1])) for c in loops]
+    windings: list[int | None] = [None] * len(loops)
+    prev: list[complex | None] = [None] * len(loops)
+    open_loops = list(range(len(loops)))
     n = start
-    prev = None
-    while n <= cap:
-        total = 0j
-        bad = False
-        for a, b in edges:
-            seg = _segment_integral(g, gp, a, b, n)
-            if seg != seg:  # nan
-                bad = True
-                break
-            total += seg
-        if not bad:
+    while n <= cap and open_loops:
+        a, b = np.array([e for i in open_loops for e in edges[i]]).T
+        segs = iter(_edge_integrals(prog, a, b, n, (cap + 1) // (n + 1)))
+        still_open = []
+        for i in open_loops:
+            loop_segs = [next(segs) for _ in edges[i]]
+            if any(seg != seg for seg in loop_segs):  # nan: a sample was not finite
+                still_open.append(i)
+                continue
+            total = 0j
+            for seg in loop_segs:
+                total += seg
             w = total / (2j * math.pi)
             nearest = round(w.real)
-            if abs(w - nearest) < snap and prev is not None and abs(w - prev) < 0.1:
-                return int(nearest)
-            prev = w
+            if abs(w - nearest) < snap and prev[i] is not None and abs(w - prev[i]) < 0.1:
+                windings[i] = int(nearest)
+            else:
+                prev[i] = w
+                still_open.append(i)
+        open_loops = still_open
         n *= 2
-    return None
+    return windings
 
 
-def _circle_winding(g: Expr, gp: Expr, r: float, *, cap: int = 65536,
+def _circle_winding(prog: Program, r: float, *, cap: int = 65536,
                     snap: float = 0.25) -> int | None:
+    chunk = _LOOP_CAP + 1  # no evaluation larger than one edge at the loop cap
     n = 256
     prev = None
     while n <= cap:
         theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
         z = r * np.exp(1j * theta)
-        gz = eval_on(g, z)
-        dz = eval_on(gp, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = dz / gz * (1j * z)
+        f = np.empty_like(z)
+        for s in range(0, n, chunk):
+            gz, dz = eval_on(prog, z[s:s + chunk])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f[s:s + chunk] = dz / gz * (1j * z[s:s + chunk])
         if np.all(np.isfinite(f)):
             w = complex(f.mean()) / (2j * math.pi) * TWO_PI
             nearest = round(w.real)
@@ -456,8 +558,8 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     WindingAmbiguous.  1e-6 is safe for m <= 2 at moderate scales; reserve
     tighter tolerances for simple zeros.
     """
-    gp = g.diff()
-    disk_total = _circle_winding(g, gp, r)
+    prog = Program([g, g.diff()])
+    disk_total = _circle_winding(prog, r)
     if disk_total is None:
         raise WindingAmbiguous(
             f"winding integral over |z| = {r} did not converge; perturb r")
@@ -466,7 +568,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
         half = r * 1.02 * grow + 16 * tol
         cx, cy = 0.0037 * r, 0.0051 * r
         box = _Box(cx - half, cx + half, cy - half, cy + half, 0)
-        w = _loop_winding(g, gp, box.corners())
+        [w] = _loop_windings(prog, [box.corners()])
         if w is not None:
             box.w = w
             top = box
@@ -487,7 +589,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
         if box.width <= tol:
             zeros.append((box.center, box.w))
             continue
-        children = _split_box(g, gp, box)
+        children = _split_box(prog, box)
         stack.extend(c for c in children if c.w != 0)
 
     kept = []
@@ -505,7 +607,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     return ZeroList(zeros=kept, radius=r)
 
 
-def _split_box(g: Expr, gp: Expr, box: _Box) -> list[_Box]:
+def _split_box(prog: Program, box: _Box) -> list[_Box]:
     wx = box.x1 - box.x0
     wy = box.y1 - box.y0
     for jx in _SPLIT_JITTER:
@@ -518,15 +620,8 @@ def _split_box(g: Expr, gp: Expr, box: _Box) -> list[_Box]:
                 _Box(box.x0, mx, my, box.y1, 0),
                 _Box(mx, box.x1, my, box.y1, 0),
             ]
-            ws = []
-            ok = True
-            for q in quads:
-                w = _loop_winding(g, gp, q.corners())
-                if w is None:
-                    ok = False
-                    break
-                ws.append(w)
-            if ok and sum(ws) == box.w:
+            ws = _loop_windings(prog, [q.corners() for q in quads])
+            if None not in ws and sum(ws) == box.w:
                 for q, w in zip(quads, ws):
                     q.w = w
                 return quads

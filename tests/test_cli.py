@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,18 @@ class TestEmit:
 
 
 class TestMainExitCodes:
+    def test_module_run_is_clean(self):
+        # importing the package must not import nevlab.cli ahead of runpy
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nevlab.cli",
+             "hilbert", "--input", str(PROBLEMS / "conic.prob")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.prob"
         bad.write_text(MINI.replace("x0*x2 - x1^2", "x0 + x1^2"))

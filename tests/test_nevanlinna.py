@@ -1,21 +1,30 @@
 import cmath
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevlab.algebra import (
     RATIONAL_FUNCTION,
     RationalFunction,
 )
+from nevlab import nevanlinna as nev
+from nevlab.cli import load_problem
 from nevlab.nevanlinna import (
+    Add,
     Const,
     EntireCurve,
     Exp,
     IdenticallyZero,
     Mul,
+    Neg,
     OverflowGuard,
     Pow,
+    Program,
     WindingAmbiguous,
     Z,
     ZeroAtOrigin,
@@ -25,6 +34,7 @@ from nevlab.nevanlinna import (
     counting_N,
     curve_residual,
     defect_estimate,
+    eval_on,
     jensen_check,
     locate_zeros,
     smt_margin,
@@ -33,6 +43,8 @@ from nevlab.nevanlinna import (
 )
 
 from helpers import xvar
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def exp_curve():
@@ -70,6 +82,77 @@ class TestExpressions:
         zs = np.array([0j, 1j, 2j])
         vals = np.asarray(Exp(Z()).eval(zs))
         assert np.allclose(vals, np.exp(zs))
+
+
+def _expr_trees():
+    """Trees of the raw node classes, so constant subtrees stay unfolded."""
+    consts = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const)
+    leaves = st.one_of(st.just(Z()), st.just(Z()), consts)  # two z branches: fewer constant trees
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda ab: Add(*ab)),
+            pairs.map(lambda ab: Mul(*ab)),
+            children.map(Neg),
+            st.tuples(children, st.integers(0, 3)).map(lambda ak: Pow(*ak)),
+            children.map(Exp),
+        )
+
+    return extend(st.recursive(leaves, extend, max_leaves=10))
+
+
+def _outcome(fn):
+    """fn()'s value, or the message of the OverflowGuard it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn()
+        except OverflowGuard as exc:
+            return str(exc)
+
+
+class TestProgram:
+    # |z| up to 3, so exp(exp(z)) and deeper nestings can pass the guard
+    POINTS = np.array([[0j, 1 + 1j, -2.5 + 0.5j], [3 + 0j, -1j, 0.7 - 2.9j]])
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_expr_trees())
+    def test_matches_tree(self, e):
+        de = e.diff()
+        want = [_outcome(lambda: eval_on(e, self.POINTS)),
+                _outcome(lambda: eval_on(de, self.POINTS))]
+        got = _outcome(lambda: eval_on(Program([e, de]), self.POINTS))
+        if isinstance(want[0], str) or isinstance(want[1], str):
+            # the tree of g runs before the tree of g', as the program's ops do
+            assert got == next(w for w in want if isinstance(w, str))
+            return
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == self.POINTS.shape
+            assert np.array_equal(g, w, equal_nan=True)
+
+    def test_shared_subtrees_computed_once(self):
+        e2 = Exp(Mul(Const(2), Z()))
+        prog = Program([Add(Exp(Z()), e2), Mul(Const(2), Exp(Mul(Const(2), Z())))])
+        # z, 1, 2; exp(z), 2z, exp(2z), the sum, and the product
+        assert len(prog._ops) == 5
+
+    def test_first_overflow_message(self):
+        e = Add(Exp(Mul(Const(750), Z())), Exp(Mul(Const(800), Z())))
+        z = np.array([1 + 0j])
+        with pytest.raises(OverflowGuard) as tree:
+            eval_on(e, z)
+        with pytest.raises(OverflowGuard) as prog:
+            eval_on(Program([e, e.diff()]), z)
+        assert str(prog.value) == str(tree.value) == (
+            "exp argument real part 750.0 exceeds the guard 700.0")
+
+    def test_constant_program_broadcasts(self):
+        e = Exp(Add(Const(Fraction(1, 2)), Const(1)))
+        got = eval_on(Program([e, e.diff()]), self.POINTS)
+        assert [g.shape for g in got] == [self.POINTS.shape] * 2
+        assert np.array_equal(got[0], eval_on(e, self.POINTS))
+        assert np.all(got[1] == 0)
 
 
 class TestCharacteristic:
@@ -135,6 +218,50 @@ class TestLocateZeros:
     def test_zero_on_circle_raises(self):
         with pytest.raises(WindingAmbiguous):
             locate_zeros(sub(Z(), Const(2)), 2.0)
+
+
+class TestZeroFinderWork:
+    """Targets are compiled once and winding integrals batched per level."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        sizes = []
+        original = nev.eval_on
+
+        def counted(e, z):
+            sizes.append(np.size(z))
+            return original(e, z)
+
+        monkeypatch.setattr(nev, "eval_on", counted)
+        return sizes
+
+    def test_double_zeros_work_and_batch_size(self, monkeypatch):
+        # conic.prob target 3 composes to (e^(2z) - 5)^2
+        spec = load_problem(str(PROBLEMS / "conic.prob"))
+        g = compose_form(spec.hypersurfaces[3], spec.curve)
+        sizes = self._watch(monkeypatch)
+        zl = locate_zeros(g, 6.0, tol=1e-6)
+        expected = [(0.8047191666345593 + 3.139638898158114e-07j, 2),
+                    (0.8047191666345593 + 3.1415923990964876j, 2),
+                    (0.8047191666345593 - 3.141592500731468j, 2)]
+        assert [m for _, m in zl.zeros] == [m for _, m in expected]
+        for (z, _), (w, _) in zip(zl.zeros, expected):
+            assert abs(z - w) < 1e-12
+        # a tree walk per edge and level took 4492 evaluations
+        assert len(sizes) <= 449
+        assert max(sizes) <= 16385
+
+    def test_capped_levels_stay_within_batch_size(self, monkeypatch):
+        # a zero on the circle keeps the disk winding from converging up to
+        # 65536 samples; a loop through a zero never snaps and runs to the
+        # per-edge cap with all four edges open
+        sizes = self._watch(monkeypatch)
+        with pytest.raises(WindingAmbiguous):
+            locate_zeros(sub(Z(), Const(2)), 2.0)
+        g = sub(Z(), Const(1))
+        corners = [0j, 2 + 0j, 2 + 2j, 2j]
+        assert nev._loop_windings(Program([g, g.diff()]), [corners] * 4) == [None] * 4
+        assert max(sizes) == 16385
 
 
 class TestCounting:
