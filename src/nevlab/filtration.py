@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from .algebra import (
     MultiPoly,
     coefficient_field,
-    field_zero,
     monomial_basis,
     monomial_count,
 )
-from .gradedgeom import HomogeneousIdeal, NotStabilized, hilbert_function
+from .gradedgeom import HomogeneousIdeal, NotStabilized, hilbert_function, macaulay_rows
 from .linear import ExactMatrix, GradedSubspace, preimage_of_subspace
 
 
@@ -109,13 +108,10 @@ def _common_degree(Qs) -> int:
     return degs.pop()
 
 
-def _power_products(Qs, tau, cache):
-    """Q^I = prod Q_s^{i_s} for every I in tau, with shared power caching."""
+def _power_products(Qs, tau):
+    """Q^I = prod Q_s^{i_s} for every I in tau."""
     out = {}
     for I in tau:
-        if I in cache:
-            out[I] = cache[I]
-            continue
         acc = None
         for q, e in zip(Qs, I):
             if e == 0:
@@ -124,50 +120,21 @@ def _power_products(Qs, tau, cache):
             acc = p if acc is None else acc * p
         if acc is None:
             acc = MultiPoly.constant(Qs[0].nvars, 1, Qs[0].field)
-        cache[I] = acc
         out[I] = acc
     return out
 
 
-def _multiples_rows(poly: MultiPoly, src_degree: int, basis_index, width):
-    """Coefficient rows of poly * m over all degree-src_degree monomials m."""
-    zero = field_zero(poly.field)
-    rows = []
-    for m in monomial_basis(poly.nvars - 1, src_degree):
-        shifted = poly.shift(m)
-        row = [zero] * width
-        for exp, c in shifted.terms.items():
-            row[basis_index[exp]] = c
-        rows.append(row)
-    return rows
-
-
-def _multiplication_matrix(poly: MultiPoly, src_degree: int, basis_index, width):
-    """Matrix of g -> poly*g from degree-src_degree coordinates into degree-N ones."""
-    src_basis = monomial_basis(poly.nvars - 1, src_degree)
-    zero = field_zero(poly.field)
-    cols = []
-    for m in src_basis:
-        shifted = poly.shift(m)
-        col = [zero] * width
-        for exp, c in shifted.terms.items():
-            col[basis_index[exp]] = c
-        cols.append(col)
-    entries = [[cols[j][i] for j in range(len(cols))] for i in range(width)]
-    return ExactMatrix(width, len(cols), poly.field, entries, _raw=True)
-
-
-def _cell_from_parts(I, N, d, nvars, QI, U: GradedSubspace, basis_index,
-                     width) -> FiltrationCell:
+def _cell_from_parts(I, N, d, nvars, rows, U: GradedSubspace) -> FiltrationCell:
+    """Cell L_N^I from `rows`, the coefficient rows of the Q^I-multiples in
+    degree N, and U, the span of the ideal piece and the higher multiples."""
     src_degree = N - d * tuple_norm(I)
-    Lmap = _multiplication_matrix(QI, src_degree, basis_index, width)
+    Lmap = ExactMatrix(len(rows), U.basis.cols, U.field, rows, _raw=True).transpose()
     L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
-    src_dim = monomial_count(nvars - 1, src_degree)
-    m = src_dim - L.dim
     src_basis = monomial_basis(nvars - 1, src_degree)
+    m = len(src_basis) - L.dim
     pivots = set(L.pivot_cols)
-    reps = [MultiPoly.monomial(nvars, src_basis[j], 1, QI.field)
-            for j in range(src_dim) if j not in pivots]
+    reps = [MultiPoly.monomial(nvars, mono, 1, U.field)
+            for j, mono in enumerate(src_basis) if j not in pivots]
     if len(reps) != m:
         raise BasisDefect(f"cell {I}: {len(reps)} coset representatives for m = {m}")
     return FiltrationCell(I=I, N=N, L=L, m=m, reps=reps)
@@ -188,21 +155,13 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     if N - d * tuple_norm(I) < 0:
         raise DegreeMismatch(f"N - d*|I| < 0 for I={I}, N={N}, d={d}")
     nvars = J.nvars
-    basis_N = monomial_basis(nvars - 1, N)
-    basis_index = {exp: i for i, exp in enumerate(basis_N)}
-    width = len(basis_N)
     tau, _ = tuple_sets(N, d, n)
-    U = J.graded_piece(N).over(field)
-    cache: dict[tuple[int, ...], MultiPoly] = {}
     higher = [E for E in tau if E > I]
-    powers = _power_products(Qs, higher, cache)
-    extra_rows = []
-    for E in higher:
-        extra_rows.extend(_multiples_rows(powers[E], N - d * tuple_norm(E),
-                                          basis_index, width))
-    U = U.extended_with(extra_rows)
-    QI = _power_products(Qs, [I], cache)[I]
-    return _cell_from_parts(I, N, d, nvars, QI, U, basis_index, width)
+    powers = _power_products(Qs, higher + [I])
+    extra_rows, _ = macaulay_rows([powers[E] for E in higher], N, nvars, field)
+    U = J.graded_piece(N).over(field).extended_with(extra_rows)
+    rows, _ = macaulay_rows([powers[I]], N, nvars, field)
+    return _cell_from_parts(I, N, d, nvars, rows, U)
 
 
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
@@ -217,19 +176,14 @@ def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
     d = _common_degree(Qs)
     n = len(Qs)
     nvars = J.nvars
-    basis_N = monomial_basis(nvars - 1, N)
-    basis_index = {exp: i for i, exp in enumerate(basis_N)}
-    width = len(basis_N)
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
     U = J.graded_piece(N).over(field)
-    cache: dict[tuple[int, ...], MultiPoly] = {}
-    powers = _power_products(Qs, tau, cache)
+    powers = _power_products(Qs, tau)
     cells: dict[tuple[int, ...], FiltrationCell] = {}
     for I in sorted(tau, reverse=True):
-        cells[I] = _cell_from_parts(I, N, d, nvars, powers[I], U,
-                                    basis_index, width)
-        U = U.extended_with(_multiples_rows(powers[I], N - d * tuple_norm(I),
-                                            basis_index, width))
+        rows, _ = macaulay_rows([powers[I]], N, nvars, field)
+        cells[I] = _cell_from_parts(I, N, d, nvars, rows, U)
+        U = U.extended_with(rows)
     return FiltrationTable(
         N=N, d=d, n=n, nvars=nvars, ideal=J, Qs=Qs, cells=cells,
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
@@ -242,12 +196,7 @@ def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
     degree-N piece and their count equals the Hilbert value H_V(N); both are
     guaranteed mathematically, so a failure flags an implementation bug.
     """
-    nvars = table.nvars
-    basis_N = monomial_basis(nvars - 1, table.N)
-    basis_index = {exp: i for i, exp in enumerate(basis_N)}
-    width = len(basis_N)
-    cache: dict[tuple[int, ...], MultiPoly] = {}
-    powers = _power_products(table.Qs, table.tau, cache)
+    powers = _power_products(table.Qs, table.tau)
     products: list[MultiPoly] = []
     for I in table.tau:
         cell = table.cells[I]
@@ -259,14 +208,8 @@ def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
             f"sum of m_N^I = {total} differs from H_V(N) = {table.hilbert_value}")
     field = table.Qs[0].field
     ideal_piece = table.ideal.graded_piece(table.N).over(field)
-    zero = field_zero(field)
-    rows = []
-    for p in products:
-        row = [zero] * width
-        for exp, c in p.terms.items():
-            row[basis_index[exp]] = c
-        rows.append(row)
-    joint = ideal_piece.extended_with(rows)
+    basis_N = monomial_basis(table.nvars - 1, table.N)
+    joint = ideal_piece.extended_with([p.coefficient_vector(basis_N) for p in products])
     if joint.dim != ideal_piece.dim + total:
         raise BasisDefect(
             "products are dependent modulo the ideal: rank "

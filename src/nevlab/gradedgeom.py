@@ -27,7 +27,6 @@ from .algebra import (
     PoleAtPoint,
     clear_denominators,
     coefficient_field,
-    field_one,
     field_zero,
     monomial_basis,
     monomial_count,
@@ -134,7 +133,6 @@ class HilbertRecord:
     values: dict[int, int]
     dim_v: int | None = None
     deg_v: int | None = None
-    stable_from: int | None = None
 
 
 def variety_invariants(J: HomogeneousIdeal, k_max: int, window: int = 3) -> tuple[int, int]:
@@ -168,7 +166,6 @@ def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertR
                 rec.dim_v, rec.deg_v = -1, 0
             else:
                 rec.dim_v, rec.deg_v = order, math.factorial(order) * lead
-            rec.stable_from = k_max - window + 1 - order
             return rec
         diff = [b - a for a, b in zip(diff, diff[1:])]
         if len(diff) < window:
@@ -256,16 +253,9 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
             continue
         piece = GradedSubspace.from_rows(
             rows, ambient_degree=s, nvars=nvars, cols=len(basis), field=field)
-        targets = []
-        index = {exp: i for i, exp in enumerate(basis)}
-        zero = field_zero(field)
-        one = field_one(field)
-        for i in range(nvars):
-            exp = [0] * nvars
-            exp[i] = s
-            v = [zero] * len(basis)
-            v[index[tuple(exp)]] = one
-            targets.append(v)
+        targets = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
+                                      1, field).coefficient_vector(basis)
+                   for i in range(nvars)]
         if not all(piece.contains(v) for v in targets):
             continue
         A = ExactMatrix.from_rows(rows, len(basis), field)

@@ -1,10 +1,14 @@
 """Exact dense linear algebra over Q and Q(z).
 
-Row reduction, kernels, membership tests with certificates, and preimages of
-subspaces under linear maps.  All arithmetic is exact; pivots are fully
-normalized (reduced row echelon form) and chosen deterministically as the
-first nonzero entry in column order, so echelon bases and coset
+Row reduction, kernels, reduction of vectors against an echelon basis, and
+preimages of subspaces under linear maps.  All arithmetic is exact; pivots are
+fully normalized (reduced row echelon form) and chosen deterministically as
+the first nonzero entry in column order, so echelon bases and coset
 representatives are reproducible.
+
+A preimage {g : L g in U} is read off one reduction: each column of L is
+reduced against U's echelon basis, and the preimage is the kernel of the
+matrix of reduced columns.
 
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
@@ -54,16 +58,9 @@ class ExactMatrix:
     def from_rows(cls, rows, cols: int, field: str) -> "ExactMatrix":
         return cls(len(rows), cols, field, rows)
 
-    def row(self, i: int) -> list:
-        return self.entries[i]
-
     def transpose(self) -> "ExactMatrix":
         data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(self.cols, self.rows, self.field, data, _raw=True)
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.field,
-                           [row[:] for row in self.entries], _raw=True)
 
     def matvec(self, v: list) -> list:
         if len(v) != self.cols:
@@ -246,34 +243,23 @@ class GradedSubspace:
             cols=self.basis.cols, field=self.field)
 
 
-def membership(v: list, S: GradedSubspace) -> tuple[bool, list | None]:
-    """Test v in rowspace(S); on success return exact coordinates over the basis."""
-    rem, coords = S.reduce_vector(v)
-    if any(rem):
-        return False, None
-    return True, coords
-
-
 def preimage_of_subspace(L: ExactMatrix, U: GradedSubspace, *,
                          source_degree: int, nvars: int) -> GradedSubspace:
     """The subspace {g : L g in U}, echelonized in source coordinates.
 
-    Computed as the projection onto the source coordinates of the kernel of
-    the stacked system [L | -U_basis^T].
+    Reduction against U's echelon basis is linear with kernel exactly U, so
+    L g lies in U exactly when the reduced columns of L, weighted by g, sum to
+    zero: the preimage is the kernel of the matrix of reduced columns.
     """
     if L.rows != U.basis.cols:
         raise DimensionMismatch("map target does not match subspace ambient space")
-    src = L.cols
-    aux = U.dim
-    field = L.field
-    stacked = ExactMatrix(L.rows, src + aux, field, _raw=True, entries=[
-        L.entries[i][:] + [-U.basis.entries[r][i] for r in range(aux)]
-        for i in range(L.rows)
-    ])
-    null = kernel(stacked)
-    projected = [vec[:src] for vec in null]
+    rems = [U.reduce_vector(col)[0] for col in L.transpose().entries]
+    # Zero rows (U's pivot coordinates among them) constrain nothing.
+    rows = [list(row) for row in zip(*rems) if any(row)]
+    reduced = ExactMatrix(len(rows), L.cols, L.field, rows, _raw=True)
     return GradedSubspace.from_rows(
-        projected, ambient_degree=source_degree, nvars=nvars, cols=src, field=field)
+        kernel(reduced), ambient_degree=source_degree, nvars=nvars, cols=L.cols,
+        field=L.field)
 
 
 def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | None]:

@@ -25,7 +25,7 @@ from nevlab.filtration import (
     weighted_sums,
 )
 from nevlab.gradedgeom import NotStabilized, hilbert_function, specialize_space
-from nevlab.linear import ExactMatrix, membership, row_reduce
+from nevlab.linear import ExactMatrix, row_reduce
 
 from helpers import conic_ideal, p1_ideal, piece_over_qz, rand_poly, xvar
 
@@ -131,7 +131,7 @@ class TestFiltrationSpace:
         basis = monomial_basis(2, 8 - 2)
         for rep in cell.reps:
             vec = rep.coefficient_vector(basis)
-            assert not membership(vec, cell.L)[0]
+            assert not cell.L.contains(vec)
 
 
 class TestTables:
@@ -180,7 +180,7 @@ class TestTables:
             k = 8 - 2 * tuple_norm(I)
             piece = J.graded_piece(k, extra=[q]) if k >= 2 else J.graded_piece(k)
             for row in piece.basis.entries:
-                assert membership(list(row), cell.L)[0]
+                assert cell.L.contains(list(row))
 
     def test_remark_multiplying_stays_inside(self):
         # gamma in L_N^I and P homogeneous of degree k: gamma*P in L_{N+k}^I.
@@ -206,7 +206,7 @@ class TestTables:
                 P = rand_poly(rng, 3, k, RATIONAL, terms=2).over(RATIONAL_FUNCTION)
                 prod = gamma * P
                 vec = prod.coefficient_vector(basis_dst)
-                assert membership(vec, target.L)[0]
+                assert target.L.contains(vec)
 
     def test_inclusion_chain_componentwise(self):
         # For componentwise I <= I', L_N^I sits inside L_{N + d(|I'|-|I|)}^{I'}.
@@ -218,7 +218,7 @@ class TestTables:
             shift = 2 * (tuple_norm(Ip) - tuple_norm(I))
             high = filtration_space(J, [q], N + shift, Ip)
             for row in low.L.basis.entries:
-                assert membership(list(row), high.L)[0]
+                assert high.L.contains(list(row))
 
     def test_specialization_preserves_m(self):
         # The moving-line table over Q(z) matches the fixed table after

@@ -1,12 +1,16 @@
-"""Property tests of the filtration on generated constant targets.
+"""Property tests of the filtration on generated targets.
 
-Targets are random degree-d forms with small integer coefficients on the
-conic, the twisted cubic and P^1, tagged either Q or Q(z): both must be
-computed over Q and agree with the generic Q(z) elimination of `oracle_m`.
+Targets are random degree-d forms on the conic, the twisted cubic and P^1.
+Constant targets have small integer coefficients and are tagged either Q or
+Q(z): both must be computed over Q.  Moving targets have coefficients a + b*z
+with small integers a, b and are computed over Q(z).  Every table must agree
+with the generic Q(z) elimination of `oracle_m`, which never touches the
+preimage or kernel code.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +18,7 @@ from nevlab.algebra import (
     RATIONAL,
     RATIONAL_FUNCTION,
     MultiPoly,
+    RationalFunction,
     monomial_basis,
     monomial_count,
 )
@@ -29,6 +34,8 @@ VARIETIES = {
     "conic": (conic_ideal, 2, 6),
     "twisted_cubic": (twisted_cubic_ideal, 3, 4),
 }
+# Largest N for moving targets, whose Q(z) eliminations cost far more.
+MOVING_N_MAX = {"p1": 6, "conic": 4, "twisted_cubic": 3}
 WINDOW = 3
 
 
@@ -47,12 +54,28 @@ def instances(draw):
     return J, deg_v, d, N, Q
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(instances())
-def test_constant_targets(instance):
-    J, deg_v, d, N, Q = instance
+@st.composite
+def moving_instances(draw, name):
+    make, deg_v, _ = VARIETIES[name]
+    n_max = MOVING_N_MAX[name]
+    J = make()
+    d = draw(st.integers(1, min(2, n_max - WINDOW + 1)))
+    N = draw(st.integers(d + WINDOW - 1, n_max))
+    basis = monomial_basis(J.M, d)
+    pairs = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    coeffs = draw(st.lists(pairs, min_size=len(basis), max_size=len(basis)))
+    assume(any(b for _, b in coeffs))
+    Q = MultiPoly(J.nvars, RATIONAL_FUNCTION,
+                  {exp: RationalFunction([a, b]) for exp, (a, b) in zip(basis, coeffs)})
+    # As above, Q must not vanish on V.
+    assume(not J.graded_piece(d).over(RATIONAL_FUNCTION).contains(
+        Q.coefficient_vector(basis)))
+    return J, deg_v, d, N, Q
+
+
+def check_table(J, deg_v, d, N, Q, field):
     table = build_table(J, [Q], N)
-    assert table.Qs[0].field == RATIONAL
+    assert table.Qs[0].field == field
 
     ms = {I: table.cells[I].m for I in table.tau}
     assert ms == {I: oracle_m(J, [Q], N, I) for I in table.tau}
@@ -67,3 +90,16 @@ def test_constant_targets(instance):
     interior = [I for I in table.tau if N - d * tuple_norm(I) >= n0]
     assert interior
     assert all(ms[I] == deg_v * d for I in interior)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(instances())
+def test_constant_targets(instance):
+    check_table(*instance, RATIONAL)
+
+
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_moving_targets(name, data):
+    check_table(*data.draw(moving_instances(name)), RATIONAL_FUNCTION)
