@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -605,6 +606,17 @@ def _opt(spec: ProblemSpec, flags: dict, key: str, cast=None):
     return cast(value) if (cast and value is not None) else value
 
 
+def _positive_opt(spec: ProblemSpec, flags: dict, key: str, cast, *,
+                  zero_ok: bool = False):
+    """_opt for an option that must be finite and positive (or zero, when
+    zero_ok); any other value is a precondition failure."""
+    value = _opt(spec, flags, key, cast)
+    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise PreconditionError(f"{key} must be a finite {kind} number, got {value}")
+    return value
+
+
 def _radius_grid(spec, flags) -> list[float]:
     r_min = _opt(spec, flags, "r_min", float)
     r_max = _opt(spec, flags, "r_max", float)
@@ -744,7 +756,7 @@ def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
-    samples = _opt(spec, flags, "samples", int)
+    samples = _positive_opt(spec, flags, "samples", int)
     grid = _radius_grid(spec, flags)
     values = [nev.characteristic_T(spec.curve, r, samples=samples) for r in grid]
     results = {"r": grid, "Tf": values}
@@ -759,12 +771,11 @@ def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
     target = int(target)
     if not 0 <= target < len(spec.hypersurfaces):
         raise PreconditionError(f"target index {target} out of range")
-    r = flags.get("r")
-    r = float(r) if r is not None else _opt(spec, flags, "r_max", float)
+    r_key = "r_max" if flags.get("r") is None else "r"
+    r = _positive_opt(spec, flags, r_key, float, zero_ok=True)
     # default to the multiplicity-safe width; --tol tightens it for simple zeros
-    tol = _opt(spec, flags, "tol", float)
-    if tol is None:
-        tol = _opt(spec, flags, "zero_tol", float)
+    tol_key = "zero_tol" if _opt(spec, flags, "tol") is None else "tol"
+    tol = _positive_opt(spec, flags, tol_key, float)
     g = nev.compose_form(spec.hypersurfaces[target], spec.curve)
     zl = nev.locate_zeros(g, r, tol=tol)
     rows = [[z.real, z.imag, m] for z, m in zl.zeros]
@@ -799,7 +810,7 @@ def _require_on_variety(spec: ProblemSpec, flags: dict):
 def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     epsilon = _opt(spec, flags, "epsilon", float)
     grid = _radius_grid(spec, flags)
-    zero_tol = _opt(spec, flags, "zero_tol", float)
+    zero_tol = _positive_opt(spec, flags, "zero_tol", float)
     _cross_check_dimension(spec, _opt(spec, flags, "kmax", int),
                            _opt(spec, flags, "window", int))
     adm = _require_admissible(spec, flags)
@@ -841,7 +852,7 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
 
 def cmd_defects(spec: ProblemSpec, flags: dict) -> RunReport:
     grid = _radius_grid(spec, flags)
-    zero_tol = _opt(spec, flags, "zero_tol", float)
+    zero_tol = _positive_opt(spec, flags, "zero_tol", float)
     data = nev.sweep_data(spec.curve, spec.hypersurfaces, grid, zero_tol=zero_tol)
     estimates = [nev.defect_estimate(data.radii, data.Tf, Nf_j, d)
                  for Nf_j, d in zip(data.Nf, data.degrees)]

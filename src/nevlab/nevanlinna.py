@@ -1,16 +1,19 @@
 """Value-distribution numerics for entire curves.
 
 Curves are tuples of expression trees in z (rational constants, z, +, *, -,
-integer powers, exp) with symbolic derivatives.  The characteristic function
-is a circle average of log of the max-norm; zeros of composed targets are
-located by recursive rectangle subdivision driven by argument-principle
-winding numbers.  The zero finder compiles each target and its derivative
-once into one Program and evaluates g'/g on every edge still open at a
-sample level in one call, at most 16385 points per evaluation.  Counting
-functions discharge the log-weighted integral exactly over the located
-zeros; Jensen's formula ties the zero finder to the quadrature as a standing
-cross-check.  One builder, sweep_data, locates each
-target's zeros once and tabulates T_f and N_f for the sweep and the defects.
+integer powers, exp) with symbolic derivatives.  There is one evaluator:
+every tree is compiled into a Program, a flat list of numpy operations with
+common subtrees shared across the trees compiled together (a curve's
+components, a target and its derivative), and eval_on runs it on a point
+set.  The characteristic function is a circle average of log of the
+max-norm; zeros of composed targets are located by recursive rectangle
+subdivision driven by argument-principle winding numbers.  The zero finder
+evaluates g'/g on every edge still open at a sample level in one call, at
+most 16385 points per evaluation.  Counting functions discharge the
+log-weighted integral exactly over the located zeros; Jensen's formula ties
+the zero finder to the quadrature as a standing cross-check.  One builder,
+sweep_data, locates each target's zeros once and tabulates T_f and N_f for
+the sweep and the defects.
 
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
@@ -59,9 +62,6 @@ class NonPolynomialCoefficient(ValueError):
 class Expr:
     __slots__ = ()
 
-    def eval(self, z):  # pragma: no cover - interface
-        raise NotImplementedError
-
     def diff(self) -> "Expr":  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -72,9 +72,6 @@ class Const(Expr):
     def __init__(self, value):
         self.value = Fraction(value) if not isinstance(value, Fraction) else value
 
-    def eval(self, z):
-        return complex(self.value)
-
     def diff(self):
         return Const(0)
 
@@ -84,9 +81,6 @@ class Const(Expr):
 
 class Z(Expr):
     __slots__ = ()
-
-    def eval(self, z):
-        return z
 
     def diff(self):
         return Const(1)
@@ -100,9 +94,6 @@ class Add(Expr):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, z):
-        return self.a.eval(z) + self.b.eval(z)
 
     def diff(self):
         return add(self.a.diff(), self.b.diff())
@@ -120,9 +111,6 @@ class Mul(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, z):
-        return self.a.eval(z) * self.b.eval(z)
-
     def diff(self):
         return add(mul(self.a.diff(), self.b), mul(self.a, self.b.diff()))
 
@@ -135,9 +123,6 @@ class Neg(Expr):
 
     def __init__(self, a):
         self.a = a
-
-    def eval(self, z):
-        return -self.a.eval(z)
 
     def diff(self):
         return neg(self.a.diff())
@@ -154,9 +139,6 @@ class Pow(Expr):
             raise ValueError("Pow exponent must be a nonnegative integer")
         self.a, self.k = a, k
 
-    def eval(self, z):
-        return self.a.eval(z) ** self.k
-
     def diff(self):
         if self.k == 0:
             return Const(0)
@@ -171,9 +153,6 @@ class Exp(Expr):
 
     def __init__(self, a):
         self.a = a
-
-    def eval(self, z):
-        return _guarded_exp(self.a.eval(z))
 
     def diff(self):
         return mul(self.a.diff(), Exp(self.a))
@@ -254,10 +233,10 @@ class Program:
 
     Structurally equal subtrees are hash-consed across all the trees, so a
     shared exp(z) is computed once per point set.  Constants are converted to
-    complex once.  Each op applies the operator the tree would, to values of
-    the same types and in the tree's evaluation order, so the values are bit
-    for bit the tree's and the first exp argument past the guard raises the
-    tree's OverflowGuard.  A register is released after its last use.
+    complex once.  The ops run in the trees' post-order, each applying its
+    node's operator (operator.add/mul/neg/pow or _guarded_exp), so the first
+    exp argument past the guard, in that order, raises the OverflowGuard.  A
+    register is released after its last use.
     """
 
     def __init__(self, exprs):
@@ -311,18 +290,17 @@ class Program:
         return [regs[o] for o in self.outputs]
 
 
-def eval_on(e: Expr | Program, z):
-    """Evaluate on an array of points, broadcasting constant subtrees; a
-    Program gives a tuple with one array per compiled tree."""
+def eval_on(prog: Program, z):
+    """Values of the compiled trees on an array of points: a tuple with one
+    array per tree, constant trees broadcast to the shape of z."""
     z = np.asarray(z, dtype=complex)
-    if isinstance(e, Program):
-        return tuple(np.broadcast_to(np.asarray(v), z.shape) for v in e.eval(z))
-    return np.broadcast_to(np.asarray(e.eval(z)), z.shape)
+    return tuple(np.broadcast_to(np.asarray(v), z.shape) for v in prog.eval(z))
 
 
 @dataclass
 class EntireCurve:
-    """M+1 entire components; not all identically zero."""
+    """M+1 entire components, compiled into one Program; not all
+    identically zero."""
 
     components: tuple[Expr, ...]
 
@@ -330,6 +308,7 @@ class EntireCurve:
         self.components = tuple(self.components)
         if not self.components:
             raise ValueError("a curve needs at least one component")
+        self.program = Program(self.components)
         probes = np.array([0.31 + 0.17j, -0.83 + 0.55j, 1.29 - 0.71j,
                            -1.51 - 1.13j, 2.03 + 0.37j])
         mags = np.abs(self.eval_components(probes))
@@ -341,8 +320,7 @@ class EntireCurve:
         return len(self.components)
 
     def eval_components(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return np.stack([eval_on(c, z) for c in self.components])
+        return np.stack(eval_on(self.program, z))
 
     def log_max_norm(self, z) -> np.ndarray:
         mags = np.abs(self.eval_components(z))
@@ -657,7 +635,8 @@ def jensen_check(g: Expr, r: float, zeros: ZeroList | None = None,
     even when a zero sits close to the circle; a missing or misplaced zero
     still shows up in the residual.
     """
-    g0 = complex(g.eval(np.asarray(0j)))
+    prog = Program([g])
+    g0 = complex(eval_on(prog, 0j)[0])
     if abs(g0) == 0.0:
         raise ZeroAtOrigin("g(0) = 0: Jensen's formula does not apply")
     if zeros is None:
@@ -667,7 +646,7 @@ def jensen_check(g: Expr, r: float, zeros: ZeroList | None = None,
 
     def fn(theta):
         z = r * np.exp(1j * theta)
-        vals = np.log(np.abs(eval_on(g, z)))
+        vals = np.log(np.abs(eval_on(prog, z)[0]))
         if len(zs):
             vals = vals - (ms[None, :] * np.log(np.abs(z[:, None] - zs[None, :]))).sum(axis=1)
         return vals
@@ -696,10 +675,11 @@ def defect_estimate(radii, Tf, Nf_j, d: int) -> tuple[float, list[tuple[float, f
 # ---------------------------------------------------------------------------
 
 def _assert_not_identically_zero(curve, gq: Expr, d: int, r: float):
+    prog = Program([gq])
     theta = np.linspace(0.0, TWO_PI, 17)[:-1]
     for rr in (1.5, 0.5 * r, r):
         z = rr * np.exp(1j * theta)
-        vals = np.abs(eval_on(gq, z))
+        vals = np.abs(eval_on(prog, z)[0])
         norm = np.exp(d * curve.log_max_norm(z))
         if np.any(vals > ZERO_PROBE_TOL * norm):
             return
@@ -853,8 +833,8 @@ def _admissibility_floor(curve: EntireCurve, composed: list[Expr],
     z = r * np.exp(1j * theta)
     log_norm = curve.log_max_norm(z)
     best = None
-    for gq, d in zip(composed, degrees):
-        vals = np.log(np.abs(eval_on(gq, z))) - d * log_norm
+    for gz, d in zip(eval_on(Program(composed), z), degrees):
+        vals = np.log(np.abs(gz)) - d * log_norm
         best = vals if best is None else np.maximum(best, vals)
     return float(np.min(best))
 
@@ -868,10 +848,10 @@ def curve_residual(generators: list[MultiPoly], curve: EntireCurve,
         d = P.degree
         if d is None:
             continue
-        gp = compose_form(P, curve)
+        prog = Program([compose_form(P, curve)])
         for r in radii:
             z = r * np.exp(1j * theta)
-            vals = np.abs(eval_on(gp, z))
+            vals = np.abs(eval_on(prog, z)[0])
             norm = np.exp(d * curve.log_max_norm(z))
             worst = max(worst, float(np.max(vals / norm)))
     return worst
@@ -910,7 +890,7 @@ def basis_growth_diagnostic(basis_forms: list[MultiPoly], curve: EntireCurve,
     for r in radii:
         def fn(theta, _r=r):
             z = _r * np.exp(1j * theta)
-            mags = np.stack([np.abs(eval_on(c, z)) for c in composed])
+            mags = np.abs(F.eval_components(z))
             log_norm = np.log(np.max(mags, axis=0))
             return (log_norm[None, :] - np.log(mags)).sum(axis=0)
 

@@ -91,12 +91,12 @@ class TestCurveGrammar:
     def test_exponentials(self):
         e = parse_curve_expression("exp(2*z)")
         assert str(e) == "exp(2*z)"
-        v = complex(e.eval(complex(0.5)))
+        v = complex(nev.eval_on(nev.Program([e]), 0.5)[0])
         assert v == pytest.approx(math.e)
 
     def test_polynomial_curve(self):
         e = parse_curve_expression("1/2 + z^3 - 2*z")
-        assert complex(e.eval(complex(2))) == pytest.approx(0.5 + 8 - 4)
+        assert complex(nev.eval_on(nev.Program([e]), 2)[0]) == pytest.approx(0.5 + 8 - 4)
 
     def test_no_division(self):
         with pytest.raises(ProblemSyntaxError):
@@ -308,6 +308,30 @@ class TestMainExitCodes:
         code = main(["tf", "--input", str(PROBLEMS / "conic.prob"),
                      "--r-min", "380", "--r-max", "400", "--r-steps", "2"])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("argv", [
+        ["tf", "--samples", "0"],
+        ["tf", "--samples", "-4"],
+        ["zeros", "--r", "-2"],
+        ["zeros", "--r", "nan"],
+        ["zeros", "--tol", "0"],
+        ["zeros", "--tol", "-1"],
+        ["zeros", "--tol", "nan"],
+        ["zeros", "--zero-tol", "-1"],
+        ["smt", "--zero-tol", "-1"],
+        ["defects", "--zero-tol", "0"],
+        ["defects", "--zero-tol", "inf"],
+    ], ids="_".join)
+    def test_out_of_range_numeric_flag(self, argv, capsys):
+        code = main(argv + ["--input", str(PROBLEMS / "conic.prob")])
+        assert code == EXIT_PRECONDITION
+        assert "precondition failure" in capsys.readouterr().err
+
+    def test_zero_radius_has_no_zeros(self, capsys):
+        code = main(["zeros", "--input", str(PROBLEMS / "conic.prob"),
+                     "--r", "0", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["count"] == 0
 
     def test_smt_deterministic_bytes(self, tmp_path):
         outs = []

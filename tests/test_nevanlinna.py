@@ -13,7 +13,7 @@ from nevlab.algebra import (
     RationalFunction,
 )
 from nevlab import nevanlinna as nev
-from nevlab.cli import load_problem
+from nevlab.cli import load_problem, parse_curve_expression
 from nevlab.nevanlinna import (
     Add,
     Const,
@@ -47,40 +47,54 @@ from helpers import xvar
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
+def watch_eval_on(monkeypatch):
+    """Sizes of the point sets of every eval_on call from here on."""
+    sizes = []
+    original = nev.eval_on
+
+    def counted(prog, z):
+        sizes.append(np.size(z))
+        return original(prog, z)
+
+    monkeypatch.setattr(nev, "eval_on", counted)
+    return sizes
+
+
 def exp_curve():
     """(1 : e^z)"""
     return EntireCurve(components=(Const(1), Exp(Z())))
 
 
+def value_and_derivative(e, z):
+    v, dv = eval_on(Program([e, e.diff()]), z)
+    return complex(v), complex(dv)
+
+
 class TestExpressions:
     def test_exp_at_zero(self):
-        e = Exp(Z())
-        v, dv = e.eval(0j), e.diff().eval(0j)
+        v, dv = value_and_derivative(Exp(Z()), 0j)
         assert v == pytest.approx(1) and dv == pytest.approx(1)
 
     def test_product_rule(self):
-        e = Mul(Z(), Exp(Z()))
-        v, dv = e.eval(0j), e.diff().eval(0j)
+        v, dv = value_and_derivative(Mul(Z(), Exp(Z())), 0j)
         assert v == pytest.approx(0) and dv == pytest.approx(1)
 
     def test_chain_rule(self):
-        e = Exp(Mul(Const(2), Z()))
-        v, dv = e.eval(1 + 0j), e.diff().eval(1 + 0j)
+        v, dv = value_and_derivative(Exp(Mul(Const(2), Z())), 1 + 0j)
         assert v == pytest.approx(math.e ** 2)
         assert dv == pytest.approx(2 * math.e ** 2)
 
     def test_pow_derivative(self):
-        e = Pow(Z(), 3)
-        v, dv = e.eval(2 + 0j), e.diff().eval(2 + 0j)
+        v, dv = value_and_derivative(Pow(Z(), 3), 2 + 0j)
         assert v == pytest.approx(8) and dv == pytest.approx(12)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowGuard):
-            Exp(Z()).eval(np.array([800 + 0j]))
+            eval_on(Program([Exp(Z())]), np.array([800 + 0j]))
 
     def test_vectorized_evaluation(self):
         zs = np.array([0j, 1j, 2j])
-        vals = np.asarray(Exp(Z()).eval(zs))
+        (vals,) = eval_on(Program([Exp(Z())]), zs)
         assert np.allclose(vals, np.exp(zs))
 
 
@@ -102,6 +116,29 @@ def _expr_trees():
     return extend(st.recursive(leaves, extend, max_leaves=10))
 
 
+def tree_eval(e, z):
+    """Recursive evaluation of a tree: the oracle the Program is checked against."""
+    if isinstance(e, Const):
+        return complex(e.value)
+    if isinstance(e, Z):
+        return z
+    if isinstance(e, Add):
+        return tree_eval(e.a, z) + tree_eval(e.b, z)
+    if isinstance(e, Mul):
+        return tree_eval(e.a, z) * tree_eval(e.b, z)
+    if isinstance(e, Neg):
+        return -tree_eval(e.a, z)
+    if isinstance(e, Pow):
+        return tree_eval(e.a, z) ** e.k
+    return nev._guarded_exp(tree_eval(e.a, z))
+
+
+def tree_on(e, z):
+    """tree_eval on an array of points, constant trees broadcast."""
+    z = np.asarray(z, dtype=complex)
+    return np.broadcast_to(np.asarray(tree_eval(e, z)), z.shape)
+
+
 def _outcome(fn):
     """fn()'s value, or the message of the OverflowGuard it raises."""
     with np.errstate(all="ignore"):
@@ -119,8 +156,8 @@ class TestProgram:
     @given(_expr_trees())
     def test_matches_tree(self, e):
         de = e.diff()
-        want = [_outcome(lambda: eval_on(e, self.POINTS)),
-                _outcome(lambda: eval_on(de, self.POINTS))]
+        want = [_outcome(lambda: tree_on(e, self.POINTS)),
+                _outcome(lambda: tree_on(de, self.POINTS))]
         got = _outcome(lambda: eval_on(Program([e, de]), self.POINTS))
         if isinstance(want[0], str) or isinstance(want[1], str):
             # the tree of g runs before the tree of g', as the program's ops do
@@ -141,7 +178,7 @@ class TestProgram:
         e = Add(Exp(Mul(Const(750), Z())), Exp(Mul(Const(800), Z())))
         z = np.array([1 + 0j])
         with pytest.raises(OverflowGuard) as tree:
-            eval_on(e, z)
+            tree_on(e, z)
         with pytest.raises(OverflowGuard) as prog:
             eval_on(Program([e, e.diff()]), z)
         assert str(prog.value) == str(tree.value) == (
@@ -151,7 +188,7 @@ class TestProgram:
         e = Exp(Add(Const(Fraction(1, 2)), Const(1)))
         got = eval_on(Program([e, e.diff()]), self.POINTS)
         assert [g.shape for g in got] == [self.POINTS.shape] * 2
-        assert np.array_equal(got[0], eval_on(e, self.POINTS))
+        assert np.array_equal(got[0], tree_on(e, self.POINTS))
         assert np.all(got[1] == 0)
 
 
@@ -186,6 +223,18 @@ class TestCharacteristic:
     def test_radius_precondition(self):
         with pytest.raises(ValueError):
             characteristic_T(exp_curve(), 0.5)
+
+    def test_components_compiled_once(self, monkeypatch):
+        # the bench's generated conic curve (1 : g : g^2): the components share g
+        g = "exp(z) + 3/2"
+        curve = EntireCurve(components=tuple(
+            parse_curve_expression(t) for t in ("1", g, f"({g})^2")))
+        # exp(z), the sum and the square
+        assert len(curve.program._ops) == 3
+        sizes = watch_eval_on(monkeypatch)
+        assert characteristic_T(curve, 5.0) == 3.6583731946712303
+        # one evaluation per sample level (512, 1024), not one per component
+        assert len(sizes) == 2
 
 
 class TestLocateZeros:
@@ -223,23 +272,11 @@ class TestLocateZeros:
 class TestZeroFinderWork:
     """Targets are compiled once and winding integrals batched per level."""
 
-    @staticmethod
-    def _watch(monkeypatch):
-        sizes = []
-        original = nev.eval_on
-
-        def counted(e, z):
-            sizes.append(np.size(z))
-            return original(e, z)
-
-        monkeypatch.setattr(nev, "eval_on", counted)
-        return sizes
-
     def test_double_zeros_work_and_batch_size(self, monkeypatch):
         # conic.prob target 3 composes to (e^(2z) - 5)^2
         spec = load_problem(str(PROBLEMS / "conic.prob"))
         g = compose_form(spec.hypersurfaces[3], spec.curve)
-        sizes = self._watch(monkeypatch)
+        sizes = watch_eval_on(monkeypatch)
         zl = locate_zeros(g, 6.0, tol=1e-6)
         expected = [(0.8047191666345593 + 3.139638898158114e-07j, 2),
                     (0.8047191666345593 + 3.1415923990964876j, 2),
@@ -255,7 +292,7 @@ class TestZeroFinderWork:
         # a zero on the circle keeps the disk winding from converging up to
         # 65536 samples; a loop through a zero never snaps and runs to the
         # per-edge cap with all four edges open
-        sizes = self._watch(monkeypatch)
+        sizes = watch_eval_on(monkeypatch)
         with pytest.raises(WindingAmbiguous):
             locate_zeros(sub(Z(), Const(2)), 2.0)
         g = sub(Z(), Const(1))
@@ -343,8 +380,9 @@ class TestCompose:
         z = RationalFunction.z()
         Q = xvar(1, 2, RATIONAL_FUNCTION) - xvar(0, 2, RATIONAL_FUNCTION).scale(z)
         g = compose_form(Q, f)
+        prog = Program([g])
         for point in (0.3 + 0.2j, 1j, -2.0 + 0j):
-            assert complex(g.eval(np.asarray(point))) == pytest.approx(
+            assert complex(eval_on(prog, point)[0]) == pytest.approx(
                 cmath.exp(point) - point)
 
     def test_curve_residual_on_variety(self):

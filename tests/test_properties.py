@@ -5,7 +5,9 @@ Constant targets have small integer coefficients and are tagged either Q or
 Q(z): both must be computed over Q.  Moving targets have coefficients a + b*z
 with small integers a, b and are computed over Q(z).  Every table must agree
 with the generic Q(z) elimination of `oracle_m`, which never touches the
-preimage or kernel code.
+preimage or kernel code.  For constant targets, the table built on the
+stabilization scan's n0 and kappa must also satisfy the weighted-sum closed
+forms.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from nevlab.algebra import (
     monomial_basis,
     monomial_count,
 )
-from nevlab.filtration import build_table, tuple_norm
+from nevlab.filtration import build_table, stabilization_scan, tuple_norm, weighted_sums
 from nevlab.gradedgeom import hilbert_function
 
 from helpers import conic_ideal, p1_ideal, twisted_cubic_ideal
@@ -74,6 +76,7 @@ def moving_instances(draw, name):
 
 
 def check_table(J, deg_v, d, N, Q, field):
+    """Check the default table of (J, Q) at N; returns the plateau onset n0."""
     table = build_table(J, [Q], N)
     assert table.Qs[0].field == field
 
@@ -90,12 +93,20 @@ def check_table(J, deg_v, d, N, Q, field):
     interior = [I for I in table.tau if N - d * tuple_norm(I) >= n0]
     assert interior
     assert all(ms[I] == deg_v * d for I in interior)
+    return n0
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(instances())
 def test_constant_targets(instance):
-    check_table(*instance, RATIONAL)
+    J, deg_v, d, N, Q = instance
+    n0 = check_table(*instance, RATIONAL)
+    # The weighted-sum closed forms hold on tau_N^0, which depends on the
+    # scan's n0 and kappa.
+    scan = stabilization_scan(J, [Q], N, window=WINDOW)
+    assert scan.n0 == n0
+    ws = weighted_sums(build_table(J, [Q], N, n0=scan.n0, kappa=scan.kappa), deg_v)
+    assert ws.symmetric and ws.dominated and ws.closed_form
 
 
 @pytest.mark.parametrize("name", sorted(VARIETIES))
