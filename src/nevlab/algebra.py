@@ -2,8 +2,10 @@
 
 Everything downstream (graded pieces, filtrations, dimension counts) relies
 on this module being exact: coefficients are either `fractions.Fraction` or
-:class:`RationalFunction` (a reduced quotient of univariate polynomials in z
-with Fraction coefficients, monic denominator).  No floating point enters.
+:class:`RationalFunction`, a quotient of univariate polynomials in z with
+Python-int coefficients in a canonical form (coprime in Z[z], positive
+leading denominator coefficient).  The monic-denominator form with Fraction
+coefficients is only the printed view.  No floating point enters.
 
 A computation picks its field once, from its targets: `coefficient_field`
 returns Q when every coefficient is constant and Q(z) otherwise, and
@@ -43,18 +45,18 @@ class InhomogeneousInput(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials in z over Q, as tuples of Fractions (low degree first,
-# no trailing zeros; the zero polynomial is the empty tuple).
+# Univariate polynomials in z over Z, as tuples of ints (low degree first, no
+# trailing zeros; the zero polynomial is the empty tuple).
 # ---------------------------------------------------------------------------
 
-def _ztrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _ztrim(c: Sequence) -> tuple:
     n = len(c)
     while n > 0 and c[n - 1] == 0:
         n -= 1
     return tuple(c[:n])
 
 
-def _zadd(a, b):
+def _iadd(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -63,52 +65,67 @@ def _zadd(a, b):
     return _ztrim(out)
 
 
-def _zneg(a):
-    return tuple(-x for x in a)
-
-
-def _zmul(a, b):
+def _imul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _ztrim(out)
+    return tuple(out)
 
 
-def _zscale(a, s: Fraction):
-    if s == 0:
-        return ()
-    return tuple(x * s for x in a)
-
-
-def _zdivmod(a, b):
-    """Exact polynomial division with remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDenominator("division by the zero polynomial")
+def _iquo(a, b):
+    """a / b in Z[z], for a nonzero b that divides a exactly."""
+    if len(b) == 1:
+        return tuple(x // b[0] for x in a)
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(_ztrim(a)) >= len(b):
-        a = list(_ztrim(a))
-        shift = len(a) - len(b)
-        factor = a[-1] / lead
-        q[shift] = factor
-        for i, y in enumerate(b):
-            a[shift + i] -= factor * y
-    return _ztrim(q), _ztrim(a)
+    n, lead = len(b), b[-1]
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + n - 1] // lead
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return tuple(q)
 
 
-def _zgcd(a, b):
-    """Monic gcd via Euclid's algorithm."""
-    a, b = _ztrim(a), _ztrim(b)
-    while b:
-        a, b = b, _zdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _zscale(a, 1 / a[-1])
+def _primitive(a):
+    c = math.gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _gcd(a, b):
+    """gcd of nonzero a, b in Z[z], up to sign.
+
+    The contents go through `math.gcd`; the primitive parts, when both have
+    degree >= 1, through the primitive polynomial remainder sequence (Knuth,
+    TAOCP vol. 2, 4.6.1): pseudo-divide, keep the primitive part of the
+    remainder, and stop at a zero remainder or a constant one.
+    """
+    c = math.gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, n, lb = list(a), len(b), b[-1]
+        while len(r) >= n:
+            g = math.gcd(r[-1], lb)
+            s, t = lb // g, r[-1] // g
+            if s != 1:
+                r = [s * x for x in r]
+            k = len(r) - n
+            for i, y in enumerate(b):
+                r[k + i] -= t * y
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return tuple(c * x for x in b)
+        a, b = b, _primitive(r)
+    return (c,)
 
 
 def _zeval(a, t: Fraction) -> Fraction:
@@ -144,22 +161,28 @@ def _zstr(a) -> str:
 
 
 class RationalFunction:
-    """An element of Q(z): a reduced fraction of polynomials in z.
+    """An element of Q(z): a quotient of integer polynomials in z.
 
-    Invariants: gcd(num, den) = 1, den is monic and nonzero, and the zero
-    element is 0/1.  Instances are immutable and hashable; arithmetic coerces
+    Canonical form, which makes `==` and `hash` exact: gcd(zn, zd) = 1 in
+    Z[z], integer content included; zd is nonzero with a positive leading
+    coefficient; and the zero element is 0/1.  `num` and `den` are the
+    printed view: the same quotient with a monic denominator and Fraction
+    coefficients.  Instances are immutable and hashable; arithmetic coerces
     ints and Fractions.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("zn", "zd")
 
     def __init__(self, num=0, den=1, _raw=False):
         if _raw:
-            self.num, self.den = num, den
+            self.zn, self.zd = num, den
             return
         ncoef = self._coeffs(num)
         dcoef = self._coeffs(den)
-        self.num, self.den = _rf_reduce(ncoef, dcoef)
+        m = math.lcm(*(c.denominator for c in ncoef + dcoef))
+        self.zn, self.zd = _canonical(
+            tuple(c.numerator * (m // c.denominator) for c in ncoef),
+            tuple(c.numerator * (m // c.denominator) for c in dcoef))
 
     @staticmethod
     def _coeffs(v) -> tuple[Fraction, ...]:
@@ -187,29 +210,39 @@ class RationalFunction:
         q = Fraction(q)
         if q == 0:
             return _RF_ZERO
-        return cls((q,), (Fraction(1),), _raw=True)
+        return cls((q.numerator,), (q.denominator,), _raw=True)
 
     # -- structure ---------------------------------------------------------
     @property
+    def num(self) -> tuple[Fraction, ...]:
+        """Numerator over the monic denominator, low degree first."""
+        return tuple(Fraction(c, self.zd[-1]) for c in self.zn)
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        """The monic denominator, low degree first."""
+        return tuple(Fraction(c, self.zd[-1]) for c in self.zd)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.zn
 
     @property
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self.zn) <= 1 and len(self.zd) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant: {self}")
-        return self.num[0] / self.den[0] if self.num else Fraction(0)
+        return Fraction(self.zn[0], self.zd[0]) if self.zn else Fraction(0)
 
     def evaluate(self, a) -> Fraction:
         """Value at z = a, exact; raises PoleAtPoint when the denominator vanishes."""
         a = Fraction(a)
-        dv = _zeval(self.den, a)
+        dv = _zeval(self.zd, a)
         if dv == 0:
             raise PoleAtPoint(f"denominator of {self} vanishes at z={a}")
-        return _zeval(self.num, a) / dv
+        return _zeval(self.zn, a) / dv
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
@@ -223,13 +256,13 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = _zadd(_zmul(self.num, o.den), _zmul(o.num, self.den))
-        return _rf_make(n, _zmul(self.den, o.den))
+        n = _iadd(_imul(self.zn, o.zd), _imul(o.zn, self.zd))
+        return _rf_make(n, _imul(self.zd, o.zd))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(_zneg(self.num), self.den, _raw=True)
+        return RationalFunction(tuple(-x for x in self.zn), self.zd, _raw=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -246,7 +279,7 @@ class RationalFunction:
             return o
         if self.is_zero or o.is_zero:
             return _RF_ZERO
-        return _rf_make(_zmul(self.num, o.num), _zmul(self.den, o.den))
+        return _rf_make(_imul(self.zn, o.zn), _imul(self.zd, o.zd))
 
     __rmul__ = __mul__
 
@@ -258,7 +291,7 @@ class RationalFunction:
             raise ZeroDenominator("division by zero in Q(z)")
         if self.is_zero:
             return _RF_ZERO
-        return _rf_make(_zmul(self.num, o.den), _zmul(self.den, o.num))
+        return _rf_make(_imul(self.zn, o.zd), _imul(self.zd, o.zn))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -280,76 +313,68 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.num == o.num and self.den == o.den
+        return self.zn == o.zn and self.zd == o.zd
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.zn)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.zn, self.zd))
 
     def __repr__(self):
         return f"RationalFunction({self})"
 
     def __str__(self):
-        if self.den == (Fraction(1),):
+        if len(self.zd) == 1:
             return _zstr(self.num)
         return f"({_zstr(self.num)})/({_zstr(self.den)})"
 
 
-def _rf_reduce(n, d):
+def _canonical(n, d):
+    """The canonical form of the quotient n/d of integer polynomials."""
     if not d:
         raise ZeroDenominator("rational function with zero denominator")
     if not n:
-        return (), (Fraction(1),)
-    g = _zgcd(n, d)
-    if len(g) > 1:
-        n = _zdivmod(n, g)[0]
-        d = _zdivmod(d, g)[0]
-    lead = d[-1]
-    if lead != 1:
-        n = _zscale(n, 1 / lead)
-        d = _zscale(d, 1 / lead)
+        return (), (1,)
+    g = _gcd(n, d)
+    if d[-1] * g[-1] < 0:
+        g = tuple(-x for x in g)
+    if g != (1,):
+        n, d = _iquo(n, g), _iquo(d, g)
     return n, d
 
 
 def _rf_make(n, d):
-    n, d = _rf_reduce(n, d)
-    return RationalFunction(n, d, _raw=True)
+    return RationalFunction(*_canonical(n, d), _raw=True)
 
 
-_RF_ZERO = RationalFunction((), (Fraction(1),), _raw=True)
-_RF_ONE = RationalFunction((Fraction(1),), (Fraction(1),), _raw=True)
-_RF_Z = RationalFunction((Fraction(0), Fraction(1)), (Fraction(1),), _raw=True)
+_RF_ZERO = RationalFunction((), (1,), _raw=True)
+_RF_ONE = RationalFunction((1,), (1,), _raw=True)
+_RF_Z = RationalFunction((0, 1), (1,), _raw=True)
 
 
-def clear_denominators(row: Sequence[RationalFunction]) -> list[tuple[Fraction, ...]]:
-    """Primitive polynomial representative of a Q(z)-row (same span line).
+def clear_denominators(row: Sequence[RationalFunction]) -> list[tuple[int, ...]]:
+    """Primitive integer polynomial representative of a Q(z)-row (same span line).
 
-    Multiplies by the lcm of the denominators and divides out the polynomial
-    gcd of the numerators, so the returned z-polynomial entries share no common
+    Multiplies by the lcm of the denominators in Z[z] and divides out the gcd
+    of the numerators, so the returned z-polynomial entries share no common
     root: the row evaluates to a nonzero vector at every point, which is what
     specializing a moving subspace needs.
     """
-    lcm = (Fraction(1),)
+    lcm = (1,)
     for v in row:
-        g = _zgcd(lcm, v.den)
-        lcm = _zdivmod(_zmul(lcm, v.den), g)[0]
-    nums = []
-    for v in row:
-        factor = _zdivmod(lcm, v.den)[0]
-        nums.append(_zmul(v.num, factor))
-    content: tuple[Fraction, ...] = ()
+        lcm = _imul(lcm, _iquo(v.zd, _gcd(lcm, v.zd)))
+    nums = [_imul(v.zn, _iquo(lcm, v.zd)) for v in row]
+    common = ()
     for nu in nums:
-        content = _zgcd(content, nu)
-        if len(content) == 1:
-            break
-    if len(content) > 1:
-        nums = [_zdivmod(nu, content)[0] for nu in nums]
-    return nums
+        if nu:
+            common = _gcd(common, nu) if common else nu
+            if common in ((1,), (-1,)):
+                return nums
+    return [_iquo(nu, common) for nu in nums] if common else nums
 
 
-def zpoly_eval(coeffs: Sequence[Fraction], a) -> Fraction:
+def zpoly_eval(coeffs: Sequence, a) -> Fraction:
     """Evaluate a z-polynomial given by low-to-high coefficients at a."""
     return _zeval(tuple(coeffs), Fraction(a))
 

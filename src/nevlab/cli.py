@@ -603,7 +603,16 @@ def _opt(spec: ProblemSpec, flags: dict, key: str, cast=None):
     value = flags.get(key)
     if value is None:
         value = spec.options.get(key, DEFAULT_OPTIONS.get(key))
-    return cast(value) if (cast and value is not None) else value
+    if cast is None or value is None:
+        return value
+    try:
+        out = cast(value)
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or (cast is int and out != value):
+        kind = "an integer" if cast is int else "a number"
+        raise PreconditionError(f"option {key} must be {kind}, got {value!r}")
+    return out
 
 
 def _positive_opt(spec: ProblemSpec, flags: dict, key: str, cast, *,

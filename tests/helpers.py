@@ -1,4 +1,4 @@
-"""Shared constructors for the test suite."""
+"""Shared constructors for the test suite, and a reference Q(z)."""
 
 from fractions import Fraction
 
@@ -6,7 +6,9 @@ from nevlab.algebra import (
     RATIONAL,
     RATIONAL_FUNCTION,
     MultiPoly,
+    PoleAtPoint,
     RationalFunction,
+    ZeroDenominator,
     monomial_count,
 )
 from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
@@ -73,3 +75,134 @@ def rand_poly(rng, nvars, degree, field=RATIONAL, terms=3, bound=5):
             coeff = rand_rational_function(rng, 1, bound)
         out = out + MultiPoly.monomial(nvars, exp, coeff, field)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference Q(z): Euclid's algorithm on Fraction coefficients, the arithmetic
+# RationalFunction had before it moved to integer polynomials.  Polynomials
+# are tuples of Fractions, low degree first, with no trailing zeros.
+# ---------------------------------------------------------------------------
+
+def _ztrim(c):
+    c = [Fraction(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return _ztrim(out)
+
+
+def _zmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ztrim(out)
+
+
+def _zdivmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(_ztrim(a)) >= len(b):
+        a = list(_ztrim(a))
+        shift = len(a) - len(b)
+        factor = a[-1] / b[-1]
+        q[shift] = factor
+        for i, y in enumerate(b):
+            a[shift + i] -= factor * y
+    return _ztrim(q), _ztrim(a)
+
+
+def zgcd_monic(a, b):
+    """Monic gcd over Q of two polynomials given as coefficient sequences."""
+    a, b = _ztrim(a), _ztrim(b)
+    while b:
+        a, b = b, _zdivmod(a, b)[1]
+    return tuple(x / a[-1] for x in a) if a else ()
+
+
+def _zeval(a, t):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def _zstr(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(c)
+        else:
+            zk = "z" if k == 1 else f"z^{k}"
+            term = zk if c == 1 else f"-{zk}" if c == -1 else f"{c}*{zk}"
+        parts.append(term)
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+class ReferenceRF:
+    """num/den reduced over Q, den monic, zero as 0/1."""
+
+    def __init__(self, num, den=(1,)):
+        num, den = _ztrim(num), _ztrim(den)
+        if not den:
+            raise ZeroDenominator("rational function with zero denominator")
+        if not num:
+            num, den = (), (Fraction(1),)
+        g = zgcd_monic(num, den)
+        num, den = _zdivmod(num, g)[0], _zdivmod(den, g)[0]
+        self.num = tuple(x / den[-1] for x in num)
+        self.den = tuple(x / den[-1] for x in den)
+
+    def __add__(self, o):
+        return ReferenceRF(_zadd(_zmul(self.num, o.den), _zmul(o.num, self.den)),
+                           _zmul(self.den, o.den))
+
+    def __neg__(self):
+        return ReferenceRF(tuple(-x for x in self.num), self.den)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        return ReferenceRF(_zmul(self.num, o.num), _zmul(self.den, o.den))
+
+    def __truediv__(self, o):
+        if not o.num:
+            raise ZeroDenominator("division by zero in Q(z)")
+        return ReferenceRF(_zmul(self.num, o.den), _zmul(self.den, o.num))
+
+    def __pow__(self, k):
+        acc = ReferenceRF((1,))
+        for _ in range(abs(k)):
+            acc = acc * self
+        return ReferenceRF((1,)) / acc if k < 0 else acc
+
+    def evaluate(self, a):
+        a = Fraction(a)
+        dv = _zeval(self.den, a)
+        if dv == 0:
+            raise PoleAtPoint(f"pole at z={a}")
+        return _zeval(self.num, a) / dv
+
+    def __str__(self):
+        if self.den == (Fraction(1),):
+            return _zstr(self.num)
+        return f"({_zstr(self.num)})/({_zstr(self.den)})"

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevlab.algebra import (
     RATIONAL,
@@ -18,7 +20,29 @@ from nevlab.algebra import (
     normalize_degrees,
 )
 
-from helpers import rand_rational_function, xvar
+from helpers import ReferenceRF, rand_rational_function, xvar, zgcd_monic
+
+# Polynomials in z of degree <= 3 with small rational coefficients.
+ZPOLYS = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=4)
+POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-5, 2))
+
+
+def assert_matches_reference(got, want):
+    """got is a canonical RationalFunction with the reference's value."""
+    assert all(type(c) is int for c in got.zn + got.zd)
+    assert got.zd[-1] > 0
+    assert math.gcd(*got.zn, *got.zd) == 1
+    assert len(zgcd_monic(got.zn, got.zd)) == 1
+    assert str(got) == str(want)
+    assert got.num == want.num and got.den == want.den
+    for t in POINTS:
+        try:
+            expected = want.evaluate(t)
+        except PoleAtPoint:
+            with pytest.raises(PoleAtPoint):
+                got.evaluate(t)
+            continue
+        assert got.evaluate(t) == expected
 
 
 class TestRationalFunction:
@@ -63,6 +87,34 @@ class TestRationalFunction:
     def test_canonical_string(self):
         assert str(RationalFunction((Fraction(4, 6),), (1,))) == "2/3"
         assert str(RationalFunction((1, 0, 1), (-1, 1))) == "(z^2 + 1)/(z - 1)"
+
+    def test_integer_canonical_form(self):
+        r = RationalFunction((2, 4), (6,))
+        assert (r.zn, r.zd) == ((1, 2), (3,))
+        assert r == RationalFunction((1, 2), (3,))
+        assert hash(r) == hash(RationalFunction((1, 2), (3,)))
+        r = RationalFunction((Fraction(1, 2),), (0, -3))  # -1/(6z)
+        assert (r.zn, r.zd) == ((-1,), (0, 6))
+        assert r.num == (Fraction(-1, 6),) and r.den == (0, 1)
+        assert (RationalFunction.zero().zn, RationalFunction.zero().zd) == ((), (1,))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(ZPOLYS, ZPOLYS.filter(any), ZPOLYS, ZPOLYS.filter(any),
+           st.integers(-3, 3), st.fractions(-5, 5, max_denominator=6).filter(bool))
+    def test_matches_fraction_reference(self, an, ad, bn, bd, k, scale):
+        a, b = RationalFunction(an, ad), RationalFunction(bn, bd)
+        ra, rb = ReferenceRF(an, ad), ReferenceRF(bn, bd)
+        pairs = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
+                 (a * b, ra * rb), (a - a, ra - ra)]
+        if b:
+            pairs.append((a / b, ra / rb))
+        if a or k >= 0:
+            pairs.append((a ** k, ra ** k))
+        for got, want in pairs:
+            assert_matches_reference(got, want)
+        # The same value written with another scale: equal, with equal hashes.
+        c = RationalFunction([scale * x for x in an], [scale * x for x in ad])
+        assert c == a and hash(c) == hash(a)
 
 
 class TestMultiPoly:

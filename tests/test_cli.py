@@ -327,6 +327,22 @@ class TestMainExitCodes:
         assert code == EXIT_PRECONDITION
         assert "precondition failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("tf", "samples", "abc"),
+        ("tf", "r_steps", "2.5"),
+        ("tf", "r_max", "abc"),
+        ("hilbert", "kmax", "6.5"),
+        ("admissible", "seed", "inf"),
+    ])
+    def test_uncastable_option(self, command, key, value, tmp_path, capsys):
+        prob = tmp_path / "options.prob"
+        text = (PROBLEMS / "conic.prob").read_text().rstrip("\n")
+        prob.write_text(f"{text}\n{key} = {value}\n")
+        assert main([command, "--input", str(prob)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "precondition failure" in err
+        assert key in err and value in err
+
     def test_zero_radius_has_no_zeros(self, capsys):
         code = main(["zeros", "--input", str(PROBLEMS / "conic.prob"),
                      "--r", "0", "--format", "json"])

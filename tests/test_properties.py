@@ -5,9 +5,9 @@ Constant targets have small integer coefficients and are tagged either Q or
 Q(z): both must be computed over Q.  Moving targets have coefficients a + b*z
 with small integers a, b and are computed over Q(z).  Every table must agree
 with the generic Q(z) elimination of `oracle_m`, which never touches the
-preimage or kernel code.  For constant targets, the table built on the
-stabilization scan's n0 and kappa must also satisfy the weighted-sum closed
-forms.
+preimage or kernel code.  The stabilization scan must find the same n0, and
+the table built on the scan's n0 and kappa must satisfy the weighted-sum
+closed forms.
 """
 
 from fractions import Fraction
@@ -36,7 +36,8 @@ VARIETIES = {
     "conic": (conic_ideal, 2, 6),
     "twisted_cubic": (twisted_cubic_ideal, 3, 4),
 }
-# Largest N for moving targets, whose Q(z) eliminations cost far more.
+# Largest N for moving targets: their tables, oracle and stabilization scan
+# all eliminate over Q(z), which costs more than over Q.
 MOVING_N_MAX = {"p1": 6, "conic": 4, "twisted_cubic": 3}
 WINDOW = 3
 
@@ -96,11 +97,9 @@ def check_table(J, deg_v, d, N, Q, field):
     return n0
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(instances())
-def test_constant_targets(instance):
-    J, deg_v, d, N, Q = instance
-    n0 = check_table(*instance, RATIONAL)
+def check_weighted_sums(J, deg_v, d, N, Q, field):
+    """Check the table of (J, Q) at N, then the scan and the weighted sums."""
+    n0 = check_table(J, deg_v, d, N, Q, field)
     # The weighted-sum closed forms hold on tau_N^0, which depends on the
     # scan's n0 and kappa.
     scan = stabilization_scan(J, [Q], N, window=WINDOW)
@@ -109,8 +108,14 @@ def test_constant_targets(instance):
     assert ws.symmetric and ws.dominated and ws.closed_form
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(instances())
+def test_constant_targets(instance):
+    check_weighted_sums(*instance, RATIONAL)
+
+
 @pytest.mark.parametrize("name", sorted(VARIETIES))
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(data=st.data())
 def test_moving_targets(name, data):
-    check_table(*data.draw(moving_instances(name)), RATIONAL_FUNCTION)
+    check_weighted_sums(*data.draw(moving_instances(name)), RATIONAL_FUNCTION)
