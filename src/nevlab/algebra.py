@@ -198,10 +198,6 @@ class RationalFunction:
         return _RF_ZERO
 
     @classmethod
-    def one(cls):
-        return _RF_ONE
-
-    @classmethod
     def z(cls):
         return _RF_Z
 
@@ -622,14 +618,6 @@ class MultiPoly:
             if v:
                 out[e] = v
         return MultiPoly(self.nvars, RATIONAL, out, _raw=True)
-
-    def substitute_scaled_vars(self, t) -> "MultiPoly":
-        """Substitute x_i -> t*x_i; for homogeneous p of degree k this is t^k * p."""
-        t = field_coerce(self.field, t)
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = c * t ** sum(e)
-        return MultiPoly(self.nvars, self.field, out, _raw=True)
 
     def __str__(self):
         if not self.terms:

@@ -7,11 +7,16 @@ One plain-text input format with named sections drives the whole laboratory:
     [curve]           M+1 entire expressions in z, one per line
     [options]         key = value defaults (N, epsilon, r_min, ..., seed)
 
-Polynomials use variables x0..x9, integer and rational literals p/q,
-coefficient literals `{...}` holding rational-function expressions in z, the
-operators + - * ^, and parentheses.  Curve expressions allow rational
-constants, z, + - * ^, exp(...) and parentheses (no division: components are
-entire).
+Polynomials, their `{...}` coefficients and curve expressions are three uses
+of one grammar: `+ -` bind loosest, then products, then `^ nat`, and an atom is
+a parenthesised expression, a unary minus, or a leaf.  The uses differ only in
+their products and leaves:
+
+    polynomial   *     rationals p/q, x0..xM, `{coefficient}` (targets only)
+    coefficient  * /   rationals p/q, z
+    curve        *     rationals p/q, z, exp(curve)
+
+Curve expressions have no division because their components are entire.
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (e.g. a
 non-admissible system), 4 numeric guard trip (overflow, ambiguous winding).
@@ -26,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -183,107 +189,112 @@ def _parse_rational(p: _Parser) -> Fraction:
     return Fraction(num)
 
 
-# -- scalar (rational-function) expressions over z --------------------------
+# -- one expression grammar ---------------------------------------------------
+#
+#   expr   := term (("+" | "-") term)*
+#   term   := factor (product factor)*
+#   factor := atom ("^" nat)?
+#   atom   := "(" expr ")" | "-" factor | leaf
+#
+# Values combine with Python operators, so one chain builds RationalFunction,
+# MultiPoly and nevanlinna.Expr values alike.
 
-def _scalar_expr(p: _Parser) -> RationalFunction:
-    acc = _scalar_term(p)
+@dataclass(frozen=True)
+class _Grammar:
+    noun: str
+    products: tuple[str, ...]
+    leaf: Callable  # (parser, token) -> value, or None if the token is no leaf
+
+
+def _expr(p: _Parser, g: _Grammar):
+    acc = _term(p, g)
     while p.at("+") or p.at("-"):
         op = p.next().kind
-        rhs = _scalar_term(p)
+        rhs = _term(p, g)
         acc = acc + rhs if op == "+" else acc - rhs
     return acc
 
 
-def _scalar_term(p: _Parser) -> RationalFunction:
-    acc = _scalar_factor(p)
-    while p.at("*") or p.at("/"):
+def _term(p: _Parser, g: _Grammar):
+    acc = _factor(p, g)
+    while any(p.at(op) for op in g.products):
         op = p.next().kind
-        rhs = _scalar_factor(p)
+        rhs = _factor(p, g)
         if op == "*":
             acc = acc * rhs
+        elif rhs.is_zero:
+            p.error(f"division by zero in {g.noun}")
         else:
-            if rhs.is_zero:
-                p.error("division by zero in coefficient")
             acc = acc / rhs
     return acc
 
 
-def _scalar_factor(p: _Parser) -> RationalFunction:
-    base = _scalar_atom(p)
+def _factor(p: _Parser, g: _Grammar):
+    base = _atom(p, g)
     if p.at("^"):
         p.next()
-        k = _parse_nat(p)
-        base = base ** k
+        base = base ** _parse_nat(p)
     return base
 
 
-def _scalar_atom(p: _Parser) -> RationalFunction:
+def _atom(p: _Parser, g: _Grammar):
     tok = p.peek()
     if tok is None:
-        p.error("unexpected end of coefficient")
-    if tok.kind == "NUM":
-        return RationalFunction.from_fraction(_parse_rational(p))
-    if tok.kind == "NAME":
-        if tok.value == "z":
-            p.next()
-            return RationalFunction.z()
-        p.error(f"unexpected name {tok.value!r} in coefficient (only z is allowed)")
+        p.error(f"unexpected end of {g.noun}")
     if tok.kind == "(":
         p.next()
-        inner = _scalar_expr(p)
+        inner = _expr(p, g)
         p.expect(")")
         return inner
     if tok.kind == "-":
         p.next()
-        return -_scalar_factor(p)
-    p.error(f"unexpected token {tok.value!r} in coefficient")
+        return -_factor(p, g)
+    value = g.leaf(p, tok)
+    if value is None:
+        what = "name" if tok.kind == "NAME" else "token"
+        p.error(f"unexpected {what} {tok.value!r} in {g.noun}")
+    return value
 
 
-# -- polynomials in x0..x9 ---------------------------------------------------
-
-def _poly_expr(p: _Parser, nvars: int, ftag: str) -> MultiPoly:
-    acc = _poly_term(p, nvars, ftag)
-    while p.at("+") or p.at("-"):
-        op = p.next().kind
-        rhs = _poly_term(p, nvars, ftag)
-        acc = acc + rhs if op == "+" else acc - rhs
-    return acc
+def _parse(text: str, line: int, g: _Grammar):
+    p = _Parser(_tokenize(text, line), line)
+    value = _expr(p, g)
+    if not p.done():
+        p.error(f"trailing input after {g.noun}")
+    return value
 
 
-def _poly_term(p: _Parser, nvars: int, ftag: str) -> MultiPoly:
-    acc = _poly_factor(p, nvars, ftag)
-    while p.at("*"):
-        p.next()
-        acc = acc * _poly_factor(p, nvars, ftag)
-    return acc
-
-
-def _poly_factor(p: _Parser, nvars: int, ftag: str) -> MultiPoly:
-    base = _poly_atom(p, nvars, ftag)
-    if p.at("^"):
-        p.next()
-        k = _parse_nat(p)
-        base = base ** k
-    return base
-
-
-def _poly_atom(p: _Parser, nvars: int, ftag: str) -> MultiPoly:
-    tok = p.peek()
-    if tok is None:
-        p.error("unexpected end of polynomial")
+def _coefficient_leaf(p: _Parser, tok: _Token) -> RationalFunction | None:
     if tok.kind == "NUM":
-        return MultiPoly.constant(nvars, _parse_rational(p), ftag)
-    if tok.kind == "{":
-        if ftag != RATIONAL_FUNCTION:
-            p.error("coefficient literals {...} are not allowed here "
-                    "(variety generators have rational constant coefficients)")
-        p.next()
-        value = _scalar_expr(p)
-        p.expect("}")
-        return MultiPoly.constant(nvars, value, ftag)
+        return RationalFunction.from_fraction(_parse_rational(p))
     if tok.kind == "NAME":
+        if tok.value != "z":
+            p.error(f"unexpected name {tok.value!r} in coefficient (only z is allowed)")
+        p.next()
+        return RationalFunction.z()
+    return None
+
+
+_COEFFICIENT = _Grammar("coefficient", ("*", "/"), _coefficient_leaf)
+
+
+def parse_polynomial(text: str, nvars: int, ftag: str = RATIONAL_FUNCTION,
+                     line: int = 1) -> MultiPoly:
+    """Parse one polynomial in x0..x{M}; raises ProblemSyntaxError with position."""
+
+    def leaf(p: _Parser, tok: _Token) -> MultiPoly | None:
+        if tok.kind == "NUM":
+            return MultiPoly.constant(nvars, _parse_rational(p), ftag)
+        if tok.kind == "{":
+            if ftag != RATIONAL_FUNCTION:
+                p.error("coefficient literals {...} are not allowed here "
+                        "(variety generators have rational constant coefficients)")
+            p.next()
+            value = _expr(p, _COEFFICIENT)
+            p.expect("}")
+            return MultiPoly.constant(nvars, value, ftag)
         name = tok.value
-        if len(name) >= 2 and name[0] == "x" and name[1:].isdigit():
+        if tok.kind == "NAME" and name[:1] == "x" and name[1:].isdigit():
             idx = int(name[1:])
             if idx >= nvars:
                 raise ArityMismatchError(
@@ -291,89 +302,31 @@ def _poly_atom(p: _Parser, nvars: int, ftag: str) -> MultiPoly:
                     f"the declared M = {nvars - 1}")
             p.next()
             return MultiPoly.variable(nvars, idx, ftag)
-        p.error(f"unexpected name {name!r} in polynomial")
-    if tok.kind == "(":
-        p.next()
-        inner = _poly_expr(p, nvars, ftag)
-        p.expect(")")
-        return inner
-    if tok.kind == "-":
-        p.next()
-        return -_poly_factor(p, nvars, ftag)
-    p.error(f"unexpected token {tok.value!r} in polynomial")
+        return None
+
+    return _parse(text, line, _Grammar("polynomial", ("*",), leaf))
 
 
-def parse_polynomial(text: str, nvars: int, ftag: str = RATIONAL_FUNCTION,
-                     line: int = 1) -> MultiPoly:
-    """Parse one polynomial in x0..x{M}; raises ProblemSyntaxError with position."""
-    p = _Parser(_tokenize(text, line), line)
-    poly = _poly_expr(p, nvars, ftag)
-    if not p.done():
-        p.error("trailing input after polynomial")
-    return poly
-
-
-# -- entire curve expressions -------------------------------------------------
-
-def _curve_expr(p: _Parser) -> nev.Expr:
-    acc = _curve_term(p)
-    while p.at("+") or p.at("-"):
-        op = p.next().kind
-        rhs = _curve_term(p)
-        acc = nev.add(acc, rhs) if op == "+" else nev.sub(acc, rhs)
-    return acc
-
-
-def _curve_term(p: _Parser) -> nev.Expr:
-    acc = _curve_factor(p)
-    while p.at("*"):
-        p.next()
-        acc = nev.mul(acc, _curve_factor(p))
-    return acc
-
-
-def _curve_factor(p: _Parser) -> nev.Expr:
-    base = _curve_atom(p)
-    if p.at("^"):
-        p.next()
-        base = nev.pow_(base, _parse_nat(p))
-    return base
-
-
-def _curve_atom(p: _Parser) -> nev.Expr:
-    tok = p.peek()
-    if tok is None:
-        p.error("unexpected end of curve expression")
+def _curve_leaf(p: _Parser, tok: _Token) -> nev.Expr | None:
     if tok.kind == "NUM":
         return nev.Const(_parse_rational(p))
-    if tok.kind == "NAME":
-        if tok.value == "z":
-            p.next()
-            return nev.Z()
-        if tok.value == "exp":
-            p.next()
-            p.expect("(")
-            inner = _curve_expr(p)
-            p.expect(")")
-            return nev.Exp(inner)
-        p.error(f"unexpected name {tok.value!r} in curve expression")
-    if tok.kind == "(":
+    if tok.kind == "NAME" and tok.value == "z":
         p.next()
-        inner = _curve_expr(p)
+        return nev.Z()
+    if tok.kind == "NAME" and tok.value == "exp":
+        p.next()
+        p.expect("(")
+        inner = _expr(p, _CURVE)
         p.expect(")")
-        return inner
-    if tok.kind == "-":
-        p.next()
-        return nev.neg(_curve_factor(p))
-    p.error(f"unexpected token {tok.value!r} in curve expression")
+        return nev.Exp(inner)
+    return None
+
+
+_CURVE = _Grammar("curve expression", ("*",), _curve_leaf)
 
 
 def parse_curve_expression(text: str, line: int = 1) -> nev.Expr:
-    p = _Parser(_tokenize(text, line), line)
-    expr = _curve_expr(p)
-    if not p.done():
-        p.error("trailing input after curve expression")
-    return expr
+    return _parse(text, line, _CURVE)
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +562,20 @@ def _opt(spec: ProblemSpec, flags: dict, key: str, cast=None):
         out = cast(value)
     except (ValueError, OverflowError):
         out = None
-    if out is None or (cast is int and out != value):
-        kind = "an integer" if cast is int else "a number"
+    if out is None or (cast is int and out != value) or not math.isfinite(out):
+        kind = "an integer" if cast is int else "a finite number"
         raise PreconditionError(f"option {key} must be {kind}, got {value!r}")
     return out
 
 
 def _positive_opt(spec: ProblemSpec, flags: dict, key: str, cast, *,
                   zero_ok: bool = False):
-    """_opt for an option that must be finite and positive (or zero, when
-    zero_ok); any other value is a precondition failure."""
+    """_opt for an option that must be positive (or zero, when zero_ok); any
+    other value is a precondition failure."""
     value = _opt(spec, flags, key, cast)
-    if not (math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+    if not (value > 0 or (zero_ok and value == 0)):
         kind = "nonnegative" if zero_ok else "positive"
-        raise PreconditionError(f"{key} must be a finite {kind} number, got {value}")
+        raise PreconditionError(f"{key} must be a {kind} number, got {value}")
     return value
 
 
@@ -646,7 +599,7 @@ def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
 
 def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
     kmax = _opt(spec, flags, "kmax", int)
-    window = _opt(spec, flags, "window", int)
+    window = _positive_opt(spec, flags, "window", int)
     J = spec.ideal()
     rec = gg.hilbert_record(J, kmax, window)
     results = {"values": {str(k): v for k, v in sorted(rec.values.items())}}
@@ -698,7 +651,7 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
 
 def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
     kmax = _opt(spec, flags, "kmax", int)
-    window = _opt(spec, flags, "window", int)
+    window = _positive_opt(spec, flags, "window", int)
     J = spec.ideal()
     d, Qs = normalize_degrees(spec.hypersurfaces)
     Qn = Qs[: spec.n]  # the filtration runs on the first n targets
@@ -708,7 +661,7 @@ def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
 
 
 def cmd_filtration(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _opt(spec, flags, "N", int)
+    N = _positive_opt(spec, flags, "N", int, zero_ok=True)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     warnings = []
     if N % table.d != 0:
@@ -733,7 +686,7 @@ def cmd_filtration(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _opt(spec, flags, "N", int)
+    N = _positive_opt(spec, flags, "N", int, zero_ok=True)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     products = filt.filtration_basis(table)
     results = {
@@ -747,10 +700,10 @@ def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _opt(spec, flags, "N", int)
+    N = _positive_opt(spec, flags, "N", int)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     deg_v = gg.variety_invariants(J, _opt(spec, flags, "kmax", int),
-                                  _opt(spec, flags, "window", int))[1]
+                                  _positive_opt(spec, flags, "window", int))[1]
     pd = filt.product_decomposition(table)
     results = {
         "N": N,
@@ -821,7 +774,7 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     grid = _radius_grid(spec, flags)
     zero_tol = _positive_opt(spec, flags, "zero_tol", float)
     _cross_check_dimension(spec, _opt(spec, flags, "kmax", int),
-                           _opt(spec, flags, "window", int))
+                           _positive_opt(spec, flags, "window", int))
     adm = _require_admissible(spec, flags)
     residual = _require_on_variety(spec, flags)
     sweep = nev.smt_margin(spec.curve, spec.hypersurfaces, spec.n, epsilon,
@@ -931,10 +884,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    flags = {k: getattr(args, k) for k in
-             ("N", "epsilon", "r_min", "r_max", "r_steps", "kmax", "window",
-              "seed", "samples", "smax", "trials", "target", "r", "tol",
-              "zero_tol")}
+    flags = vars(args)
     try:
         spec = load_problem(args.input)
     except (ProblemSyntaxError, DegreeMismatchError, ArityMismatchError) as exc:

@@ -26,7 +26,6 @@ from .algebra import (
     field_coerce,
     field_one,
     field_zero,
-    monomial_basis,
 )
 
 
@@ -61,19 +60,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(self.cols, self.rows, self.field, data, _raw=True)
-
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise DimensionMismatch("matvec length mismatch")
-        zero = field_zero(self.field)
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -191,18 +177,6 @@ class GradedSubspace:
         rank, rref, pivots = row_reduce(m)
         trimmed = ExactMatrix(rank, cols, field, rref.entries[:rank], _raw=True)
         return cls(ambient_degree, nvars, trimmed, tuple(pivots))
-
-    @classmethod
-    def full(cls, *, ambient_degree: int, nvars: int, field: str) -> "GradedSubspace":
-        n = len(monomial_basis(nvars - 1, ambient_degree))
-        one = field_one(field)
-        zero = field_zero(field)
-        rows = [[one if j == i else zero for j in range(n)] for i in range(n)]
-        m = ExactMatrix(n, n, field, rows, _raw=True)
-        return cls(ambient_degree, nvars, m, tuple(range(n)))
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        return monomial_basis(self.nvars - 1, self.ambient_degree)
 
     def reduce_vector(self, v: list) -> tuple[list, list]:
         """Reduce v against the echelon basis; returns (remainder, coords)."""

@@ -65,6 +65,13 @@ class Expr:
     def diff(self) -> "Expr":  # pragma: no cover - interface
         raise NotImplementedError
 
+    # Operators build trees through the simplifying constructors below.
+    __add__ = lambda a, b: add(a, b)
+    __sub__ = lambda a, b: sub(a, b)
+    __mul__ = lambda a, b: mul(a, b)
+    __pow__ = lambda a, k: pow_(a, k)
+    __neg__ = lambda a: neg(a)
+
 
 class Const(Expr):
     __slots__ = ("value",)

@@ -9,10 +9,12 @@ from nevlab.algebra import (
     PoleAtPoint,
     RationalFunction,
     ZeroDenominator,
+    field_one,
+    field_zero,
     monomial_count,
 )
 from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
-from nevlab.linear import GradedSubspace
+from nevlab.linear import ExactMatrix, GradedSubspace
 
 
 def xvar(i, nvars=3, field=RATIONAL):
@@ -36,6 +38,23 @@ def twisted_cubic_ideal():
     return HomogeneousIdeal(4, [x0 * x2 - x1 * x1,
                                 x1 * x3 - x2 * x2,
                                 x0 * x3 - x1 * x2])
+
+
+def matvec(m, v):
+    """The product m*v, summed entry by entry."""
+    assert len(v) == m.cols
+    zero = field_zero(m.field)
+    return [sum((a * b for a, b in zip(row, v) if a and b), zero)
+            for row in m.entries]
+
+
+def full_subspace(ambient_degree, nvars, field):
+    """Every form of degree ambient_degree in nvars variables."""
+    n = monomial_count(nvars - 1, ambient_degree)
+    rows = [[field_one(field) if j == i else field_zero(field) for j in range(n)]
+            for i in range(n)]
+    return GradedSubspace(ambient_degree, nvars,
+                          ExactMatrix(n, n, field, rows, _raw=True), tuple(range(n)))
 
 
 def piece_over_qz(J, k):

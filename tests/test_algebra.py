@@ -205,17 +205,6 @@ class TestMultiPoly:
         assert coefficient_field([u0, u1.scale(3)]) == RATIONAL
         assert coefficient_field([x0, u1 - u0.scale(z)]) == RATIONAL_FUNCTION
 
-    def test_homogeneous_scaling_symbolic(self):
-        # p(t x) = t^k p(x) with t = z over Q(z)
-        rng = random.Random(3)
-        from helpers import rand_poly
-
-        z = RationalFunction.z()
-        for degree in (1, 2, 3):
-            p = rand_poly(rng, 3, degree, RATIONAL_FUNCTION)
-            scaled = p.substitute_scaled_vars(z)
-            assert scaled == p.scale(z ** degree)
-
 
 class TestMonomialBasis:
     def test_binary_degree_two(self):

@@ -103,6 +103,69 @@ class TestCurveGrammar:
             parse_curve_expression("1/z")
 
 
+def _parse_coefficient(text):
+    return parse_polynomial(text, 3, line=7)
+
+
+def _parse_rational_polynomial(text):
+    return parse_polynomial(text, 3, RATIONAL, line=7)
+
+
+def _parse_curve(text):
+    return parse_curve_expression(text, line=7)
+
+
+@pytest.mark.parametrize("parse, text, exc, message", [
+    # coefficients {...} over Q(z)
+    (_parse_coefficient, "{", ProblemSyntaxError,
+     "line 7, col 1: unexpected end of coefficient"),
+    (_parse_coefficient, "{w}*x0", ProblemSyntaxError,
+     "line 7, col 2: unexpected name 'w' in coefficient (only z is allowed)"),
+    (_parse_coefficient, "{z/}*x0", ProblemSyntaxError,
+     "line 7, col 4: unexpected token '}' in coefficient"),
+    (_parse_coefficient, "{z z}*x0", ProblemSyntaxError,
+     "line 7, col 4: expected '}', found 'z'"),
+    (_parse_coefficient, "{1/(z-z)}*x0", ProblemSyntaxError,
+     "line 7, col 9: division by zero in coefficient"),
+    (_parse_coefficient, "{1/0}*x0", ProblemSyntaxError,
+     "line 7, col 5: zero denominator in rational literal"),
+    # polynomials in x0..xM
+    (_parse_rational_polynomial, "x0 +", ProblemSyntaxError,
+     "line 7, col 1: unexpected end of polynomial"),
+    (_parse_rational_polynomial, "y0", ProblemSyntaxError,
+     "line 7, col 1: unexpected name 'y0' in polynomial"),
+    (_parse_rational_polynomial, "x1 * * x2", ProblemSyntaxError,
+     "line 7, col 6: unexpected token '*' in polynomial"),
+    (_parse_rational_polynomial, "x0/2", ProblemSyntaxError,
+     "line 7, col 3: trailing input after polynomial"),
+    (_parse_rational_polynomial, "x0 - {z}*x1", ProblemSyntaxError,
+     "line 7, col 6: coefficient literals {...} are not allowed here "
+     "(variety generators have rational constant coefficients)"),
+    (_parse_rational_polynomial, "x0 + x3", ArityMismatchError,
+     "line 7, col 6: variable x3 exceeds the declared M = 2"),
+    (_parse_rational_polynomial, "(x0", ProblemSyntaxError,
+     "line 7, col 1: unexpected end of input"),
+    (_parse_rational_polynomial, "x0^x1", ProblemSyntaxError,
+     "line 7, col 4: expected 'NUM', found 'x1'"),
+    # entire curve expressions
+    (_parse_curve, "z +", ProblemSyntaxError,
+     "line 7, col 1: unexpected end of curve expression"),
+    (_parse_curve, "w", ProblemSyntaxError,
+     "line 7, col 1: unexpected name 'w' in curve expression"),
+    (_parse_curve, "{z}", ProblemSyntaxError,
+     "line 7, col 1: unexpected token '{' in curve expression"),
+    (_parse_curve, "1/z", ProblemSyntaxError,
+     "line 7, col 2: trailing input after curve expression"),
+    (_parse_curve, "exp z", ProblemSyntaxError,
+     "line 7, col 5: expected '(', found 'z'"),
+])
+def test_parse_error_messages(parse, text, exc, message):
+    with pytest.raises(exc) as err:
+        parse(text)
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
 class TestProblemFiles:
     def test_mini_problem(self):
         spec = parse_problem(MINI)
@@ -321,11 +384,21 @@ class TestMainExitCodes:
         ["smt", "--zero-tol", "-1"],
         ["defects", "--zero-tol", "0"],
         ["defects", "--zero-tol", "inf"],
+        ["smt", "--r-max", "6", "--r-steps", "3", "--epsilon", "nan"],
+        ["tf", "--r-min", "nan"],
+        ["tf", "--r-max", "inf"],
+        ["filtration", "--N", "-1"],
+        ["basis", "--N", "-3"],
+        ["product", "--N", "0"],
+        ["filtration", "--window", "0"],
     ], ids="_".join)
     def test_out_of_range_numeric_flag(self, argv, capsys):
         code = main(argv + ["--input", str(PROBLEMS / "conic.prob")])
         assert code == EXIT_PRECONDITION
-        assert "precondition failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "precondition failure" in err
+        key = argv[-2].lstrip("-").replace("-", "_")
+        assert f"{key} must be" in err
 
     @pytest.mark.parametrize("command, key, value", [
         ("tf", "samples", "abc"),

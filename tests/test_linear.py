@@ -20,7 +20,13 @@ from nevlab.linear import (
     solve_row_combinations,
 )
 
-from helpers import conic_ideal, rand_fraction, rand_rational_function
+from helpers import (
+    conic_ideal,
+    full_subspace,
+    matvec,
+    rand_fraction,
+    rand_rational_function,
+)
 
 
 def _mat(rows, field=RATIONAL):
@@ -110,7 +116,7 @@ class TestKernel:
             null = kernel(m)
             assert rank + len(null) == cols
             for v in null:
-                assert not any(m.matvec(v))
+                assert not any(matvec(m, v))
 
 
 class TestMembership:
@@ -174,7 +180,7 @@ def _mult_by_x0_matrix():
 class TestPreimage:
     def test_identity_into_whole_space(self):
         L = _mat([[1, 0], [0, 1]])
-        U = GradedSubspace.full(ambient_degree=1, nvars=2, field=RATIONAL)
+        U = full_subspace(ambient_degree=1, nvars=2, field=RATIONAL)
         W = preimage_of_subspace(L, U, source_degree=1, nvars=2)
         assert W.dim == 2
 
@@ -233,14 +239,14 @@ class TestPreimage:
             W = preimage_of_subspace(L, U, source_degree=1, nvars=src_dim)
             # every basis vector of W maps into U
             for row in W.basis.entries:
-                assert U.contains(L.matvec(row))
+                assert U.contains(matvec(L, row))
             assert W.dim == src_dim - (U.extended_with(L.transpose().entries).dim
                                        - U.dim)
             # random vectors agree with the membership characterization
             for _ in range(8):
                 v = [entry() for _ in range(src_dim)]
                 lhs = W.contains(v)
-                rhs = U.contains(L.matvec(v))
+                rhs = U.contains(matvec(L, v))
                 assert lhs == rhs
 
 
