@@ -1,11 +1,14 @@
 """Exact coefficient arithmetic for the two-field tower Q and Q(z).
 
 Everything downstream (graded pieces, filtrations, dimension counts) relies
-on this module being exact: coefficients are either `fractions.Fraction` or
-:class:`RationalFunction`, a quotient of univariate polynomials in z with
-Python-int coefficients in a canonical form (coprime in Z[z], positive
-leading denominator coefficient).  The monic-denominator form with Fraction
-coefficients is only the printed view.  No floating point enters.
+on this module being exact.  A Q coefficient is an `int` when it is integral
+and a `fractions.Fraction` otherwise (`field_coerce` returns that form, and
+arithmetic on Fractions may still give an integral Fraction, which every
+consumer accepts).  A Q(z) coefficient is a :class:`RationalFunction`, a
+quotient of univariate polynomials in z with Python-int coefficients in a
+canonical form (coprime in Z[z], positive leading denominator coefficient).
+The monic-denominator form with Fraction coefficients is only the printed
+view.  No floating point enters.
 
 A computation picks its field once, from its targets: `coefficient_field`
 returns Q when every coefficient is constant and Q(z) otherwise, and
@@ -376,15 +379,17 @@ def zpoly_eval(coeffs: Sequence, a) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Field plumbing shared with the linear algebra layer.
+# Field plumbing shared with the linear algebra layer.  Q elements are ints
+# and Fractions, so zero and one over Q are the ints 0 and 1, and a row of Q
+# elements can be checked for type in one pass at C speed.
 # ---------------------------------------------------------------------------
 
 def field_zero(field: str):
-    return Fraction(0) if field == RATIONAL else _RF_ZERO
+    return 0 if field == RATIONAL else _RF_ZERO
 
 
 def field_one(field: str):
-    return Fraction(1) if field == RATIONAL else _RF_ONE
+    return 1 if field == RATIONAL else _RF_ONE
 
 
 def coefficient_field(polys) -> str:
@@ -398,20 +403,39 @@ def coefficient_field(polys) -> str:
 
 
 def field_coerce(field: str, value):
-    """Coerce ints/Fractions (and, over Q(z), rational functions) into `field`."""
+    """Coerce ints/Fractions (and, over Q(z), rational functions) into `field`.
+
+    Over Q an integral value comes back as an int and any other as a Fraction.
+    """
     if field == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
         if isinstance(value, RationalFunction):
-            return value.constant_value()
+            value = value.constant_value()
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
+        if isinstance(value, int):
+            return int(value)
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, (int, Fraction)):
         return RationalFunction.from_fraction(value)
     raise FieldMismatch(f"cannot coerce {value!r} into Q(z)")
+
+
+_ELEMENT_TYPES = {RATIONAL: frozenset((int, Fraction)),
+                  RATIONAL_FUNCTION: frozenset((RationalFunction,))}
+
+
+def field_coerce_row(field: str, row) -> list:
+    """A new list of `row`'s entries as elements of `field`.
+
+    A row whose entries are all field elements already (ints and Fractions
+    over Q) is copied as it is, after one scan of the entry types; only other
+    rows are coerced entry by entry.
+    """
+    if set(map(type, row)) <= _ELEMENT_TYPES[field]:
+        return list(row)
+    return [field_coerce(field, v) for v in row]
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,18 @@ def _positive_opt(spec: ProblemSpec, flags: dict, key: str, cast, *,
     return value
 
 
+def _kmax_window(spec: ProblemSpec, flags: dict) -> tuple[int, int]:
+    """kmax and window: the Hilbert values H(0..kmax) are scanned for a
+    constant tail of `window` values, so fewer than `window` values can
+    never show one."""
+    kmax = _positive_opt(spec, flags, "kmax", int, zero_ok=True)
+    window = _positive_opt(spec, flags, "window", int)
+    if kmax + 1 < window:
+        raise PreconditionError(
+            f"kmax must be at least window - 1 = {window - 1}, got {kmax}")
+    return kmax, window
+
+
 def _radius_grid(spec, flags) -> list[float]:
     r_min = _opt(spec, flags, "r_min", float)
     r_max = _opt(spec, flags, "r_max", float)
@@ -598,8 +610,7 @@ def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
 
 
 def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
-    kmax = _opt(spec, flags, "kmax", int)
-    window = _positive_opt(spec, flags, "window", int)
+    kmax, window = _kmax_window(spec, flags)
     J = spec.ideal()
     rec = gg.hilbert_record(J, kmax, window)
     results = {"values": {str(k): v for k, v in sorted(rec.values.items())}}
@@ -617,8 +628,8 @@ def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
-    trials = _opt(spec, flags, "trials", int)
-    smax = _opt(spec, flags, "smax", int)
+    trials = _positive_opt(spec, flags, "trials", int)
+    smax = _positive_opt(spec, flags, "smax", int)
     seed = _opt(spec, flags, "seed", int)
     J = spec.ideal()
     d, Qs = normalize_degrees(spec.hypersurfaces)
@@ -650,8 +661,7 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
-    kmax = _opt(spec, flags, "kmax", int)
-    window = _positive_opt(spec, flags, "window", int)
+    kmax, window = _kmax_window(spec, flags)
     J = spec.ideal()
     d, Qs = normalize_degrees(spec.hypersurfaces)
     Qn = Qs[: spec.n]  # the filtration runs on the first n targets
@@ -702,8 +712,7 @@ def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
 def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
     N = _positive_opt(spec, flags, "N", int)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
-    deg_v = gg.variety_invariants(J, _opt(spec, flags, "kmax", int),
-                                  _positive_opt(spec, flags, "window", int))[1]
+    deg_v = gg.variety_invariants(J, *_kmax_window(spec, flags))[1]
     pd = filt.product_decomposition(table)
     results = {
         "N": N,
@@ -773,8 +782,7 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     epsilon = _opt(spec, flags, "epsilon", float)
     grid = _radius_grid(spec, flags)
     zero_tol = _positive_opt(spec, flags, "zero_tol", float)
-    _cross_check_dimension(spec, _opt(spec, flags, "kmax", int),
-                           _positive_opt(spec, flags, "window", int))
+    _cross_check_dimension(spec, *_kmax_window(spec, flags))
     adm = _require_admissible(spec, flags)
     residual = _require_on_variety(spec, flags)
     sweep = nev.smt_margin(spec.curve, spec.hypersurfaces, spec.n, epsilon,

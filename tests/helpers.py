@@ -1,4 +1,5 @@
-"""Shared constructors for the test suite, and a reference Q(z)."""
+"""Shared constructors for the test suite, a reference Q elimination and a
+reference Q(z)."""
 
 from fractions import Fraction
 
@@ -94,6 +95,52 @@ def rand_poly(rng, nvars, degree, field=RATIONAL, terms=3, bound=5):
             coeff = rand_rational_function(rng, 1, bound)
         out = out + MultiPoly.monomial(nvars, exp, coeff, field)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: Gauss-Jordan on Fractions, the Q path `_rref_rows`
+# took before it moved to integer rows.
+# ---------------------------------------------------------------------------
+
+def reference_rref_rows(grid, cols, pivot_limit=None):
+    """In-place reduced row echelon form of a grid of Fractions; returns
+    (rank, pivot_cols), with pivots chosen exactly as `linear._rref_rows`
+    chooses them."""
+    one = Fraction(1)
+    rows = len(grid)
+    pivot_cols = []
+    r = 0
+    for c in range(cols if pivot_limit is None else pivot_limit):
+        pivot = None
+        for i in range(r, rows):
+            if grid[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            grid[r], grid[pivot] = grid[pivot], grid[r]
+        prow = grid[r]
+        pv = prow[c]
+        if pv != one:
+            inv = one / pv
+            for j in range(c, cols):
+                if prow[j]:
+                    prow[j] = prow[j] * inv
+        support = [j for j in range(c, cols) if prow[j]]
+        for i in range(rows):
+            if i == r:
+                continue
+            row = grid[i]
+            f = row[c]
+            if f:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return r, pivot_cols
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,17 @@ class TestMainExitCodes:
         ["basis", "--N", "-3"],
         ["product", "--N", "0"],
         ["filtration", "--window", "0"],
+        ["admissible", "--trials", "0"],
+        ["admissible", "--trials", "-2"],
+        ["admissible", "--smax", "-1"],
+        ["smt", "--r-max", "6", "--r-steps", "3", "--trials", "0"],
+        ["smt", "--r-max", "6", "--r-steps", "3", "--smax", "0"],
+        ["hilbert", "--kmax", "-1"],
+        ["hilbert", "--window", "5", "--kmax", "3"],
+        ["filtration", "--N", "4", "--kmax", "0"],
+        ["basis", "--N", "4", "--kmax", "1"],
+        ["product", "--N", "4", "--kmax", "1"],
+        ["smt", "--r-max", "6", "--r-steps", "3", "--kmax", "1"],
     ], ids="_".join)
     def test_out_of_range_numeric_flag(self, argv, capsys):
         code = main(argv + ["--input", str(PROBLEMS / "conic.prob")])

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevlab.algebra import (
     RATIONAL,
@@ -14,6 +17,7 @@ from nevlab.linear import (
     DimensionMismatch,
     ExactMatrix,
     GradedSubspace,
+    _rref_rows,
     kernel,
     preimage_of_subspace,
     row_reduce,
@@ -26,6 +30,7 @@ from helpers import (
     matvec,
     rand_fraction,
     rand_rational_function,
+    reference_rref_rows,
 )
 
 
@@ -85,6 +90,94 @@ class TestRowReduce:
         one = RationalFunction.from_fraction(1)
         m = _mat([[one, z], [z, z * z]], RATIONAL_FUNCTION)
         assert row_reduce(m)[0] == 1  # second row is z times the first
+
+
+# Q entries as callers hand them over: ints, integral and non-integral
+# Fractions, with zeros common enough to leave whole columns empty.
+_Q_ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(-10 ** 12, 10 ** 12),
+)
+
+
+@st.composite
+def _q_grids(draw):
+    """(rows, cols, pivot_limit): a random Q grid with zero rows and rows that
+    combine earlier ones inserted, and sometimes a right-hand-side block."""
+    cols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_Q_ENTRY, min_size=cols, max_size=cols),
+                         max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_Q_ENTRY), draw(_Q_ENTRY)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            extra = [0] * cols
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    pivot_limit = draw(st.one_of(st.none(), st.integers(0, cols)))
+    return rows, cols, pivot_limit
+
+
+def _assert_q_entries(grid):
+    """Every entry is an int or a non-integral Fraction; never a float."""
+    for row in grid:
+        for v in row:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+class TestIntegerElimination:
+    """The Q path of `_rref_rows` against Gauss-Jordan on Fractions."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_q_grids())
+    def test_matches_fraction_reference(self, case):
+        rows, cols, pivot_limit = case
+        want = [[Fraction(v) for v in row] for row in rows]
+        got = [list(row) for row in rows]
+        rank, pivots = reference_rref_rows(want, cols, pivot_limit)
+        assert _rref_rows(got, cols, RATIONAL, pivot_limit) == (rank, pivots)
+        assert got[:rank] == want[:rank]
+        _assert_q_entries(got)
+        # Past the rank: zero rows, or with a right-hand-side block the
+        # primitive integer row on the same line as the reference's.
+        for g, w in zip(got[rank:], want[rank:]):
+            assert all(type(v) is int for v in g) and math.gcd(*g) <= 1
+            assert [bool(v) for v in g] == [bool(v) for v in w]
+            k = next((j for j, v in enumerate(g) if v), None)
+            if k is not None:
+                assert all(gj * w[k] == wj * g[k] for gj, wj in zip(g, w))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_q_grids())
+    def test_public_results_are_exact(self, case):
+        rows, cols, _ = case
+        if len(rows) < 2:
+            return
+        half = len(rows) // 2
+        A, targets = _mat(rows[:half]), rows[half:]
+        rank, rref, pivots = row_reduce(A)
+        want = [[Fraction(v) for v in row] for row in rows[:half]]
+        assert (rank, pivots) == reference_rref_rows(want, cols)
+        assert rref.entries == want
+        null = kernel(_mat(rows))
+        S = GradedSubspace.from_rows(rows, ambient_degree=1, nvars=cols,
+                                     cols=cols, field=RATIONAL)
+        sols = solve_row_combinations(A, targets)
+        for grid in (rref.entries, null, S.basis.entries,
+                     [x for x in sols if x is not None]):
+            _assert_q_entries(grid)
+        for v in null:
+            assert not any(matvec(_mat(rows), v))
+        for v, x in zip(targets, sols):
+            if x is None:
+                grown = [row[:] for row in want] + [[Fraction(c) for c in v]]
+                assert reference_rref_rows(grown, cols)[0] > rank
+            else:
+                assert [sum(xi * row[j] for xi, row in zip(x, A.entries))
+                        for j in range(cols)] == v
 
 
 class TestKernel:
