@@ -409,6 +409,8 @@ def field_coerce(field: str, value):
     """
     if field == RATIONAL:
         if isinstance(value, RationalFunction):
+            if not value.is_constant:
+                raise FieldMismatch(f"cannot coerce the nonconstant {value} into Q")
             value = value.constant_value()
         if isinstance(value, Fraction):
             return value.numerator if value.denominator == 1 else value

@@ -728,6 +728,10 @@ def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
 
 def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
     samples = _positive_opt(spec, flags, "samples", int)
+    if samples >= nev.QUADRATURE_CAP:
+        # a first level at the cap would be returned without a convergence test
+        raise PreconditionError(
+            f"samples must be below the quadrature cap {nev.QUADRATURE_CAP}, got {samples}")
     grid = _radius_grid(spec, flags)
     values = [nev.characteristic_T(spec.curve, r, samples=samples) for r in grid]
     results = {"r": grid, "Tf": values}

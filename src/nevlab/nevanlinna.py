@@ -7,13 +7,17 @@ common subtrees shared across the trees compiled together (a curve's
 components, a target and its derivative), and eval_on runs it on a point
 set.  The characteristic function is a circle average of log of the
 max-norm; zeros of composed targets are located by recursive rectangle
-subdivision driven by argument-principle winding numbers.  The zero finder
-evaluates g'/g on every edge still open at a sample level in one call, at
-most 16385 points per evaluation.  Counting functions discharge the
-log-weighted integral exactly over the located zeros; Jensen's formula ties
-the zero finder to the quadrature as a standing cross-check.  One builder,
-sweep_data, locates each target's zeros once and tabulates T_f and N_f for
-the sweep and the defects.
+subdivision driven by argument-principle winding numbers.  Every
+sample-doubling loop (circle quadrature, the disk winding, the box
+windings) nests its levels: halving the step is exact, so a level keeps
+the previous level's values and evaluates only the new midpoints, and its
+results are those of a full re-evaluation, bit for bit.  The zero finder
+evaluates g'/g at the new points of every edge still open at a sample
+level in one call, at most 16385 points per evaluation.  Counting
+functions discharge the log-weighted integral exactly over the located
+zeros; Jensen's formula ties the zero finder to the quadrature as a
+standing cross-check.  One function, sweep_data, locates each target's
+zeros once and tabulates T_f and N_f for the sweep and the defects.
 
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
@@ -32,6 +36,7 @@ from .algebra import RATIONAL_FUNCTION, InhomogeneousInput, MultiPoly, RationalF
 
 TWO_PI = 2.0 * math.pi
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
+QUADRATURE_CAP = 65536  # samples at the last circle-quadrature level
 ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every probe
 
 
@@ -369,21 +374,49 @@ def compose_form(Q: MultiPoly, curve: EntireCurve) -> Expr:
 # Circle quadrature.
 # ---------------------------------------------------------------------------
 
-def circle_quadrature(fn, start: int = 512, cap: int = 65536,
+def _next_level(vals, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The next sample level's array and the view of it, of shape `shape`,
+    that the new samples fill.  At the first level (vals None) the view is
+    the whole array; afterwards the previous level's values take the even
+    positions along the last axis and the view is the odd ones."""
+    if vals is None:
+        level = np.empty(shape, dtype)
+        return level, level
+    level = np.empty(shape[:-1] + (vals.shape[-1] + shape[-1],), dtype)
+    level[..., 0::2] = vals
+    return level, level[..., 1::2]
+
+
+def _circle_midpoints(n: int) -> np.ndarray:
+    """The angles of the n-sample level that the n/2-sample level lacks, as
+    a contiguous array: numpy then runs the same loops on them as on a
+    whole level, so the values match a full re-evaluation bit for bit."""
+    return np.linspace(0.0, TWO_PI, n, endpoint=False)[1::2].copy()
+
+
+def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
                       rel_tol: float = 1e-8) -> float:
     """Mean of fn over the circle parameter via trapezoid with sample doubling.
 
     On the periodic domain the uniform trapezoid rule is the plain mean;
     doubling stops at relative change below rel_tol (floored at 1 to keep the
-    test meaningful near zero) or at the sample cap.
+    test meaningful near zero) or at the sample cap.  The levels are nested:
+    halving the step is exact, so each level keeps the previous values and
+    calls fn only on the new midpoints, and every estimate is the one a full
+    re-evaluation gives, bit for bit.
     """
+    if start < 1:
+        raise ValueError(f"circle quadrature needs at least 1 sample, got {start}")
     n = start
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    vals = None
     prev = None
     while True:
-        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        vals = np.asarray(fn(theta), dtype=float)
-        if not np.all(np.isfinite(vals)):
+        new = np.asarray(fn(theta), dtype=float)
+        if not np.all(np.isfinite(new)):
             raise OverflowGuard("non-finite integrand sample on the circle")
+        vals, fresh = _next_level(vals, new.shape, float)
+        fresh[...] = new
         est = float(vals.mean())
         if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1.0):
             return est
@@ -391,6 +424,7 @@ def circle_quadrature(fn, start: int = 512, cap: int = 65536,
             return est
         prev = est
         n *= 2
+        theta = _circle_midpoints(n)
 
 
 def characteristic_T(curve: EntireCurve, r: float, samples: int = 512) -> float:
@@ -425,60 +459,71 @@ _TOP_GROW = (1.0, 1.017, 1.041, 1.073, 1.113)
 _LOOP_CAP = 16384  # samples per edge at the last loop-winding level
 
 
-def _edge_integrals(prog: Program, a, b, n: int, rows: int) -> list[complex]:
-    """Trapezoid integrals of g'/g along the segments a[i] -> b[i], n
-    intervals each, nan where a sample is not finite; `rows` segments per
-    program evaluation."""
-    t = np.linspace(0.0, 1.0, n + 1)
-    out = []
+def _edge_values(prog: Program, a, d, t, out, rows: int):
+    """Write g'/g times d at the points a + d * t into out, one row per
+    segment (a and d are column vectors of segment starts and directions),
+    `rows` segments per program evaluation."""
     for s in range(0, len(a), rows):
-        d = (b[s:s + rows] - a[s:s + rows])[:, None]
-        z = a[s:s + rows, None] + d * t
-        gz, dz = eval_on(prog, z)
+        gz, dz = eval_on(prog, a[s:s + rows] + d[s:s + rows] * t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = dz / gz * d
-        # uniform trapezoid on [0, 1], one row per segment
-        sums = (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n
-        finite = np.isfinite(f).all(axis=1)
-        out.extend(complex(v) if ok else complex(np.nan) for v, ok in zip(sums, finite))
-    return out
+            out[s:s + rows] = dz / gz * d[s:s + rows]
 
 
 def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CAP,
                    snap: float = 0.25) -> list[int | None]:
     """Winding number of g along each closed polyline, or None when ambiguous.
 
-    At each sample level the edges of every loop still open are evaluated
-    together, in row chunks of at most cap + 1 points.  Each loop keeps its
-    own edge points, per-edge sums, summation order and stopping rule, so
-    its result is the one a loop-by-loop evaluation gives.
+    One array holds the values on every edge of every loop still open, one
+    row per edge.  A level evaluates only the new midpoints of those edges,
+    in row chunks of at most cap + 1 points, and interleaves them with the
+    previous level's values; the rows of the loops that close are dropped.
+    Each loop keeps its own edge points, per-edge sums, summation order and
+    stopping rule, so its result is the one a loop-by-loop evaluation with
+    full re-evaluation at every level gives.
     """
-    edges = [list(zip(c, c[1:] + c[:1])) for c in loops]
+    edge_counts = [len(c) for c in loops]
+    ends = np.array([e for c in loops for e in zip(c, c[1:] + c[:1])]).reshape(-1, 2)
+    a = ends[:, :1]
+    d = ends[:, 1:] - a
     windings: list[int | None] = [None] * len(loops)
     prev: list[complex | None] = [None] * len(loops)
     open_loops = list(range(len(loops)))
     n = start
+    t = np.linspace(0.0, 1.0, n + 1)
+    f = None
     while n <= cap and open_loops:
-        a, b = np.array([e for i in open_loops for e in edges[i]]).T
-        segs = iter(_edge_integrals(prog, a, b, n, (cap + 1) // (n + 1)))
+        f, fresh = _next_level(f, (len(a), len(t)), complex)
+        _edge_values(prog, a, d, t, fresh, (cap + 1) // (n + 1))
+        # uniform trapezoid on [0, 1], one row per edge
+        sums = ((f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n).tolist()
+        finite = np.isfinite(f).all(axis=1).tolist()
+        keep = []
         still_open = []
+        row = 0
         for i in open_loops:
-            loop_segs = [next(segs) for _ in edges[i]]
-            if any(seg != seg for seg in loop_segs):  # nan: a sample was not finite
+            loop_rows = range(row, row + edge_counts[i])
+            row += edge_counts[i]
+            if not all(finite[j] for j in loop_rows):
+                keep.extend(loop_rows)
                 still_open.append(i)
                 continue
             total = 0j
-            for seg in loop_segs:
-                total += seg
+            for j in loop_rows:
+                total += sums[j]
             w = total / (2j * math.pi)
             nearest = round(w.real)
             if abs(w - nearest) < snap and prev[i] is not None and abs(w - prev[i]) < 0.1:
                 windings[i] = int(nearest)
             else:
                 prev[i] = w
+                keep.extend(loop_rows)
                 still_open.append(i)
+        if still_open and len(keep) < row:
+            keep = np.array(keep)
+            f, a, d = f[keep], a[keep], d[keep]
         open_loops = still_open
         n *= 2
+        t = np.linspace(0.0, 1.0, n + 1)[1::2].copy()  # contiguous, as in _circle_midpoints
     return windings
 
 
@@ -486,15 +531,16 @@ def _circle_winding(prog: Program, r: float, *, cap: int = 65536,
                     snap: float = 0.25) -> int | None:
     chunk = _LOOP_CAP + 1  # no evaluation larger than one edge at the loop cap
     n = 256
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    f = None
     prev = None
     while n <= cap:
-        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
         z = r * np.exp(1j * theta)
-        f = np.empty_like(z)
-        for s in range(0, n, chunk):
+        f, fresh = _next_level(f, z.shape, complex)
+        for s in range(0, len(z), chunk):
             gz, dz = eval_on(prog, z[s:s + chunk])
             with np.errstate(divide="ignore", invalid="ignore"):
-                f[s:s + chunk] = dz / gz * (1j * z[s:s + chunk])
+                fresh[s:s + chunk] = dz / gz * (1j * z[s:s + chunk])
         if np.all(np.isfinite(f)):
             w = complex(f.mean()) / (2j * math.pi) * TWO_PI
             nearest = round(w.real)
@@ -502,6 +548,7 @@ def _circle_winding(prog: Program, r: float, *, cap: int = 65536,
                 return int(nearest)
             prev = w
         n *= 2
+        theta = _circle_midpoints(n)
     return None
 
 

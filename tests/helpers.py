@@ -1,7 +1,10 @@
-"""Shared constructors for the test suite, a reference Q elimination and a
-reference Q(z)."""
+"""Shared constructors for the test suite, a reference Q elimination, a
+reference Q(z) and reference sample-doubling integrals."""
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from nevlab.algebra import (
     RATIONAL,
@@ -16,6 +19,8 @@ from nevlab.algebra import (
 )
 from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
 from nevlab.linear import ExactMatrix, GradedSubspace
+from nevlab import nevanlinna
+from nevlab.nevanlinna import TWO_PI, OverflowGuard
 
 
 def xvar(i, nvars=3, field=RATIONAL):
@@ -272,3 +277,95 @@ class ReferenceRF:
         if self.den == (Fraction(1),):
             return _zstr(self.num)
         return f"({_zstr(self.num)})/({_zstr(self.den)})"
+
+
+# ---------------------------------------------------------------------------
+# Reference sample doubling: every level re-evaluates all of its points, as
+# circle_quadrature, _circle_winding and _loop_windings did before they kept
+# the previous level's values.  They look eval_on up on the nevanlinna
+# module at call time, so a test can watch both implementations.
+# ---------------------------------------------------------------------------
+
+def reference_circle_quadrature(fn, start=512, cap=65536, rel_tol=1e-8):
+    n = start
+    prev = None
+    while True:
+        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        vals = np.asarray(fn(theta), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise OverflowGuard("non-finite integrand sample on the circle")
+        est = float(vals.mean())
+        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1.0):
+            return est
+        if n >= cap:
+            return est
+        prev = est
+        n *= 2
+
+
+def reference_circle_winding(prog, r, *, cap=65536, snap=0.25):
+    chunk = nevanlinna._LOOP_CAP + 1
+    n = 256
+    prev = None
+    while n <= cap:
+        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        z = r * np.exp(1j * theta)
+        f = np.empty_like(z)
+        for s in range(0, n, chunk):
+            gz, dz = nevanlinna.eval_on(prog, z[s:s + chunk])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f[s:s + chunk] = dz / gz * (1j * z[s:s + chunk])
+        if np.all(np.isfinite(f)):
+            w = complex(f.mean()) / (2j * math.pi) * TWO_PI
+            nearest = round(w.real)
+            if abs(w - nearest) < snap and prev is not None and abs(w - prev) < 0.1:
+                return int(nearest)
+            prev = w
+        n *= 2
+    return None
+
+
+def _reference_edge_integrals(prog, a, b, n, rows):
+    t = np.linspace(0.0, 1.0, n + 1)
+    out = []
+    for s in range(0, len(a), rows):
+        d = (b[s:s + rows] - a[s:s + rows])[:, None]
+        z = a[s:s + rows, None] + d * t
+        gz, dz = nevanlinna.eval_on(prog, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = dz / gz * d
+        sums = (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n
+        finite = np.isfinite(f).all(axis=1)
+        out.extend(complex(v) if ok else complex(np.nan) for v, ok in zip(sums, finite))
+    return out
+
+
+def reference_loop_windings(prog, loops, *, start=32, cap=nevanlinna._LOOP_CAP,
+                            snap=0.25):
+    edges = [list(zip(c, c[1:] + c[:1])) for c in loops]
+    windings = [None] * len(loops)
+    prev = [None] * len(loops)
+    open_loops = list(range(len(loops)))
+    n = start
+    while n <= cap and open_loops:
+        a, b = np.array([e for i in open_loops for e in edges[i]]).T
+        segs = iter(_reference_edge_integrals(prog, a, b, n, (cap + 1) // (n + 1)))
+        still_open = []
+        for i in open_loops:
+            loop_segs = [next(segs) for _ in edges[i]]
+            if any(seg != seg for seg in loop_segs):
+                still_open.append(i)
+                continue
+            total = 0j
+            for seg in loop_segs:
+                total += seg
+            w = total / (2j * math.pi)
+            nearest = round(w.real)
+            if abs(w - nearest) < snap and prev[i] is not None and abs(w - prev[i]) < 0.1:
+                windings[i] = int(nearest)
+            else:
+                prev[i] = w
+                still_open.append(i)
+        open_loops = still_open
+        n *= 2
+    return windings

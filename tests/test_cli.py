@@ -375,6 +375,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv", [
         ["tf", "--samples", "0"],
         ["tf", "--samples", "-4"],
+        ["tf", "--samples", "65536"],
+        ["tf", "--samples", "70000"],
         ["zeros", "--r", "-2"],
         ["zeros", "--r", "nan"],
         ["zeros", "--tol", "0"],

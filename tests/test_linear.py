@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nevlab.algebra import (
     RATIONAL,
     RATIONAL_FUNCTION,
+    FieldMismatch,
     MultiPoly,
     RationalFunction,
     monomial_basis,
@@ -51,6 +52,13 @@ class TestRowReduce:
     def test_dependent_rows(self):
         rank, _, _ = row_reduce(_mat([[1, 2], [2, 4]]))
         assert rank == 1
+
+    def test_q_refuses_nonconstant_entry(self):
+        with pytest.raises(FieldMismatch, match="nonconstant z"):
+            ExactMatrix.from_rows([[RationalFunction.z()]], 1, RATIONAL)
+        m = ExactMatrix.from_rows([[RationalFunction.from_fraction(Fraction(6, 3))]],
+                                  1, RATIONAL)
+        assert m.entries == [[2]] and type(m.entries[0][0]) is int
 
     def test_conic_macaulay_degree_three(self):
         # Multiples of x0x2 - x1^2 by the 3 linear monomials: rank 3 because

@@ -37,12 +37,19 @@ from nevlab.nevanlinna import (
     eval_on,
     jensen_check,
     locate_zeros,
+    mul,
+    pow_,
     smt_margin,
     sub,
     sweep_data,
 )
 
-from helpers import xvar
+from helpers import (
+    reference_circle_quadrature,
+    reference_circle_winding,
+    reference_loop_windings,
+    xvar,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -299,6 +306,162 @@ class TestZeroFinderWork:
         corners = [0j, 2 + 0j, 2 + 2j, 2j]
         assert nev._loop_windings(Program([g, g.diff()]), [corners] * 4) == [None] * 4
         assert max(sizes) == 16385
+
+
+def _exp_polys():
+    """g = sum_k c_k z^p_k exp(a_k z): up to three terms, small rational rates."""
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    term = st.tuples(fracs.filter(bool), st.integers(0, 3),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=3)).map(
+        lambda cpa: mul(mul(Const(cpa[0]), pow_(Z(), cpa[1])), Exp(mul(Const(cpa[2]), Z()))))
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda ts: sum(ts[1:], ts[0]))
+
+
+def _with_zero(g, at):
+    """(z - at) * g for a real `at`, or g when `at` is None."""
+    return g if at is None else mul(sub(Z(), Const(Fraction(at))), g)
+
+
+_SNAPS = st.sampled_from([0.25, 1e-9, 1e-13])
+
+
+def _log_abs_on_circle(g, r):
+    prog = Program([g])
+
+    def fn(theta):
+        return np.log(np.abs(eval_on(prog, r * np.exp(1j * theta))[0]))
+
+    return fn
+
+
+def _record_eval_on(monkeypatch):
+    """Copies of the point sets of every eval_on call from here on."""
+    seen = []
+    original = nev.eval_on
+
+    def recorded(prog, z):
+        seen.append(np.array(z, dtype=complex))
+        return original(prog, z)
+
+    monkeypatch.setattr(nev, "eval_on", recorded)
+    return seen
+
+
+class TestNestedLevels:
+    """Each sample level keeps the previous level's values and evaluates only
+    the new midpoints; the results are those of the re-evaluating references
+    in tests/helpers.py, bit for bit.  Snap tolerances near the rounding
+    level make a winding depend on the last bits of its sums."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(g=_exp_polys(), r=st.floats(0.2, 4.0), on_circle=st.booleans(),
+           start=st.sampled_from([1, 2, 3, 5, 7, 12, 31, 64, 512]),
+           doublings=st.integers(0, 7), rel_tol=st.sampled_from([1e-8, 1e-5, 1e-12]))
+    def test_circle_quadrature_matches_reference(self, g, r, on_circle, start,
+                                                 doublings, rel_tol):
+        # a zero at z = r is sampled at theta = 0: log 0 raises OverflowGuard
+        fn = _log_abs_on_circle(_with_zero(g, r if on_circle else None), r)
+        cap = start * 2 ** doublings
+        want = _outcome(lambda: reference_circle_quadrature(fn, start, cap, rel_tol))
+        assert _outcome(lambda: nev.circle_quadrature(fn, start, cap, rel_tol)) == want
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(g=_exp_polys(), r=st.floats(0.2, 3.0),
+           zero=st.sampled_from([None, 0.5, 1.0, 1.0 + 1e-9]), doublings=st.integers(0, 8),
+           snap=_SNAPS)
+    def test_circle_winding_matches_reference(self, g, r, zero, doublings, snap):
+        # a zero at z = r (non-finite sample) or within 1e-9 r of the circle
+        # (no convergence) gives None
+        g = _with_zero(g, None if zero is None else zero * r)
+        prog = Program([g, g.diff()])
+        cap = 256 * 2 ** doublings
+        want = _outcome(lambda: reference_circle_winding(prog, r, cap=cap, snap=snap))
+        assert _outcome(lambda: nev._circle_winding(prog, r, cap=cap, snap=snap)) == want
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(g=_exp_polys(), x0=st.floats(-2.0, 1.0), y0=st.sampled_from([0.0, 1e-9, -0.7, 0.3]),
+           w=st.floats(0.05, 2.0), h=st.floats(0.05, 2.0),
+           jx=st.floats(-0.3, 0.3), jy=st.floats(-0.3, 0.3),
+           zero=st.sampled_from([None, "corner", "edge"]),
+           start=st.sampled_from([1, 2, 3, 5, 8, 32]), doublings=st.integers(0, 11),
+           snap=_SNAPS)
+    def test_loop_windings_match_reference(self, g, x0, y0, w, h, jx, jy, zero,
+                                           start, doublings, snap):
+        # with y0 = 0 a real zero lies on the box's lower edge (a corner zero
+        # is a non-finite sample, so that loop stays open); with y0 = 1e-9 it
+        # lies just below the edge and the winding does not converge
+        x1, y1 = x0 + w, y0 + h
+        mx, my = x0 + w * (0.5 + jx), y0 + h * (0.5 + jy)
+        at = {None: None, "corner": x0, "edge": 0.5 * (x0 + mx)}[zero]
+        g = _with_zero(g, at)
+        prog = Program([g, g.diff()])
+        quads = [(x0, mx, y0, my), (mx, x1, y0, my), (x0, mx, my, y1), (mx, x1, my, y1),
+                 (x0, x1, y0, y1)]
+        loops = [[complex(a, c), complex(b, c), complex(b, d), complex(a, d)]
+                 for a, b, c, d in quads]
+        cap = min(start * 2 ** doublings, 16384)
+        want = _outcome(lambda: reference_loop_windings(prog, loops, start=start, cap=cap,
+                                                        snap=snap))
+        got = _outcome(lambda: nev._loop_windings(prog, loops, start=start, cap=cap,
+                                                  snap=snap))
+        assert got == want
+
+    def test_circle_quadrature_needs_a_sample(self):
+        # with no samples the level would never grow
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            nev.circle_quadrature(np.cos, start=0)
+
+    @pytest.mark.parametrize("start, cap, rel_tol", [
+        (512, 65536, 1e-8), (3, 3 * 2 ** 10, 1e-8), (1, 64, 0.0), (7, 7, 1e-8)])
+    def test_circle_quadrature_samples_each_angle_once(self, start, cap, rel_tol):
+        integrand = _log_abs_on_circle(sub(Exp(mul(Const(3), Z())), Const(2)), 2.5)
+        thetas = {"new": [], "reference": []}
+
+        def watched(log):
+            def fn(theta):
+                assert theta.flags.c_contiguous
+                log.append(theta.copy())
+                return integrand(theta)
+            return fn
+
+        got = nev.circle_quadrature(watched(thetas["new"]), start, cap, rel_tol)
+        want = reference_circle_quadrature(watched(thetas["reference"]), start, cap, rel_tol)
+        assert got == want
+        final = thetas["reference"][-1]
+        assert sum(len(t) for t in thetas["new"]) == len(final)
+        assert np.array_equal(np.sort(np.concatenate(thetas["new"])), final)
+
+    @pytest.mark.parametrize("zero", [Fraction(1, 2), Fraction(2)])
+    def test_circle_winding_samples_each_point_once(self, zero, monkeypatch):
+        # a zero at 2 lies on the circle |z| = 2 and every level runs
+        g = mul(sub(Z(), Const(zero)), sub(Exp(Z()), Const(3)))
+        prog = Program([g, g.diff()])
+        seen = _record_eval_on(monkeypatch)
+        got = nev._circle_winding(prog, 2.0)
+        new = np.concatenate(seen)
+        seen.clear()
+        assert got == reference_circle_winding(prog, 2.0)
+        final = np.unique(np.concatenate(seen))  # the levels are nested
+        assert len(new) == len(final)
+        assert np.array_equal(np.sort(new), final)
+
+    @pytest.mark.parametrize("g, corners, cap", [
+        (sub(Exp(Z()), Const(2)), [0.1 - 1j, 1.3 - 1j, 1.3 + 1j, 0.1 + 1j], 16384),
+        (sub(Z(), Const(1)), [1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j], 512),  # never closes
+    ])
+    def test_loop_samples_each_point_once(self, g, corners, cap, monkeypatch):
+        prog = Program([g, g.diff()])
+        seen = _record_eval_on(monkeypatch)
+        got = nev._loop_windings(prog, [corners], cap=cap)
+        new = [row for z in seen for row in z]
+        seen.clear()
+        assert got == reference_loop_windings(prog, [corners], cap=cap)
+        final = [row for z in seen for row in z][-4:]  # the last level, edge by edge
+        assert sum(len(row) for row in new) == sum(len(row) for row in final)
+        for edge, want in enumerate(final):
+            points = np.concatenate(new[edge::4])
+            assert np.array_equal(np.sort(points), np.sort(want))
 
 
 class TestCounting:
