@@ -631,6 +631,9 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
     trials = _positive_opt(spec, flags, "trials", int)
     smax = _positive_opt(spec, flags, "smax", int)
     seed = _opt(spec, flags, "seed", int)
+    if len(spec.hypersurfaces) < spec.n + 1:
+        raise PreconditionError(f"admissibility needs q >= n + 1 = {spec.n + 1} "
+                                f"targets, got q = {len(spec.hypersurfaces)}")
     J = spec.ideal()
     d, Qs = normalize_degrees(spec.hypersurfaces)
     reports = gg.admissibility_check(J, Qs, spec.n, trials=trials, s_max=smax,
@@ -662,6 +665,9 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
 
 def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
     kmax, window = _kmax_window(spec, flags)
+    if len(spec.hypersurfaces) < spec.n:
+        raise PreconditionError(f"the filtration needs q >= n = {spec.n} targets, "
+                                f"got q = {len(spec.hypersurfaces)}")
     J = spec.ideal()
     d, Qs = normalize_degrees(spec.hypersurfaces)
     Qn = Qs[: spec.n]  # the filtration runs on the first n targets

@@ -10,14 +10,21 @@ modulo the ideal, their count is the Hilbert value H_V(N), the interior cells
 all share the value deg V * d^n, and the per-slot weighted sums S_s feed the
 growth-exponent bookkeeping of the product decomposition.
 
+Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
+(`HomogeneousIdeal.quotient_rows`), and the ideal stays over Q.  One
+generator, `_cells`, yields the cells for both `build_table` and
+`filtration_space`.
+
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -26,7 +33,7 @@ from .algebra import (
     monomial_basis,
     monomial_count,
 )
-from .gradedgeom import HomogeneousIdeal, NotStabilized, hilbert_function, macaulay_rows
+from .gradedgeom import HomogeneousIdeal, NotStabilized, hilbert_function
 from .linear import ExactMatrix, GradedSubspace, preimage_of_subspace
 
 
@@ -55,17 +62,9 @@ def tuple_sets(N: int, d: int, n: int, n0: int = 0,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    tau: list[tuple[int, ...]] = []
-
-    def rec(prefix, budget, slots):
-        if slots == 0:
-            tau.append(prefix)
-            return
-        for i in range(budget + 1):
-            rec(prefix + (i,), budget - i, slots - 1)
-
-    rec((), N // d, n)
-    tau.sort()
+    budget = N // d
+    tau = [I for I in itertools.product(range(budget + 1), repeat=n)
+           if tuple_norm(I) <= budget]
     tau0 = {I for I in tau
             if N - d * tuple_norm(I) >= n0 and all(i >= kappa for i in I)}
     return tau, tau0
@@ -79,7 +78,7 @@ def tuple_sets(N: int, d: int, n: int, n0: int = 0,
 class FiltrationCell:
     I: tuple[int, ...]
     N: int
-    L: GradedSubspace
+    L: GradedSubspace  # on the standard monomials of degree N - d*|I|
     m: int
     reps: list[MultiPoly]
 
@@ -101,43 +100,58 @@ class FiltrationTable:
         return sum(cell.m for cell in self.cells.values())
 
 
-def _common_degree(Qs) -> int:
+def _over_common_field(Qs):
+    """(Qs over their coefficient field, their common degree d)."""
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs]
     degs = {q.degree for q in Qs}
     if len(degs) != 1 or None in degs:
         raise DegreeMismatch("the Q_j must be homogeneous of one common degree")
-    return degs.pop()
+    return Qs, degs.pop()
 
 
 def _power_products(Qs, tau):
     """Q^I = prod Q_s^{i_s} for every I in tau."""
-    out = {}
-    for I in tau:
-        acc = None
-        for q, e in zip(Qs, I):
-            if e == 0:
-                continue
-            p = q ** e
-            acc = p if acc is None else acc * p
-        if acc is None:
-            acc = MultiPoly.constant(Qs[0].nvars, 1, Qs[0].field)
-        out[I] = acc
-    return out
+    one = MultiPoly.constant(Qs[0].nvars, 1, Qs[0].field)
+    return {I: functools.reduce(operator.mul, [q ** e for q, e in zip(Qs, I) if e] or [one])
+            for I in tau}
 
 
-def _cell_from_parts(I, N, d, nvars, rows, U: GradedSubspace) -> FiltrationCell:
-    """Cell L_N^I from `rows`, the coefficient rows of the Q^I-multiples in
-    degree N, and U, the span of the ideal piece and the higher multiples."""
-    src_degree = N - d * tuple_norm(I)
-    Lmap = ExactMatrix(len(rows), U.basis.cols, U.field, rows, _raw=True).transpose()
-    L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
-    src_basis = monomial_basis(nvars - 1, src_degree)
-    m = len(src_basis) - L.dim
-    pivots = set(L.pivot_cols)
-    reps = [MultiPoly.monomial(nvars, mono, 1, U.field)
-            for j, mono in enumerate(src_basis) if j not in pivots]
-    if len(reps) != m:
-        raise BasisDefect(f"cell {I}: {len(reps)} coset representatives for m = {m}")
-    return FiltrationCell(I=I, N=N, L=L, m=m, reps=reps)
+def _cells(J: HomogeneousIdeal, Qs, N: int, d: int):
+    """The cells L_N^I in descending lex order of I, in quotient coordinates.
+
+    U, the span of the higher Q^E-multiples modulo J_N, starts empty and grows
+    by each cell's rows once the cell is yielded.  A cell maps only the
+    standard monomials of degree s = N - d*|I| (Q^I * J_s lies in J_N);
+    cell.L is the preimage of U on them, and the reps are those that are not
+    pivots of cell.L.  These are the m and reps of full monomial coordinates:
+    L_N^I contains J_s, and an RREF remainder keeps its leading column when
+    that column is not a pivot, so pivots(L_N^I) = pivots(J_s) disjoint union
+    pivots(cell.L).
+    """
+    nvars = J.nvars
+    field = Qs[0].field
+    tau, _ = tuple_sets(N, d, len(Qs))
+    powers = _power_products(Qs, tau)
+    basis_N = monomial_basis(nvars - 1, N)
+    U = GradedSubspace.from_rows([], ambient_degree=N, nvars=nvars,
+                                 cols=hilbert_function(J, N), field=field)
+    for I in reversed(tau):
+        src_degree = N - d * tuple_norm(I)
+        src_basis = monomial_basis(nvars - 1, src_degree)
+        std = [src_basis[j] for j in J.standard_columns(src_degree)]
+        rows = J.quotient_rows(
+            N, [powers[I].shift(mono).coefficient_vector(basis_N) for mono in std])
+        Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
+        L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
+        m = len(std) - L.dim
+        pivots = set(L.pivot_cols)
+        reps = [MultiPoly.monomial(nvars, mono, 1, field)
+                for j, mono in enumerate(std) if j not in pivots]
+        if len(reps) != m:
+            raise BasisDefect(f"cell {I}: {len(reps)} coset representatives for m = {m}")
+        yield FiltrationCell(I=I, N=N, L=L, m=m, reps=reps)
+        U = U.extended_with(rows)
 
 
 def filtration_space(J: HomogeneousIdeal, Qs, N: int,
@@ -146,74 +160,51 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
 
     L_N^I is the preimage, under multiplication by Q^I, of the span of the
     ideal's degree-N piece together with all Q^E-multiples for E in tau_N
-    lexicographically above I.
+    lexicographically above I; its cells come from `_cells`, down to I.
     """
-    field = coefficient_field(Qs)
-    Qs = [q.over(field) for q in Qs]
-    d = _common_degree(Qs)
-    n = len(Qs)
+    Qs, d = _over_common_field(Qs)
     if N - d * tuple_norm(I) < 0:
         raise DegreeMismatch(f"N - d*|I| < 0 for I={I}, N={N}, d={d}")
-    nvars = J.nvars
-    tau, _ = tuple_sets(N, d, n)
-    higher = [E for E in tau if E > I]
-    powers = _power_products(Qs, higher + [I])
-    extra_rows, _ = macaulay_rows([powers[E] for E in higher], N, nvars, field)
-    U = J.graded_piece(N).over(field).extended_with(extra_rows)
-    rows, _ = macaulay_rows([powers[I]], N, nvars, field)
-    return _cell_from_parts(I, N, d, nvars, rows, U)
+    for cell in _cells(J, Qs, N, d):
+        if cell.I == I:
+            return cell
+    raise DegreeMismatch(f"I={I} is not an exponent tuple of {len(Qs)} targets")
 
 
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                 kappa: int = 0) -> FiltrationTable:
-    """All cells of the degree-N filtration, sharing the growing U-span.
-
-    Cells are computed in descending lex order so the span of higher
-    Q^E-multiples can be extended incrementally instead of rebuilt per cell.
-    """
-    field = coefficient_field(Qs)
-    Qs = [q.over(field) for q in Qs]
-    d = _common_degree(Qs)
+    """All cells of the degree-N filtration, read off one pass of `_cells`."""
+    Qs, d = _over_common_field(Qs)
     n = len(Qs)
-    nvars = J.nvars
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
-    U = J.graded_piece(N).over(field)
-    powers = _power_products(Qs, tau)
-    cells: dict[tuple[int, ...], FiltrationCell] = {}
-    for I in sorted(tau, reverse=True):
-        rows, _ = macaulay_rows([powers[I]], N, nvars, field)
-        cells[I] = _cell_from_parts(I, N, d, nvars, rows, U)
-        U = U.extended_with(rows)
+    cells = {cell.I: cell for cell in _cells(J, Qs, N, d)}
     return FiltrationTable(
-        N=N, d=d, n=n, nvars=nvars, ideal=J, Qs=Qs, cells=cells,
+        N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs, cells=cells,
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
 
 
 def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
     """The products Q^I * rep over all cells, verified to tile the quotient.
 
-    Raises BasisDefect unless the products are independent modulo the ideal's
-    degree-N piece and their count equals the Hilbert value H_V(N); both are
-    guaranteed mathematically, so a failure flags an implementation bug.
+    Raises BasisDefect unless the products' quotient rows have full rank and
+    their count equals the Hilbert value H_V(N); both are guaranteed
+    mathematically, so a failure flags an implementation bug.
     """
     powers = _power_products(table.Qs, table.tau)
-    products: list[MultiPoly] = []
-    for I in table.tau:
-        cell = table.cells[I]
-        for rep in cell.reps:
-            products.append(powers[I] * rep)
+    products = [powers[I] * rep for I in table.tau for rep in table.cells[I].reps]
     total = table.total_m()
     if total != table.hilbert_value:
         raise BasisDefect(
             f"sum of m_N^I = {total} differs from H_V(N) = {table.hilbert_value}")
-    field = table.Qs[0].field
-    ideal_piece = table.ideal.graded_piece(table.N).over(field)
     basis_N = monomial_basis(table.nvars - 1, table.N)
-    joint = ideal_piece.extended_with([p.coefficient_vector(basis_N) for p in products])
-    if joint.dim != ideal_piece.dim + total:
+    rows = table.ideal.quotient_rows(
+        table.N, [p.coefficient_vector(basis_N) for p in products])
+    rank = GradedSubspace.from_rows(
+        rows, ambient_degree=table.N, nvars=table.nvars, cols=table.hilbert_value,
+        field=table.Qs[0].field).dim
+    if rank != total:
         raise BasisDefect(
-            "products are dependent modulo the ideal: rank "
-            f"{joint.dim - ideal_piece.dim} of {total}")
+            f"products are dependent modulo the ideal: rank {rank} of {total}")
     return products
 
 
@@ -242,20 +233,13 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     Raises NotStabilized when either the quotient dimensions or some cell
     sequence fail to settle within the scan bounds.
     """
-    field = coefficient_field(Qs)
-    Qs = [q.over(field) for q in Qs]
-    d = _common_degree(Qs)
+    Qs, d = _over_common_field(Qs)
     n = len(Qs)
-    values = []
-    for k in range(k_max + 1):
-        piece = J.graded_piece(k, extra=Qs)
-        values.append(monomial_count(J.M, k) - piece.dim)
-    n0 = None
-    for start in range(0, k_max - window + 2):
-        tail = values[start:]
-        if len(tail) >= window and all(v == tail[0] for v in tail):
-            n0 = start
-            break
+    values = [monomial_count(J.M, k) - J.graded_piece(k, extra=Qs).dim
+              for k in range(k_max + 1)]
+    # the first onset of a constant tail at least `window` long
+    n0 = next((start for start in range(k_max - window + 2)
+               if all(v == values[start] for v in values[start:])), None)
     if n0 is None:
         raise NotStabilized(
             f"quotient dimensions {values} show no constant tail of length {window}")

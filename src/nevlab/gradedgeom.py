@@ -49,8 +49,12 @@ class HomogeneousIdeal:
     """A homogeneous ideal over Q given by generators, with cached graded pieces.
 
     The variety ideal always has rational coefficients, so its pieces are
-    reduced over Q once; a computation over Q(z) views them with
-    GradedSubspace.over.
+    reduced over Q once and never leave Q.  The quotient by the ideal is
+    decided here: the standard monomials of degree k are the non-pivot
+    columns of the reduced piece J_k (Macaulay's basis theorem; Cox, Little &
+    O'Shea, ch. 5 section 3), and a degree-k row's class in the quotient is
+    its remainder against J_k read on those H_V(k) columns.  A Q(z) row is
+    reduced against the Q piece as it is.
     """
 
     def __init__(self, nvars: int, generators):
@@ -78,6 +82,18 @@ class HomogeneousIdeal:
         if not extra:
             self._piece_cache[k] = piece
         return piece
+
+    def standard_columns(self, k: int) -> list[int]:
+        """Indices in monomial_basis(M, k) of the degree-k standard monomials."""
+        pivots = set(self.graded_piece(k).pivot_cols)
+        return [j for j in range(monomial_count(self.M, k)) if j not in pivots]
+
+    def quotient_rows(self, k: int, rows) -> list[list]:
+        """Each degree-k row's remainder against J_k, on the standard columns."""
+        piece = self.graded_piece(k)
+        std = self.standard_columns(k)
+        return [[rem[j] for j in std]
+                for rem in (piece.reduce_vector(row)[0] for row in rows)]
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)

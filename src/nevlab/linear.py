@@ -21,9 +21,9 @@ because scaling whole rows destroys that sparsity and grows the z-degrees.
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
 from the targets (`algebra.coefficient_field`): Q when every target
-coefficient is constant, Q(z) otherwise.  The variety ideal is always over Q;
-a Q(z) computation views its echelon pieces over Q(z) with
-`GradedSubspace.over`, since an RREF over Q is already an RREF over Q(z).
+coefficient is constant, Q(z) otherwise.  `GradedSubspace.reduce_vector`
+takes a Q(z) vector against a Q basis as it is, which is how the variety
+ideal, always over Q, acts on Q(z) rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from operator import attrgetter
 
 from .algebra import (
     RATIONAL,
-    field_coerce,
     field_coerce_row,
     field_one,
     field_zero,
@@ -250,7 +249,8 @@ class GradedSubspace:
     """A subspace of degree-k forms in M+1 variables, as an echelonized basis.
 
     basis is in reduced row echelon form with columns indexed by
-    monomial_basis(M, k); dim equals the number of basis rows.
+    monomial_basis(M, k), or by its standard monomials for a subspace of the
+    quotient by an ideal; dim equals the number of basis rows.
     """
 
     ambient_degree: int
@@ -296,15 +296,6 @@ class GradedSubspace:
     def contains(self, v: list) -> bool:
         rem, _ = self.reduce_vector(v)
         return not any(rem)
-
-    def over(self, field: str) -> "GradedSubspace":
-        """The same subspace with its echelon basis converted entry by entry to
-        `field`; an RREF over Q is already an RREF over Q(z)."""
-        if field == self.field:
-            return self
-        entries = [[field_coerce(field, v) for v in row] for row in self.basis.entries]
-        basis = ExactMatrix(self.basis.rows, self.basis.cols, field, entries, _raw=True)
-        return GradedSubspace(self.ambient_degree, self.nvars, basis, self.pivot_cols)
 
     def extended_with(self, rows) -> "GradedSubspace":
         """Subspace spanned by this basis together with extra row vectors."""

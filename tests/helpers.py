@@ -1,5 +1,6 @@
 """Shared constructors for the test suite, a reference Q elimination, a
-reference Q(z) and reference sample-doubling integrals."""
+reference Q(z), a reference filtration in full monomial coordinates and
+reference sample-doubling integrals."""
 
 import math
 from fractions import Fraction
@@ -13,12 +14,16 @@ from nevlab.algebra import (
     PoleAtPoint,
     RationalFunction,
     ZeroDenominator,
+    coefficient_field,
+    field_coerce,
     field_one,
     field_zero,
+    monomial_basis,
     monomial_count,
 )
+from nevlab.filtration import tuple_sets
 from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
-from nevlab.linear import ExactMatrix, GradedSubspace
+from nevlab.linear import ExactMatrix, GradedSubspace, preimage_of_subspace
 from nevlab import nevanlinna
 from nevlab.nevanlinna import TWO_PI, OverflowGuard
 
@@ -46,6 +51,17 @@ def twisted_cubic_ideal():
                                 x0 * x3 - x1 * x2])
 
 
+def plane_ideal():
+    """The zero ideal in three variables (V = P^2)."""
+    return HomogeneousIdeal(3, [])
+
+
+def quadric_ideal():
+    """<x0*x3 - x1*x2> in P^3: the quadric surface, n = 2 and deg V = 2."""
+    x0, x1, x2, x3 = (MultiPoly.variable(4, i) for i in range(4))
+    return HomogeneousIdeal(4, [x0 * x3 - x1 * x2])
+
+
 def matvec(m, v):
     """The product m*v, summed entry by entry."""
     assert len(v) == m.cols
@@ -71,6 +87,53 @@ def piece_over_qz(J, k):
     return GradedSubspace.from_rows(rows, ambient_degree=k, nvars=J.nvars,
                                     cols=monomial_count(J.M, k),
                                     field=RATIONAL_FUNCTION)
+
+
+# ---------------------------------------------------------------------------
+# Reference filtration: every cell in the full C(N+M, M) monomial columns,
+# with the ideal's piece J_N lifted entry by entry into the targets' field,
+# as `filtration.build_table` computed it before it moved to quotient
+# coordinates.
+# ---------------------------------------------------------------------------
+
+def _lift(piece, field):
+    """The Q subspace `piece` with its entries coerced into `field`; an RREF
+    over Q is already an RREF over Q(z)."""
+    entries = [[field_coerce(field, v) for v in row] for row in piece.basis.entries]
+    basis = ExactMatrix(piece.basis.rows, piece.basis.cols, field, entries, _raw=True)
+    return GradedSubspace(piece.ambient_degree, piece.nvars, basis, piece.pivot_cols)
+
+
+def reference_build_table(J, Qs, N):
+    """{I: (m, reps)} for every cell of the degree-N filtration of (J, Qs).
+
+    U starts as J_N and grows by all the Q^I-multiples of each cell, in
+    descending lex order; L_N^I is the preimage of U in the full monomial
+    coordinates of its source degree, and the reps are its non-pivot
+    monomials.
+    """
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs]
+    d = Qs[0].degree
+    nvars = J.nvars
+    tau, _ = tuple_sets(N, d, len(Qs))
+    U = _lift(J.graded_piece(N), field)
+    cells = {}
+    for I in reversed(tau):
+        QI = MultiPoly.constant(nvars, 1, field)
+        for q, e in zip(Qs, I):
+            QI = QI * q ** e
+        rows, _ = macaulay_rows([QI], N, nvars, field)
+        src_degree = N - d * sum(I)
+        Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
+        L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
+        src_basis = monomial_basis(nvars - 1, src_degree)
+        pivots = set(L.pivot_cols)
+        reps = [MultiPoly.monomial(nvars, mono, 1, field)
+                for j, mono in enumerate(src_basis) if j not in pivots]
+        cells[I] = (len(src_basis) - L.dim, reps)
+        U = U.extended_with(rows)
+    return cells
 
 
 def rand_fraction(rng, bound=9):

@@ -447,6 +447,44 @@ class TestMainExitCodes:
         assert outs[0] == outs[1]
 
 
+PLANE_TEMPLATE = """
+[variety]
+M = 2
+n = 2
+
+[hypersurfaces]
+{targets}
+
+[curve]
+1
+exp(z)
+exp(2*z)
+"""
+
+
+@pytest.mark.parametrize("command, need", [
+    ("filtration", "the filtration needs q >= n = 2 targets"),
+    ("basis", "the filtration needs q >= n = 2 targets"),
+    ("product", "the filtration needs q >= n = 2 targets"),
+    ("admissible", "admissibility needs q >= n + 1 = 3 targets"),
+    ("smt", "admissibility needs q >= n + 1 = 3 targets"),
+])
+def test_too_few_targets(command, need, tmp_path, capsys):
+    # n = 2 with a single hypersurface: no filtration and no admissible subset
+    path = tmp_path / "plane.prob"
+    path.write_text(PLANE_TEMPLATE.format(targets="degree 1: x0"))
+    assert main([command, "--input", str(path)]) == EXIT_PRECONDITION
+    assert f"precondition failure: {need}, got q = 1" in capsys.readouterr().err
+
+
+def test_n_targets_filter_but_need_one_more_for_admissibility(tmp_path, capsys):
+    path = tmp_path / "plane.prob"
+    path.write_text(PLANE_TEMPLATE.format(targets="degree 1: x0\ndegree 1: x1"))
+    assert main(["filtration", "--input", str(path), "--N", "3"]) == EXIT_OK
+    assert main(["admissible", "--input", str(path)]) == EXIT_PRECONDITION
+    assert "needs q >= n + 1 = 3 targets, got q = 2" in capsys.readouterr().err
+
+
 P1_TEMPLATE = """
 [variety]
 M = 1

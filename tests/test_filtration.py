@@ -123,6 +123,9 @@ class TestFiltrationSpace:
         J = p1_ideal()
         with pytest.raises(DegreeMismatch):
             filtration_space(J, [xvar(0, 2)], 2, (5,))
+        # an I without one slot per target lies in no tau_N
+        with pytest.raises(DegreeMismatch):
+            filtration_space(J, [xvar(0, 2)], 3, (1, 1))
 
     def test_reps_are_independent_mod_l(self):
         J = conic_ideal()
@@ -130,7 +133,8 @@ class TestFiltrationSpace:
         cell = filtration_space(J, [q], 8, (1,))
         basis = monomial_basis(2, 8 - 2)
         for rep in cell.reps:
-            vec = rep.coefficient_vector(basis)
+            # cell.L lives in the standard coordinates of its source degree
+            vec = J.quotient_rows(8 - 2, [rep.coefficient_vector(basis)])[0]
             assert not cell.L.contains(vec)
 
 
@@ -179,8 +183,8 @@ class TestTables:
             cell = table.cells[I]
             k = 8 - 2 * tuple_norm(I)
             piece = J.graded_piece(k, extra=[q]) if k >= 2 else J.graded_piece(k)
-            for row in piece.basis.entries:
-                assert cell.L.contains(list(row))
+            for row in J.quotient_rows(k, piece.basis.entries):
+                assert cell.L.contains(row)
 
     def test_remark_multiplying_stays_inside(self):
         # gamma in L_N^I and P homogeneous of degree k: gamma*P in L_{N+k}^I.
@@ -190,6 +194,8 @@ class TestTables:
         N, I = 6, (1,)
         cell = filtration_space(J, [q], N, I)
         basis_src = monomial_basis(2, N - 2)
+        # cell.L's columns are the standard monomials of degree N - 2
+        std_src = [basis_src[j] for j in J.standard_columns(N - 2)]
         for k in (1, 2, 3):
             target = filtration_space(J, [q], N + k, I)
             basis_dst = monomial_basis(2, N + k - 2)
@@ -199,13 +205,13 @@ class TestTables:
                 coords = [Fraction(rng.randint(-3, 3)) for _ in range(cell.L.dim)]
                 gamma_vec = [sum(c * cell.L.basis.entries[i][j]
                                  for i, c in enumerate(coords))
-                             for j in range(len(basis_src))]
+                             for j in range(len(std_src))]
                 gamma = MultiPoly(3, RATIONAL_FUNCTION,
-                                  {basis_src[j]: gamma_vec[j]
-                                   for j in range(len(basis_src))})
+                                  {std_src[j]: gamma_vec[j]
+                                   for j in range(len(std_src))})
                 P = rand_poly(rng, 3, k, RATIONAL, terms=2).over(RATIONAL_FUNCTION)
                 prod = gamma * P
-                vec = prod.coefficient_vector(basis_dst)
+                vec = J.quotient_rows(N + k - 2, [prod.coefficient_vector(basis_dst)])[0]
                 assert target.L.contains(vec)
 
     def test_inclusion_chain_componentwise(self):

@@ -8,6 +8,12 @@ with the generic Q(z) elimination of `oracle_m`, which never touches the
 preimage or kernel code.  The stabilization scan must find the same n0, and
 the table built on the scan's n0 and kappa must satisfy the weighted-sum
 closed forms.
+
+On n = 2, the quadric surface x0*x3 - x1*x2 with two constant hyperplanes
+must tile its quotient with interior cells deg V * d^n = 2 and satisfy the
+closed forms.  Every table, on n = 1 and n = 2, must match the filtration in
+full monomial coordinates (`reference_build_table`) cell by cell, and
+`filtration_space` must give the table's cell.
 """
 
 from fractions import Fraction
@@ -24,10 +30,23 @@ from nevlab.algebra import (
     monomial_basis,
     monomial_count,
 )
-from nevlab.filtration import build_table, stabilization_scan, tuple_norm, weighted_sums
+from nevlab.filtration import (
+    build_table,
+    filtration_space,
+    stabilization_scan,
+    tuple_norm,
+    weighted_sums,
+)
 from nevlab.gradedgeom import hilbert_function
 
-from helpers import conic_ideal, p1_ideal, twisted_cubic_ideal
+from helpers import (
+    conic_ideal,
+    p1_ideal,
+    plane_ideal,
+    quadric_ideal,
+    reference_build_table,
+    twisted_cubic_ideal,
+)
 from test_filtration import oracle_m
 
 # (ideal, deg V, largest N); the bound on N keeps the Q(z) oracle cheap.
@@ -71,9 +90,50 @@ def moving_instances(draw, name):
     Q = MultiPoly(J.nvars, RATIONAL_FUNCTION,
                   {exp: RationalFunction([a, b]) for exp, (a, b) in zip(basis, coeffs)})
     # As above, Q must not vanish on V.
-    assume(not J.graded_piece(d).over(RATIONAL_FUNCTION).contains(
-        Q.coefficient_vector(basis)))
+    assume(not J.graded_piece(d).contains(Q.coefficient_vector(basis)))
     return J, deg_v, d, N, Q
+
+
+@st.composite
+def quadric_fixed(draw):
+    """Two constant hyperplanes meeting the quadric surface in 2 points."""
+    J = quadric_ideal()
+    basis = monomial_basis(J.M, 1)
+    coeffs = st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis))
+    Qs = [MultiPoly(J.nvars, RATIONAL, dict(zip(basis, draw(coeffs)))) for _ in range(2)]
+    # The quotient by (J, Q1, Q2) settles at deg V * d^n = 2 from degree 1.
+    assume([monomial_count(J.M, k) - J.graded_piece(k, extra=Qs).dim
+            for k in range(1, WINDOW + 1)] == [2] * WINDOW)
+    return J, Qs, draw(st.integers(3, 5))
+
+
+# (ideal, n, largest N) of the varieties whose tables are compared with the
+# full-coordinate reference.
+REFERENCE_VARIETIES = {
+    "p1": (p1_ideal, 1, 6),
+    "conic": (conic_ideal, 1, 5),
+    "twisted_cubic": (twisted_cubic_ideal, 1, 4),
+    "plane": (plane_ideal, 2, 3),
+    "quadric": (quadric_ideal, 2, 3),
+}
+
+
+@st.composite
+def reference_instances(draw, name):
+    """n random degree-d targets over Q or Q(z) on a variety of dimension n."""
+    make, n, n_max = REFERENCE_VARIETIES[name]
+    J = make()
+    d = draw(st.integers(1, 2))
+    basis = monomial_basis(J.M, d)
+    if draw(st.booleans()):
+        field, coeff = RATIONAL, st.integers(-3, 3)
+    else:
+        pair = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+        field, coeff = RATIONAL_FUNCTION, pair.map(RationalFunction)
+    coeffs = st.lists(coeff, min_size=len(basis), max_size=len(basis))
+    Qs = [MultiPoly(J.nvars, field, dict(zip(basis, draw(coeffs)))) for _ in range(n)]
+    assume(not any(q.is_zero for q in Qs))
+    return J, Qs, draw(st.integers(0, n_max))
 
 
 def check_table(J, deg_v, d, N, Q, field):
@@ -119,3 +179,30 @@ def test_constant_targets(instance):
 @given(data=st.data())
 def test_moving_targets(name, data):
     check_weighted_sums(*data.draw(moving_instances(name)), RATIONAL_FUNCTION)
+
+
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(quadric_fixed())
+def test_quadric_constant_hyperplanes(instance):
+    J, Qs, N = instance
+    scan = stabilization_scan(J, Qs, WINDOW, window=WINDOW)
+    assert (scan.n0, scan.c) == (1, 2)
+    table = build_table(J, Qs, N, n0=scan.n0, kappa=scan.kappa)
+    ms = {I: cell.m for I, cell in table.cells.items()}
+    assert sum(ms.values()) == table.hilbert_value == (N + 1) ** 2
+    interior = [I for I in table.tau if N - tuple_norm(I) >= scan.n0]
+    assert interior and all(ms[I] == 2 for I in interior)  # deg V * d^n = 2 * 1^2
+    ws = weighted_sums(table, 2)
+    assert ws.symmetric and ws.dominated and ws.closed_form
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_quotient_coordinates_match_full_coordinates(name, data):
+    J, Qs, N = data.draw(reference_instances(name))
+    table = build_table(J, Qs, N)
+    got = {I: (cell.m, cell.reps) for I, cell in table.cells.items()}
+    assert got == reference_build_table(J, Qs, N)
+    I = data.draw(st.sampled_from(table.tau))
+    assert filtration_space(J, Qs, N, I) == table.cells[I]
