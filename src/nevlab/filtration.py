@@ -11,7 +11,8 @@ all share the value deg V * d^n, and the per-slot weighted sums S_s feed the
 growth-exponent bookkeeping of the product decomposition.
 
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
-(`HomogeneousIdeal.quotient_rows`), and the ideal stays over Q.  One
+(`HomogeneousIdeal.multiples`), and the ideal stays over Q; so do the
+stabilization scan's quotient dimensions (`hilbert_function`).  One
 generator, `_cells`, yields the cells for both `build_table` and
 `filtration_space`.
 
@@ -31,9 +32,8 @@ from .algebra import (
     MultiPoly,
     coefficient_field,
     monomial_basis,
-    monomial_count,
 )
-from .gradedgeom import HomogeneousIdeal, NotStabilized, hilbert_function
+from .gradedgeom import HomogeneousIdeal, NotStabilized, constant_tail, hilbert_function
 from .linear import ExactMatrix, GradedSubspace, preimage_of_subspace
 
 
@@ -133,17 +133,14 @@ def _cells(J: HomogeneousIdeal, Qs, N: int, d: int):
     field = Qs[0].field
     tau, _ = tuple_sets(N, d, len(Qs))
     powers = _power_products(Qs, tau)
-    basis_N = monomial_basis(nvars - 1, N)
-    U = GradedSubspace.from_rows([], ambient_degree=N, nvars=nvars,
-                                 cols=hilbert_function(J, N), field=field)
+    U = GradedSubspace.from_rows([], cols=hilbert_function(J, N), field=field)
     for I in reversed(tau):
         src_degree = N - d * tuple_norm(I)
         src_basis = monomial_basis(nvars - 1, src_degree)
         std = [src_basis[j] for j in J.standard_columns(src_degree)]
-        rows = J.quotient_rows(
-            N, [powers[I].shift(mono).coefficient_vector(basis_N) for mono in std])
+        rows = J.multiples(N, [powers[I]])
         Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
-        L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
+        L = preimage_of_subspace(Lmap, U)
         m = len(std) - L.dim
         pivots = set(L.pivot_cols)
         reps = [MultiPoly.monomial(nvars, mono, 1, field)
@@ -196,12 +193,7 @@ def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
     if total != table.hilbert_value:
         raise BasisDefect(
             f"sum of m_N^I = {total} differs from H_V(N) = {table.hilbert_value}")
-    basis_N = monomial_basis(table.nvars - 1, table.N)
-    rows = table.ideal.quotient_rows(
-        table.N, [p.coefficient_vector(basis_N) for p in products])
-    rank = GradedSubspace.from_rows(
-        rows, ambient_degree=table.N, nvars=table.nvars, cols=table.hilbert_value,
-        field=table.Qs[0].field).dim
+    rank = table.hilbert_value - hilbert_function(table.ideal, table.N, products)
     if rank != total:
         raise BasisDefect(
             f"products are dependent modulo the ideal: rank {rank} of {total}")
@@ -235,11 +227,8 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     """
     Qs, d = _over_common_field(Qs)
     n = len(Qs)
-    values = [monomial_count(J.M, k) - J.graded_piece(k, extra=Qs).dim
-              for k in range(k_max + 1)]
-    # the first onset of a constant tail at least `window` long
-    n0 = next((start for start in range(k_max - window + 2)
-               if all(v == values[start] for v in values[start:])), None)
+    values = [hilbert_function(J, k, Qs) for k in range(k_max + 1)]
+    n0 = constant_tail(values, window)
     if n0 is None:
         raise NotStabilized(
             f"quotient dimensions {values} show no constant tail of length {window}")
@@ -265,7 +254,6 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     I0 = min((I for I in box if m_stable[I] == m_min),
              key=lambda I: (max(I) if I else 0, I))
     kappa = max(I0) if I0 else 0
-    c_prime = max(c_prime, max(m_stable.values()))
     return StabilizationScan(n0=n0, c=c, c_prime=c_prime, m_min=m_min, I0=I0,
                              kappa=kappa, m_stable=m_stable,
                              quotient_values=values)

@@ -1,10 +1,13 @@
 """Graded pieces of homogeneous ideals, Hilbert functions, and admissibility.
 
-The central construction is the Macaulay-style graded piece: the degree-k
-slice of an ideal is spanned by monomial multiples of its generators, row
-reduced in monomial coordinates.  Dimension counts of quotients (Hilbert
-function values), degree/dimension extraction from finite differences, and
-specialization of coefficient functions all run on top of that.
+The variety ideal J is reduced once per degree in monomial coordinates (its
+Macaulay piece J_k), and every other quotient is decided on top of that in
+quotient coordinates: the standard monomials of degree k are the non-pivot
+columns of J_k, a form's class modulo J_k is its remainder read on them, and
+the dimension of (K[x]/(J, f_1..f_r))_k is H_V(k) minus the rank of the
+classes of the f_j times standard monomials (`HomogeneousIdeal.multiples`).
+The same rows decide the membership tests of the admissibility
+certificates.  Degree and dimension come from finite differences of H_V.
 
 Admissibility of a set of moving hypersurfaces is decided with one-sided
 certainty: a positive answer carries an exact membership certificate
@@ -15,6 +18,7 @@ value of the specialized quotient) and is always flagged as such.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,6 +80,8 @@ class HomogeneousIdeal:
         return self.nvars - 1
 
     def graded_piece(self, k: int, extra=()) -> GradedSubspace:
+        """J_k, reduced over Q and cached.  With `extra`: the uncached piece of
+        (J, extra) in full monomial coordinates, only a reference for tests."""
         if not extra and k in self._piece_cache:
             return self._piece_cache[k]
         piece = ideal_graded_piece(self, list(extra), k)
@@ -94,6 +100,25 @@ class HomogeneousIdeal:
         std = self.standard_columns(k)
         return [[rem[j] for j in std]
                 for rem in (piece.reduce_vector(row)[0] for row in rows)]
+
+    def multiples(self, k: int, forms) -> list[list]:
+        """Quotient rows of f * x^m, for each nonzero form f of degree e <= k and
+        each standard monomial x^m of degree k - e.  They span (J, forms)_k
+        modulo J_k: a degree-(k - e) form is a combination of standard monomials
+        plus an element of J_{k-e} (Macaulay's basis theorem), and f * J_{k-e}
+        lies in J_k."""
+        basis = monomial_basis(self.M, k)
+        vectors = []
+        for f in forms:
+            if not f.is_homogeneous:
+                raise InhomogeneousInput(f"{f} is not homogeneous")
+            e = f.degree
+            if e is None or e > k:
+                continue
+            src = monomial_basis(self.M, k - e)
+            vectors += [f.shift(src[j]).coefficient_vector(basis)
+                        for j in self.standard_columns(k - e)]
+        return self.quotient_rows(k, vectors)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -134,14 +159,27 @@ def ideal_graded_piece(J: HomogeneousIdeal, extra, k: int) -> GradedSubspace:
     field = coefficient_field(extra)
     gens = [g.over(field) for g in (*J.generators, *extra)]
     rows, _ = macaulay_rows(gens, k, J.nvars, field)
-    return GradedSubspace.from_rows(
-        rows, ambient_degree=k, nvars=J.nvars,
-        cols=monomial_count(J.M, k), field=field)
+    return GradedSubspace.from_rows(rows, cols=monomial_count(J.M, k), field=field)
 
 
-def hilbert_function(J: HomogeneousIdeal, k: int) -> int:
-    """dim of degree-k forms modulo the ideal's degree-k piece."""
-    return monomial_count(J.M, k) - J.graded_piece(k).dim
+def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
+    """dim (K[x]/(J, forms))_k, over the field the forms call for.
+
+    (J, forms)_k is J_k plus the span of the forms' `multiples`, rows already
+    reduced modulo J_k: the dimension is H_V(k) minus their rank.
+    """
+    h = monomial_count(J.M, k) - J.graded_piece(k).dim
+    if not forms:
+        return h
+    field = coefficient_field(forms)
+    rows = J.multiples(k, [f.over(field) for f in forms])
+    return h - GradedSubspace.from_rows(rows, cols=h, field=field).dim
+
+
+def constant_tail(values, window: int) -> int | None:
+    """Start of the constant tail of `values` if it is `window` or longer, else None."""
+    return next((start for start in range(len(values) - window + 1)
+                 if all(v == values[start] for v in values[start:])), None)
 
 
 @dataclass
@@ -167,16 +205,12 @@ def variety_invariants(J: HomogeneousIdeal, k_max: int, window: int = 3) -> tupl
 
 
 def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertRecord:
-    import math
-
     values = {k: hilbert_function(J, k) for k in range(k_max + 1)}
-    seq = [values[k] for k in range(k_max + 1)]
     rec = HilbertRecord(values=values)
-    diff = seq[:]
-    for order in range(0, k_max + 1):
-        tail = diff[-window:] if len(diff) >= window else []
-        if tail and all(v == tail[0] for v in tail):
-            lead = tail[0]
+    diff = list(values.values())
+    for order in range(k_max + 1):
+        if constant_tail(diff, window) is not None:
+            lead = diff[-1]
             if lead == 0:
                 # Empty variety: the Hilbert polynomial is identically zero.
                 rec.dim_v, rec.deg_v = -1, 0
@@ -184,8 +218,6 @@ def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertR
                 rec.dim_v, rec.deg_v = order, math.factorial(order) * lead
             return rec
         diff = [b - a for a, b in zip(diff, diff[1:])]
-        if len(diff) < window:
-            break
     return rec
 
 
@@ -212,9 +244,7 @@ def specialize_space(W: GradedSubspace, a) -> GradedSubspace:
                 f"primitive row vanished entirely at z={a}; "
                 "the subspace cannot be specialized there")
         rows.append(values)
-    return GradedSubspace.from_rows(
-        rows, ambient_degree=W.ambient_degree, nvars=W.nvars,
-        cols=W.basis.cols, field=RATIONAL)
+    return GradedSubspace.from_rows(rows, cols=W.basis.cols, field=RATIONAL)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +282,26 @@ class NullstellensatzCertificate:
 def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
     """Smallest s <= s_max with x_i^s in (J, Qs)_s for every variable, or None.
 
-    The returned certificate carries exact cofactors and re-verifies by
-    substitution.  None means NOT_FOUND within the cutoff, which is
-    inconclusive for genuinely admissible systems with larger s.
+    x_i^s is in (J, Qs)_s when its class modulo J_s is in the span of the Qs'
+    `multiples`; only at the s that passes is the full Macaulay system solved
+    for the cofactors.  The certificate re-verifies by substitution.  None
+    means NOT_FOUND within the cutoff, which is inconclusive for genuinely
+    admissible systems with larger s.
     """
-    for q in Qs:
-        if not q.is_homogeneous:
-            raise InhomogeneousInput(f"{q} is not homogeneous")
     field = coefficient_field(Qs)
-    gens = [g.over(field) for g in (*J.generators, *Qs) if not g.is_zero]
+    Qs = [q.over(field) for q in Qs if not q.is_zero]
     nvars = J.nvars
     for s in range(1, s_max + 1):
+        span = GradedSubspace.from_rows(J.multiples(s, Qs),
+                                        cols=hilbert_function(J, s), field=field)
         basis = monomial_basis(nvars - 1, s)
-        rows, labels = macaulay_rows(gens, s, nvars, field)
-        if not rows:
-            continue
-        piece = GradedSubspace.from_rows(
-            rows, ambient_degree=s, nvars=nvars, cols=len(basis), field=field)
         targets = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
                                       1, field).coefficient_vector(basis)
                    for i in range(nvars)]
-        if not all(piece.contains(v) for v in targets):
+        if not all(span.contains(v) for v in J.quotient_rows(s, targets)):
             continue
+        gens = [g.over(field) for g in J.generators] + Qs
+        rows, labels = macaulay_rows(gens, s, nvars, field)
         A = ExactMatrix.from_rows(rows, len(basis), field)
         sols = solve_row_combinations(A, targets)
         cofactors = []
@@ -320,14 +348,14 @@ def default_s_max(d: int, n: int, J: HomogeneousIdeal) -> int:
 
 
 def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
-                        s_max: int | None = None, seed: int = 0,
-                        evidence_window: int | None = None) -> list[SubsetReport]:
+                        s_max: int | None = None, seed: int = 0) -> list[SubsetReport]:
     """Per-(n+1)-subset admissibility report for hypersurfaces of common degree.
 
     Positive answers are sound: each carries a certificate at a random integer
     witness, re-verified here before it counts (CertificateDefect if not).
-    Negative answers report the stabilized positive Hilbert value of the
-    specialized quotient and are marked heuristic.
+    Negative answers report the positive Hilbert value of the specialized
+    quotient when it is constant over the M + 2 degrees ending at
+    s_max + M + 3, and are marked heuristic.
     """
     degs = {q.degree for q in Qs}
     if len(degs) != 1:
@@ -363,13 +391,16 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
         if report.certificates:
             report.status = ADMISSIBLE
         elif last_specialized is not None:
-            value = _stable_quotient_value(J, last_specialized, s_max, evidence_window)
-            if value is not None and value > 0:
+            window = J.nvars + 1  # M + 2 consecutive degrees
+            values = [hilbert_function(J, k, last_specialized)
+                      for k in range(s_max + window + 2)]
+            onset = constant_tail(values, window)
+            if onset is not None and values[onset] > 0:
                 report.status = NOT_ADMISSIBLE_EVIDENCE
-                report.evidence_value = value
+                report.evidence_value = values[onset]
                 report.warning = (
                     "heuristic: stabilized positive quotient dimension "
-                    f"{value}; no certificate up to s={s_max}")
+                    f"{values[onset]}; no certificate up to s={s_max}")
             else:
                 report.status = INCONCLUSIVE
                 report.warning = (
@@ -379,17 +410,3 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
         reports.append(report)
     return reports
 
-
-def _stable_quotient_value(J: HomogeneousIdeal, Qs, s_max: int,
-                           window: int | None) -> int | None:
-    """Stabilized Hilbert value of K[x]/(J, Qs) over `window` consecutive degrees."""
-    if window is None:
-        window = J.nvars + 1  # M + 2 consecutive degrees
-    k_hi = s_max + window + 1
-    values = []
-    for k in range(k_hi + 1):
-        values.append(monomial_count(J.M, k) - J.graded_piece(k, extra=Qs).dim)
-    tail = values[-window:]
-    if all(v == tail[0] for v in tail):
-        return tail[0]
-    return None

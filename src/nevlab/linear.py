@@ -246,15 +246,13 @@ def kernel(m: ExactMatrix) -> list[list]:
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A subspace of degree-k forms in M+1 variables, as an echelonized basis.
+    """A subspace of degree-k forms, as an echelonized basis.
 
     basis is in reduced row echelon form with columns indexed by
     monomial_basis(M, k), or by its standard monomials for a subspace of the
     quotient by an ideal; dim equals the number of basis rows.
     """
 
-    ambient_degree: int
-    nvars: int
     basis: ExactMatrix
     pivot_cols: tuple[int, ...]
 
@@ -267,15 +265,13 @@ class GradedSubspace:
         return self.basis.field
 
     @classmethod
-    def from_rows(cls, rows, *, ambient_degree: int, nvars: int, cols: int,
-                  field: str) -> "GradedSubspace":
+    def from_rows(cls, rows, *, cols: int, field: str) -> "GradedSubspace":
         if not rows:
-            empty = ExactMatrix(0, cols, field, [], _raw=True)
-            return cls(ambient_degree, nvars, empty, ())
+            return cls(ExactMatrix(0, cols, field, [], _raw=True), ())
         m = ExactMatrix.from_rows(rows, cols, field)
         rank, rref, pivots = row_reduce(m)
         trimmed = ExactMatrix(rank, cols, field, rref.entries[:rank], _raw=True)
-        return cls(ambient_degree, nvars, trimmed, tuple(pivots))
+        return cls(trimmed, tuple(pivots))
 
     def reduce_vector(self, v: list) -> tuple[list, list]:
         """Reduce v against the echelon basis; returns (remainder, coords)."""
@@ -302,13 +298,10 @@ class GradedSubspace:
         if not rows:
             return self
         stacked = self.basis.entries + list(rows)
-        return GradedSubspace.from_rows(
-            stacked, ambient_degree=self.ambient_degree, nvars=self.nvars,
-            cols=self.basis.cols, field=self.field)
+        return GradedSubspace.from_rows(stacked, cols=self.basis.cols, field=self.field)
 
 
-def preimage_of_subspace(L: ExactMatrix, U: GradedSubspace, *,
-                         source_degree: int, nvars: int) -> GradedSubspace:
+def preimage_of_subspace(L: ExactMatrix, U: GradedSubspace) -> GradedSubspace:
     """The subspace {g : L g in U}, echelonized in source coordinates.
 
     Reduction against U's echelon basis is linear with kernel exactly U, so
@@ -321,9 +314,7 @@ def preimage_of_subspace(L: ExactMatrix, U: GradedSubspace, *,
     # Zero rows (U's pivot coordinates among them) constrain nothing.
     rows = [list(row) for row in zip(*rems) if any(row)]
     reduced = ExactMatrix(len(rows), L.cols, L.field, rows, _raw=True)
-    return GradedSubspace.from_rows(
-        kernel(reduced), ambient_degree=source_degree, nvars=nvars, cols=L.cols,
-        field=L.field)
+    return GradedSubspace.from_rows(kernel(reduced), cols=L.cols, field=L.field)
 
 
 def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | None]:

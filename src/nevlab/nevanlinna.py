@@ -38,6 +38,7 @@ TWO_PI = 2.0 * math.pi
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
 QUADRATURE_CAP = 65536  # samples at the last circle-quadrature level
 ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every probe
+JENSEN_GATE = 1e-5  # a Jensen residual at or above this is reported as a warning
 
 
 class OverflowGuard(ArithmeticError):
@@ -835,7 +836,7 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     the margin, and the admissibility floor min_theta max_j log(|Q_j(f)|/||f||^d_j);
     plus defect estimates, their sum against n+1, and the first-main-theorem
     cap N_f <= d_j T_f + C_j (C_j fitted at the smallest radius).  Radii where
-    the margin is negative are listed as violations.
+    the margin is negative are violations; a Jensen residual >= JENSEN_GATE warns.
 
     The caller is responsible for having verified admissibility and curve
     membership (set admissibility_checked accordingly; it is only echoed into
@@ -858,6 +859,9 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     for gq, zl in zip(data.composed, data.zero_lists):
         for r in radii:
             jensen_max = max(jensen_max, jensen_check(gq, r, zeros=zl))
+    if jensen_max >= JENSEN_GATE:
+        warnings.append(f"Jensen residual {jensen_max:.3g} is at or above the gate "
+                        f"{JENSEN_GATE:g}; a zero may lie on a grid circle")
 
     floor_values = [_admissibility_floor(curve, data.composed, degrees, r) for r in radii]
     floor_fit = fit_admissibility_floor(radii, floor_values)

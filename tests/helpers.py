@@ -70,13 +70,11 @@ def matvec(m, v):
             for row in m.entries]
 
 
-def full_subspace(ambient_degree, nvars, field):
-    """Every form of degree ambient_degree in nvars variables."""
-    n = monomial_count(nvars - 1, ambient_degree)
+def full_subspace(n, field):
+    """The whole space of length-n vectors over `field`."""
     rows = [[field_one(field) if j == i else field_zero(field) for j in range(n)]
             for i in range(n)]
-    return GradedSubspace(ambient_degree, nvars,
-                          ExactMatrix(n, n, field, rows, _raw=True), tuple(range(n)))
+    return GradedSubspace(ExactMatrix(n, n, field, rows, _raw=True), tuple(range(n)))
 
 
 def piece_over_qz(J, k):
@@ -84,8 +82,7 @@ def piece_over_qz(J, k):
     Macaulay rows, independent of the Q reduction J caches."""
     gens = [g.over(RATIONAL_FUNCTION) for g in J.generators]
     rows, _ = macaulay_rows(gens, k, J.nvars, RATIONAL_FUNCTION)
-    return GradedSubspace.from_rows(rows, ambient_degree=k, nvars=J.nvars,
-                                    cols=monomial_count(J.M, k),
+    return GradedSubspace.from_rows(rows, cols=monomial_count(J.M, k),
                                     field=RATIONAL_FUNCTION)
 
 
@@ -101,7 +98,7 @@ def _lift(piece, field):
     over Q is already an RREF over Q(z)."""
     entries = [[field_coerce(field, v) for v in row] for row in piece.basis.entries]
     basis = ExactMatrix(piece.basis.rows, piece.basis.cols, field, entries, _raw=True)
-    return GradedSubspace(piece.ambient_degree, piece.nvars, basis, piece.pivot_cols)
+    return GradedSubspace(basis, piece.pivot_cols)
 
 
 def reference_build_table(J, Qs, N):
@@ -126,7 +123,7 @@ def reference_build_table(J, Qs, N):
         rows, _ = macaulay_rows([QI], N, nvars, field)
         src_degree = N - d * sum(I)
         Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
-        L = preimage_of_subspace(Lmap, U, source_degree=src_degree, nvars=nvars)
+        L = preimage_of_subspace(Lmap, U)
         src_basis = monomial_basis(nvars - 1, src_degree)
         pivots = set(L.pivot_cols)
         reps = [MultiPoly.monomial(nvars, mono, 1, field)

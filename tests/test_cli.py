@@ -552,3 +552,23 @@ class TestSweepPipeline:
         code = main(["zeros", "--input", str(path), "--r", "5"])
         assert code == EXIT_PRECONDITION
         assert "polynomial coefficients" in capsys.readouterr().err
+
+    def test_jensen_residual_above_gate_warns(self, tmp_path):
+        # Target 1 of conic.prob, (z^2/4 + 1)*x0^2, vanishes at +-2i, on the
+        # grid circle r = 2; one radius later the residual is back under the gate.
+        payloads = []
+        for r_min in ("2", "2.1"):
+            out = tmp_path / f"smt_{r_min}.json"
+            code = main(["smt", "--input", str(PROBLEMS / "conic.prob"),
+                         "--r-min", r_min, "--r-max", "3", "--r-steps", "3",
+                         "--format", "json", "--out", str(out)])
+            assert code == EXIT_OK
+            payloads.append(json.loads(out.read_text()))
+        on_zero, off_zero = payloads
+        jensen_max = on_zero["results"]["jensen_max"]
+        assert jensen_max >= nev.JENSEN_GATE
+        assert [w for w in on_zero["warnings"] if "Jensen" in w] == [
+            f"Jensen residual {jensen_max:.3g} is at or above the gate 1e-05; "
+            "a zero may lie on a grid circle"]
+        assert off_zero["results"]["jensen_max"] < nev.JENSEN_GATE
+        assert not any("Jensen" in w for w in off_zero["warnings"])

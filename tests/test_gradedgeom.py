@@ -102,8 +102,7 @@ class TestSpecializeSpace:
         nvars = polys[0].nvars
         basis = monomial_basis(nvars - 1, k)
         rows = [p.coefficient_vector(basis) for p in polys]
-        return GradedSubspace.from_rows(rows, ambient_degree=k, nvars=nvars,
-                                        cols=len(basis), field=polys[0].field)
+        return GradedSubspace.from_rows(rows, cols=len(basis), field=polys[0].field)
 
     def test_vanishing_leading_coefficient(self):
         z = RationalFunction.z()

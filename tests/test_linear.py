@@ -171,8 +171,7 @@ class TestIntegerElimination:
         assert (rank, pivots) == reference_rref_rows(want, cols)
         assert rref.entries == want
         null = kernel(_mat(rows))
-        S = GradedSubspace.from_rows(rows, ambient_degree=1, nvars=cols,
-                                     cols=cols, field=RATIONAL)
+        S = GradedSubspace.from_rows(rows, cols=cols, field=RATIONAL)
         sols = solve_row_combinations(A, targets)
         for grid in (rref.entries, null, S.basis.entries,
                      [x for x in sols if x is not None]):
@@ -201,8 +200,7 @@ class TestKernel:
         basis = kernel(_mat([[1, 1, 0]]))
         assert len(basis) == 2
         # (1, -1, 0) lies in the kernel span: reduce it against the basis.
-        S = GradedSubspace.from_rows(basis, ambient_degree=1, nvars=3, cols=3,
-                                     field=RATIONAL)
+        S = GradedSubspace.from_rows(basis, cols=3, field=RATIONAL)
         assert S.contains([Fraction(1), Fraction(-1), Fraction(0)])
 
     def test_rank_nullity(self):
@@ -222,14 +220,12 @@ class TestKernel:
 
 class TestMembership:
     def test_first_basis_row(self):
-        S = GradedSubspace.from_rows([[1, 2, 0], [0, 0, 1]], ambient_degree=1,
-                                     nvars=3, cols=3, field=RATIONAL)
+        S = GradedSubspace.from_rows([[1, 2, 0], [0, 0, 1]], cols=3, field=RATIONAL)
         rem, coords = S.reduce_vector([Fraction(1), Fraction(2), Fraction(0)])
         assert not any(rem) and coords == [Fraction(1), Fraction(0)]
 
     def test_outside_witness(self):
-        S = GradedSubspace.from_rows([[1, 0, 0]], ambient_degree=1, nvars=3,
-                                     cols=3, field=RATIONAL)
+        S = GradedSubspace.from_rows([[1, 0, 0]], cols=3, field=RATIONAL)
         rem, _ = S.reduce_vector([Fraction(0), Fraction(1), Fraction(0)])
         assert any(rem)
 
@@ -239,16 +235,14 @@ class TestMembership:
         g = J.generators[0]
         x0x2 = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 2)
         rows = [_poly_row(g, 2), _poly_row(x0x2, 2)]
-        S = GradedSubspace.from_rows(rows, ambient_degree=2, nvars=3,
-                                     cols=6, field=RATIONAL)
+        S = GradedSubspace.from_rows(rows, cols=6, field=RATIONAL)
         x1sq = MultiPoly.variable(3, 1) ** 2
         assert S.contains(_poly_row(x1sq, 2))
 
     def test_certificate_reproduces_vector(self):
         rng = random.Random(9)
         rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(3)]
-        S = GradedSubspace.from_rows(rows, ambient_degree=1, nvars=5, cols=5,
-                                     field=RATIONAL)
+        S = GradedSubspace.from_rows(rows, cols=5, field=RATIONAL)
         # Build a random element of the span and recover it from the coords.
         cs = [rand_fraction(rng) for _ in range(S.dim)]
         v = [sum(c * S.basis.entries[i][j] for i, c in enumerate(cs))
@@ -260,8 +254,7 @@ class TestMembership:
         assert rebuilt == v
 
     def test_dimension_mismatch(self):
-        S = GradedSubspace.from_rows([[1, 0]], ambient_degree=1, nvars=2,
-                                     cols=2, field=RATIONAL)
+        S = GradedSubspace.from_rows([[1, 0]], cols=2, field=RATIONAL)
         with pytest.raises(DimensionMismatch):
             S.reduce_vector([Fraction(1)])
 
@@ -281,15 +274,14 @@ def _mult_by_x0_matrix():
 class TestPreimage:
     def test_identity_into_whole_space(self):
         L = _mat([[1, 0], [0, 1]])
-        U = full_subspace(ambient_degree=1, nvars=2, field=RATIONAL)
-        W = preimage_of_subspace(L, U, source_degree=1, nvars=2)
+        U = full_subspace(2, RATIONAL)
+        W = preimage_of_subspace(L, U)
         assert W.dim == 2
 
     def test_identity_into_zero(self):
         L = _mat([[1, 0], [0, 1]])
-        U = GradedSubspace.from_rows([], ambient_degree=1, nvars=2, cols=2,
-                                     field=RATIONAL)
-        W = preimage_of_subspace(L, U, source_degree=1, nvars=2)
+        U = GradedSubspace.from_rows([], cols=2, field=RATIONAL)
+        W = preimage_of_subspace(L, U)
         assert W.dim == 0
 
     def test_multiplication_by_x0_preimage(self):
@@ -304,9 +296,8 @@ class TestPreimage:
             row = [Fraction(0)] * len(dst)
             row[index[mono]] = Fraction(1)
             rows.append(row)
-        U = GradedSubspace.from_rows(rows, ambient_degree=3, nvars=2, cols=4,
-                                     field=RATIONAL)
-        W = preimage_of_subspace(_mult_by_x0_matrix(), U, source_degree=2, nvars=2)
+        U = GradedSubspace.from_rows(rows, cols=4, field=RATIONAL)
+        W = preimage_of_subspace(_mult_by_x0_matrix(), U)
         assert W.dim == 2
         src = monomial_basis(1, 2)
         x0x1 = [Fraction(1) if e == (1, 1) else Fraction(0) for e in src]
@@ -335,9 +326,8 @@ class TestPreimage:
                              for _ in range(dst_dim)])
             u_rows = [[entry() for _ in range(dst_dim)]
                       for _ in range(rng.randint(0, dst_dim))]
-            U = GradedSubspace.from_rows(u_rows, ambient_degree=1, nvars=dst_dim,
-                                         cols=dst_dim, field=field)
-            W = preimage_of_subspace(L, U, source_degree=1, nvars=src_dim)
+            U = GradedSubspace.from_rows(u_rows, cols=dst_dim, field=field)
+            W = preimage_of_subspace(L, U)
             # every basis vector of W maps into U
             for row in W.basis.entries:
                 assert U.contains(matvec(L, row))

@@ -14,9 +14,15 @@ must tile its quotient with interior cells deg V * d^n = 2 and satisfy the
 closed forms.  Every table, on n = 1 and n = 2, must match the filtration in
 full monomial coordinates (`reference_build_table`) cell by cell, and
 `filtration_space` must give the table's cell.
+
+The quotients by the variety ideal plus targets are decided on the standard
+monomials (`hilbert_function` with forms, the certificates' membership
+test); both must agree with the full-coordinate reference piece
+`graded_piece(k, extra)`, which no command may call.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +43,9 @@ from nevlab.filtration import (
     tuple_norm,
     weighted_sums,
 )
-from nevlab.gradedgeom import hilbert_function
+from nevlab import gradedgeom as gg
+from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main
+from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
 
 from helpers import (
     conic_ideal,
@@ -206,3 +214,109 @@ def test_quotient_coordinates_match_full_coordinates(name, data):
     assert got == reference_build_table(J, Qs, N)
     I = data.draw(st.sampled_from(table.tau))
     assert filtration_space(J, Qs, N, I) == table.cells[I]
+
+
+# ---------------------------------------------------------------------------
+# Quotients by (J, forms) on the standard monomials against the full
+# monomial coordinates of `graded_piece(k, extra)`.
+# ---------------------------------------------------------------------------
+
+# (ideal, largest degree k compared)
+QUOTIENT_VARIETIES = {
+    "p1": (p1_ideal, 5),
+    "conic": (conic_ideal, 4),
+    "twisted_cubic": (twisted_cubic_ideal, 3),
+    "plane": (plane_ideal, 3),
+    "quadric": (quadric_ideal, 3),
+}
+
+
+@st.composite
+def random_forms(draw, J, count, field=None):
+    """`count` random forms of one degree 1 or 2 over Q or Q(z)."""
+    d = draw(st.integers(1, 2))
+    if field is None:
+        field = draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
+    if field == RATIONAL:
+        coeff = st.integers(-3, 3)
+    else:
+        coeff = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(RationalFunction)
+    basis = monomial_basis(J.M, d)
+    coeffs = st.lists(coeff, min_size=len(basis), max_size=len(basis))
+    return [MultiPoly(J.nvars, field, dict(zip(basis, draw(coeffs))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_hilbert_function_with_forms_matches_full_coordinates(name, data):
+    make, k_max = QUOTIENT_VARIETIES[name]
+    J = make()
+    forms = data.draw(random_forms(J, data.draw(st.integers(1, 2))))
+    field = forms[0].field
+    if data.draw(st.booleans()):
+        forms.append(MultiPoly.zero(J.nvars, field))
+    if J.generators and data.draw(st.booleans()):
+        forms.append(J.generators[0].over(field))  # a form inside J
+    for k in range(k_max + 1):
+        assert hilbert_function(J, k, forms) == (
+            monomial_count(J.M, k) - J.graded_piece(k, extra=forms).dim)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_certificate_degree_matches_full_coordinates(name, data):
+    make, n, _ = REFERENCE_VARIETIES[name]
+    J = make()
+    Qs = data.draw(random_forms(J, n + 1, field=RATIONAL))
+    s_max = 4
+    cert = nullstellensatz_certificate(J, Qs, s_max)
+
+    def powers_in_piece(s):
+        piece = J.graded_piece(s, extra=Qs)
+        basis = monomial_basis(J.M, s)
+        return all(piece.contains([int(e[i] == s) for e in basis])
+                   for i in range(J.nvars))
+
+    expected = next((s for s in range(1, s_max + 1) if powers_in_piece(s)), None)
+    assert (None if cert is None else cert.s) == expected
+    assert cert is None or cert.verify()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=8), st.integers(1, 5))
+def test_constant_tail_matches_both_old_rules(values, window):
+    onset = constant_tail(values, window)
+    # the stabilization scan's rule on the values for k = 0..k_max
+    k_max = len(values) - 1
+    assert onset == next((start for start in range(k_max - window + 2)
+                          if all(v == values[start] for v in values[start:])), None)
+    # the admissibility evidence's rule: the last `window` values agree
+    if len(values) >= window:
+        tail = values[-window:]
+        old = tail[0] if all(v == tail[0] for v in tail) else None
+        assert (None if onset is None else values[onset]) == old
+
+
+def test_commands_never_build_full_pieces_with_targets(monkeypatch, tmp_path):
+    original = gg.ideal_graded_piece
+
+    def ideal_only(J, extra, k):
+        assert not extra, "a command built (J, targets) in full monomial coordinates"
+        return original(J, extra, k)
+
+    monkeypatch.setattr(gg, "ideal_graded_piece", ideal_only)
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    runs = [
+        (["admissible", "--input", str(problems / "conic.prob")], EXIT_OK),
+        # no certificate: the quotient-dimension evidence path
+        (["admissible", "--input", str(problems / "conic_degenerate.prob")],
+         EXIT_PRECONDITION),
+        (["filtration", "--input", str(problems / "conic.prob"), "--N", "6"], EXIT_OK),
+        (["smt", "--input", str(problems / "conic.prob"), "--r-max", "6",
+          "--r-steps", "2"], EXIT_OK),
+    ]
+    for argv, code in runs:
+        assert main([*argv, "--out", str(tmp_path / "report.txt")]) == code
