@@ -31,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -364,7 +365,9 @@ class ProblemSpec:
     def nvars(self) -> int:
         return self.M + 1
 
+    @cached_property
     def ideal(self) -> gg.HomogeneousIdeal:
+        """The variety ideal, built once so every step shares its normal forms."""
         return gg.HomogeneousIdeal(self.nvars, self.generators)
 
 
@@ -601,7 +604,7 @@ def _radius_grid(spec, flags) -> list[float]:
 
 
 def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
-    J = spec.ideal()
+    J = spec.ideal
     dim_v, deg_v = gg.variety_invariants(J, kmax, window)
     if dim_v != spec.n:
         raise PreconditionError(
@@ -611,7 +614,7 @@ def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
 
 def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
     kmax, window = _kmax_window(spec, flags)
-    J = spec.ideal()
+    J = spec.ideal
     rec = gg.hilbert_record(J, kmax, window)
     results = {"values": {str(k): v for k, v in sorted(rec.values.items())}}
     warnings = []
@@ -634,7 +637,7 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
     if len(spec.hypersurfaces) < spec.n + 1:
         raise PreconditionError(f"admissibility needs q >= n + 1 = {spec.n + 1} "
                                 f"targets, got q = {len(spec.hypersurfaces)}")
-    J = spec.ideal()
+    J = spec.ideal
     d, Qs = normalize_degrees(spec.hypersurfaces)
     reports = gg.admissibility_check(J, Qs, spec.n, trials=trials, s_max=smax,
                                      seed=seed)
@@ -668,7 +671,7 @@ def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
     if len(spec.hypersurfaces) < spec.n:
         raise PreconditionError(f"the filtration needs q >= n = {spec.n} targets, "
                                 f"got q = {len(spec.hypersurfaces)}")
-    J = spec.ideal()
+    J = spec.ideal
     d, Qs = normalize_degrees(spec.hypersurfaces)
     Qn = Qs[: spec.n]  # the filtration runs on the first n targets
     scan = filt.stabilization_scan(J, Qn, kmax, window)

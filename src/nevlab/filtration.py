@@ -28,13 +28,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .algebra import (
-    MultiPoly,
-    coefficient_field,
-    monomial_basis,
-)
+from .algebra import MultiPoly, coefficient_field
 from .gradedgeom import HomogeneousIdeal, NotStabilized, constant_tail, hilbert_function
-from .linear import ExactMatrix, GradedSubspace, preimage_of_subspace
+from .linear import GradedSubspace, preimage_of_subspace
 
 
 class BasisDefect(RuntimeError):
@@ -135,12 +131,9 @@ def _cells(J: HomogeneousIdeal, Qs, N: int, d: int):
     powers = _power_products(Qs, tau)
     U = GradedSubspace.from_rows([], cols=hilbert_function(J, N), field=field)
     for I in reversed(tau):
-        src_degree = N - d * tuple_norm(I)
-        src_basis = monomial_basis(nvars - 1, src_degree)
-        std = [src_basis[j] for j in J.standard_columns(src_degree)]
+        std = J.normal_forms(N - d * tuple_norm(I))[0]
         rows = J.multiples(N, [powers[I]])
-        Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
-        L = preimage_of_subspace(Lmap, U)
+        L = preimage_of_subspace(rows, U)
         m = len(std) - L.dim
         pivots = set(L.pivot_cols)
         reps = [MultiPoly.monomial(nvars, mono, 1, field)

@@ -1,11 +1,11 @@
 """Graded pieces of homogeneous ideals, Hilbert functions, and admissibility.
 
 The variety ideal J is reduced once per degree in monomial coordinates (its
-Macaulay piece J_k), and every other quotient is decided on top of that in
-quotient coordinates: the standard monomials of degree k are the non-pivot
-columns of J_k, a form's class modulo J_k is its remainder read on them, and
-the dimension of (K[x]/(J, f_1..f_r))_k is H_V(k) minus the rank of the
-classes of the f_j times standard monomials (`HomogeneousIdeal.multiples`).
+Macaulay piece J_k) and read into a normal-form table: the standard monomials
+of degree k are the non-pivot columns of J_k, with each degree-k monomial's
+class modulo J_k as a sparse row on them.  A form's class is the sum of its
+terms' classes, and dim (K[x]/(J, f_1..f_r))_k is H_V(k) minus the rank of
+the classes of the f_j times standard monomials (`HomogeneousIdeal.multiples`).
 The same rows decide the membership tests of the admissibility
 certificates.  Degree and dimension come from finite differences of H_V.
 
@@ -34,6 +34,7 @@ from .algebra import (
     field_zero,
     monomial_basis,
     monomial_count,
+    monomial_mul,
     zpoly_eval,
 )
 from .linear import ExactMatrix, GradedSubspace, solve_row_combinations
@@ -50,15 +51,15 @@ class CertificateDefect(RuntimeError):
 
 
 class HomogeneousIdeal:
-    """A homogeneous ideal over Q given by generators, with cached graded pieces.
+    """A homogeneous ideal over Q given by generators, with cached normal forms.
 
     The variety ideal always has rational coefficients, so its pieces are
     reduced over Q once and never leave Q.  The quotient by the ideal is
     decided here: the standard monomials of degree k are the non-pivot
     columns of the reduced piece J_k (Macaulay's basis theorem; Cox, Little &
-    O'Shea, ch. 5 section 3), and a degree-k row's class in the quotient is
-    its remainder against J_k read on those H_V(k) columns.  A Q(z) row is
-    reduced against the Q piece as it is.
+    O'Shea, ch. 5 section 3), and a degree-k form's class in the quotient is
+    its remainder against J_k read on those H_V(k) columns.  Q(z)
+    coefficients multiply the Q classes as they are.
     """
 
     def __init__(self, nvars: int, generators):
@@ -73,52 +74,63 @@ class HomogeneousIdeal:
             gens.append(g.over(RATIONAL))
         self.nvars = nvars
         self.generators = tuple(gens)
-        self._piece_cache: dict[int, GradedSubspace] = {}
+        self._normal_forms: dict[int, tuple] = {}
 
     @property
     def M(self) -> int:
         return self.nvars - 1
 
     def graded_piece(self, k: int, extra=()) -> GradedSubspace:
-        """J_k, reduced over Q and cached.  With `extra`: the uncached piece of
-        (J, extra) in full monomial coordinates, only a reference for tests."""
-        if not extra and k in self._piece_cache:
-            return self._piece_cache[k]
-        piece = ideal_graded_piece(self, list(extra), k)
-        if not extra:
-            self._piece_cache[k] = piece
-        return piece
+        """J_k, or (J, extra)_k, reduced in full monomial coordinates and not
+        cached: the commands read J only through `normal_forms`."""
+        return ideal_graded_piece(self, list(extra), k)
 
-    def standard_columns(self, k: int) -> list[int]:
-        """Indices in monomial_basis(M, k) of the degree-k standard monomials."""
-        pivots = set(self.graded_piece(k).pivot_cols)
-        return [j for j in range(monomial_count(self.M, k)) if j not in pivots]
+    def normal_forms(self, k: int) -> tuple[list, dict]:
+        """(standard monomials of degree k, {degree-k monomial: its class}),
+        cached per degree.
 
-    def quotient_rows(self, k: int, rows) -> list[list]:
-        """Each degree-k row's remainder against J_k, on the standard columns."""
-        piece = self.graded_piece(k)
-        std = self.standard_columns(k)
-        return [[rem[j] for j in std]
-                for rem in (piece.reduce_vector(row)[0] for row in rows)]
+        The standard monomials are J_k's non-pivot columns in monomial_basis
+        order; a class is a sparse row of (position, coefficient) pairs on
+        them.  A standard monomial is its own class, and a pivot monomial's
+        class is minus the rest of its RREF row, which is zero in every other
+        pivot column.
+        """
+        if k not in self._normal_forms:
+            piece = self.graded_piece(k)
+            basis = monomial_basis(self.M, k)
+            pivots = set(piece.pivot_cols)
+            std = [j for j in range(len(basis)) if j not in pivots]
+            classes = {basis[j]: ((i, 1),) for i, j in enumerate(std)}
+            for pc, row in zip(piece.pivot_cols, piece.basis.entries):
+                classes[basis[pc]] = tuple((i, -row[j]) for i, j in enumerate(std) if row[j])
+            self._normal_forms[k] = ([basis[j] for j in std], classes)
+        return self._normal_forms[k]
 
     def multiples(self, k: int, forms) -> list[list]:
         """Quotient rows of f * x^m, for each nonzero form f of degree e <= k and
         each standard monomial x^m of degree k - e.  They span (J, forms)_k
         modulo J_k: a degree-(k - e) form is a combination of standard monomials
         plus an element of J_{k-e} (Macaulay's basis theorem), and f * J_{k-e}
-        lies in J_k."""
-        basis = monomial_basis(self.M, k)
-        vectors = []
+        lies in J_k.  A row is the sum of c * class(t * x^m) over the terms
+        c * x^t of f, which is the remainder of f * x^m against J_k's RREF:
+        that remainder, v[j] - sum_r v[pc_r] * row_r[j] on each standard
+        column j, is linear in v, and a monomial's remainder is its class."""
+        std, classes = self.normal_forms(k)
+        rows = []
         for f in forms:
             if not f.is_homogeneous:
                 raise InhomogeneousInput(f"{f} is not homogeneous")
             e = f.degree
             if e is None or e > k:
                 continue
-            src = monomial_basis(self.M, k - e)
-            vectors += [f.shift(src[j]).coefficient_vector(basis)
-                        for j in self.standard_columns(k - e)]
-        return self.quotient_rows(k, vectors)
+            zero = field_zero(f.field)
+            for m in self.normal_forms(k - e)[0]:
+                row = [zero] * len(std)
+                for t, c in f.terms.items():
+                    for i, v in classes[monomial_mul(t, m)]:
+                        row[i] += c * v
+                rows.append(row)
+        return rows
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -168,7 +180,7 @@ def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
     (J, forms)_k is J_k plus the span of the forms' `multiples`, rows already
     reduced modulo J_k: the dimension is H_V(k) minus their rank.
     """
-    h = monomial_count(J.M, k) - J.graded_piece(k).dim
+    h = len(J.normal_forms(k)[0])
     if not forms:
         return h
     field = coefficient_field(forms)
@@ -294,12 +306,12 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
     for s in range(1, s_max + 1):
         span = GradedSubspace.from_rows(J.multiples(s, Qs),
                                         cols=hilbert_function(J, s), field=field)
-        basis = monomial_basis(nvars - 1, s)
-        targets = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
-                                      1, field).coefficient_vector(basis)
-                   for i in range(nvars)]
-        if not all(span.contains(v) for v in J.quotient_rows(s, targets)):
+        powers = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
+                                     1, field) for i in range(nvars)]
+        if not all(span.contains(v) for v in J.multiples(s, powers)):
             continue
+        basis = monomial_basis(nvars - 1, s)
+        targets = [p.coefficient_vector(basis) for p in powers]
         gens = [g.over(field) for g in J.generators] + Qs
         rows, labels = macaulay_rows(gens, s, nvars, field)
         A = ExactMatrix.from_rows(rows, len(basis), field)
@@ -342,13 +354,8 @@ class SubsetReport:
     warning: str | None = None
 
 
-def default_s_max(d: int, n: int, J: HomogeneousIdeal) -> int:
-    gen_deg = max((g.degree or 1 for g in J.generators), default=1)
-    return d * (n + 1) + gen_deg
-
-
-def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
-                        s_max: int | None = None, seed: int = 0) -> list[SubsetReport]:
+def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: int = 5,
+                        seed: int = 0) -> list[SubsetReport]:
     """Per-(n+1)-subset admissibility report for hypersurfaces of common degree.
 
     Positive answers are sound: each carries a certificate at a random integer
@@ -361,9 +368,6 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, trials: int = 5,
     if len(degs) != 1:
         raise InhomogeneousInput(
             "hypersurfaces must share a common degree; apply normalize_degrees first")
-    d = degs.pop()
-    if s_max is None:
-        s_max = default_s_max(d, n, J)
     rng = random.Random(seed)
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):

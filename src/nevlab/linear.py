@@ -6,9 +6,9 @@ fully normalized (reduced row echelon form) and chosen deterministically as
 the first nonzero entry in column order, so echelon bases and coset
 representatives are reproducible.
 
-A preimage {g : L g in U} is read off one reduction: each column of L is
-reduced against U's echelon basis, and the preimage is the kernel of the
-matrix of reduced columns.
+A preimage {g : sum_j g_j * images[j] in U} is read off one reduction: each
+image is reduced against U's echelon basis, and the preimage is the kernel of
+the matrix whose columns are the reduced images.
 
 Over Q the reduction runs on integers: each row is replaced by its primitive
 integer multiple and Gauss-Jordan proceeds fraction-free, dividing each pivot
@@ -21,9 +21,7 @@ because scaling whole rows destroys that sparsity and grows the z-degrees.
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
 from the targets (`algebra.coefficient_field`): Q when every target
-coefficient is constant, Q(z) otherwise.  `GradedSubspace.reduce_vector`
-takes a Q(z) vector against a Q basis as it is, which is how the variety
-ideal, always over Q, acts on Q(z) rows.
+coefficient is constant, Q(z) otherwise.
 """
 
 from __future__ import annotations
@@ -68,10 +66,6 @@ class ExactMatrix:
     @classmethod
     def from_rows(cls, rows, cols: int, field: str) -> "ExactMatrix":
         return cls(len(rows), cols, field, rows)
-
-    def transpose(self) -> "ExactMatrix":
-        data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return ExactMatrix(self.cols, self.rows, self.field, data, _raw=True)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -301,20 +295,22 @@ class GradedSubspace:
         return GradedSubspace.from_rows(stacked, cols=self.basis.cols, field=self.field)
 
 
-def preimage_of_subspace(L: ExactMatrix, U: GradedSubspace) -> GradedSubspace:
-    """The subspace {g : L g in U}, echelonized in source coordinates.
+def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:
+    """The subspace {g : sum_j g_j * images[j] in U}, echelonized in source
+    coordinates, where images[j] is the image of source basis vector j.
 
     Reduction against U's echelon basis is linear with kernel exactly U, so
-    L g lies in U exactly when the reduced columns of L, weighted by g, sum to
-    zero: the preimage is the kernel of the matrix of reduced columns.
+    the combination lies in U exactly when the reduced images, weighted by g,
+    sum to zero: the preimage is the kernel of the matrix whose columns are
+    the reduced images.
     """
-    if L.rows != U.basis.cols:
+    if any(len(v) != U.basis.cols for v in images):
         raise DimensionMismatch("map target does not match subspace ambient space")
-    rems = [U.reduce_vector(col)[0] for col in L.transpose().entries]
+    rems = [U.reduce_vector(v)[0] for v in images]
     # Zero rows (U's pivot coordinates among them) constrain nothing.
     rows = [list(row) for row in zip(*rems) if any(row)]
-    reduced = ExactMatrix(len(rows), L.cols, L.field, rows, _raw=True)
-    return GradedSubspace.from_rows(kernel(reduced), cols=L.cols, field=L.field)
+    reduced = ExactMatrix(len(rows), len(images), U.field, rows, _raw=True)
+    return GradedSubspace.from_rows(kernel(reduced), cols=len(images), field=U.field)
 
 
 def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | None]:

@@ -101,6 +101,17 @@ def _lift(piece, field):
     return GradedSubspace(basis, piece.pivot_cols)
 
 
+def reference_quotient_rows(J, k, rows):
+    """Each degree-k row's remainder against J_k over all monomial columns,
+    kept on the standard columns: the class modulo J that
+    `HomogeneousIdeal.multiples` computed before it read normal forms."""
+    piece = J.graded_piece(k)
+    pivots = set(piece.pivot_cols)
+    std = [j for j in range(monomial_count(J.M, k)) if j not in pivots]
+    return [[rem[j] for j in std]
+            for rem in (piece.reduce_vector(row)[0] for row in rows)]
+
+
 def reference_build_table(J, Qs, N):
     """{I: (m, reps)} for every cell of the degree-N filtration of (J, Qs).
 
@@ -122,8 +133,7 @@ def reference_build_table(J, Qs, N):
             QI = QI * q ** e
         rows, _ = macaulay_rows([QI], N, nvars, field)
         src_degree = N - d * sum(I)
-        Lmap = ExactMatrix(len(rows), U.basis.cols, field, rows, _raw=True).transpose()
-        L = preimage_of_subspace(Lmap, U)
+        L = preimage_of_subspace(rows, U)
         src_basis = monomial_basis(nvars - 1, src_degree)
         pivots = set(L.pivot_cols)
         reps = [MultiPoly.monomial(nvars, mono, 1, field)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nevlab import gradedgeom as gg
 from nevlab import nevanlinna as nev
 from nevlab.algebra import RATIONAL, RationalFunction
 from nevlab.cli import (
@@ -529,6 +530,22 @@ class TestSweepPipeline:
                 assert len(calls) == 2
         assert payloads["defects"]["defects"] == payloads["smt"]["defects"]
         assert payloads["defects"]["defect_sum"] == payloads["smt"]["defect_sum"]
+
+    def test_smt_reduces_each_degree_of_the_ideal_once(self, tmp_path, monkeypatch):
+        # The dimension cross-check and the admissibility certificates share
+        # one variety ideal, so no degree of it is reduced twice.
+        degrees = []
+        original = gg.ideal_graded_piece
+
+        def recorded(J, extra, k):
+            degrees.append(k)
+            return original(J, extra, k)
+
+        monkeypatch.setattr(gg, "ideal_graded_piece", recorded)
+        code = main(["smt", "--input", str(PROBLEMS / "conic.prob"), "--r-max", "6",
+                     "--r-steps", "2", "--out", str(tmp_path / "report.txt")])
+        assert code == EXIT_OK
+        assert degrees and len(degrees) == len(set(degrees)), sorted(degrees)
 
     def test_identically_zero_guard_scales_by_degree(self, tmp_path):
         # 2e-12 * x0^2 on (1 : z): |Q(f)| = 2e-12 lies below 1e-12 * ||f||^2

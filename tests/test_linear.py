@@ -39,6 +39,11 @@ def _mat(rows, field=RATIONAL):
     return ExactMatrix.from_rows(rows, len(rows[0]), field)
 
 
+def _columns(rows):
+    """The columns of a grid given by its rows."""
+    return [list(col) for col in zip(*rows)]
+
+
 def _poly_row(p, k):
     basis = monomial_basis(p.nvars - 1, k)
     return p.coefficient_vector(basis)
@@ -79,8 +84,7 @@ class TestRowReduce:
             cols = len(rows[0])
             for _ in range(rng.randint(0, 4)):
                 rows.append([rand_fraction(rng) for _ in range(cols)])
-            m = _mat(rows)
-            assert row_reduce(m)[0] == row_reduce(m.transpose())[0]
+            assert row_reduce(_mat(rows))[0] == row_reduce(_mat(_columns(rows)))[0]
 
     def test_rational_function_demotion_matches_generic(self):
         # A constant-entry Q(z) matrix reduces to the lift of its Q reduction.
@@ -259,29 +263,23 @@ class TestMembership:
             S.reduce_vector([Fraction(1)])
 
 
-def _mult_by_x0_matrix():
-    """Multiplication by x0 from binary degree-2 forms into degree-3 forms."""
+def _mult_by_x0_images():
+    """Multiplication by x0 from binary degree-2 forms into degree-3 forms:
+    the image of each degree-2 monomial."""
     src = monomial_basis(1, 2)
     dst = monomial_basis(1, 3)
-    index = {e: i for i, e in enumerate(dst)}
-    entries = [[Fraction(0)] * len(src) for _ in dst]
-    for j, e in enumerate(src):
-        shifted = (e[0] + 1, e[1])
-        entries[index[shifted]][j] = Fraction(1)
-    return ExactMatrix(len(dst), len(src), RATIONAL, entries, _raw=True)
+    return [[Fraction(int(f == (e[0] + 1, e[1]))) for f in dst] for e in src]
 
 
 class TestPreimage:
     def test_identity_into_whole_space(self):
-        L = _mat([[1, 0], [0, 1]])
         U = full_subspace(2, RATIONAL)
-        W = preimage_of_subspace(L, U)
+        W = preimage_of_subspace([[1, 0], [0, 1]], U)
         assert W.dim == 2
 
     def test_identity_into_zero(self):
-        L = _mat([[1, 0], [0, 1]])
         U = GradedSubspace.from_rows([], cols=2, field=RATIONAL)
-        W = preimage_of_subspace(L, U)
+        W = preimage_of_subspace([[1, 0], [0, 1]], U)
         assert W.dim == 0
 
     def test_multiplication_by_x0_preimage(self):
@@ -297,7 +295,7 @@ class TestPreimage:
             row[index[mono]] = Fraction(1)
             rows.append(row)
         U = GradedSubspace.from_rows(rows, cols=4, field=RATIONAL)
-        W = preimage_of_subspace(_mult_by_x0_matrix(), U)
+        W = preimage_of_subspace(_mult_by_x0_images(), U)
         assert W.dim == 2
         src = monomial_basis(1, 2)
         x0x1 = [Fraction(1) if e == (1, 1) else Fraction(0) for e in src]
@@ -327,11 +325,12 @@ class TestPreimage:
             u_rows = [[entry() for _ in range(dst_dim)]
                       for _ in range(rng.randint(0, dst_dim))]
             U = GradedSubspace.from_rows(u_rows, cols=dst_dim, field=field)
-            W = preimage_of_subspace(L, U)
+            images = _columns(L.entries)
+            W = preimage_of_subspace(images, U)
             # every basis vector of W maps into U
             for row in W.basis.entries:
                 assert U.contains(matvec(L, row))
-            assert W.dim == src_dim - (U.extended_with(L.transpose().entries).dim
+            assert W.dim == src_dim - (U.extended_with(images).dim
                                        - U.dim)
             # random vectors agree with the membership characterization
             for _ in range(8):

@@ -18,7 +18,9 @@ full monomial coordinates (`reference_build_table`) cell by cell, and
 The quotients by the variety ideal plus targets are decided on the standard
 monomials (`hilbert_function` with forms, the certificates' membership
 test); both must agree with the full-coordinate reference piece
-`graded_piece(k, extra)`, which no command may call.
+`graded_piece(k, extra)`, which no command may call.  The classes that
+`multiples` sums from the normal-form table must equal the remainders of
+the full coefficient vectors against J_k (`reference_quotient_rows`).
 """
 
 from fractions import Fraction
@@ -53,6 +55,7 @@ from helpers import (
     plane_ideal,
     quadric_ideal,
     reference_build_table,
+    reference_quotient_rows,
     twisted_cubic_ideal,
 )
 from test_filtration import oracle_m
@@ -262,6 +265,56 @@ def test_hilbert_function_with_forms_matches_full_coordinates(name, data):
     for k in range(k_max + 1):
         assert hilbert_function(J, k, forms) == (
             monomial_count(J.M, k) - J.graded_piece(k, extra=forms).dim)
+
+
+@st.composite
+def forms_of_degree_0_to_3(draw, J):
+    """Random forms of degrees 0 to 3 over Q or Q(z), then a zero form and,
+    when J has generators, a form inside J."""
+    field = draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
+    if field == RATIONAL:
+        coeff = st.integers(-3, 3)
+    else:
+        coeff = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(RationalFunction)
+    forms = []
+    for d in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        basis = monomial_basis(J.M, d)
+        coeffs = draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)))
+        forms.append(MultiPoly(J.nvars, field, dict(zip(basis, coeffs))))
+    forms.append(MultiPoly.zero(J.nvars, field))
+    if J.generators:
+        forms.append(J.generators[0].over(field))
+    return forms
+
+
+def reference_multiples(J, k, forms):
+    """`multiples` by full coefficient vectors: each f * x^m, x^m a non-pivot
+    monomial of J's piece in degree k - deg f, reduced against J_k."""
+    basis = monomial_basis(J.M, k)
+    vectors = []
+    for f in forms:
+        e = f.degree
+        if e is None or e > k:
+            continue
+        pivots = set(J.graded_piece(k - e).pivot_cols)
+        vectors += [f.shift(m).coefficient_vector(basis)
+                    for j, m in enumerate(monomial_basis(J.M, k - e)) if j not in pivots]
+    return reference_quotient_rows(J, k, vectors)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_forms_match_full_coordinate_remainders(name, data):
+    make, k_max = QUOTIENT_VARIETIES[name]
+    J = make()
+    forms = data.draw(forms_of_degree_0_to_3(J))
+    for k in range(k_max + 1):
+        pivots = set(J.graded_piece(k).pivot_cols)
+        std = J.normal_forms(k)[0]
+        assert std == [m for j, m in enumerate(monomial_basis(J.M, k)) if j not in pivots]
+        assert len(std) == hilbert_function(J, k)
+        assert J.multiples(k, forms) == reference_multiples(J, k, forms)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
