@@ -6,14 +6,16 @@ every tree is compiled into a Program, a flat list of numpy operations with
 common subtrees shared across the trees compiled together (a curve's
 components, a target and its derivative), and eval_on runs it on a point
 set.  The characteristic function is a circle average of log of the
-max-norm; zeros of composed targets are located by recursive rectangle
-subdivision driven by argument-principle winding numbers.  Every
-sample-doubling loop (circle quadrature, the disk winding, the box
-windings) nests its levels: halving the step is exact, so a level keeps
-the previous level's values and evaluates only the new midpoints, and its
-results are those of a full re-evaluation, bit for bit.  The zero finder
-evaluates g'/g at the new points of every edge still open at a sample
-level in one call, at most 16385 points per evaluation.  Counting
+max-norm; zeros of composed targets are located by rectangle subdivision
+driven by argument-principle winding numbers, one generation of boxes at a
+time: the quads of every box of a generation get their windings from one
+batched call, and the zeros and errors are those of a depth-first
+subdivision.  Every sample-doubling loop (circle quadrature, the disk
+winding, the box windings) nests its levels: halving the step is exact, so
+a level keeps the previous level's values and evaluates only the new
+midpoints, and its results are those of a full re-evaluation, bit for bit.
+The zero finder evaluates g'/g at the new points of every edge still open
+at a sample level in one call, at most 16385 points per evaluation.  Counting
 functions discharge the log-weighted integral exactly over the located
 zeros; Jensen's formula ties the zero finder to the quadrature as a
 standing cross-check.  One function, sweep_data, locates each target's
@@ -305,9 +307,11 @@ class Program:
 
 def eval_on(prog: Program, z):
     """Values of the compiled trees on an array of points: a tuple with one
-    array per tree, constant trees broadcast to the shape of z."""
+    array per tree, constant trees broadcast to the shape of z.  A tree
+    that depends on z already has its shape and is returned as it is."""
     z = np.asarray(z, dtype=complex)
-    return tuple(np.broadcast_to(np.asarray(v), z.shape) for v in prog.eval(z))
+    return tuple(v if type(v) is np.ndarray and v.shape == z.shape
+                 else np.broadcast_to(np.asarray(v), z.shape) for v in prog.eval(z))
 
 
 @dataclass
@@ -560,6 +564,7 @@ class _Box:
     y0: float
     y1: float
     w: int
+    path: tuple[int, ...] = ()  # child ranks from the top box, in visiting order
 
     @property
     def width(self) -> float:
@@ -579,11 +584,23 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     """All zeros of g in the open disk |z| < r, with multiplicities.
 
     The disk's winding number fixes the total count; the bounding box is then
-    subdivided recursively, keeping boxes of nonzero winding, down to width
-    tol (multiplicity = winding of the final box).  Split lines are jittered
+    subdivided one generation at a time, keeping boxes of nonzero winding,
+    down to width tol (multiplicity = winding of the final box).  Every box
+    of a generation is split at once: the windings of all their quads come
+    from one _loop_windings call per jitter offset.  Split lines are jittered
     and re-tried whenever a boundary integral refuses to snap to an integer,
     which signals a zero on or near an edge.  A zero within tol of the circle
     itself raises WindingAmbiguous: perturb r and re-run.
+
+    The results and errors are those of a depth-first subdivision that pops
+    the last quad first.  Each generation is kept in that visiting order;
+    when a box cannot be split, the boxes after it are dropped (depth-first
+    order would never reach them) and the ones before it are expanded
+    further, since a failure among their descendants comes first.  The
+    located zeros are read in visiting order, so the first one found on the
+    circle is the one named.  The budget counts every box examined, a whole
+    generation at a time, so within a generation of max_boxes it can run
+    out where depth-first order would name a box that cannot be split.
 
     tol cannot beat the cancellation floor of double evaluation: near a
     multiplicity-m zero, |g| ~ |z - z0|^m, so widths below roughly
@@ -609,24 +626,34 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     if top is None:
         raise WindingAmbiguous("no valid bounding box found; perturb r")
 
-    zeros: list[tuple[complex, int]] = []
-    stack = [top]
+    leaves: list[_Box] = []
+    frontier = [top]
     processed = 0
-    while stack:
-        box = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            raise WindingAmbiguous("subdivision budget exhausted")
-        if box.w == 0:
-            continue
-        if box.width <= tol:
-            zeros.append((box.center, box.w))
-            continue
-        children = _split_box(prog, box)
-        stack.extend(c for c in children if c.w != 0)
+    failed = None
+    while frontier:
+        open_boxes = []
+        for box in frontier:
+            processed += 1
+            if processed > max_boxes:
+                raise WindingAmbiguous("subdivision budget exhausted")
+            if box.w == 0:
+                continue
+            if box.width <= tol:
+                leaves.append(box)
+            else:
+                open_boxes.append(box)
+        children = _split_boxes(prog, open_boxes)
+        if None in children:
+            cut = children.index(None)
+            failed, children = open_boxes[cut], children[:cut]
+        frontier = [q for quads in children for q in reversed(quads) if q.w != 0]
+    if failed is not None:
+        raise WindingAmbiguous(
+            f"could not split box around {failed.center} (width {failed.width:.3g})")
 
     kept = []
-    for z, m in zeros:
+    for box in sorted(leaves, key=lambda b: b.path):
+        z, m = box.center, box.w
         if abs(abs(z) - r) <= 10 * tol:
             raise WindingAmbiguous(
                 f"zero at {z} lies within tolerance of the circle |z| = {r}; perturb r")
@@ -640,27 +667,43 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     return ZeroList(zeros=kept, radius=r)
 
 
-def _split_box(prog: Program, box: _Box) -> list[_Box]:
-    wx = box.x1 - box.x0
-    wy = box.y1 - box.y0
+def _split_boxes(prog: Program, boxes: list[_Box]) -> list[list[_Box] | None]:
+    """The four quads of each box, with windings summing to the box's, or
+    None for a box that no jitter offset splits.
+
+    The offsets are tried in the same order for every box, both axes varied
+    together before the next x offset.  At each offset one _loop_windings
+    call takes the quads of every box not split yet.
+    """
+    quads_of: list[list[_Box] | None] = [None] * len(boxes)
+    pending = list(range(len(boxes)))
     for jx in _SPLIT_JITTER:
         for jy in _SPLIT_JITTER:
-            mx = box.x0 + wx * (0.5 + jx)
-            my = box.y0 + wy * (0.5 + jy)
-            quads = [
-                _Box(box.x0, mx, box.y0, my, 0),
-                _Box(mx, box.x1, box.y0, my, 0),
-                _Box(box.x0, mx, my, box.y1, 0),
-                _Box(mx, box.x1, my, box.y1, 0),
-            ]
-            ws = _loop_windings(prog, [q.corners() for q in quads])
-            if None not in ws and sum(ws) == box.w:
-                for q, w in zip(quads, ws):
-                    q.w = w
-                return quads
-        # vary both axes together before moving to the next x offset
-    raise WindingAmbiguous(
-        f"could not split box around {box.center} (width {box.width:.3g})")
+            if not pending:
+                return quads_of
+            tried = []
+            for i in pending:
+                box = boxes[i]
+                mx = box.x0 + (box.x1 - box.x0) * (0.5 + jx)
+                my = box.y0 + (box.y1 - box.y0) * (0.5 + jy)
+                tried.append([  # ranked in visiting order: the last quad first
+                    _Box(box.x0, mx, box.y0, my, 0, box.path + (3,)),
+                    _Box(mx, box.x1, box.y0, my, 0, box.path + (2,)),
+                    _Box(box.x0, mx, my, box.y1, 0, box.path + (1,)),
+                    _Box(mx, box.x1, my, box.y1, 0, box.path + (0,)),
+                ])
+            ws = _loop_windings(prog, [q.corners() for quads in tried for q in quads])
+            still_pending = []
+            for k, (i, quads) in enumerate(zip(pending, tried)):
+                quad_ws = ws[4 * k:4 * k + 4]
+                if None not in quad_ws and sum(quad_ws) == boxes[i].w:
+                    for q, w in zip(quads, quad_ws):
+                        q.w = w
+                    quads_of[i] = quads
+                else:
+                    still_pending.append(i)
+            pending = still_pending
+    return quads_of
 
 
 # ---------------------------------------------------------------------------

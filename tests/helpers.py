@@ -1,6 +1,6 @@
 """Shared constructors for the test suite, a reference Q elimination, a
-reference Q(z), a reference filtration in full monomial coordinates and
-reference sample-doubling integrals."""
+reference Q(z), a reference filtration in full monomial coordinates,
+reference sample-doubling integrals and a reference depth-first zero finder."""
 
 import math
 from fractions import Fraction
@@ -25,7 +25,7 @@ from nevlab.filtration import tuple_sets
 from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
 from nevlab.linear import ExactMatrix, GradedSubspace, preimage_of_subspace
 from nevlab import nevanlinna
-from nevlab.nevanlinna import TWO_PI, OverflowGuard
+from nevlab.nevanlinna import TWO_PI, OverflowGuard, WindingAmbiguous, ZeroList
 
 
 def xvar(i, nvars=3, field=RATIONAL):
@@ -439,3 +439,81 @@ def reference_loop_windings(prog, loops, *, start=32, cap=nevanlinna._LOOP_CAP,
         open_loops = still_open
         n *= 2
     return windings
+
+
+# ---------------------------------------------------------------------------
+# Reference zero finder: the depth-first subdivision that locate_zeros ran
+# before it split each generation in one batch.  A stack pops one box at a
+# time and splits it with its own _loop_windings call per jitter offset.
+# ---------------------------------------------------------------------------
+
+def _reference_split_box(prog, box):
+    wx = box.x1 - box.x0
+    wy = box.y1 - box.y0
+    for jx in nevanlinna._SPLIT_JITTER:
+        for jy in nevanlinna._SPLIT_JITTER:
+            mx = box.x0 + wx * (0.5 + jx)
+            my = box.y0 + wy * (0.5 + jy)
+            quads = [
+                nevanlinna._Box(box.x0, mx, box.y0, my, 0),
+                nevanlinna._Box(mx, box.x1, box.y0, my, 0),
+                nevanlinna._Box(box.x0, mx, my, box.y1, 0),
+                nevanlinna._Box(mx, box.x1, my, box.y1, 0),
+            ]
+            ws = nevanlinna._loop_windings(prog, [q.corners() for q in quads])
+            if None not in ws and sum(ws) == box.w:
+                for q, w in zip(quads, ws):
+                    q.w = w
+                return quads
+    raise WindingAmbiguous(
+        f"could not split box around {box.center} (width {box.width:.3g})")
+
+
+def reference_locate_zeros(g, r, tol=1e-9, *, max_boxes=400_000):
+    prog = nevanlinna.Program([g, g.diff()])
+    disk_total = nevanlinna._circle_winding(prog, r)
+    if disk_total is None:
+        raise WindingAmbiguous(
+            f"winding integral over |z| = {r} did not converge; perturb r")
+    top = None
+    for grow in nevanlinna._TOP_GROW:
+        half = r * 1.02 * grow + 16 * tol
+        cx, cy = 0.0037 * r, 0.0051 * r
+        box = nevanlinna._Box(cx - half, cx + half, cy - half, cy + half, 0)
+        [w] = nevanlinna._loop_windings(prog, [box.corners()])
+        if w is not None:
+            box.w = w
+            top = box
+            break
+    if top is None:
+        raise WindingAmbiguous("no valid bounding box found; perturb r")
+
+    zeros = []
+    stack = [top]
+    processed = 0
+    while stack:
+        box = stack.pop()
+        processed += 1
+        if processed > max_boxes:
+            raise WindingAmbiguous("subdivision budget exhausted")
+        if box.w == 0:
+            continue
+        if box.width <= tol:
+            zeros.append((box.center, box.w))
+            continue
+        children = _reference_split_box(prog, box)
+        stack.extend(c for c in children if c.w != 0)
+
+    kept = []
+    for z, m in zeros:
+        if abs(abs(z) - r) <= 10 * tol:
+            raise WindingAmbiguous(
+                f"zero at {z} lies within tolerance of the circle |z| = {r}; perturb r")
+        if abs(z) < r:
+            kept.append((z, m))
+    kept.sort(key=lambda zm: (abs(zm[0]), zm[0].real, zm[0].imag))
+    total = sum(m for _, m in kept)
+    if total != disk_total:
+        raise WindingAmbiguous(
+            f"box subdivision found {total} zeros but the disk winding is {disk_total}")
+    return ZeroList(zeros=kept, radius=r)

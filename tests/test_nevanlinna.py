@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from nevlab.algebra import (
     RationalFunction,
 )
 from nevlab import nevanlinna as nev
-from nevlab.cli import load_problem, parse_curve_expression
+from nevlab.cli import load_problem, parse_curve_expression, parse_problem
 from nevlab.nevanlinna import (
     Add,
     Const,
@@ -47,11 +48,13 @@ from nevlab.nevanlinna import (
 from helpers import (
     reference_circle_quadrature,
     reference_circle_winding,
+    reference_locate_zeros,
     reference_loop_windings,
     xvar,
 )
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def watch_eval_on(monkeypatch):
@@ -147,12 +150,13 @@ def tree_on(e, z):
 
 
 def _outcome(fn):
-    """fn()'s value, or the message of the OverflowGuard it raises."""
+    """fn()'s value, or the type and message of the OverflowGuard or
+    WindingAmbiguous it raises."""
     with np.errstate(all="ignore"):
         try:
             return fn()
-        except OverflowGuard as exc:
-            return str(exc)
+        except (OverflowGuard, WindingAmbiguous) as exc:
+            return f"{type(exc).__name__}: {exc}"
 
 
 class TestProgram:
@@ -197,6 +201,16 @@ class TestProgram:
         assert [g.shape for g in got] == [self.POINTS.shape] * 2
         assert np.array_equal(got[0], tree_on(e, self.POINTS))
         assert np.all(got[1] == 0)
+
+    def test_varying_outputs_are_returned_as_computed(self):
+        # only a constant tree is broadcast (a read-only view); a tree that
+        # depends on z is the program's own array
+        e = Mul(Exp(Z()), Z())
+        got = eval_on(Program([e, Z(), Const(2)]), self.POINTS)
+        assert [g.shape for g in got] == [self.POINTS.shape] * 3
+        assert got[0].flags.writeable and got[1].flags.writeable
+        assert not got[2].flags.writeable
+        assert np.array_equal(got[0], tree_on(e, self.POINTS))
 
 
 class TestCharacteristic:
@@ -462,6 +476,83 @@ class TestNestedLevels:
         for edge, want in enumerate(final):
             points = np.concatenate(new[edge::4])
             assert np.array_equal(np.sort(points), np.sort(want))
+
+
+class TestGenerations:
+    """Each generation of boxes is split in one batch; the zeros and errors
+    are those of the depth-first reference in tests/helpers.py."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(g=_exp_polys(), r=st.floats(0.5, 5.0),
+           zero=st.sampled_from([None, 0.3, 1.0 - 1e-7]),
+           tol=st.sampled_from([1e-2, 1e-6, 1e-9]))
+    def test_matches_depth_first_reference(self, g, r, zero, tol):
+        # a real zero at 1 - 1e-7 of the radius lies within tolerance of the
+        # circle or stops the disk winding from converging
+        g = _with_zero(g, None if zero is None else zero * r)
+        want = _outcome(lambda: repr(reference_locate_zeros(g, r, tol).zeros))
+        assert _outcome(lambda: repr(locate_zeros(g, r, tol).zeros)) == want
+
+    def test_split_failure_names_the_depth_first_box(self, monkeypatch):
+        # several boxes of one generation fail to split; depth-first order
+        # reaches this one first
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        instances = importlib.import_module("instances")
+        spec = parse_problem(instances.pool_entry("conic_curve", 0)[1])
+        g = compose_form(spec.hypersurfaces[1], spec.curve)
+        with pytest.raises(WindingAmbiguous) as exc:
+            locate_zeros(g, 20 * 1.001 + 0.25, tol=1e-6)
+        assert str(exc.value) == ("could not split box around "
+                                  "(5.243852999999997+0.7350109587999984j) (width 13.4)")
+
+    @pytest.mark.parametrize("text, named", [
+        # the triple zero at -1 fails to split first, at index 1 of its
+        # generation; the double zero at 1/2 comes before it in depth-first
+        # order and fails generations later, so it is the one named
+        ("(z^2 - z + 1/4)*(z^3 + 3*z^2 + 3*z + 1)",
+         "(0.5000000003408948+1.2529686926531394e-09j) (width 1.68e-08)"),
+        # the triple zero at 1/2 fails at index 0; the double zero at -1
+        # comes after it and is never expanded further
+        ("(z^3 - 3/2*z^2 + 3/4*z - 1/8)*(z^2 + 2*z + 1)",
+         "(0.5000005331756673+5.734521091992428e-07j) (width 1.01e-05)"),
+    ], ids=["later-failure-replaces", "later-boxes-dropped"])
+    def test_split_failures_follow_depth_first_order(self, text, named):
+        # expanded powers: rounding in the sums stops the boxes around the
+        # triple zero near width 1e-5 and those around the double zero near 1e-8
+        with pytest.raises(WindingAmbiguous) as exc:
+            locate_zeros(parse_curve_expression(text), 2.0, tol=1e-9)
+        assert str(exc.value) == f"could not split box around {named}"
+
+    def test_circle_message_names_the_depth_first_zero(self):
+        # both zeros lie within 10 tol of the circle.  1.9184 is on a split
+        # line, so its box is split at a jittered line and its leaf comes a
+        # generation after the one around -1.97; depth-first order reaches
+        # it first all the same
+        g = mul(sub(Z(), Const(Fraction(1.9184))), sub(Z(), Const(Fraction(-1.97))))
+        with pytest.raises(WindingAmbiguous) as exc:
+            locate_zeros(g, 2.0, tol=0.009)
+        assert str(exc.value).startswith("zero at (1.9180369953125003-0.0004640624999997919j) ")
+
+    def test_one_winding_call_per_generation(self, monkeypatch):
+        # conic.prob's targets hold 2 to 6 zeros at r = 6; with no split
+        # retried, each makes one call for the bounding box and one per
+        # generation down to the width tol
+        spec = load_problem(str(PROBLEMS / "conic.prob"))
+        calls = []
+        original = nev._loop_windings
+
+        def counted(prog, loops, **kwargs):
+            calls.append(len(loops))
+            return original(prog, loops, **kwargs)
+
+        monkeypatch.setattr(nev, "_loop_windings", counted)
+        counts, totals = [], []
+        for Q in spec.hypersurfaces:
+            calls.clear()
+            totals.append(locate_zeros(compose_form(Q, spec.curve), 6.0, tol=1e-6).total())
+            counts.append(len(calls))
+        assert totals == [2, 5, 6, 6]
+        assert counts == [25] * 4
 
 
 class TestCounting:
