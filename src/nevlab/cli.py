@@ -757,10 +757,13 @@ def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
         raise PreconditionError(f"target index {target} out of range")
     r_key = "r_max" if flags.get("r") is None else "r"
     r = _positive_opt(spec, flags, r_key, float, zero_ok=True)
-    # default to the multiplicity-safe width; --tol tightens it for simple zeros
+    # default to the merge radius safe for double zeros; --tol tightens it for simple zeros
     tol_key = "zero_tol" if _opt(spec, flags, "tol") is None else "tol"
     tol = _positive_opt(spec, flags, tol_key, float)
-    g = nev.compose_form(spec.hypersurfaces[target], spec.curve)
+    Q = spec.hypersurfaces[target]
+    g = nev.compose_form(Q, spec.curve)
+    # the zero form has no degree; it vanishes at every probe all the same
+    nev.assert_not_identically_zero(spec.curve, g, Q.degree or 0, r)
     zl = nev.locate_zeros(g, r, tol=tol)
     rows = [[z.real, z.imag, m] for z, m in zl.zeros]
     results = {

@@ -8,12 +8,16 @@ components, a target and its derivative), and eval_on runs it on a point
 set.  The characteristic function is a circle average of log of the
 max-norm; zeros of composed targets are located by rectangle subdivision
 driven by argument-principle winding numbers, one generation of boxes at a
-time: the quads of every box of a generation get their windings from one
-batched call, and the zeros and errors are those of a depth-first
-subdivision.  Every sample-doubling loop (circle quadrature, the disk
-winding, the box windings) nests its levels: halving the step is exact, so
-a level keeps the previous level's values and evaluates only the new
-midpoints, and its results are those of a full re-evaluation, bit for bit.
+time, until a box isolates one cluster of zeros.  Newton with the box's
+winding as multiplicity then polishes the cluster from the box centre, and
+the winding of a box of width tol around the Newton limit certifies it; a
+box that does not certify is split further.  The quads of every box of a
+generation get their windings from one batched call, and the split
+failures are those of a depth-first subdivision.  Every sample-doubling
+loop (circle quadrature, the disk winding, the box windings) nests its
+levels: halving the step is exact, so a level keeps the previous level's
+values and evaluates only the new midpoints, and its results are those of a
+full re-evaluation, bit for bit.
 The zero finder evaluates g'/g at the new points of every edge still open
 at a sample level in one call, at most 16385 points per evaluation.  Counting
 functions discharge the log-weighted integral exactly over the located
@@ -585,28 +589,41 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
 
     The disk's winding number fixes the total count; the bounding box is then
     subdivided one generation at a time, keeping boxes of nonzero winding,
-    down to width tol (multiplicity = winding of the final box).  Every box
-    of a generation is split at once: the windings of all their quads come
-    from one _loop_windings call per jitter offset.  Split lines are jittered
-    and re-tried whenever a boundary integral refuses to snap to an integer,
-    which signals a zero on or near an edge.  A zero within tol of the circle
-    itself raises WindingAmbiguous: perturb r and re-run.
+    until each box isolates one cluster.  Before a generation is split, every
+    open box of winding 1 to _POLISH_MAX_W is polished (_polish_boxes):
+    Newton from its centre, certified by the winding of a box of width tol
+    around the limit.  A certified box becomes a leaf at the Newton limit,
+    with the box's winding as multiplicity, and is not split again.  Every
+    other box is split, and the windings of all their quads come from one
+    _loop_windings call per jitter offset; a box split down to width tol is
+    a leaf at its centre.  Split lines are jittered and re-tried whenever a
+    boundary integral refuses to snap to an integer, which signals a zero on
+    or near an edge.  A zero within 10 tol of the circle itself raises
+    WindingAmbiguous: perturb r and re-run.
 
-    The results and errors are those of a depth-first subdivision that pops
-    the last quad first.  Each generation is kept in that visiting order;
-    when a box cannot be split, the boxes after it are dropped (depth-first
-    order would never reach them) and the ones before it are expanded
-    further, since a failure among their descendants comes first.  The
-    located zeros are read in visiting order, so the first one found on the
-    circle is the one named.  The budget counts every box examined, a whole
-    generation at a time, so within a generation of max_boxes it can run
-    out where depth-first order would name a box that cannot be split.
+    tol is the merge radius of a cluster: the zeros of a leaf lie in a box
+    of width tol around the reported position and count as one zero of the
+    leaf's multiplicity.  Where a box falls back to splitting, tol is also
+    the width at which splitting stops.  A polished simple zero is located
+    to about machine precision.  Near a multiplicity-m zero |g| ~ |z - z0|^m, so no
+    location beats the cancellation floor of double evaluation, roughly
+    (1e-16 * scale)^(1/m).  Newton settles within that floor; when the floor
+    lies above about tol/4 it does not settle, the box is split down to
+    width tol, and if the floor lies above tol the windings of the last
+    boxes drown in rounding noise: the subdivision raises WindingAmbiguous
+    or splits the cluster into zeros of lower multiplicity.  1e-6 is safe
+    for m <= 2 at moderate scales; reserve tighter tolerances for simple
+    zeros.
 
-    tol cannot beat the cancellation floor of double evaluation: near a
-    multiplicity-m zero, |g| ~ |z - z0|^m, so widths below roughly
-    (1e-16 * scale)^(1/m) drown in rounding noise and the subdivision reports
-    WindingAmbiguous.  1e-6 is safe for m <= 2 at moderate scales; reserve
-    tighter tolerances for simple zeros.
+    The split failures are those of a depth-first subdivision that pops the
+    last quad first.  Each generation is kept in that visiting order; when a
+    box cannot be split, the boxes after it are dropped (depth-first order
+    would never reach them) and the ones before it are expanded further,
+    since a failure among their descendants comes first.  The located zeros
+    are read in visiting order, so the first one found on the circle is the
+    one named.  The budget counts every box examined, a whole generation at a
+    time, so within a generation of max_boxes it can run out where
+    depth-first order would name a box that cannot be split.
     """
     prog = Program([g, g.diff()])
     disk_total = _circle_winding(prog, r)
@@ -626,7 +643,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     if top is None:
         raise WindingAmbiguous("no valid bounding box found; perturb r")
 
-    leaves: list[_Box] = []
+    leaves: list[tuple[tuple[int, ...], complex, int]] = []  # (path, zero, multiplicity)
     frontier = [top]
     processed = 0
     failed = None
@@ -639,21 +656,27 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
             if box.w == 0:
                 continue
             if box.width <= tol:
-                leaves.append(box)
+                leaves.append((box.path, box.center, box.w))
             else:
                 open_boxes.append(box)
-        children = _split_boxes(prog, open_boxes)
+        polished = _polish_boxes(prog, open_boxes, tol)
+        to_split = []
+        for box, z in zip(open_boxes, polished):
+            if z is None:
+                to_split.append(box)
+            else:
+                leaves.append((box.path, z, box.w))
+        children = _split_boxes(prog, to_split)
         if None in children:
             cut = children.index(None)
-            failed, children = open_boxes[cut], children[:cut]
+            failed, children = to_split[cut], children[:cut]
         frontier = [q for quads in children for q in reversed(quads) if q.w != 0]
     if failed is not None:
         raise WindingAmbiguous(
             f"could not split box around {failed.center} (width {failed.width:.3g})")
 
     kept = []
-    for box in sorted(leaves, key=lambda b: b.path):
-        z, m = box.center, box.w
+    for _, z, m in sorted(leaves, key=lambda leaf: leaf[0]):
         if abs(abs(z) - r) <= 10 * tol:
             raise WindingAmbiguous(
                 f"zero at {z} lies within tolerance of the circle |z| = {r}; perturb r")
@@ -665,6 +688,66 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
         raise WindingAmbiguous(
             f"box subdivision found {total} zeros but the disk winding is {disk_total}")
     return ZeroList(zeros=kept, radius=r)
+
+
+_POLISH_MAX_W = 4  # boxes of winding 1 to this are polished before they are split
+_NEWTON_CAP = 16   # Newton steps per polishing attempt
+
+
+def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex | None]:
+    """The certified zero of each box, or None for a box that must be split.
+
+    A box of winding w, 1 <= w <= _POLISH_MAX_W, runs Newton for a zero of
+    multiplicity w from its centre, z <- z - w g/g', with one eval_on of
+    every running candidate per step.  A candidate runs while its steps
+    shrink: it stops at a step that is not finite, leaves the box or is no
+    shorter than the step before (that step is not taken), or after
+    _NEWTON_CAP steps.  It has settled when the last step it took is at most
+    tol/4; otherwise it is dropped.  The settled point z* is certified by the
+    box of width tol centred on it, which must lie inside the box: all these
+    squares go into one _loop_windings call, and a square that winds w times
+    holds every zero of the box (the box winds w times too, and zeros count
+    positively).  So a certified cluster fits a box of width tol, like a leaf
+    of the subdivision, and its zeros count as one of multiplicity w.
+    """
+    found: list[complex | None] = [None] * len(boxes)
+    tried = [i for i, box in enumerate(boxes) if 1 <= box.w <= _POLISH_MAX_W]
+    if not tried:
+        return found
+    z = np.array([boxes[i].center for i in tried])
+    w, x0, x1, y0, y1 = (np.array([getattr(boxes[i], k) for i in tried], dtype=float)
+                         for k in ("w", "x0", "x1", "y0", "y1"))
+    last = np.full(len(tried), np.inf)
+    running = np.arange(len(tried))
+    for _ in range(_NEWTON_CAP):
+        if not running.size:
+            break
+        gz, dz = eval_on(prog, z[running])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = w[running] * gz / dz
+            size = np.abs(step)
+            nxt = z[running] - step
+        moves = (np.isfinite(nxt) & (size < last[running])
+                 & (x0[running] < nxt.real) & (nxt.real < x1[running])
+                 & (y0[running] < nxt.imag) & (nxt.imag < y1[running]))
+        z[running[moves]] = nxt[moves]
+        last[running[moves]] = size[moves]
+        running = running[moves]
+    settled = np.flatnonzero(last <= tol / 4).tolist()
+
+    squares, owners = [], []
+    half = 0.5 * tol
+    for k in settled:
+        box, zk = boxes[tried[k]], complex(z[k])
+        if min(zk.real - box.x0, box.x1 - zk.real, zk.imag - box.y0, box.y1 - zk.imag) > half:
+            squares.append(_Box(zk.real - half, zk.real + half,
+                                zk.imag - half, zk.imag + half, 0).corners())
+            owners.append(k)
+    ws = _loop_windings(prog, squares) if squares else []
+    for k, wk in zip(owners, ws):
+        if wk == boxes[tried[k]].w:
+            found[tried[k]] = complex(z[k])
+    return found
 
 
 def _split_boxes(prog: Program, boxes: list[_Box]) -> list[list[_Box] | None]:
@@ -772,7 +855,9 @@ def defect_estimate(radii, Tf, Nf_j, d: int) -> tuple[float, list[tuple[float, f
 # The main-inequality sweep.
 # ---------------------------------------------------------------------------
 
-def _assert_not_identically_zero(curve, gq: Expr, d: int, r: float):
+def assert_not_identically_zero(curve, gq: Expr, d: int, r: float):
+    """Raise IdenticallyZero when |gq| <= ZERO_PROBE_TOL * ||f||^d at every
+    probe point, on circles of radius 1.5, r/2 and r."""
     prog = Program([gq])
     theta = np.linspace(0.0, TWO_PI, 17)[:-1]
     for rr in (1.5, 0.5 * r, r):
@@ -814,7 +899,7 @@ def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
         degrees.append(d)
     composed = [compose_form(Q, curve) for Q in Qs]
     for gq, d in zip(composed, degrees):
-        _assert_not_identically_zero(curve, gq, d, radii[-1])
+        assert_not_identically_zero(curve, gq, d, radii[-1])
 
     locate_r = radii[-1] * (1 + 1e-3) + 0.25
     zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]

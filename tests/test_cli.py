@@ -570,22 +570,49 @@ class TestSweepPipeline:
         assert code == EXIT_PRECONDITION
         assert "polynomial coefficients" in capsys.readouterr().err
 
-    def test_jensen_residual_above_gate_warns(self, tmp_path):
+    def test_grid_circle_zero_stays_below_jensen_gate(self, tmp_path):
         # Target 1 of conic.prob, (z^2/4 + 1)*x0^2, vanishes at +-2i, on the
-        # grid circle r = 2; one radius later the residual is back under the gate.
-        payloads = []
+        # grid circle r = 2.  With the zeros at their Newton limits, the
+        # residual there is as small as one radius later
         for r_min in ("2", "2.1"):
             out = tmp_path / f"smt_{r_min}.json"
             code = main(["smt", "--input", str(PROBLEMS / "conic.prob"),
                          "--r-min", r_min, "--r-max", "3", "--r-steps", "3",
                          "--format", "json", "--out", str(out)])
             assert code == EXIT_OK
-            payloads.append(json.loads(out.read_text()))
-        on_zero, off_zero = payloads
-        jensen_max = on_zero["results"]["jensen_max"]
+            payload = json.loads(out.read_text())
+            assert payload["results"]["jensen_max"] < 1e-3 * nev.JENSEN_GATE
+            assert not any("Jensen" in w for w in payload["warnings"])
+
+    def test_jensen_residual_above_gate_warns(self, tmp_path, monkeypatch):
+        # zeros misplaced by 1e-3 leave a residual far above the gate
+        locate = nev.locate_zeros
+
+        def misplaced(g, r, tol=1e-9, **kwargs):
+            zl = locate(g, r, tol, **kwargs)
+            return nev.ZeroList([(z + 1e-3, m) for z, m in zl.zeros], zl.radius)
+
+        monkeypatch.setattr(nev, "locate_zeros", misplaced)
+        out = tmp_path / "smt.json"
+        code = main(["smt", "--input", str(PROBLEMS / "conic.prob"), "--r-min", "2.1",
+                     "--r-max", "3", "--r-steps", "3", "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        jensen_max = payload["results"]["jensen_max"]
         assert jensen_max >= nev.JENSEN_GATE
-        assert [w for w in on_zero["warnings"] if "Jensen" in w] == [
+        assert [w for w in payload["warnings"] if "Jensen" in w] == [
             f"Jensen residual {jensen_max:.3g} is at or above the gate 1e-05; "
             "a zero may lie on a grid circle"]
-        assert off_zero["results"]["jensen_max"] < nev.JENSEN_GATE
-        assert not any("Jensen" in w for w in off_zero["warnings"])
+
+    @pytest.mark.parametrize("r", ["3", "0"])
+    def test_zeros_on_a_vanishing_target_is_precondition(self, r, tmp_path, capsys):
+        # target 3 replaced by the variety's own generator, which vanishes
+        # on the curve: the probe refuses it before the zero finder runs
+        text = (PROBLEMS / "conic.prob").read_text()
+        path = tmp_path / "vanishing.prob"
+        path.write_text(text.replace("degree 2: x2^2 - 10*x0*x2 + 25*x0^2",
+                                     "degree 2: x0*x2 - x1^2"))
+        code = main(["zeros", "--input", str(path), "--target", "3", "--r", r])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition failure: the composed target vanishes at all probe points\n")
