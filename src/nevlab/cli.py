@@ -695,11 +695,8 @@ def cmd_filtration(spec: ProblemSpec, flags: dict) -> RunReport:
         "tau_count": len(table.tau),
         "tau0_count": len(table.tau0),
     }
-    header = ["I", "normI", "m", "inTau0"]
-    rows = [["(" + ",".join(map(str, I)) + ")", filt.tuple_norm(I),
-             table.cells[I].m, int(I in table.tau0)] for I in table.tau]
     report = RunReport("filtration", _echo(spec), results, warnings,
-                       (header, rows))
+                       filt.table_rows(table))
     report.table_sep = ";"
     return report
 
@@ -932,8 +929,12 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(payload.decode())
     if args.command == "admissible" and not report.results["all_admissible"]:

@@ -12,9 +12,10 @@ growth-exponent bookkeeping of the product decomposition.
 
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
 (`HomogeneousIdeal.multiples`), and the ideal stays over Q; so do the
-stabilization scan's quotient dimensions (`hilbert_function`).  One
-generator, `_cells`, yields the cells for both `build_table` and
-`filtration_space`.
+stabilization scan's quotient dimensions (`hilbert_function`).  One pass,
+`filtration_space`, computes the cells of a degree from the top of tau_N down
+to a given tuple: `build_table` reads a whole degree from it, and the
+stabilization scan reads each degree it needs once.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -113,63 +114,56 @@ def _power_products(Qs, tau):
             for I in tau}
 
 
-def _cells(J: HomogeneousIdeal, Qs, N: int, d: int):
-    """The cells L_N^I in descending lex order of I, in quotient coordinates.
+def filtration_space(J: HomogeneousIdeal, Qs, N: int,
+                     I: tuple[int, ...]) -> dict[tuple[int, ...], FiltrationCell]:
+    """The cells L_N^E for every E in tau_N from the top down to I, in
+    descending lex order, with their codimensions and coset representatives.
 
-    U, the span of the higher Q^E-multiples modulo J_N, starts empty and grows
-    by each cell's rows once the cell is yielded.  A cell maps only the
-    standard monomials of degree s = N - d*|I| (Q^I * J_s lies in J_N);
-    cell.L is the preimage of U on them, and the reps are those that are not
-    pivots of cell.L.  These are the m and reps of full monomial coordinates:
-    L_N^I contains J_s, and an RREF remainder keeps its leading column when
-    that column is not a pivot, so pivots(L_N^I) = pivots(J_s) disjoint union
-    pivots(cell.L).
+    L_N^E is the preimage, under multiplication by Q^E, of the span of the
+    ideal's degree-N piece together with all Q^F-multiples for F in tau_N
+    lexicographically above E.  In quotient coordinates U, the span of those
+    multiples modulo J_N, starts empty and grows by each cell's rows.  A cell
+    maps only the standard monomials of degree s = N - d*|E| (Q^E * J_s lies
+    in J_N); cell.L is the preimage of U on them, and the reps are those that
+    are not pivots of cell.L.  These are the m and reps of full monomial
+    coordinates: L_N^E contains J_s, and an RREF remainder keeps its leading
+    column when that column is not a pivot, so pivots(L_N^E) = pivots(J_s)
+    disjoint union pivots(cell.L).
     """
-    nvars = J.nvars
-    field = Qs[0].field
+    Qs, d = _over_common_field(Qs)
     tau, _ = tuple_sets(N, d, len(Qs))
-    powers = _power_products(Qs, tau)
+    if I not in tau:  # a wrong length, or N - d*|I| < 0
+        raise DegreeMismatch(f"I={I} is not in tau_N for {len(Qs)} targets, N={N}, d={d}")
+    above = tau[tau.index(I):]
+    powers = _power_products(Qs, above)
+    field = Qs[0].field
     U = GradedSubspace.from_rows([], cols=hilbert_function(J, N), field=field)
-    for I in reversed(tau):
-        std = J.normal_forms(N - d * tuple_norm(I))[0]
-        rows = J.multiples(N, [powers[I]])
+    cells = {}
+    for E in reversed(above):
+        std = J.normal_forms(N - d * tuple_norm(E))[0]
+        rows = J.multiples(N, [powers[E]])
         L = preimage_of_subspace(rows, U)
         m = len(std) - L.dim
         pivots = set(L.pivot_cols)
-        reps = [MultiPoly.monomial(nvars, mono, 1, field)
+        reps = [MultiPoly.monomial(J.nvars, mono, 1, field)
                 for j, mono in enumerate(std) if j not in pivots]
         if len(reps) != m:
-            raise BasisDefect(f"cell {I}: {len(reps)} coset representatives for m = {m}")
-        yield FiltrationCell(I=I, N=N, L=L, m=m, reps=reps)
-        U = U.extended_with(rows)
-
-
-def filtration_space(J: HomogeneousIdeal, Qs, N: int,
-                     I: tuple[int, ...]) -> FiltrationCell:
-    """Single cell L_N^I with its codimension and coset representatives.
-
-    L_N^I is the preimage, under multiplication by Q^I, of the span of the
-    ideal's degree-N piece together with all Q^E-multiples for E in tau_N
-    lexicographically above I; its cells come from `_cells`, down to I.
-    """
-    Qs, d = _over_common_field(Qs)
-    if N - d * tuple_norm(I) < 0:
-        raise DegreeMismatch(f"N - d*|I| < 0 for I={I}, N={N}, d={d}")
-    for cell in _cells(J, Qs, N, d):
-        if cell.I == I:
-            return cell
-    raise DegreeMismatch(f"I={I} is not an exponent tuple of {len(Qs)} targets")
+            raise BasisDefect(f"cell {E}: {len(reps)} coset representatives for m = {m}")
+        cells[E] = FiltrationCell(I=E, N=N, L=L, m=m, reps=reps)
+        if E != I:
+            U = U.extended_with(rows)
+    return cells
 
 
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                 kappa: int = 0) -> FiltrationTable:
-    """All cells of the degree-N filtration, read off one pass of `_cells`."""
+    """All cells of the degree-N filtration, from one `filtration_space` pass."""
     Qs, d = _over_common_field(Qs)
     n = len(Qs)
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
-    cells = {cell.I: cell for cell in _cells(J, Qs, N, d)}
     return FiltrationTable(
-        N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs, cells=cells,
+        N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs,
+        cells=filtration_space(J, Qs, N, (0,) * n),
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
 
 
@@ -231,18 +225,19 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     box = [I for I in itertools.product(range(box_norm + 1), repeat=n)
            if tuple_norm(I) <= box_norm]
     box.sort(key=lambda I: (max(I) if I else 0, I))
+    # One pass per degree N = d*|I| + k, down to the lex-smallest I it needs:
+    # walking the box in descending lex order, the last I to claim N wins.
+    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
+              for k in range(n0, n0 + window)}
+    ms = {N: {E: cell.m for E, cell in filtration_space(J, Qs, N, I).items()}
+          for N, I in lowest.items()}
     m_stable: dict[tuple[int, ...], int] = {}
-    c_prime = 0
     for I in box:
-        seq = []
-        for k in range(n0, n0 + window):
-            N = d * tuple_norm(I) + k
-            cell = filtration_space(J, Qs, N, I)
-            seq.append(cell.m)
-            c_prime = max(c_prime, cell.m)
+        seq = [ms[d * tuple_norm(I) + k][I] for k in range(n0, n0 + window)]
         if not all(v == seq[0] for v in seq):
             raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
         m_stable[I] = seq[0]
+    c_prime = max(m_stable.values())
     m_min = min(m_stable.values())
     I0 = min((I for I in box if m_stable[I] == m_min),
              key=lambda I: (max(I) if I else 0, I))
@@ -347,11 +342,14 @@ def product_decomposition(table: FiltrationTable) -> ProductDecomposition:
                                 degree_identity=identity)
 
 
+def table_rows(table: FiltrationTable) -> tuple[list[str], list[list]]:
+    """Report header `I;normI;m;inTau0` and one row per cell, in ascending lex order."""
+    return ["I", "normI", "m", "inTau0"], [
+        ["(" + ",".join(map(str, I)) + ")", tuple_norm(I), table.cells[I].m,
+         int(I in table.tau0)] for I in table.tau]
+
+
 def export_table(table: FiltrationTable) -> str:
-    """Report rows `I;normI;m;inTau0`, one per cell, in ascending lex order."""
-    lines = ["I;normI;m;inTau0"]
-    for I in table.tau:
-        cell = table.cells[I]
-        iname = "(" + ",".join(str(i) for i in I) + ")"
-        lines.append(f"{iname};{tuple_norm(I)};{cell.m};{int(I in table.tau0)}")
-    return "\n".join(lines) + "\n"
+    """The `table_rows` report, `;`-separated, one line per row."""
+    header, rows = table_rows(table)
+    return "".join(";".join(map(str, row)) + "\n" for row in [header, *rows])

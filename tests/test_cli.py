@@ -338,6 +338,14 @@ class TestMainExitCodes:
     def test_missing_file(self):
         assert main(["hilbert", "--input", "/nonexistent.prob"]) == EXIT_PARSE
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        code = main(["hilbert", "--input", str(PROBLEMS / "conic.prob"), "--out", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_degenerate_admissible_exit(self, capsys):
         code = main(["admissible", "--input",
                      str(PROBLEMS / "conic_degenerate.prob")])

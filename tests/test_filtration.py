@@ -108,21 +108,21 @@ class TestFiltrationSpace:
         x0 = xvar(0, 2)
         for N in range(1, 9):
             for i in range(N + 1):
-                cell = filtration_space(J, [x0], N, (i,))
+                cell = filtration_space(J, [x0], N, (i,))[(i,)]
                 assert cell.m == 1
                 assert cell.m == oracle_m(J, [x0], N, (i,))
 
     def test_p1_top_cell(self):
         J = p1_ideal()
         x0 = xvar(0, 2)
-        cell = filtration_space(J, [x0], 5, (5,))
+        cell = filtration_space(J, [x0], 5, (5,))[(5,)]
         assert cell.L.dim == 0
         assert cell.m == 1  # the constants survive
 
     def test_conic_interior_cell(self):
         J = conic_ideal()
         q = xvar(0) * xvar(0)
-        cell = filtration_space(J, [q], 12, (3,))
+        cell = filtration_space(J, [q], 12, (3,))[(3,)]
         assert cell.m == 4
         assert oracle_m(J, [q], 12, (3,)) == 4
 
@@ -137,7 +137,7 @@ class TestFiltrationSpace:
     def test_reps_are_independent_mod_l(self):
         J = conic_ideal()
         q = xvar(0) * xvar(0)
-        cell = filtration_space(J, [q], 8, (1,))
+        cell = filtration_space(J, [q], 8, (1,))[(1,)]
         for rep in cell.reps:
             # cell.L lives in the standard coordinates of its source degree
             vec = J.multiples(8 - 2, [rep])[0]
@@ -198,11 +198,11 @@ class TestTables:
         J = conic_ideal()
         q = xvar(0) * xvar(0)
         N, I = 6, (1,)
-        cell = filtration_space(J, [q], N, I)
+        cell = filtration_space(J, [q], N, I)[I]
         # cell.L's columns are the standard monomials of degree N - 2
         std_src = J.normal_forms(N - 2)[0]
         for k in (1, 2, 3):
-            target = filtration_space(J, [q], N + k, I)
+            target = filtration_space(J, [q], N + k, I)[I]
             for _ in range(3):
                 if cell.L.dim == 0:
                     break
@@ -224,9 +224,9 @@ class TestTables:
         q = xvar(0) * xvar(0)
         N = 8
         for I, Ip in (((1,), (2,)), ((0,), (1,)), ((2,), (4,))):
-            low = filtration_space(J, [q], N, I)
+            low = filtration_space(J, [q], N, I)[I]
             shift = 2 * (tuple_norm(Ip) - tuple_norm(I))
-            high = filtration_space(J, [q], N + shift, Ip)
+            high = filtration_space(J, [q], N + shift, Ip)[Ip]
             for row in low.L.basis.entries:
                 assert high.L.contains(list(row))
 
@@ -273,7 +273,7 @@ class TestFieldPolicy:
         assert all(cell.L.field == RATIONAL for cell in table.cells.values())
         assert {I: c.m for I, c in table.cells.items()} == {
             I: c.m for I, c in build_table(J, [q], 8).cells.items()}
-        assert filtration_space(J, [qz], 8, (1,)).L.field == RATIONAL
+        assert filtration_space(J, [qz], 8, (1,))[(1,)].L.field == RATIONAL
         assert stabilization_scan(J, [qz], 8).c == 4
 
 
@@ -314,6 +314,24 @@ class TestStabilization:
         assert scan.c == 4  # deg V * d^n
         assert scan.n0 == 2
         assert scan.m_min == 4 and scan.kappa == 0
+
+    def test_scan_reads_each_degree_once(self, monkeypatch):
+        # P^2 with the lines x0 and x1: the window of every box tuple needs
+        # the degrees 0..6, and each is read off one filtration pass.
+        import nevlab.filtration as filt
+        from nevlab.gradedgeom import HomogeneousIdeal
+
+        degrees = []
+        original = filt.filtration_space
+
+        def recorded(J, Qs, N, I):
+            degrees.append(N)
+            return original(J, Qs, N, I)
+
+        monkeypatch.setattr(filt, "filtration_space", recorded)
+        scan = stabilization_scan(HomogeneousIdeal(3, []), [xvar(0), xvar(1)], 6, window=3)
+        assert (scan.n0, scan.c, scan.m_min, scan.I0) == (0, 1, 1, (0, 0))
+        assert sorted(degrees) == list(range(7))
 
     def test_not_stabilized_growing_quotient(self):
         from nevlab.gradedgeom import HomogeneousIdeal

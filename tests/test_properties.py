@@ -7,13 +7,16 @@ with small integers a, b and are computed over Q(z).  Every table must agree
 with the generic Q(z) elimination of `oracle_m`, which never touches the
 preimage or kernel code.  The stabilization scan must find the same n0, and
 the table built on the scan's n0 and kappa must satisfy the weighted-sum
-closed forms.
+closed forms.  On constant targets the scan's stable m^I must also equal
+m_N^I of the whole table at every degree N of I's window.
 
 On n = 2, the quadric surface x0*x3 - x1*x2 with two constant hyperplanes
-must tile its quotient with interior cells deg V * d^n = 2 and satisfy the
-closed forms.  Every table, on n = 1 and n = 2, must match the filtration in
-full monomial coordinates (`reference_build_table`) cell by cell, and
-`filtration_space` must give the table's cell.
+(coefficients in -2..2) must tile its quotient with interior cells
+deg V * d^n = 2, satisfy the closed forms and pass the same window check.
+Every table, on n = 1 and n = 2, must match the filtration in full monomial
+coordinates (`reference_build_table`) cell by cell, and `filtration_space`
+down to a tuple I must give the table's cells from the top of tau_N down to
+I, in descending lex order.
 
 The quotients by the variety ideal plus targets are decided on the standard
 monomials (`hilbert_function` with forms, the certificates' membership
@@ -110,7 +113,7 @@ def quadric_fixed(draw):
     """Two constant hyperplanes meeting the quadric surface in 2 points."""
     J = quadric_ideal()
     basis = monomial_basis(J.M, 1)
-    coeffs = st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
     Qs = [MultiPoly(J.nvars, RATIONAL, dict(zip(basis, draw(coeffs)))) for _ in range(2)]
     # The quotient by (J, Q1, Q2) settles at deg V * d^n = 2 from degree 1.
     assume([monomial_count(J.M, k) - J.graded_piece(k, extra=Qs).dim
@@ -168,6 +171,17 @@ def check_table(J, deg_v, d, N, Q, field):
     return n0
 
 
+def check_scan_windows(J, Qs, d, scan):
+    """Each stable m^I equals m_N^I of the whole table at every N of I's window."""
+    tables = {}
+    for I, m in scan.m_stable.items():
+        for k in range(scan.n0, scan.n0 + WINDOW):
+            N = d * tuple_norm(I) + k
+            if N not in tables:
+                tables[N] = build_table(J, Qs, N)
+            assert tables[N].cells[I].m == m, (I, N)
+
+
 def check_weighted_sums(J, deg_v, d, N, Q, field):
     """Check the table of (J, Q) at N, then the scan and the weighted sums."""
     n0 = check_table(J, deg_v, d, N, Q, field)
@@ -177,12 +191,15 @@ def check_weighted_sums(J, deg_v, d, N, Q, field):
     assert scan.n0 == n0
     ws = weighted_sums(build_table(J, [Q], N, n0=scan.n0, kappa=scan.kappa), deg_v)
     assert ws.symmetric and ws.dominated and ws.closed_form
+    return scan
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(instances())
 def test_constant_targets(instance):
-    check_weighted_sums(*instance, RATIONAL)
+    scan = check_weighted_sums(*instance, RATIONAL)
+    J, _, d, _, Q = instance
+    check_scan_windows(J, [Q], d, scan)
 
 
 @pytest.mark.parametrize("name", sorted(VARIETIES))
@@ -198,6 +215,7 @@ def test_quadric_constant_hyperplanes(instance):
     J, Qs, N = instance
     scan = stabilization_scan(J, Qs, WINDOW, window=WINDOW)
     assert (scan.n0, scan.c) == (1, 2)
+    check_scan_windows(J, Qs, 1, scan)
     table = build_table(J, Qs, N, n0=scan.n0, kappa=scan.kappa)
     ms = {I: cell.m for I, cell in table.cells.items()}
     assert sum(ms.values()) == table.hilbert_value == (N + 1) ** 2
@@ -205,6 +223,18 @@ def test_quadric_constant_hyperplanes(instance):
     assert interior and all(ms[I] == 2 for I in interior)  # deg V * d^n = 2 * 1^2
     ws = weighted_sums(table, 2)
     assert ws.symmetric and ws.dominated and ws.closed_form
+
+
+def test_quadric_scan_with_wide_coefficients():
+    # The hyperplanes -2x0 + x1 + x2 - 2x3 and -x0 + x1 + 2x3, scanned up to
+    # k = 8: every box tuple settles at deg V * d^n = 2.
+    J = quadric_ideal()
+    x0, x1, x2, x3 = (MultiPoly.variable(4, i) for i in range(4))
+    Qs = [x1 + x2 - (x0 + x3).scale(2), x1 - x0 + x3.scale(2)]
+    scan = stabilization_scan(J, Qs, 8, window=WINDOW)
+    assert (scan.n0, scan.c, scan.c_prime, scan.m_min, scan.I0, scan.kappa) == (
+        1, 2, 2, 2, (0, 0), 0)
+    assert set(scan.m_stable.values()) == {2}
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
@@ -216,7 +246,8 @@ def test_quotient_coordinates_match_full_coordinates(name, data):
     got = {I: (cell.m, cell.reps) for I, cell in table.cells.items()}
     assert got == reference_build_table(J, Qs, N)
     I = data.draw(st.sampled_from(table.tau))
-    assert filtration_space(J, Qs, N, I) == table.cells[I]
+    cells = filtration_space(J, Qs, N, I)
+    assert list(cells.items()) == [(E, table.cells[E]) for E in reversed(table.tau) if E >= I]
 
 
 # ---------------------------------------------------------------------------
