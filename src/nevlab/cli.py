@@ -919,7 +919,7 @@ def main(argv=None) -> int:
         payload = emit_report(report, args.format)
     except (PreconditionError, gg.NotStabilized, InhomogeneousInput,
             PoleAtPoint, nev.IdenticallyZero, nev.NonPolynomialCoefficient,
-            filt.DegreeMismatch) as exc:
+            nev.ZeroAtOrigin, filt.DegreeMismatch) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (nev.OverflowGuard, nev.WindingAmbiguous) as exc:

@@ -6,14 +6,18 @@ every tree is compiled into a Program, a flat list of numpy operations with
 common subtrees shared across the trees compiled together (a curve's
 components, a target and its derivative), and eval_on runs it on a point
 set.  The characteristic function is a circle average of log of the
-max-norm; zeros of composed targets are located by rectangle subdivision
-driven by argument-principle winding numbers, one generation of boxes at a
-time, until a box isolates one cluster of zeros.  Newton with the box's
-winding as multiplicity then polishes the cluster from the box centre, and
-the winding of a box of width tol around the Newton limit certifies it; a
-box that does not certify is split further.  The quads of every box of a
-generation get their windings from one batched call, and the split
-failures are those of a depth-first subdivision.  Every sample-doubling
+max-norm.  That integrand has a kink wherever the largest component
+changes: characteristic_T locates the kinks from one grid of samples and
+integrates each arc between them by Gauss-Legendre, and leaves a circle
+with no kink, or one whose kinks it cannot resolve, to the trapezoid rule,
+whose first level is that grid.  Zeros of composed targets are located by
+rectangle subdivision driven by argument-principle winding numbers, one
+generation of boxes at a time, until a box isolates one cluster of zeros.
+Newton with the box's winding as multiplicity then polishes the cluster
+from the box centre, and the winding of a box of width tol around the
+Newton limit certifies it; a box that does not certify is split further.
+The quads of every box of a generation get their windings from one batched
+call, and the split failures are those of a depth-first subdivision.  Every sample-doubling
 loop (circle quadrature, the disk winding, the box windings) nests its
 levels: halving the step is exact, so a level keeps the previous level's
 values and evaluates only the new midpoints, and its results are those of a
@@ -31,6 +35,7 @@ stays exact upstream.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
@@ -436,16 +441,178 @@ def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
         theta = _circle_midpoints(n)
 
 
+_ARC_START = 8        # Gauss-Legendre nodes per arc at the first level
+_ARC_CAP = 2048       # nodes per arc at the last level
+_ARC_REL_TOL = 1e-13  # an arc converges when a doubling changes it by at most this
+_KINK_NOISE = 1e-13   # |h| at or below this * max(1, |log|f_i||) is a root
+_KINK_WIDTH = 1e-10   # a bracket this narrow is a root
+_KINK_STEPS = 64      # root-finder iterations before falling back
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Newton on P_m from Tricomi's estimates of its roots, with P_m and P_m'
+    from the three-term recurrence: O(m) memory, where numpy's leggauss
+    takes the eigenvalues of a dense m x m matrix.
+    """
+    x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (p0 - x * p1) / (1.0 - x * x)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
 def characteristic_T(curve: EntireCurve, r: float, samples: int = 512) -> float:
-    """T_f(r): circle average of log max_i |f_i| at radius r (> 1)."""
+    """T_f(r): circle average of log max_i |f_i| at radius r (> 1).
+
+    The integrand has a kink wherever the largest component changes, and
+    there the trapezoid rule converges only like h^2.  So the components are
+    evaluated once on a grid of `samples` angles.  Where the largest one
+    changes between neighbouring samples, _kink_angles finds the crossing,
+    and _arc_integrals integrates each arc between consecutive crossings by
+    Gauss-Legendre.  A grid with no change, a root finder that fails, or an
+    arc that reaches its node cap leaves the whole circle to the trapezoid
+    with sample doubling (circle_quadrature).  The grid is its first level,
+    so a curve with one largest component gets the trapezoid's value bit
+    for bit.  A pair of crossings between two samples changes nothing on the
+    grid.  When the nodes of the arc holding them see it, that arc does not
+    converge and the trapezoid takes the circle; a bump narrower than the
+    spacing of the first levels' nodes can pass unseen, as it passes the
+    trapezoid's.  An arc stops at a relative change of 1e-13, where the
+    trapezoid stops at 1e-8.  Non-finite grid samples raise OverflowGuard.
+    """
     if r <= 1:
         raise ValueError("characteristic is defined for r > 1")
+    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    mags = np.abs(curve.eval_components(r * np.exp(1j * theta)))
+    grid = np.log(np.max(mags, axis=0))
+    if not np.all(np.isfinite(grid)):
+        raise OverflowGuard("non-finite integrand sample on the circle")
+    top = mags.argmax(axis=0)
+    left = np.flatnonzero(top != np.roll(top, -1))
+    if left.size:
+        kinks = _kink_angles(curve, r, theta, mags, top, left)
+        if kinks is not None:
+            arcs = _arc_integrals(curve, r, kinks, np.append(kinks[1:], kinks[0] + TWO_PI))
+            if arcs is not None:
+                return float(arcs.sum()) / TWO_PI
 
-    def fn(theta):
-        z = r * np.exp(1j * theta)
-        return curve.log_max_norm(z)
+    first = [grid]  # the trapezoid's first level, already evaluated
+
+    def fn(angles):
+        if first:
+            return first.pop()
+        return curve.log_max_norm(r * np.exp(1j * angles))
 
     return circle_quadrature(fn, start=samples)
+
+
+def _kink_angles(curve: EntireCurve, r: float, theta, mags, top, left):
+    """The sorted angles where the largest component changes, one per grid
+    interval [theta_k, theta_k+1] (k in `left`, cyclically) across which the
+    argmax changes from i to j, or None when the root finder fails.
+
+    The root is that of h = log|f_j| - log|f_i|, which is <= 0 at theta_k
+    and >= 0 at theta_k+1.  Every bracket takes an Illinois step (regula
+    falsi that halves the h of an end kept twice) per iteration, all of them
+    in one evaluation.  A root is an end or a step where |h| lies at the
+    noise floor _KINK_NOISE * max(1, |log|f_i||), or the midpoint of a
+    bracket narrowed to _KINK_WIDTH.  A bracket with both ends at the noise
+    floor (components of equal modulus, ordered by rounding) takes its left
+    end: the jump in slope there is at the noise floor too.  The finder
+    fails on a non-finite h, an end that is not at the noise floor and has
+    the wrong sign, or after _KINK_STEPS iterations.
+    """
+    right = (left + 1) % len(theta)
+    i, j = top[left], top[right]
+    a = theta[left]
+    b = np.where(right == 0, TWO_PI, theta[right])
+
+    def crossing(m, k, cols):
+        """h and log|f_i| of the brackets k at the samples m[:, cols]."""
+        with np.errstate(divide="ignore"):
+            li = np.log(m[i[k], cols])
+            return np.log(m[j[k], cols]) - li, li
+
+    def at_floor(h, li):
+        return np.abs(h) <= _KINK_NOISE * np.maximum(1.0, np.abs(li))
+
+    every = slice(None)
+    (ha, li_a), (hb, li_b) = crossing(mags, every, left), crossing(mags, every, right)
+    if not (np.all(np.isfinite(ha)) and np.all(np.isfinite(hb))):
+        return None
+    root_a, root_b = at_floor(ha, li_a), at_floor(hb, li_b)
+    roots = np.where(root_a, a, b)
+    run = np.flatnonzero(~(root_a | root_b))
+    if np.any(ha[run] >= 0) or np.any(hb[run] <= 0):
+        return None
+    kept = np.zeros(len(left), dtype=np.int8)  # the end moved last: -1 a, +1 b
+    for _ in range(_KINK_STEPS):
+        if not run.size:
+            break
+        # ha < 0 < hb, so the secant point lies strictly inside [a, b]
+        x = a[run] - ha[run] * (b[run] - a[run]) / (hb[run] - ha[run])
+        x = np.where((a[run] < x) & (x < b[run]), x, 0.5 * (a[run] + b[run]))
+        h, li = crossing(np.abs(curve.eval_components(r * np.exp(1j * x))), run,
+                         np.arange(len(run)))
+        if not np.all(np.isfinite(h)):
+            return None
+        done = at_floor(h, li)
+        roots[run[done]] = x[done]
+        below = h < 0  # the root lies in [x, b]: x replaces a
+        for moved, end, h_end, h_other, side in ((below & ~done, a, ha, hb, -1),
+                                                  (~below & ~done, b, hb, ha, 1)):
+            sel = run[moved]
+            end[sel], h_end[sel] = x[moved], h[moved]
+            h_other[sel[kept[sel] == side]] *= 0.5  # this end moved twice running
+            kept[sel] = side
+        run = run[~done]
+        narrow = b[run] - a[run] <= _KINK_WIDTH
+        roots[run[narrow]] = 0.5 * (a[run[narrow]] + b[run[narrow]])
+        run = run[~narrow]
+    return None if run.size else np.unique(roots)
+
+
+def _arc_integrals(curve: EntireCurve, r: float, lo, hi):
+    """The integral of log max_i |f_i(r e^{i theta})| over each arc
+    [lo_k, hi_k], or None when an arc reaches _ARC_CAP nodes or meets a
+    non-finite sample.
+
+    Gauss-Legendre with _ARC_START nodes, doubled until a doubling changes
+    the arc's value by at most _ARC_REL_TOL * max(1, |value|).  Every arc
+    still open at a level is evaluated in one call.
+    """
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    values = np.empty(len(lo))
+    prev = None
+    run = np.arange(len(lo))
+    m = _ARC_START
+    while m <= _ARC_CAP:
+        nodes, weights = _gauss_legendre(m)
+        angles = mid[run, None] + half[run, None] * nodes
+        vals = curve.log_max_norm(r * np.exp(1j * angles.ravel()))
+        if not np.all(np.isfinite(vals)):
+            return None
+        est = half[run] * (vals.reshape(len(run), m) @ weights)
+        if prev is not None:
+            done = np.abs(est - prev) <= _ARC_REL_TOL * np.maximum(1.0, np.abs(est))
+            values[run[done]] = est[done]
+            run, est = run[~done], est[~done]
+            if not run.size:
+                return values
+        prev = est
+        m *= 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +1055,13 @@ def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
     Raises InhomogeneousInput for a target of degree < 1 and IdenticallyZero
     when some |Q_j(f)| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point.
     """
+    radii, degrees, composed = _composed_targets(curve, Qs, r_grid)
+    return _tabulate(curve, radii, degrees, composed, zero_tol)
+
+
+def _composed_targets(curve: EntireCurve, Qs: list[MultiPoly], r_grid):
+    """The sorted radii, and the degree and composition Q_j(f) of each
+    target, with sweep_data's checks."""
     radii = sorted(float(r) for r in r_grid)
     if not radii:
         raise ValueError("empty radius grid")
@@ -900,7 +1074,11 @@ def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
     composed = [compose_form(Q, curve) for Q in Qs]
     for gq, d in zip(composed, degrees):
         assert_not_identically_zero(curve, gq, d, radii[-1])
+    return radii, degrees, composed
 
+
+def _tabulate(curve: EntireCurve, radii: list[float], degrees: list[int],
+              composed: list[Expr], zero_tol: float) -> SweepData:
     locate_r = radii[-1] * (1 + 1e-3) + 0.25
     zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]
 
@@ -965,12 +1143,19 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     plus defect estimates, their sum against n+1, and the first-main-theorem
     cap N_f <= d_j T_f + C_j (C_j fitted at the smallest radius).  Radii where
     the margin is negative are violations; a Jensen residual >= JENSEN_GATE warns.
+    Jensen's formula needs Q_j(f)(0) != 0: a target that vanishes at z = 0
+    raises ZeroAtOrigin, naming it, before any zero is located.
 
     The caller is responsible for having verified admissibility and curve
     membership (set admissibility_checked accordingly; it is only echoed into
     the warnings when False).
     """
-    data = sweep_data(curve, Qs, r_grid, zero_tol=zero_tol)
+    radii, degrees, composed = _composed_targets(curve, Qs, r_grid)
+    for j, (Q, gq) in enumerate(zip(Qs, composed)):
+        if eval_on(Program([gq]), 0j)[0] == 0:
+            raise ZeroAtOrigin(f"target {j} ({Q}) vanishes at z = 0 on the curve; "
+                               "Jensen's formula needs a nonzero value there")
+    data = _tabulate(curve, radii, degrees, composed, zero_tol)
     radii, degrees, Tf, Nf = data.radii, data.degrees, data.Tf, data.Nf
     q = len(Qs)
     warnings: list[str] = []

@@ -566,6 +566,24 @@ class TestSweepPipeline:
             nev.smt_margin(spec.curve, spec.hypersurfaces, 1, 0.5, [5.0, 10.0])
         assert main(["defects", "--input", str(path)]) == EXIT_PRECONDITION
 
+    def test_smt_target_vanishing_at_origin_is_precondition(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # on (1 : z) the target x1 composes to z, and Jensen's formula needs
+        # g(0) != 0; defects does not, and stays as it was
+        path = _write_p1(tmp_path, "degree 1: x0\ndegree 1: x1\ndegree 1: x1 - 2*x0",
+                         curve="z")
+        assert main(["defects", "--input", str(path), "--r-steps", "2"]) == EXIT_OK
+        capsys.readouterr()
+        located = []
+        monkeypatch.setattr(nev, "locate_zeros",
+                            lambda *args, **kwargs: located.append(args))
+        code = main(["smt", "--input", str(path), "--r-steps", "2"])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition failure: target 1 (x1) vanishes at z = 0 on the curve; "
+            "Jensen's formula needs a nonzero value there\n")
+        assert not located
+
     def test_defects_degree_zero_target_is_precondition(self, tmp_path, capsys):
         path = _write_p1(tmp_path, "degree 1: x0\ndegree 0: 3")
         code = main(["defects", "--input", str(path), "--r-steps", "2"])

@@ -1,12 +1,13 @@
 import cmath
 import importlib
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nevlab.algebra import (
@@ -40,6 +41,7 @@ from nevlab.nevanlinna import (
     jensen_check,
     locate_zeros,
     mul,
+    neg,
     pow_,
     smt_margin,
     sub,
@@ -47,6 +49,7 @@ from nevlab.nevanlinna import (
 )
 
 from helpers import (
+    reference_characteristic_T,
     reference_circle_quadrature,
     reference_circle_winding,
     reference_locate_zeros,
@@ -255,8 +258,25 @@ class TestCharacteristic:
         assert len(curve.program._ops) == 3
         sizes = watch_eval_on(monkeypatch)
         assert characteristic_T(curve, 5.0) == 3.6583731946712303
-        # one evaluation per sample level (512, 1024), not one per component
-        assert len(sizes) == 2
+        # g^2 is the largest component on the whole circle: the kink grid is
+        # the trapezoid's first level, and the second level evaluates only
+        # its 512 midpoints; one evaluation per level, not one per component
+        assert sizes == [512, 512]
+
+    @pytest.mark.parametrize("r", [5, 10, 20, 30, 45])
+    def test_kinked_closed_forms_to_rounding(self, r):
+        # (1 : e^z : e^2z) has T = 2r/pi and (1 : e^z) has T = r/pi; their
+        # kinks at theta = +-pi/2 left the trapezoid 1e-8 short
+        conic = EntireCurve(components=(Const(1), Exp(Z()), Exp(mul(Const(2), Z()))))
+        assert abs(characteristic_T(conic, r) - 2 * r / math.pi) <= 1e-12
+        assert abs(characteristic_T(exp_curve(), r) - r / math.pi) <= 1e-12
+
+    def test_kinked_circle_point_budget(self, monkeypatch):
+        curve = load_problem(str(PROBLEMS / "conic.prob")).curve
+        sizes = watch_eval_on(monkeypatch)
+        characteristic_T(curve, 30.0)
+        # the grid, the kinks and the arcs; the trapezoid took 32768 points
+        assert sum(sizes) <= 1000
 
 
 class TestLocateZeros:
@@ -548,6 +568,68 @@ class TestNestedLevels:
         for edge, want in enumerate(final):
             points = np.concatenate(new[edge::4])
             assert np.array_equal(np.sort(points), np.sort(want))
+
+
+def _log_max_on_circle(curve, r):
+    def fn(theta):
+        return curve.log_max_norm(r * np.exp(1j * theta))
+
+    return fn
+
+
+_GRID = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
+
+
+class TestKinkAwareT:
+    """characteristic_T against the 2^20-sample trapezoid of tests/helpers.py.
+
+    The oracle's own error at a kink is about 3e-12 times the jump in slope
+    there, so 1e-9 relative leaves room for the drawn curves (slopes up to
+    about 50 at r = 8); the trapezoid this path replaces stops at a relative
+    change of 1e-8 and misses by about that much.  So a draw with a kink on
+    the grid that fell back to the trapezoid would fail the bound: none of
+    these does (1 of 300 draws did).  max_examples and the draw sizes are
+    bounded for time only: one oracle evaluates 2^20 points.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(components=st.lists(_exp_polys(), min_size=2, max_size=3), r=st.floats(1.5, 8.0))
+    # a triple crossing at theta = +-pi/2
+    @example(components=[Const(1), Exp(Z()), Exp(mul(Const(2), Z()))], r=7.0)
+    # g^2 is the largest component on the whole circle
+    @example(components=[Const(1), add(Exp(Z()), Const(Fraction(3, 2))),
+                         pow_(add(Exp(Z()), Const(Fraction(3, 2))), 2)], r=5.0)
+    # equal moduli: exactly, and up to rounding (the argmax then flips
+    # between samples at random)
+    @example(components=[Const(1), Exp(Z()), neg(Exp(Z()))], r=5.0)
+    @example(components=[Const(1), Exp(mul(Const(2), Z())), mul(Exp(Z()), Exp(Z()))], r=5.0)
+    def test_matches_fine_trapezoid(self, components, r):
+        curve = EntireCurve(components=tuple(components))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = characteristic_T(curve, r)
+        top = np.abs(curve.eval_components(r * np.exp(1j * _GRID))).argmax(axis=0)
+        if np.all(top == top[0]):
+            # no kink on the grid: the trapezoid path, bit for bit
+            assert got == reference_circle_quadrature(_log_max_on_circle(curve, r))
+        else:
+            want = reference_characteristic_T(curve, r)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_hidden_kink_pair_falls_back(self):
+        # At r = 2, Re(z - z^2/4) = 2 cos t - cos 2t peaks at 3/2 at t = +-pi/3
+        # with second derivative -3, so |f_1| > 1 exactly where |t -+ pi/3| < 0.1:
+        # two bumps, each between two samples of a 16-angle grid, and inside
+        # the arc (-pi/2, pi/2) between the kinks of e^-z.  That arc reaches
+        # its node cap, and the trapezoid takes the circle.
+        a = Fraction(math.exp(-1.5 * (1 - 0.1 ** 2)))
+        bump = mul(Const(a), Exp(sub(Z(), mul(Const(Fraction(1, 4)), pow_(Z(), 2)))))
+        curve = EntireCurve(components=(Const(1), bump, Exp(neg(Z()))))
+        trapezoid = reference_circle_quadrature(_log_max_on_circle(curve, 2.0), 16)
+        assert characteristic_T(curve, 2.0, samples=16) == trapezoid
+        # the default grid sees both bumps, and their four kinks are located
+        want = reference_characteristic_T(curve, 2.0)
+        assert abs(characteristic_T(curve, 2.0) - want) <= 1e-9 * abs(want)
 
 
 class TestGenerations:
