@@ -24,6 +24,8 @@ print("witness points:", [str(w) for w in rep.witnesses_tried])
 print("certificate exponents:", [c.s for c in rep.certificates])
 cert = rep.certificates[0].certificate
 print("cofactors re-verify exactly:", cert.verify())
+# The generators printed are the witness's primitive integer forms, which
+# generate the same ideal as the specialized targets.
 for i, cofs in enumerate(cert.cofactors):
     pieces = " + ".join(f"({c})*({g})" for c, g in zip(cofs, cert.generators)
                         if not c.is_zero)

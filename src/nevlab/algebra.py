@@ -23,6 +23,7 @@ for a fixed degree as descending lexicographic order on exponent tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -445,20 +446,21 @@ def field_coerce_row(field: str, row) -> list:
 # ---------------------------------------------------------------------------
 
 def monomial_basis(M: int, k: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of length M+1 with total k, descending lex (x0-major)."""
+    """All exponent tuples of length M+1 with total k, descending lex (x0-major).
+
+    The tuples are cached per (M, k); each call returns a new list, so a
+    caller may change its copy.
+    """
     if M < 0 or k < 0:
         raise ValueError("monomial_basis needs M >= 0 and k >= 0")
-    out: list[tuple[int, ...]] = []
+    return list(_monomials(M, k))
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for i in range(remaining, -1, -1):
-            rec(prefix + (i,), remaining - i, slots - 1)
 
-    rec((), k, M + 1)
-    return out
+@functools.lru_cache(maxsize=None)
+def _monomials(M: int, k: int) -> tuple[tuple[int, ...], ...]:
+    if M == 0:
+        return ((k,),)
+    return tuple((i,) + rest for i in range(k, -1, -1) for rest in _monomials(M - 1, k - i))
 
 
 def monomial_count(M: int, k: int) -> int:

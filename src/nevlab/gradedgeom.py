@@ -6,14 +6,23 @@ of degree k are the non-pivot columns of J_k, with each degree-k monomial's
 class modulo J_k as a sparse row on them.  A form's class is the sum of its
 terms' classes, and dim (K[x]/(J, f_1..f_r))_k is H_V(k) minus the rank of
 the classes of the f_j times standard monomials (`HomogeneousIdeal.multiples`).
-The same rows decide the membership tests of the admissibility
-certificates.  Degree and dimension come from finite differences of H_V.
+Degree and dimension come from finite differences of H_V.
+
+The admissibility certificates are solved on the same rows: one exact solve
+per degree writes the classes of the powers x_i^s in terms of the targets'
+multiples, which decides membership and gives the targets' cofactors at once.
+What is left of x_i^s lies in J_s, and its J-cofactors are read from a
+per-degree table that writes each non-standard monomial t minus its normal
+form in J's generators (`HomogeneousIdeal.ideal_cofactors`, one solve of
+J's Macaulay rows per degree, cached like the normal forms).
 
 Admissibility of a set of moving hypersurfaces is decided with one-sided
 certainty: a positive answer carries an exact membership certificate
 (cofactors writing x_i^s in terms of the generators at a witness point),
 while a negative answer is heuristic evidence (a stabilized positive Hilbert
-value of the specialized quotient) and is always flagged as such.
+value of the specialized quotient) and is always flagged as such.  Each
+specialized system is scaled to primitive integer forms, which generate the
+same ideal, and each distinct system is certified once per check.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .algebra import (
     PoleAtPoint,
     clear_denominators,
     coefficient_field,
+    field_one,
     field_zero,
     monomial_basis,
     monomial_count,
@@ -75,6 +85,7 @@ class HomogeneousIdeal:
         self.nvars = nvars
         self.generators = tuple(gens)
         self._normal_forms: dict[int, tuple] = {}
+        self._ideal_cofactors: dict[int, dict] = {}
 
     @property
     def M(self) -> int:
@@ -131,6 +142,40 @@ class HomogeneousIdeal:
                         row[i] += c * v
                 rows.append(row)
         return rows
+
+    def ideal_cofactors(self, k: int) -> dict:
+        """{non-standard degree-k monomial t: ((generator index, shift
+        monomial, coefficient), ...)} writing t - NF(t) as a sum of
+        coefficient * x^m * g over J's generators, cached per degree.
+
+        t - NF(t) lies in J_k, so it is a combination of J's Macaulay rows;
+        all of them are solved against one elimination of those rows.
+        """
+        if k not in self._ideal_cofactors:
+            std, classes = self.normal_forms(k)
+            basis = monomial_basis(self.M, k)
+            index = {t: j for j, t in enumerate(basis)}
+            std_cols = [index[m] for m in std]
+            standard = set(std)
+            nonstd = [t for t in basis if t not in standard]
+            targets = []
+            for t in nonstd:
+                v = [0] * len(basis)
+                v[index[t]] = 1
+                for i, c in classes[t]:
+                    v[std_cols[i]] -= c
+                targets.append(v)
+            table = {}
+            if nonstd:
+                rows, labels = macaulay_rows(self.generators, k, self.nvars, RATIONAL)
+                A = ExactMatrix.from_rows(rows, len(basis), RATIONAL)
+                for t, sol in zip(nonstd, solve_row_combinations(A, targets)):
+                    if sol is None:
+                        raise CertificateDefect(
+                            f"{t} minus its normal form is not in the ideal's degree-{k} piece")
+                    table[t] = tuple((gi, m, c) for c, (gi, m) in zip(sol, labels) if c)
+            self._ideal_cofactors[k] = table
+        return self._ideal_cofactors[k]
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -269,7 +314,9 @@ class NullstellensatzCertificate:
 
     cofactors[i] is a list of polynomials, one per generator (the ideal's
     generators first, then the Qs), with
-    sum_g cofactors[i][g] * gen_g == x_i^s.
+    sum_g cofactors[i][g] * gen_g == x_i^s.  A certificate found by
+    `admissibility_check` is stated over the primitive forms of the
+    specialized targets (`primitive_form`), which generate the same ideal.
     """
 
     s: int
@@ -294,40 +341,66 @@ class NullstellensatzCertificate:
 def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
     """Smallest s <= s_max with x_i^s in (J, Qs)_s for every variable, or None.
 
-    x_i^s is in (J, Qs)_s when its class modulo J_s is in the span of the Qs'
-    `multiples`; only at the s that passes is the full Macaulay system solved
-    for the cofactors.  The certificate re-verifies by substitution.  None
-    means NOT_FOUND within the cutoff, which is inconclusive for genuinely
-    admissible systems with larger s.
+    At each s the classes of the powers x_i^s modulo J_s are solved against
+    the Qs' `multiples` in one exact solve.  x_i^s is in (J, Qs)_s exactly
+    when its class is in their span, and the solution holds the Qs'
+    cofactors on standard monomials.  The rest of x_i^s, its residual r_i,
+    lies in J_s; its J-cofactors are the sum over non-standard monomials t
+    of r_i[t] times the cofactors of t - NF(t) (`ideal_cofactors`).  The
+    caller re-verifies the certificate by substitution.  None means NOT_FOUND
+    within the cutoff, which is inconclusive for genuinely admissible systems
+    with larger s.
     """
     field = coefficient_field(Qs)
     Qs = [q.over(field) for q in Qs if not q.is_zero]
     nvars = J.nvars
+    zero, one = field_zero(field), field_one(field)
+    gens = [g.over(field) for g in J.generators] + Qs
+    offset = len(J.generators)
     for s in range(1, s_max + 1):
-        span = GradedSubspace.from_rows(J.multiples(s, Qs),
-                                        cols=hilbert_function(J, s), field=field)
-        powers = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
-                                     1, field) for i in range(nvars)]
-        if not all(span.contains(v) for v in J.multiples(s, powers)):
+        A = ExactMatrix.from_rows(J.multiples(s, Qs), len(J.normal_forms(s)[0]), field)
+        # The labels (target index, shift monomial) of the rows of `multiples`.
+        labels = [(j, m) for j, q in enumerate(Qs) if q.degree <= s
+                  for m in J.normal_forms(s - q.degree)[0]]
+        powers = [tuple(s if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+        sols = solve_row_combinations(
+            A, J.multiples(s, [MultiPoly.monomial(nvars, p, 1, field) for p in powers]))
+        if any(sol is None for sol in sols):
             continue
-        basis = monomial_basis(nvars - 1, s)
-        targets = [p.coefficient_vector(basis) for p in powers]
-        gens = [g.over(field) for g in J.generators] + Qs
-        rows, labels = macaulay_rows(gens, s, nvars, field)
-        A = ExactMatrix.from_rows(rows, len(basis), field)
-        sols = solve_row_combinations(A, targets)
+        ideal_cofactors = J.ideal_cofactors(s)
         cofactors = []
-        for sol in sols:
-            if sol is None:
-                raise CertificateDefect(
-                    f"x_i^{s} passed the membership test but has no cofactors")
-            per_gen = [MultiPoly.zero(nvars, field) for _ in gens]
-            for coeff, (gi, m) in zip(sol, labels):
-                if coeff:
-                    per_gen[gi] = per_gen[gi] + MultiPoly.monomial(nvars, m, coeff, field)
-            cofactors.append(per_gen)
+        for power, sol in zip(powers, sols):
+            per_gen = [{} for _ in gens]
+            residual = {power: one}
+            for c, (j, m) in zip(sol, labels):
+                if not c:
+                    continue
+                per_gen[offset + j][m] = c
+                for t, qc in Qs[j].terms.items():
+                    tm = monomial_mul(t, m)
+                    residual[tm] = residual.get(tm, zero) - c * qc
+            for t, rc in residual.items():
+                if rc:
+                    for gi, m, c in ideal_cofactors.get(t, ()):
+                        per_gen[gi][m] = per_gen[gi].get(m, zero) + rc * c
+            cofactors.append([MultiPoly(nvars, field, terms) for terms in per_gen])
         return NullstellensatzCertificate(s=s, cofactors=cofactors, generators=gens)
     return None
+
+
+def primitive_form(q: MultiPoly) -> MultiPoly:
+    """The nonzero form q over Q scaled to coprime integer coefficients with a
+    positive leading coefficient in descending lex.
+
+    It differs from q by a nonzero rational factor, so it generates the same
+    ideal and cuts out the same hypersurface.
+    """
+    m = math.lcm(*(c.denominator for c in q.terms.values()))
+    ints = {e: c.numerator * (m // c.denominator) for e, c in q.terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return MultiPoly(q.nvars, RATIONAL, {e: c // g for e, c in ints.items()}, _raw=True)
 
 
 ADMISSIBLE = "ADMISSIBLE"
@@ -360,6 +433,11 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
 
     Positive answers are sound: each carries a certificate at a random integer
     witness, re-verified here before it counts (CertificateDefect if not).
+    The specialized forms are scaled to their primitive forms, so a
+    certificate is stated over forms that generate the same ideal, and
+    witnesses that give the same primitive system (constant targets, or
+    targets that are a scalar multiple of a constant form at every witness)
+    share one certificate, computed and verified once per call.
     Negative answers report the positive Hilbert value of the specialized
     quotient when it is constant over the M + 2 degrees ending at
     s_max + M + 3, and are marked heuristic.
@@ -369,6 +447,7 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
         raise InhomogeneousInput(
             "hypersurfaces must share a common degree; apply normalize_degrees first")
     rng = random.Random(seed)
+    certified = {}  # primitive specialized system -> verified certificate or None
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):
         report = SubsetReport(subset=subset, status=INCONCLUSIVE)
@@ -382,13 +461,16 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
             if any(q.is_zero for q in specialized):
                 continue  # degenerate witness: some hypersurface vanished entirely
             report.witnesses_tried.append(a)
-            last_specialized = specialized
-            cert = nullstellensatz_certificate(J, specialized, s_max)
-            if cert is not None:
-                if not cert.verify():
+            specialized = last_specialized = tuple(map(primitive_form, specialized))
+            if specialized not in certified:
+                cert = nullstellensatz_certificate(J, list(specialized), s_max)
+                if cert is not None and not cert.verify():
                     raise CertificateDefect(
                         f"certificate for subset {subset} at witness {a} "
                         "fails re-verification")
+                certified[specialized] = cert
+            cert = certified[specialized]
+            if cert is not None:
                 report.witnesses_succeeded += 1
                 report.certificates.append(AdmissibilityCertificate(
                     subset=subset, witness=a, s=cert.s, certificate=cert))

@@ -1,7 +1,7 @@
 """Shared constructors for the test suite, a reference Q elimination, a
-reference Q(z), a reference filtration in full monomial coordinates,
-reference sample-doubling integrals, a fine-grid T_f and a reference
-depth-first zero finder."""
+reference Q(z), a reference filtration and a reference certificate in full
+monomial coordinates, reference sample-doubling integrals, a fine-grid T_f
+and a reference depth-first zero finder."""
 
 import math
 from fractions import Fraction
@@ -23,8 +23,13 @@ from nevlab.algebra import (
     monomial_count,
 )
 from nevlab.filtration import tuple_sets
-from nevlab.gradedgeom import HomogeneousIdeal, macaulay_rows
-from nevlab.linear import ExactMatrix, GradedSubspace, preimage_of_subspace
+from nevlab.gradedgeom import HomogeneousIdeal, NullstellensatzCertificate, macaulay_rows
+from nevlab.linear import (
+    ExactMatrix,
+    GradedSubspace,
+    preimage_of_subspace,
+    solve_row_combinations,
+)
 from nevlab import nevanlinna
 from nevlab.nevanlinna import TWO_PI, OverflowGuard, WindingAmbiguous, ZeroList
 
@@ -142,6 +147,40 @@ def reference_build_table(J, Qs, N):
         cells[I] = (len(src_basis) - L.dim, reps)
         U = U.extended_with(rows)
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate: the Macaulay system of the ideal's generators and
+# the targets, solved in the full C(s+M, M) monomial coordinates at every s,
+# as `nullstellensatz_certificate` solved it at the s its membership test
+# passed before it moved to quotient coordinates.
+# ---------------------------------------------------------------------------
+
+def reference_nullstellensatz_certificate(J, Qs, s_max):
+    """The certificate at the smallest s <= s_max where every x_i^s is a
+    combination of the full Macaulay rows of (J, Qs) in degree s, or None."""
+    field = coefficient_field(Qs)
+    Qs = [q.over(field) for q in Qs if not q.is_zero]
+    nvars = J.nvars
+    gens = [g.over(field) for g in J.generators] + Qs
+    for s in range(1, s_max + 1):
+        basis = monomial_basis(nvars - 1, s)
+        powers = [MultiPoly.monomial(nvars, [s if j == i else 0 for j in range(nvars)],
+                                     1, field) for i in range(nvars)]
+        rows, labels = macaulay_rows(gens, s, nvars, field)
+        A = ExactMatrix.from_rows(rows, len(basis), field)
+        sols = solve_row_combinations(A, [p.coefficient_vector(basis) for p in powers])
+        if any(sol is None for sol in sols):
+            continue
+        cofactors = []
+        for sol in sols:
+            per_gen = [MultiPoly.zero(nvars, field) for _ in gens]
+            for coeff, (gi, m) in zip(sol, labels):
+                if coeff:
+                    per_gen[gi] = per_gen[gi] + MultiPoly.monomial(nvars, m, coeff, field)
+            cofactors.append(per_gen)
+        return NullstellensatzCertificate(s=s, cofactors=cofactors, generators=gens)
+    return None
 
 
 def rand_fraction(rng, bound=9):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,12 +20,20 @@ from nevlab.gradedgeom import (
     hilbert_function,
     ideal_graded_piece,
     nullstellensatz_certificate,
+    primitive_form,
     specialize_space,
     variety_invariants,
 )
 from nevlab.linear import GradedSubspace
 
-from helpers import conic_ideal, p1_ideal, piece_over_qz, twisted_cubic_ideal, xvar
+from helpers import (
+    conic_ideal,
+    p1_ideal,
+    piece_over_qz,
+    rand_poly,
+    twisted_cubic_ideal,
+    xvar,
+)
 
 
 class TestGradedPieces:
@@ -285,9 +294,81 @@ class TestAdmissibility:
         with pytest.raises(CertificateDefect):
             admissibility_check(J, Qs, n=1, trials=2, s_max=4, seed=9)
 
+    def test_primitive_form_scaling(self):
+        # Coprime integer coefficients, a positive leading coefficient in
+        # descending lex, and the same quotient dimensions as the raw forms.
+        J = conic_ideal()
+        x0, x1, x2 = (xvar(i) for i in range(3))
+        raw = (x0 * x0).scale(Fraction(-3, 4)) + (x0 * x1).scale(Fraction(1, 6)) \
+            - (x2 * x2).scale(Fraction(2, 3))
+        assert primitive_form(raw) == (x0 * x0).scale(9) - (x0 * x1).scale(2) \
+            + (x2 * x2).scale(8)
+        rng = random.Random(5)
+        for _ in range(6):
+            forms = [rand_poly(rng, 3, 2) for _ in range(2)]
+            forms = [f for f in forms if not f.is_zero]
+            scaled = [primitive_form(f) for f in forms]
+            for f in scaled:
+                coeffs = list(f.terms.values())
+                assert all(type(c) is int for c in coeffs)
+                assert math.gcd(*coeffs) == 1
+                assert f.items()[0][1] > 0
+            for k in range(7):
+                assert hilbert_function(J, k, scaled) == hilbert_function(J, k, forms)
+
     def test_lifted_ideal_dimensions_match(self):
         # dim over Q(z) of the lifted ideal piece equals the dim over Q,
         # for constant-coefficient generators (the matrices coincide).
         J = conic_ideal()
         for N in range(0, 11):
             assert piece_over_qz(J, N).dim == J.graded_piece(N).dim
+
+
+class TestCertifiedOncePerSystem:
+    """admissibility_check certifies each distinct primitive witness system
+    once per call and lets every witness that gives it share the result."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        import nevlab.gradedgeom as gg
+
+        genuine = gg.nullstellensatz_certificate
+        calls = []
+
+        def counting(J, Qs, s_max):
+            calls.append(tuple(Qs))
+            return genuine(J, Qs, s_max)
+
+        monkeypatch.setattr(gg, "nullstellensatz_certificate", counting)
+        return calls
+
+    def test_constant_pair_certified_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        Qs = [xvar(0) * xvar(0), xvar(2) * xvar(2)]
+        rep, = admissibility_check(conic_ideal(), Qs, n=1, trials=4, s_max=4, seed=9)
+        assert len(calls) == 1
+        assert rep.status == ADMISSIBLE
+        assert rep.witnesses_succeeded == len(rep.certificates) == 4
+        assert len({c.s for c in rep.certificates}) == 1
+
+    def test_scalar_multiple_of_constant_form_certified_once(self, monkeypatch):
+        # (1 + z^2/4)*x0^2 is a rational multiple of x0^2 at every witness.
+        calls = self.count_calls(monkeypatch)
+        factor = RationalFunction([1, 0, Fraction(1, 4)])
+        x0, x2 = (xvar(i, 3, RATIONAL_FUNCTION) for i in (0, 2))
+        rep, = admissibility_check(conic_ideal(), [(x0 * x0).scale(factor), x2 * x2],
+                                   n=1, trials=5, s_max=4, seed=3)
+        assert len(calls) == 1
+        assert rep.status == ADMISSIBLE
+        assert rep.witnesses_succeeded == len(rep.witnesses_tried) == 5
+
+    def test_moving_pair_certified_per_witness(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        z = RationalFunction.z()
+        x0 = xvar(0, 2, RATIONAL_FUNCTION)
+        x1 = xvar(1, 2, RATIONAL_FUNCTION)
+        rep, = admissibility_check(p1_ideal(), [x0, x1 - x0.scale(z)], n=1,
+                                   trials=5, s_max=4, seed=1)
+        assert len(calls) == len(set(rep.witnesses_tried)) > 1
+        assert rep.witnesses_succeeded == len(rep.witnesses_tried)
+        assert len({id(c.certificate) for c in rep.certificates}) == len(calls)

@@ -24,6 +24,9 @@ test); both must agree with the full-coordinate reference piece
 `graded_piece(k, extra)`, which no command may call.  The classes that
 `multiples` sums from the normal-form table must equal the remainders of
 the full coefficient vectors against J_k (`reference_quotient_rows`).
+Certificates, and the s that `admissibility_check` reports at each witness
+on its primitive forms, must match the certificate solved in full monomial
+coordinates on the raw forms (`reference_nullstellensatz_certificate`).
 """
 
 from fractions import Fraction
@@ -58,6 +61,7 @@ from helpers import (
     plane_ideal,
     quadric_ideal,
     reference_build_table,
+    reference_nullstellensatz_certificate,
     reference_quotient_rows,
     twisted_cubic_ideal,
 )
@@ -354,8 +358,10 @@ def test_normal_forms_match_full_coordinate_remainders(name, data):
 def test_certificate_degree_matches_full_coordinates(name, data):
     make, n, _ = REFERENCE_VARIETIES[name]
     J = make()
-    Qs = data.draw(random_forms(J, n + 1, field=RATIONAL))
-    s_max = 4
+    Qs = data.draw(random_forms(J, n + 1))
+    # Q(z) elimination at s = 4 on the n = 2 varieties can take over 10 s
+    # an example, so forms over Q(z) stop at s = 3, for time only.
+    s_max = 4 if Qs[0].field == RATIONAL else 3
     cert = nullstellensatz_certificate(J, Qs, s_max)
 
     def powers_in_piece(s):
@@ -366,7 +372,57 @@ def test_certificate_degree_matches_full_coordinates(name, data):
 
     expected = next((s for s in range(1, s_max + 1) if powers_in_piece(s)), None)
     assert (None if cert is None else cert.s) == expected
+    reference = reference_nullstellensatz_certificate(J, Qs, s_max)
+    assert (None if reference is None else reference.s) == expected
     assert cert is None or cert.verify()
+
+
+# The s cutoff, trial count and number of examples below bound the test's
+# time only: every witness is certified again in full coordinates.
+ADMISSIBILITY_S_MAX = 4
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_admissibility_matches_full_coordinate_certificates(name, data):
+    """Each witness's s is the full-coordinate certificate's s on that
+    witness's raw specialized forms, and each status follows from those
+    certificates or from the quotient dimensions of the raw forms."""
+    make, n, _ = REFERENCE_VARIETIES[name]
+    J = make()
+    Qs = data.draw(random_forms(J, n + data.draw(st.integers(1, 2))))
+    assume(not any(q.is_zero for q in Qs))
+    if data.draw(st.booleans()):
+        Qs[-1] = Qs[0].scale(-2)  # subsets holding both share Q0's zeros on V
+    s_max = ADMISSIBILITY_S_MAX
+    reports = gg.admissibility_check(J, Qs, n, s_max=s_max, trials=3,
+                                     seed=data.draw(st.integers(0, 99)))
+    for rep in reports:
+        expected = []
+        for a in rep.witnesses_tried:
+            raw = [Qs[j].specialize(a) for j in rep.subset]
+            assert not any(q.is_zero for q in raw)
+            reference = reference_nullstellensatz_certificate(J, raw, s_max)
+            if reference is not None:
+                assert reference.verify()
+                expected.append((a, reference.s))
+        assert [(c.witness, c.s) for c in rep.certificates] == expected
+        assert rep.witnesses_succeeded == len(expected)
+        assert all(c.certificate.verify() for c in rep.certificates)
+        if expected:
+            assert rep.status == gg.ADMISSIBLE
+            continue
+        if not rep.witnesses_tried:
+            assert rep.status == gg.INCONCLUSIVE
+            continue
+        raw = [Qs[j].specialize(rep.witnesses_tried[-1]) for j in rep.subset]
+        window = J.nvars + 1
+        values = [hilbert_function(J, k, raw) for k in range(s_max + window + 2)]
+        onset = constant_tail(values, window)
+        evidence = onset is not None and values[onset] > 0
+        assert rep.status == (gg.NOT_ADMISSIBLE_EVIDENCE if evidence else gg.INCONCLUSIVE)
+        assert rep.evidence_value == (values[onset] if evidence else None)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
