@@ -122,13 +122,18 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     L_N^E is the preimage, under multiplication by Q^E, of the span of the
     ideal's degree-N piece together with all Q^F-multiples for F in tau_N
     lexicographically above E.  In quotient coordinates U, the span of those
-    multiples modulo J_N, starts empty and grows by each cell's rows.  A cell
-    maps only the standard monomials of degree s = N - d*|E| (Q^E * J_s lies
-    in J_N); cell.L is the preimage of U on them, and the reps are those that
-    are not pivots of cell.L.  These are the m and reps of full monomial
-    coordinates: L_N^E contains J_s, and an RREF remainder keeps its leading
-    column when that column is not a pivot, so pivots(L_N^E) = pivots(J_s)
-    disjoint union pivots(cell.L).
+    multiples modulo J_N, starts empty.  A cell maps only the standard
+    monomials of degree s = N - d*|E| (Q^E * J_s lies in J_N); cell.L is the
+    preimage of U on them, and the reps are those that are not pivots of
+    cell.L.  These are the m and reps of full monomial coordinates: L_N^E
+    contains J_s, and an RREF remainder keeps its leading column when that
+    column is not a pivot, so pivots(L_N^E) = pivots(J_s) disjoint union
+    pivots(cell.L).
+
+    U grows by each cell's rep rows, the images of its reps.  Working down
+    from the top index, an image that is not a rep's lies in U plus the span
+    of the images after it, so the rep rows span the same space modulo U as
+    all of the cell's rows: m rows in place of H_V(s).
     """
     Qs, d = _over_common_field(Qs)
     tau, _ = tuple_sets(N, d, len(Qs))
@@ -151,7 +156,7 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
             raise BasisDefect(f"cell {E}: {len(reps)} coset representatives for m = {m}")
         cells[E] = FiltrationCell(I=E, N=N, L=L, m=m, reps=reps)
         if E != I:
-            U = U.extended_with(rows)
+            U = U.extended_with([row for j, row in enumerate(rows) if j not in pivots])
     return cells
 
 

@@ -8,7 +8,10 @@ representatives are reproducible.
 
 A preimage {g : sum_j g_j * images[j] in U} is read off one reduction: each
 image is reduced against U's echelon basis, and the preimage is the kernel of
-the matrix whose columns are the reduced images.
+the matrix whose columns are the reduced images.  With those columns taken in
+reverse order, the kernel basis read backwards is already the preimage's
+reduced echelon form, so it is not reduced again.  A subspace grows
+incrementally: only the new rows' remainders against its basis are reduced.
 
 Over Q the reduction runs on integers: each row is replaced by its primitive
 integer multiple and Gauss-Jordan proceeds fraction-free, dividing each pivot
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     RATIONAL,
@@ -288,11 +291,25 @@ class GradedSubspace:
         return not any(rem)
 
     def extended_with(self, rows) -> "GradedSubspace":
-        """Subspace spanned by this basis together with extra row vectors."""
-        if not rows:
+        """Subspace spanned by this basis together with extra row vectors.
+
+        Only the rows' remainders against this basis are reduced.  Their pivot
+        columns are then cleared from the old rows, which keep their own
+        pivots because the remainders are zero there.  Merged by pivot column,
+        the rows are in reduced echelon form and span the sum; that form is
+        unique, so it is the one a reduction of the stacked rows would give.
+        """
+        rems = [rem for rem in (self.reduce_vector(v)[0] for v in rows) if any(rem)]
+        if not rems:
             return self
-        stacked = self.basis.entries + list(rows)
-        return GradedSubspace.from_rows(stacked, cols=self.basis.cols, field=self.field)
+        new = GradedSubspace.from_rows(rems, cols=self.basis.cols, field=self.field)
+        old = [new.reduce_vector(row)[0] for row in self.basis.entries]
+        pivots, entries = zip(*sorted(zip(self.pivot_cols + new.pivot_cols,
+                                          old + new.basis.entries),
+                                      key=itemgetter(0)))
+        basis = ExactMatrix(len(entries), self.basis.cols, self.field, list(entries),
+                            _raw=True)
+        return GradedSubspace(basis, pivots)
 
 
 def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:
@@ -303,14 +320,26 @@ def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:
     the combination lies in U exactly when the reduced images, weighted by g,
     sum to zero: the preimage is the kernel of the matrix whose columns are
     the reduced images.
+
+    That matrix takes the reduced images in reverse order.  Its kernel vector
+    for a free column f has a 1 at f and nonzeros only at pivot columns left
+    of f.  Reversed, and listed in reverse order, these vectors are in
+    echelon form with their leading 1s at the reversed free columns, and each
+    is zero at every other leading column.  That is the preimage's reduced
+    echelon form, which is unique, so it is not reduced again.  Its pivots
+    are the j at which image j is, modulo U, a combination of the images
+    after it; the other j index a basis of the images modulo U.
     """
     if any(len(v) != U.basis.cols for v in images):
         raise DimensionMismatch("map target does not match subspace ambient space")
-    rems = [U.reduce_vector(v)[0] for v in images]
+    rems = [U.reduce_vector(v)[0] for v in reversed(images)]
     # Zero rows (U's pivot coordinates among them) constrain nothing.
     rows = [list(row) for row in zip(*rems) if any(row)]
     reduced = ExactMatrix(len(rows), len(images), U.field, rows, _raw=True)
-    return GradedSubspace.from_rows(kernel(reduced), cols=len(images), field=U.field)
+    basis = [v[::-1] for v in reversed(kernel(reduced))]
+    pivots = tuple(next(j for j, x in enumerate(v) if x) for v in basis)
+    return GradedSubspace(ExactMatrix(len(basis), len(images), U.field, basis, _raw=True),
+                          pivots)
 
 
 def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | None]:

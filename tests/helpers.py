@@ -27,7 +27,7 @@ from nevlab.gradedgeom import HomogeneousIdeal, NullstellensatzCertificate, maca
 from nevlab.linear import (
     ExactMatrix,
     GradedSubspace,
-    preimage_of_subspace,
+    kernel,
     solve_row_combinations,
 )
 from nevlab import nevanlinna
@@ -93,6 +93,29 @@ def piece_over_qz(J, k):
 
 
 # ---------------------------------------------------------------------------
+# Reference preimage and extension: each result re-reduced from scratch, as
+# `linear` computed them before the preimage was read off the kernel of the
+# reversed columns and subspaces grew by their new rows' remainders.
+# ---------------------------------------------------------------------------
+
+def reference_preimage_of_subspace(images, U):
+    """{g : sum_j g_j * images[j] in U}: the RREF of the kernel of the matrix
+    whose columns are the images reduced against U."""
+    rems = [U.reduce_vector(v)[0] for v in images]
+    rows = [list(row) for row in zip(*rems) if any(row)]
+    reduced = ExactMatrix(len(rows), len(images), U.field, rows, _raw=True)
+    return GradedSubspace.from_rows(kernel(reduced), cols=len(images), field=U.field)
+
+
+def reference_extended_with(U, rows):
+    """The span of U's basis and `rows`, by one RREF of the stacked rows."""
+    if not rows:
+        return U
+    stacked = U.basis.entries + list(rows)
+    return GradedSubspace.from_rows(stacked, cols=U.basis.cols, field=U.field)
+
+
+# ---------------------------------------------------------------------------
 # Reference filtration: every cell in the full C(N+M, M) monomial columns,
 # with the ideal's piece J_N lifted entry by entry into the targets' field,
 # as `filtration.build_table` computed it before it moved to quotient
@@ -139,13 +162,13 @@ def reference_build_table(J, Qs, N):
             QI = QI * q ** e
         rows, _ = macaulay_rows([QI], N, nvars, field)
         src_degree = N - d * sum(I)
-        L = preimage_of_subspace(rows, U)
+        L = reference_preimage_of_subspace(rows, U)
         src_basis = monomial_basis(nvars - 1, src_degree)
         pivots = set(L.pivot_cols)
         reps = [MultiPoly.monomial(nvars, mono, 1, field)
                 for j, mono in enumerate(src_basis) if j not in pivots]
         cells[I] = (len(src_basis) - L.dim, reps)
-        U = U.extended_with(rows)
+        U = reference_extended_with(U, rows)
     return cells
 
 

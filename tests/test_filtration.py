@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from nevlab.filtration import (
     weighted_sums,
 )
 from nevlab.gradedgeom import NotStabilized, hilbert_function, specialize_space
+from nevlab import linear
+from nevlab.cli import load_problem, normalize_degrees
 from nevlab.linear import ExactMatrix, row_reduce
 
 from helpers import (
@@ -35,6 +38,8 @@ from helpers import (
     reference_quotient_rows,
     xvar,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _coeff_row(p, k, width_index):
@@ -142,6 +147,28 @@ class TestFiltrationSpace:
             # cell.L lives in the standard coordinates of its source degree
             vec = J.multiples(8 - 2, [rep])[0]
             assert not cell.L.contains(vec)
+
+    def test_cells_eliminate_within_the_quotient(self, monkeypatch):
+        # With J's normal forms warm, no grid that build_table eliminates
+        # outgrows the H_V(24) = 49 quotient coordinates: each cell reduces
+        # its images against U once, and U grows by the cell's rep rows
+        # only, never by a re-reduction of its whole basis.
+        spec = load_problem(str(PROBLEMS / "conic_exact.prob"))
+        J, N = spec.ideal, 24
+        _, Qs = normalize_degrees(spec.hypersurfaces)
+        for k in range(N + 1):
+            J.normal_forms(k)
+        grids = []
+        rref_rows = linear._rref_rows
+
+        def counted(grid, *args):
+            grids.append(len(grid))
+            return rref_rows(grid, *args)
+
+        monkeypatch.setattr(linear, "_rref_rows", counted)
+        build_table(J, Qs[:spec.n], N)
+        assert hilbert_function(J, N) == 49
+        assert grids and max(grids) <= 49
 
 
 class TestTables:

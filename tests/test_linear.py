@@ -12,6 +12,7 @@ from nevlab.algebra import (
     FieldMismatch,
     MultiPoly,
     RationalFunction,
+    field_zero,
     monomial_basis,
 )
 from nevlab.linear import (
@@ -31,6 +32,8 @@ from helpers import (
     matvec,
     rand_fraction,
     rand_rational_function,
+    reference_extended_with,
+    reference_preimage_of_subspace,
     reference_rref_rows,
 )
 
@@ -338,6 +341,78 @@ class TestPreimage:
                 lhs = W.contains(v)
                 rhs = U.contains(matvec(L, v))
                 assert lhs == rhs
+
+
+# Q(z) entries (a + b*z)/(1 + c*z), zero common enough to leave whole
+# columns empty.
+_QZ_ENTRY = st.one_of(
+    st.just(RationalFunction.zero()),
+    st.builds(lambda a, b, c: RationalFunction([a, b], [1, c]),
+              st.integers(-2, 2), st.integers(-1, 1), st.integers(-1, 1)),
+)
+
+_EDGE_CASES = ("random", "empty U", "full U", "images in U", "zero images",
+               "no images", "duplicate images", "single source column")
+
+
+@st.composite
+def _subspace_and_images(draw, field, case):
+    """(U, images): a subspace of `cols`-vectors and images of source basis
+    vectors shaped by `case`.  The sizes (at most 5 columns, 5 images and 5
+    rows of U) are bounded for time only."""
+    entry = _Q_ENTRY if field == RATIONAL else _QZ_ENTRY
+    zero = field_zero(field)
+    cols = draw(st.integers(1, 5))
+    vectors = st.lists(entry, min_size=cols, max_size=cols)
+    if case == "empty U":
+        U = GradedSubspace.from_rows([], cols=cols, field=field)
+    elif case == "full U":
+        U = full_subspace(cols, field)
+    else:
+        U = GradedSubspace.from_rows(draw(st.lists(vectors, max_size=5)),
+                                     cols=cols, field=field)
+    if case in ("no images", "single source column"):
+        n = int(case == "single source column")
+    else:
+        n = draw(st.integers(1, 5))
+    if case == "zero images":
+        images = [[zero] * cols for _ in range(n)]
+    elif case == "images in U":
+        coeffs = draw(st.lists(st.lists(entry, min_size=U.dim, max_size=U.dim),
+                               min_size=n, max_size=n))
+        images = [[sum((c * row[j] for c, row in zip(cs, U.basis.entries)), zero)
+                   for j in range(cols)] for cs in coeffs]
+    elif case == "duplicate images":
+        distinct = draw(st.lists(vectors, min_size=1, max_size=3))
+        images = draw(st.permutations(
+            distinct + draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=3))))
+    else:
+        images = draw(st.lists(vectors, min_size=n, max_size=n))
+    return U, images
+
+
+def _assert_same_subspace(got, want):
+    assert got.basis.entries == want.basis.entries
+    assert got.pivot_cols == want.pivot_cols
+    assert (got.basis.rows, got.basis.cols, got.field) == (
+        want.basis.rows, want.basis.cols, want.field)
+
+
+class TestMatchesStackedReduction:
+    """The preimage read off the reversed-column kernel and the incremental
+    extension equal the re-reductions from scratch in `tests/helpers.py`;
+    reduced echelon form is unique, so the entries must agree exactly."""
+
+    @pytest.mark.parametrize("case", _EDGE_CASES)
+    @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_preimage_and_extension(self, field, case, data):
+        U, images = data.draw(_subspace_and_images(field, case))
+        _assert_same_subspace(preimage_of_subspace(images, U),
+                              reference_preimage_of_subspace(images, U))
+        _assert_same_subspace(U.extended_with(images),
+                              reference_extended_with(U, images))
 
 
 class TestSolveRowCombinations:
