@@ -8,7 +8,11 @@ consumer accepts).  A Q(z) coefficient is a :class:`RationalFunction`, a
 quotient of univariate polynomials in z with Python-int coefficients in a
 canonical form (coprime in Z[z], positive leading denominator coefficient).
 The monic-denominator form with Fraction coefficients is only the printed
-view.  No floating point enters.
+view.  No floating point enters.  Q(z) arithmetic does only the polynomial
+work its canonical result needs: the gcd that unique factorization in Z[z]
+makes redundant is skipped, and products cancel crosswise before they
+multiply (Henrici's method for exact rationals, Knuth, TAOCP vol. 2, 4.5.1);
+the `RationalFunction` docstring lists the cases.
 
 A computation picks its field once, from its targets: `coefficient_field`
 returns Q when every coefficient is constant and Q(z) otherwise, and
@@ -72,6 +76,11 @@ def _iadd(a, b):
 def _imul(a, b):
     if not a or not b:
         return ()
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        y = b[0]
+        return a if y == 1 else tuple(x * y for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -173,6 +182,23 @@ class RationalFunction:
     printed view: the same quotient with a monic denominator and Fraction
     coefficients.  Instances are immutable and hashable; arithmetic coerces
     ints and Fractions.
+
+    Every operator returns the canonical form, and computes a gcd only where
+    the result can have a common factor.  For canonical a = an/ad and
+    b = bn/bd, using that Z[z] has unique factorization:
+
+    - a zero operand: the result is the other operand, its negation or 0.
+    - a + b, a - b with ad = bd = 1: an + bn over 1 is coprime as it stands.
+    - a + b, a - b with ad = bd: the one gcd is gcd(an + bn, ad).
+    - other sums: an*bd + bn*ad over ad*bd, reduced by their gcd.
+    - a * b: with g1 = gcd(an, bd) and g2 = gcd(bn, ad), the quotient
+      (an/g1)(bn/g2) / ((ad/g2)(bd/g1)) is coprime.  A prime of Z[z] that
+      divides the numerator divides an/g1 or bn/g2; an/g1 is prime to ad/g2
+      (a factor of ad, and gcd(an, ad) = 1) and to bd/g1 (g1 was removed),
+      and likewise bn/g2.  So only the sign is left to fix.  A gcd against a
+      denominator 1 is skipped, so the product of two polynomials is just
+      an*bn; a gcd with a constant (an int operand, say) is an integer gcd.
+    - a / b: the product of a and bd/bn, cancelled the same way.
     """
 
     __slots__ = ("zn", "zd")
@@ -248,6 +274,8 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
+        if type(other) is int:
+            return RationalFunction((other,), (1,), _raw=True) if other else _RF_ZERO
         if isinstance(other, (int, Fraction)):
             return RationalFunction.from_fraction(other)
         return NotImplemented
@@ -256,8 +284,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = _iadd(_imul(self.zn, o.zd), _imul(o.zn, self.zd))
-        return _rf_make(n, _imul(self.zd, o.zd))
+        if not o.zn:
+            return self
+        if not self.zn:
+            return o
+        return _rf_sum(self.zn, self.zd, o.zn, o.zd)
 
     __radd__ = __add__
 
@@ -268,18 +299,25 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        if not o.zn:
+            return self
+        if not self.zn:
+            return -o
+        return _rf_sum(self.zn, self.zd, tuple(-x for x in o.zn), o.zd)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.is_zero or o.is_zero:
+        if not self.zn or not o.zn:
             return _RF_ZERO
-        return _rf_make(_imul(self.zn, o.zn), _imul(self.zd, o.zd))
+        return _rf_product(self.zn, self.zd, o.zn, o.zd)
 
     __rmul__ = __mul__
 
@@ -287,14 +325,16 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero:
+        if not o.zn:
             raise ZeroDenominator("division by zero in Q(z)")
-        if self.is_zero:
+        if not self.zn:
             return _RF_ZERO
-        return _rf_make(_imul(self.zn, o.zd), _imul(self.zd, o.zn))
+        return _rf_product(self.zn, self.zd, o.zd, o.zn)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return o / self
 
     def __pow__(self, k: int):
@@ -330,22 +370,60 @@ class RationalFunction:
         return f"({_zstr(self.num)})/({_zstr(self.den)})"
 
 
+def _cancel(n, d):
+    """n/g and d/g for g = gcd(n, d) in Z[z], up to one unit factor on both;
+    n and d are nonzero.  When either is a constant, g is an integer and
+    `_gcd` is not needed."""
+    if len(n) == 1 or len(d) == 1:
+        g = math.gcd(*n, *d)
+        if g == 1:
+            return n, d
+        return tuple(x // g for x in n), tuple(x // g for x in d)
+    g = _gcd(n, d)
+    if len(g) == 1 and abs(g[0]) == 1:
+        return n, d
+    return _iquo(n, g), _iquo(d, g)
+
+
+def _signed(n, d):
+    """Coprime n, d with the sign that makes d's leading coefficient positive."""
+    if d[-1] < 0:
+        return tuple(-x for x in n), tuple(-x for x in d)
+    return n, d
+
+
 def _canonical(n, d):
     """The canonical form of the quotient n/d of integer polynomials."""
     if not d:
         raise ZeroDenominator("rational function with zero denominator")
     if not n:
         return (), (1,)
-    g = _gcd(n, d)
-    if d[-1] * g[-1] < 0:
-        g = tuple(-x for x in g)
-    if g != (1,):
-        n, d = _iquo(n, g), _iquo(d, g)
-    return n, d
+    return _signed(*_cancel(n, d))
 
 
 def _rf_make(n, d):
     return RationalFunction(*_canonical(n, d), _raw=True)
+
+
+def _rf_sum(an, ad, bn, bd):
+    """an/ad + bn/bd for canonical, nonzero operands."""
+    if ad == bd:
+        if ad == (1,):
+            return RationalFunction(_iadd(an, bn), (1,), _raw=True)
+        return _rf_make(_iadd(an, bn), ad)
+    return _rf_make(_iadd(_imul(an, bd), _imul(bn, ad)), _imul(ad, bd))
+
+
+def _rf_product(an, ad, bn, bd):
+    """(an/ad)(bn/bd) for nonzero operands with gcd(an, ad) = gcd(bn, bd) = 1,
+    by cross-cancellation: with g1 = gcd(an, bd) and g2 = gcd(bn, ad), the
+    quotient (an/g1)(bn/g2) / ((ad/g2)(bd/g1)) is coprime.  The denominators
+    may have either sign (a quotient passes bn/bd = b.zd/b.zn)."""
+    if bd != (1,):
+        an, bd = _cancel(an, bd)
+    if ad != (1,):
+        bn, ad = _cancel(bn, ad)
+    return RationalFunction(*_signed(_imul(an, bn), _imul(ad, bd)), _raw=True)
 
 
 _RF_ZERO = RationalFunction((), (1,), _raw=True)

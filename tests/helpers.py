@@ -375,6 +375,17 @@ class ReferenceRF:
         self.num = tuple(x / den[-1] for x in num)
         self.den = tuple(x / den[-1] for x in den)
 
+    def integer_form(self):
+        """(zn, zd) of the same quotient in Z[z]: num and den times the lcm of
+        their coefficient denominators, divided by the gcd of all the
+        resulting integers.  Coprime over Q and of content 1, so coprime in
+        Z[z], with a positive leading denominator coefficient."""
+        m = math.lcm(*(c.denominator for c in self.num + self.den))
+        num = [int(c * m) for c in self.num]
+        den = [int(c * m) for c in self.den]
+        g = math.gcd(*num, *den)
+        return tuple(x // g for x in num), tuple(x // g for x in den)
+
     def __add__(self, o):
         return ReferenceRF(_zadd(_zmul(self.num, o.den), _zmul(o.num, self.den)),
                            _zmul(self.den, o.den))

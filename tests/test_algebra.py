@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nevlab import algebra
 from nevlab.algebra import (
     RATIONAL,
     RATIONAL_FUNCTION,
@@ -30,6 +31,7 @@ POINTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-5, 2
 def assert_matches_reference(got, want):
     """got is a canonical RationalFunction with the reference's value."""
     assert all(type(c) is int for c in got.zn + got.zd)
+    assert (got.zn, got.zd) == want.integer_form()
     assert got.zd[-1] > 0
     assert math.gcd(*got.zn, *got.zd) == 1
     assert len(zgcd_monic(got.zn, got.zd)) == 1
@@ -104,17 +106,64 @@ class TestRationalFunction:
     def test_matches_fraction_reference(self, an, ad, bn, bd, k, scale):
         a, b = RationalFunction(an, ad), RationalFunction(bn, bd)
         ra, rb = ReferenceRF(an, ad), ReferenceRF(bn, bd)
-        pairs = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
-                 (a * b, ra * rb), (a - a, ra - ra)]
-        if b:
-            pairs.append((a / b, ra / rb))
+        pairs = [(a, ra), (b, rb)]
         if a or k >= 0:
             pairs.append((a ** k, ra ** k))
+        # Operand pairs that reach each shortcut of the operators: a zero
+        # operand, two integer polynomials (denominator 1), equal
+        # denominators (a + q has a's), and a numerator that shares a
+        # factor with the other operand's denominator (a * bd against b).
+        zero, rzero = RationalFunction.zero(), ReferenceRF(())
+        p, q = RationalFunction([12 * x for x in an]), RationalFunction([12 * x for x in bn])
+        rp, rq = ReferenceRF([12 * x for x in an]), ReferenceRF([12 * x for x in bn])
+        shared, rshared = a * RationalFunction(bd), ra * ReferenceRF(bd)
+        operands = [((a, ra), (b, rb)), ((a, ra), (zero, rzero)), ((zero, rzero), (b, rb)),
+                    ((p, rp), (q, rq)), ((a + q, ra + rq), (a, ra)), ((a, ra), (a, ra)),
+                    ((shared, rshared), (b, rb))]
+        if b:
+            operands.append(((shared, rshared), (1 / b, ReferenceRF((1,)) / rb)))
+        # int and Fraction operands on either side.
+        for s in (k, scale):
+            rs = ReferenceRF((s,))
+            pairs += [(a + s, ra + rs), (s + a, rs + ra), (a - s, ra - rs), (s - a, rs - ra),
+                      (a * s, ra * rs), (s * a, rs * ra)]
+            if s:
+                pairs.append((a / s, ra / rs))
+            if a:
+                pairs.append((s / a, rs / ra))
+        for (x, rx), (y, ry) in operands:
+            pairs += [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry)]
+            if y:
+                pairs.append((x / y, rx / ry))
         for got, want in pairs:
             assert_matches_reference(got, want)
         # The same value written with another scale: equal, with equal hashes.
         c = RationalFunction([scale * x for x in an], [scale * x for x in ad])
         assert c == a and hash(c) == hash(a)
+
+    def test_shortcuts_make_no_polynomial_gcd(self, monkeypatch):
+        calls = []
+        gcd = algebra._gcd
+        monkeypatch.setattr(algebra, "_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+        p = RationalFunction((1, 2, 3), (1,), _raw=True)
+        q = RationalFunction((-2, 0, 4), (1,), _raw=True)
+        x = RationalFunction((2, 4), (6, 0, 3), _raw=True)  # (2 + 4z)/(6 + 3z^2)
+        r = p * q
+        assert (r.zn, r.zd) == ((-2, -4, -2, 8, 12), (1,))
+        r = 0 + x
+        assert (r.zn, r.zd) == ((2, 4), (6, 0, 3))
+        r = 3 * x
+        assert (r.zn, r.zd) == ((2, 4), (2, 0, 1))
+        assert calls == []
+        x + RationalFunction((1,), (1, 1), _raw=True)  # the general sum does call it
+        assert calls
+
+    def test_foreign_operands_raise_type_error(self):
+        z = RationalFunction.z()
+        with pytest.raises(TypeError, match="for /:"):
+            "a" / z
+        with pytest.raises(TypeError, match="for -:"):
+            "a" - z
 
 
 class TestMultiPoly:

@@ -210,7 +210,10 @@ def test_constant_targets(instance):
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(data=st.data())
 def test_moving_targets(name, data):
-    check_weighted_sums(*data.draw(moving_instances(name)), RATIONAL_FUNCTION)
+    instance = data.draw(moving_instances(name))
+    scan = check_weighted_sums(*instance, RATIONAL_FUNCTION)
+    J, _, d, _, Q = instance
+    check_scan_windows(J, [Q], d, scan)
 
 
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
