@@ -10,16 +10,13 @@ serves as the standing cross-check.
 
 import math
 
+from nevlab.expr import Const, Exp, Z, sub
 from nevlab.nevanlinna import (
-    Const,
     EntireCurve,
-    Exp,
-    Z,
     characteristic_T,
     counting_N,
     jensen_check,
     locate_zeros,
-    sub,
 )
 
 print("== characteristic of (1 : e^z) ==")
@@ -51,7 +48,7 @@ for name, h, r in (("e^z - 2", sub(Exp(Z()), Const(2)), 10.0),
 
 print()
 print("== a double zero ==")
-from nevlab.nevanlinna import Pow
+from nevlab.expr import Pow
 
 zl = locate_zeros(Pow(Z(), 2), 1.5, tol=1e-10)
 print("z^2 in |z| < 1.5:", [(f"{z:.2e}", m) for z, m in zl.zeros])

@@ -13,14 +13,8 @@ from fractions import Fraction
 from nevlab.algebra import RATIONAL_FUNCTION, MultiPoly, RationalFunction
 from nevlab.filtration import build_table, filtration_basis
 from nevlab.gradedgeom import HomogeneousIdeal
-from nevlab.nevanlinna import (
-    Const,
-    EntireCurve,
-    Exp,
-    Mul,
-    Z,
-    basis_growth_diagnostic,
-)
+from nevlab.expr import Const, Exp, Mul, Z
+from nevlab.nevanlinna import EntireCurve, basis_growth_diagnostic
 
 print("== P^1, target x0, curve (1 : e^z), N = 4 ==")
 line = HomogeneousIdeal(2, [])

@@ -17,9 +17,14 @@ their products and leaves:
     curve        *     rationals p/q, z, exp(curve)
 
 Curve expressions have no division because their components are entire.
+Parsing builds them as `expr` trees; the numeric commands (tf, zeros, smt,
+defects) compile the curve on first use and import nevanlinna, and numpy
+with it, only then.  The exact commands never read the curve.
 
-Exit codes: 0 success, 2 parse error, 3 precondition failure (e.g. a
-non-admissible system), 4 numeric guard trip (overflow, ambiguous winding).
+Exit codes: 0 success, 2 parse error (for a numeric command, also a curve
+whose components all vanish at the probe points), 3 precondition failure
+(e.g. a non-admissible system), 4 numeric guard trip (overflow, ambiguous
+winding).
 """
 
 from __future__ import annotations
@@ -34,11 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from . import filtration as filt
 from . import gradedgeom as gg
-from . import nevanlinna as nev
 from .algebra import (
     RATIONAL,
     RATIONAL_FUNCTION,
@@ -47,6 +49,18 @@ from .algebra import (
     PoleAtPoint,
     RationalFunction,
     normalize_degrees,
+)
+from .expr import (
+    Const,
+    DegenerateCurve,
+    Exp,
+    Expr,
+    IdenticallyZero,
+    NonPolynomialCoefficient,
+    OverflowGuard,
+    WindingAmbiguous,
+    Z,
+    ZeroAtOrigin,
 )
 
 EXIT_OK = 0
@@ -198,7 +212,7 @@ def _parse_rational(p: _Parser) -> Fraction:
 #   atom   := "(" expr ")" | "-" factor | leaf
 #
 # Values combine with Python operators, so one chain builds RationalFunction,
-# MultiPoly and nevanlinna.Expr values alike.
+# MultiPoly and expr.Expr values alike.
 
 @dataclass(frozen=True)
 class _Grammar:
@@ -308,25 +322,25 @@ def parse_polynomial(text: str, nvars: int, ftag: str = RATIONAL_FUNCTION,
     return _parse(text, line, _Grammar("polynomial", ("*",), leaf))
 
 
-def _curve_leaf(p: _Parser, tok: _Token) -> nev.Expr | None:
+def _curve_leaf(p: _Parser, tok: _Token) -> Expr | None:
     if tok.kind == "NUM":
-        return nev.Const(_parse_rational(p))
+        return Const(_parse_rational(p))
     if tok.kind == "NAME" and tok.value == "z":
         p.next()
-        return nev.Z()
+        return Z()
     if tok.kind == "NAME" and tok.value == "exp":
         p.next()
         p.expect("(")
         inner = _expr(p, _CURVE)
         p.expect(")")
-        return nev.Exp(inner)
+        return Exp(inner)
     return None
 
 
 _CURVE = _Grammar("curve expression", ("*",), _curve_leaf)
 
 
-def parse_curve_expression(text: str, line: int = 1) -> nev.Expr:
+def parse_curve_expression(text: str, line: int = 1) -> Expr:
     return _parse(text, line, _CURVE)
 
 
@@ -358,12 +372,20 @@ class ProblemSpec:
     generators: list[MultiPoly]
     hypersurfaces: list[MultiPoly]
     declared_degrees: list[int]
-    curve: nev.EntireCurve
+    components: tuple[Expr, ...]
     options: dict
 
     @property
     def nvars(self) -> int:
         return self.M + 1
+
+    @cached_property
+    def curve(self):
+        """The curve, compiled and probed on first use: only the numeric
+        commands read it, so only they import nevanlinna and numpy.  Raises
+        DegenerateCurve when every component vanishes at the probe points."""
+        from . import nevanlinna as nev
+        return nev.EntireCurve(components=self.components)
 
     @cached_property
     def ideal(self) -> gg.HomogeneousIdeal:
@@ -466,10 +488,9 @@ def parse_problem(text: str) -> ProblemSpec:
 
     merged = dict(DEFAULT_OPTIONS)
     merged.update(options)
-    curve = nev.EntireCurve(components=components)
     return ProblemSpec(M=M, n=n, generators=generators,
                        hypersurfaces=hypersurfaces,
-                       declared_degrees=declared_degrees, curve=curve,
+                       declared_degrees=declared_degrees, components=components,
                        options=merged)
 
 
@@ -499,7 +520,7 @@ def _echo(spec: ProblemSpec) -> dict:
         "variety": [str(g) for g in spec.generators],
         "hypersurfaces": [f"degree {d}: {q}" for d, q in
                           zip(spec.declared_degrees, spec.hypersurfaces)],
-        "curve": [str(c) for c in spec.curve.components],
+        "curve": [str(c) for c in spec.components],
     }
 
 
@@ -600,6 +621,7 @@ def _radius_grid(spec, flags) -> list[float]:
     steps = _opt(spec, flags, "r_steps", int)
     if steps < 1 or r_max < r_min or r_min <= 1:
         raise PreconditionError("radius grid needs 1 < r_min <= r_max and steps >= 1")
+    import numpy as np
     return [float(r) for r in np.linspace(r_min, r_max, steps)]
 
 
@@ -732,20 +754,28 @@ def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
     return RunReport("product", _echo(spec), results)
 
 
+# The numeric commands import nevanlinna, and with it numpy, when they run,
+# and read the curve first, so that a degenerate one is reported as a parse
+# error ahead of any option check.
+
 def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
+    from . import nevanlinna as nev
+    curve = spec.curve
     samples = _positive_opt(spec, flags, "samples", int)
     if samples >= nev.QUADRATURE_CAP:
         # a first level at the cap would be returned without a convergence test
         raise PreconditionError(
             f"samples must be below the quadrature cap {nev.QUADRATURE_CAP}, got {samples}")
     grid = _radius_grid(spec, flags)
-    values = [nev.characteristic_T(spec.curve, r, samples=samples) for r in grid]
+    values = [nev.characteristic_T(curve, r, samples=samples) for r in grid]
     results = {"r": grid, "Tf": values}
     return RunReport("tf", _echo(spec), results,
                      table=(["r", "Tf"], [[r, t] for r, t in zip(grid, values)]))
 
 
 def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
+    from . import nevanlinna as nev
+    curve = spec.curve
     target = flags.get("target")
     if target is None:
         target = 0
@@ -758,9 +788,9 @@ def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
     tol_key = "zero_tol" if _opt(spec, flags, "tol") is None else "tol"
     tol = _positive_opt(spec, flags, tol_key, float)
     Q = spec.hypersurfaces[target]
-    g = nev.compose_form(Q, spec.curve)
+    g = nev.compose_form(Q, curve)
     # the zero form has no degree; it vanishes at every probe all the same
-    nev.assert_not_identically_zero(spec.curve, g, Q.degree or 0, r)
+    nev.assert_not_identically_zero(curve, g, Q.degree or 0, r)
     zl = nev.locate_zeros(g, r, tol=tol)
     rows = [[z.real, z.imag, m] for z, m in zl.zeros]
     results = {
@@ -782,6 +812,7 @@ def _require_admissible(spec: ProblemSpec, flags: dict):
 
 
 def _require_on_variety(spec: ProblemSpec, flags: dict):
+    from . import nevanlinna as nev
     residual = nev.curve_residual(spec.generators, spec.curve)
     tol = _opt(spec, flags, "residual_tol", float)
     if residual > tol:
@@ -792,13 +823,15 @@ def _require_on_variety(spec: ProblemSpec, flags: dict):
 
 
 def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
+    from . import nevanlinna as nev
+    curve = spec.curve
     epsilon = _opt(spec, flags, "epsilon", float)
     grid = _radius_grid(spec, flags)
     zero_tol = _positive_opt(spec, flags, "zero_tol", float)
     _cross_check_dimension(spec, *_kmax_window(spec, flags))
     adm = _require_admissible(spec, flags)
     residual = _require_on_variety(spec, flags)
-    sweep = nev.smt_margin(spec.curve, spec.hypersurfaces, spec.n, epsilon,
+    sweep = nev.smt_margin(curve, spec.hypersurfaces, spec.n, epsilon,
                            grid, zero_tol=zero_tol, admissibility_checked=True)
     q = sweep.q
     header = (["r", "Tf"] + [f"Nf_{j + 1}" for j in range(q)]
@@ -834,9 +867,11 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_defects(spec: ProblemSpec, flags: dict) -> RunReport:
+    from . import nevanlinna as nev
+    curve = spec.curve
     grid = _radius_grid(spec, flags)
     zero_tol = _positive_opt(spec, flags, "zero_tol", float)
-    data = nev.sweep_data(spec.curve, spec.hypersurfaces, grid, zero_tol=zero_tol)
+    data = nev.sweep_data(curve, spec.hypersurfaces, grid, zero_tol=zero_tol)
     estimates = [nev.defect_estimate(data.radii, data.Tf, Nf_j, d)
                  for Nf_j, d in zip(data.Nf, data.degrees)]
     defects = [delta for delta, _ in estimates]
@@ -917,12 +952,15 @@ def main(argv=None) -> int:
     try:
         report = run_command(args.command, spec, flags)
         payload = emit_report(report, args.format)
+    except DegenerateCurve as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (PreconditionError, gg.NotStabilized, InhomogeneousInput,
-            PoleAtPoint, nev.IdenticallyZero, nev.NonPolynomialCoefficient,
-            nev.ZeroAtOrigin, filt.DegreeMismatch) as exc:
+            PoleAtPoint, IdenticallyZero, NonPolynomialCoefficient,
+            ZeroAtOrigin, filt.DegreeMismatch) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (nev.OverflowGuard, nev.WindingAmbiguous) as exc:
+    except (OverflowGuard, WindingAmbiguous) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UnknownCommand, UnsupportedFormat) as exc:

@@ -298,12 +298,17 @@ class GradedSubspace:
         pivots because the remainders are zero there.  Merged by pivot column,
         the rows are in reduced echelon form and span the sum; that form is
         unique, so it is the one a reduction of the stacked rows would give.
+        Over Q, clearing leaves integral values as Fraction(k, 1); they are
+        returned as ints, as `_rref_integer` returns them.
         """
         rems = [rem for rem in (self.reduce_vector(v)[0] for v in rows) if any(rem)]
         if not rems:
             return self
         new = GradedSubspace.from_rows(rems, cols=self.basis.cols, field=self.field)
         old = [new.reduce_vector(row)[0] for row in self.basis.entries]
+        if self.field == RATIONAL:
+            old = [[v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                    for v in row] for row in old]
         pivots, entries = zip(*sorted(zip(self.pivot_cols + new.pivot_cols,
                                           old + new.basis.entries),
                                       key=itemgetter(0)))

@@ -1,16 +1,16 @@
 """Value-distribution numerics for entire curves.
 
-Curves are tuples of expression trees in z (rational constants, z, +, *, -,
-integer powers, exp) with symbolic derivatives.  There is one evaluator:
-every tree is compiled into a Program, a flat list of numpy operations with
-common subtrees shared across the trees compiled together (a curve's
-components, a target and its derivative), and eval_on runs it on a point
-set.  The characteristic function is a circle average of log of the
-max-norm.  That integrand has a kink wherever the largest component
-changes: characteristic_T locates the kinks from one grid of samples and
-integrates each arc between them by Gauss-Legendre, and leaves a circle
-with no kink, or one whose kinks it cannot resolve, to the trapezoid rule,
-whose first level is that grid.  Zeros of composed targets are located by
+Curves are tuples of the expression trees of `expr` (rational constants, z,
++, *, -, integer powers, exp).  There is one evaluator: every tree is
+compiled into a Program, a flat list of numpy operations with common
+subtrees shared across the trees compiled together (a curve's components,
+a target and its derivative), and eval_on runs it on a point set.  The
+characteristic function is a circle average of log of the max-norm.  That
+integrand has a kink wherever the largest component changes:
+characteristic_T locates the kinks from one grid of samples and integrates
+each arc between them by Gauss-Legendre, and leaves a circle with no kink,
+or one whose kinks it cannot resolve, to the trapezoid rule, whose first
+level is that grid.  Zeros of composed targets are located by
 rectangle subdivision driven by argument-principle winding numbers, one
 generation of boxes at a time, until a box isolates one cluster of zeros.
 Newton with the box's winding as multiplicity then polishes the cluster
@@ -39,11 +39,29 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import RATIONAL_FUNCTION, InhomogeneousInput, MultiPoly, RationalFunction
+from .expr import (
+    Add,
+    Const,
+    DegenerateCurve,
+    Exp,
+    Expr,
+    IdenticallyZero,
+    Mul,
+    Neg,
+    NonPolynomialCoefficient,
+    OverflowGuard,
+    Pow,
+    WindingAmbiguous,
+    Z,
+    ZeroAtOrigin,
+    add,
+    mul,
+    pow_,
+)
 
 TWO_PI = 2.0 * math.pi
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
@@ -52,138 +70,9 @@ ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every pr
 JENSEN_GATE = 1e-5  # a Jensen residual at or above this is reported as a warning
 
 
-class OverflowGuard(ArithmeticError):
-    """An evaluation left the safe floating range (radius too large)."""
-
-
-class WindingAmbiguous(RuntimeError):
-    """A boundary integral refused to snap to an integer (zero on or near an edge)."""
-
-
-class ZeroAtOrigin(ValueError):
-    """Jensen's formula needs g(0) != 0."""
-
-
-class IdenticallyZero(ValueError):
-    """The composed target vanishes identically on the curve."""
-
-
-class NonPolynomialCoefficient(ValueError):
-    """A numeric target has a coefficient that is not a polynomial in z."""
-
-
 # ---------------------------------------------------------------------------
-# Expression trees.
+# Compiled evaluation.
 # ---------------------------------------------------------------------------
-
-class Expr:
-    __slots__ = ()
-
-    def diff(self) -> "Expr":  # pragma: no cover - interface
-        raise NotImplementedError
-
-    # Operators build trees through the simplifying constructors below.
-    __add__ = lambda a, b: add(a, b)
-    __sub__ = lambda a, b: sub(a, b)
-    __mul__ = lambda a, b: mul(a, b)
-    __pow__ = lambda a, k: pow_(a, k)
-    __neg__ = lambda a: neg(a)
-
-
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = Fraction(value) if not isinstance(value, Fraction) else value
-
-    def diff(self):
-        return Const(0)
-
-    def __str__(self):
-        return str(self.value)
-
-
-class Z(Expr):
-    __slots__ = ()
-
-    def diff(self):
-        return Const(1)
-
-    def __str__(self):
-        return "z"
-
-
-class Add(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def diff(self):
-        return add(self.a.diff(), self.b.diff())
-
-    def __str__(self):
-        rhs = str(self.b)
-        if rhs.startswith("-"):
-            return f"{self.a} - {rhs[1:]}"
-        return f"{self.a} + {rhs}"
-
-
-class Mul(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def diff(self):
-        return add(mul(self.a.diff(), self.b), mul(self.a, self.b.diff()))
-
-    def __str__(self):
-        return f"{_paren(self.a)}*{_paren(self.b)}"
-
-
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def diff(self):
-        return neg(self.a.diff())
-
-    def __str__(self):
-        return f"-{_paren(self.a)}"
-
-
-class Pow(Expr):
-    __slots__ = ("a", "k")
-
-    def __init__(self, a, k: int):
-        if k < 0:
-            raise ValueError("Pow exponent must be a nonnegative integer")
-        self.a, self.k = a, k
-
-    def diff(self):
-        if self.k == 0:
-            return Const(0)
-        return mul(mul(Const(self.k), pow_(self.a, self.k - 1)), self.a.diff())
-
-    def __str__(self):
-        return f"{_paren(self.a)}^{self.k}"
-
-
-class Exp(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def diff(self):
-        return mul(self.a.diff(), Exp(self.a))
-
-    def __str__(self):
-        return f"exp({self.a})"
-
 
 def _guarded_exp(w):
     mx = np.max(np.real(w)) if np.ndim(w) else float(np.real(w))
@@ -191,61 +80,6 @@ def _guarded_exp(w):
         raise OverflowGuard(
             f"exp argument real part {mx:.1f} exceeds the guard {EXP_REAL_CAP}")
     return np.exp(w)
-
-
-def _paren(e: Expr) -> str:
-    s = str(e)
-    if isinstance(e, (Add,)) or (isinstance(e, Neg)) or (" " in s and not s.startswith("exp(")):
-        return f"({s})"
-    return s
-
-
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
-def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return Const(0)
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
-def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    return add(a, neg(b))
-
-
-def pow_(a: Expr, k: int) -> Expr:
-    if k == 0:
-        return Const(1)
-    if k == 1:
-        return a
-    if isinstance(a, Const):
-        return Const(a.value ** k)
-    return Pow(a, k)
 
 
 _OPERATORS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
@@ -326,7 +160,7 @@ def eval_on(prog: Program, z):
 @dataclass
 class EntireCurve:
     """M+1 entire components, compiled into one Program; not all
-    identically zero."""
+    identically zero (DegenerateCurve when all vanish at five probe points)."""
 
     components: tuple[Expr, ...]
 
@@ -339,7 +173,7 @@ class EntireCurve:
                            -1.51 - 1.13j, 2.03 + 0.37j])
         mags = np.abs(self.eval_components(probes))
         if float(mags.max()) == 0.0:
-            raise ValueError("all curve components vanish at the probe points")
+            raise DegenerateCurve("all curve components vanish at the probe points")
 
     @property
     def nvars(self) -> int:

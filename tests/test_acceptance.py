@@ -26,16 +26,13 @@ from nevlab.gradedgeom import (
     specialize_space,
     variety_invariants,
 )
+from nevlab.expr import Const, Exp, Z, sub
 from nevlab.nevanlinna import (
-    Const,
     EntireCurve,
-    Exp,
-    Z,
     characteristic_T,
     counting_N,
     locate_zeros,
     smt_margin,
-    sub,
 )
 
 from helpers import conic_ideal, p1_ideal, xvar

@@ -30,6 +30,23 @@ from nevlab.cli import (
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
+
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _with_zero_curve(path: Path) -> str:
+    """The problem file at path with every curve component replaced by 0."""
+    head, sep, tail = path.read_text().partition("[curve]\n")
+    lines = tail.split("\n")
+    k = lines.index("")  # the curve ends at the first blank line
+    return head + sep + "\n".join(["0"] * k + lines[k:])
+
+
 MINI = """
 [variety]
 M = 2
@@ -320,15 +337,35 @@ class TestEmit:
 class TestMainExitCodes:
     def test_module_run_is_clean(self):
         # importing the package must not import nevlab.cli ahead of runpy
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(PROBLEMS.parent / "src"), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "nevlab.cli",
              "hilbert", "--input", str(PROBLEMS / "conic.prob")],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "conic.prob"],
+        ["admissible", "conic_exact.prob"],
+        ["admissible", "p1_line.prob"],
+        ["filtration", "conic_exact.prob", "--N", "12"],
+        ["filtration", "p1_line.prob", "--N", "8"],
+        ["basis", "conic_exact.prob"],
+        ["product", "conic_exact.prob", "--N", "12"],
+    ], ids="_".join)
+    def test_exact_commands_run_without_numpy(self, argv, capsys):
+        # numpy blocked in sys.modules: any import of it, or of nevanlinna,
+        # raises ImportError; the report is the in-process one, byte for byte
+        command, problem, *rest = argv
+        argv = [command, "--input", str(PROBLEMS / problem), *rest]
+        code = main(argv)
+        captured = capsys.readouterr()
+        script = ("import sys; sys.modules['numpy'] = None; "
+                  "from nevlab.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=_src_env(),
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out.encode(), captured.err.encode())
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.prob"
@@ -374,6 +411,29 @@ class TestMainExitCodes:
         code = main(["smt", "--input", str(PROBLEMS / "conic_degenerate.prob"),
                      "--r-steps", "3"])
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("command", ["tf", "zeros", "smt", "defects"])
+    def test_degenerate_curve_is_a_parse_error(self, command, tmp_path, capsys):
+        prob = tmp_path / "zero_curve.prob"
+        prob.write_text(_with_zero_curve(PROBLEMS / "conic.prob"))
+        assert main([command, "--input", str(prob)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: all curve components vanish at the probe points\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert"], ["admissible"], ["filtration", "--N", "4"],
+        ["basis", "--N", "4"], ["product", "--N", "4"],
+    ], ids="_".join)
+    def test_exact_commands_ignore_a_degenerate_curve(self, argv, tmp_path, capsys):
+        prob = tmp_path / "zero_curve.prob"
+        prob.write_text(_with_zero_curve(PROBLEMS / "conic.prob"))
+        reports = []
+        for path in (PROBLEMS / "conic.prob", prob):
+            assert main(argv + ["--input", str(path), "--format", "json"]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["inputs"].pop("curve") == ["0", "0", "0"]
+        reports[0]["inputs"].pop("curve")
+        assert reports[0] == reports[1]
 
     def test_overflow_guard_exit(self, capsys):
         # exp(2z) at radius 400 exceeds the exp-argument cap

@@ -303,6 +303,29 @@ class TestFieldPolicy:
         assert filtration_space(J, [qz], 8, (1,))[(1,)].L.field == RATIONAL
         assert stabilization_scan(J, [qz], 8).c == 4
 
+    def test_u_over_q_holds_ints_where_integral(self, monkeypatch):
+        # Over Q every integral entry of U is an int, as in the RREFs of
+        # linear._rref_integer.  Two fixed lines in P^2 at N = 5 grow U
+        # through extended_with, whose old rows once kept 1203 of their
+        # 4410 entries as Fraction(k, 1).
+        from nevlab.gradedgeom import HomogeneousIdeal
+
+        extend = linear.GradedSubspace.extended_with
+        grown = []
+
+        def recorded(U, rows):
+            grown.append(extend(U, rows))
+            return grown[-1]
+
+        monkeypatch.setattr(linear.GradedSubspace, "extended_with", recorded)
+        x0, x1, x2 = (xvar(i) for i in range(3))
+        build_table(HomogeneousIdeal(3, []),
+                    [x0 + x1.scale(2) - x2, x0.scale(2) - x1 + x2], 5)
+        entries = [v for U in grown for row in U.basis.entries for v in row]
+        assert grown and all(U.field == RATIONAL for U in grown)
+        assert any(type(v) is Fraction for v in entries)
+        assert all(type(v) is int for v in entries if v == int(v))
+
 
 class TestBasis:
     def test_p1_basis_recovered(self):

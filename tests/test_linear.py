@@ -411,8 +411,11 @@ class TestMatchesStackedReduction:
         U, images = data.draw(_subspace_and_images(field, case))
         _assert_same_subspace(preimage_of_subspace(images, U),
                               reference_preimage_of_subspace(images, U))
-        _assert_same_subspace(U.extended_with(images),
-                              reference_extended_with(U, images))
+        extended = U.extended_with(images)
+        _assert_same_subspace(extended, reference_extended_with(U, images))
+        if field == RATIONAL:  # ints where integral, as from_rows gives them
+            assert all(type(v) is int for row in extended.basis.entries
+                       for v in row if v == int(v))
 
 
 class TestSolveRowCombinations:

@@ -16,22 +16,28 @@ from nevlab.algebra import (
 )
 from nevlab import nevanlinna as nev
 from nevlab.cli import load_problem, parse_curve_expression, parse_problem
-from nevlab.nevanlinna import (
+from nevlab.expr import (
     Add,
     Const,
-    EntireCurve,
     Exp,
     IdenticallyZero,
     Mul,
     Neg,
     OverflowGuard,
     Pow,
-    Program,
     WindingAmbiguous,
     Z,
     ZeroAtOrigin,
-    ZeroList,
     add,
+    mul,
+    neg,
+    pow_,
+    sub,
+)
+from nevlab.nevanlinna import (
+    EntireCurve,
+    Program,
+    ZeroList,
     characteristic_T,
     compose_form,
     counting_N,
@@ -40,11 +46,7 @@ from nevlab.nevanlinna import (
     eval_on,
     jensen_check,
     locate_zeros,
-    mul,
-    neg,
-    pow_,
     smt_margin,
-    sub,
     sweep_data,
 )
 
