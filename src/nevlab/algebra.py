@@ -431,32 +431,6 @@ _RF_ONE = RationalFunction((1,), (1,), _raw=True)
 _RF_Z = RationalFunction((0, 1), (1,), _raw=True)
 
 
-def clear_denominators(row: Sequence[RationalFunction]) -> list[tuple[int, ...]]:
-    """Primitive integer polynomial representative of a Q(z)-row (same span line).
-
-    Multiplies by the lcm of the denominators in Z[z] and divides out the gcd
-    of the numerators, so the returned z-polynomial entries share no common
-    root: the row evaluates to a nonzero vector at every point, which is what
-    specializing a moving subspace needs.
-    """
-    lcm = (1,)
-    for v in row:
-        lcm = _imul(lcm, _iquo(v.zd, _gcd(lcm, v.zd)))
-    nums = [_imul(v.zn, _iquo(lcm, v.zd)) for v in row]
-    common = ()
-    for nu in nums:
-        if nu:
-            common = _gcd(common, nu) if common else nu
-            if common in ((1,), (-1,)):
-                return nums
-    return [_iquo(nu, common) for nu in nums] if common else nums
-
-
-def zpoly_eval(coeffs: Sequence, a) -> Fraction:
-    """Evaluate a z-polynomial given by low-to-high coefficients at a."""
-    return _zeval(tuple(coeffs), Fraction(a))
-
-
 # ---------------------------------------------------------------------------
 # Field plumbing shared with the linear algebra layer.  Q elements are ints
 # and Fractions, so zero and one over Q are the ints 0 and 1, and a row of Q

@@ -420,6 +420,8 @@ def parse_problem(text: str) -> ProblemSpec:
                     ivalue = int(value)
                 except ValueError:
                     raise ProblemSyntaxError(f"{key} must be an integer", lineno, 1)
+                if ivalue < 0:
+                    raise ProblemSyntaxError(f"{key} must be nonnegative", lineno, 1)
                 if key == "M":
                     M = ivalue
                 else:

@@ -1,12 +1,15 @@
 """Graded pieces of homogeneous ideals, Hilbert functions, and admissibility.
 
-The variety ideal J is reduced once per degree in monomial coordinates (its
-Macaulay piece J_k) and read into a normal-form table: the standard monomials
-of degree k are the non-pivot columns of J_k, with each degree-k monomial's
-class modulo J_k as a sparse row on them.  A form's class is the sum of its
-terms' classes, and dim (K[x]/(J, f_1..f_r))_k is H_V(k) minus the rank of
-the classes of the f_j times standard monomials (`HomogeneousIdeal.multiples`).
-Degree and dimension come from finite differences of H_V.
+The variety ideal J is read through its reduced lex Gröbner basis G, built
+lazily up to the largest degree asked for: at each generator degree from the
+RREF of J's Macaulay piece, at every other degree from the S-pairs of that
+degree.  G gives a normal-form table per degree: the standard monomials of
+degree k are those no leading term of G divides, with each degree-k
+monomial's class modulo J as a sparse row on them.  A form's class is the
+sum of its terms' classes, and dim (K[x]/(J, f_1..f_r))_k is H_V(k) minus
+the rank of the classes of the f_j times standard monomials
+(`HomogeneousIdeal.multiples`).  Degree and dimension come from finite
+differences of H_V.
 
 The admissibility certificates are solved on the same rows: one exact solve
 per degree writes the classes of the powers x_i^s in terms of the targets'
@@ -38,14 +41,12 @@ from .algebra import (
     InhomogeneousInput,
     MultiPoly,
     PoleAtPoint,
-    clear_denominators,
     coefficient_field,
     field_one,
     field_zero,
     monomial_basis,
     monomial_count,
     monomial_mul,
-    zpoly_eval,
 )
 from .linear import ExactMatrix, GradedSubspace, solve_row_combinations
 
@@ -63,13 +64,16 @@ class CertificateDefect(RuntimeError):
 class HomogeneousIdeal:
     """A homogeneous ideal over Q given by generators, with cached normal forms.
 
-    The variety ideal always has rational coefficients, so its pieces are
-    reduced over Q once and never leave Q.  The quotient by the ideal is
-    decided here: the standard monomials of degree k are the non-pivot
-    columns of the reduced piece J_k (Macaulay's basis theorem; Cox, Little &
+    The variety ideal always has rational coefficients, so it never leaves
+    Q.  The quotient by the ideal is decided by its reduced Gröbner basis G
+    in lex order (x0 > x1 > ...), built lazily and truncated at the largest
+    degree asked for: the standard monomials of degree k are those that no
+    leading term of G divides (Macaulay's basis theorem; Cox, Little &
     O'Shea, ch. 5 section 3), and a degree-k form's class in the quotient is
-    its remainder against J_k read on those H_V(k) columns.  Q(z)
-    coefficients multiply the Q classes as they are.
+    its remainder modulo G read on those H_V(k) monomials.  That remainder
+    is unique, so it is also the form's remainder against the RREF of J_k in
+    the descending-lex monomial columns.  Q(z) coefficients multiply the Q
+    classes as they are.
     """
 
     def __init__(self, nvars: int, generators):
@@ -86,6 +90,12 @@ class HomogeneousIdeal:
         self.generators = tuple(gens)
         self._normal_forms: dict[int, tuple] = {}
         self._ideal_cofactors: dict[int, dict] = {}
+        # G up to degree _groebner_degree: monic elements (leading monomial,
+        # ((tail monomial, coefficient), ...)), and the S-pairs
+        # (indices into G) still to reduce, by the degree of their lcm.
+        self._groebner: list[tuple] = []
+        self._groebner_degree = -1
+        self._pairs: dict[int, list] = {}
 
     @property
     def M(self) -> int:
@@ -93,28 +103,85 @@ class HomogeneousIdeal:
 
     def graded_piece(self, k: int, extra=()) -> GradedSubspace:
         """J_k, or (J, extra)_k, reduced in full monomial coordinates and not
-        cached: the commands read J only through `normal_forms`."""
+        cached: G reads J's piece once per generator degree."""
         return ideal_graded_piece(self, list(extra), k)
+
+    def _grow_groebner(self, k: int) -> None:
+        """Extend G through degree k, one degree at a time.
+
+        At a degree e of some generator, J_e's RREF rows are J_e's elements
+        t - NF(t), one per leading monomial t; those whose t no element of
+        lower degree divides are G's elements of degree e, already monic and
+        tail-reduced.  At any other degree d, J_d is spanned by multiples of
+        lower-degree elements, so G's new elements are the nonzero remainders
+        of the S-pairs whose lcm has degree d (Buchberger's criterion, with
+        coprime leading terms skipped; CLO ch. 2 sections 6-7), each reduced
+        against G and the degree's earlier new elements, made monic, and then
+        freed of the later ones' leading terms.  A new element's pairs have
+        lcm degree above its own, so no pair is missed by going degree by
+        degree.
+        """
+        gen_degrees = {g.degree for g in self.generators}
+        for d in range(self._groebner_degree + 1, k + 1):
+            pairs = self._pairs.pop(d, ())
+            new = []
+            if d in gen_degrees:
+                piece = self.graded_piece(d)
+                basis = monomial_basis(self.M, d)
+                for pc, row in zip(piece.pivot_cols, piece.basis.entries):
+                    lt = basis[pc]
+                    if _divisor(self._groebner, lt) is None:
+                        new.append((lt, tuple((basis[j], c) for j, c in enumerate(row)
+                                              if c and j != pc)))
+            else:
+                for i, j in pairs:
+                    rem = _remainder(_s_polynomial(self._groebner[i], self._groebner[j]),
+                                     self._groebner + new)
+                    if rem:
+                        lt = max(rem)
+                        lc = rem.pop(lt)
+                        new.append((lt, _monic_tail(rem, lc)))
+                for i in range(len(new) - 2, -1, -1):
+                    lt, tail = new[i]
+                    new[i] = (lt, _monic_tail(_remainder(dict(tail), new[i + 1:])))
+            for elem in new:
+                for i, (other, _) in enumerate(self._groebner):
+                    deg = sum(map(max, elem[0], other))
+                    if deg < d + sum(other) and deg not in gen_degrees:
+                        self._pairs.setdefault(deg, []).append((i, len(self._groebner)))
+                self._groebner.append(elem)
+            self._groebner_degree = d
 
     def normal_forms(self, k: int) -> tuple[list, dict]:
         """(standard monomials of degree k, {degree-k monomial: its class}),
         cached per degree.
 
-        The standard monomials are J_k's non-pivot columns in monomial_basis
-        order; a class is a sparse row of (position, coefficient) pairs on
-        them.  A standard monomial is its own class, and a pivot monomial's
-        class is minus the rest of its RREF row, which is zero in every other
-        pivot column.
+        The standard monomials are those no leading term of G divides, in
+        monomial_basis order; a class is a sparse row of (position,
+        coefficient) pairs on them, int where integral and Fraction
+        otherwise.  A standard monomial is its own class.  The others are
+        taken in ascending lex order: t = u * LT(g) has class minus the sum
+        of c * class(u * s) over g's tail terms c * x^s, each of which is
+        lex-smaller than t and so already known.
         """
         if k not in self._normal_forms:
-            piece = self.graded_piece(k)
+            self._grow_groebner(k)
             basis = monomial_basis(self.M, k)
-            pivots = set(piece.pivot_cols)
-            std = [j for j in range(len(basis)) if j not in pivots]
-            classes = {basis[j]: ((i, 1),) for i, j in enumerate(std)}
-            for pc, row in zip(piece.pivot_cols, piece.basis.entries):
-                classes[basis[pc]] = tuple((i, -row[j]) for i, j in enumerate(std) if row[j])
-            self._normal_forms[k] = ([basis[j] for j in std], classes)
+            divisors = {}
+            if self._groebner:  # else every monomial is standard, as on P^M
+                divisors = {t: found for t in basis
+                            if (found := _divisor(self._groebner, t)) is not None}
+            std = [t for t in basis if t not in divisors]
+            classes = {m: ((i, 1),) for i, m in enumerate(std)}
+            for t in reversed(basis):
+                if t in divisors:
+                    u, tail = divisors[t]
+                    acc = {}
+                    for s, c in tail:
+                        for i, v in classes[monomial_mul(u, s)]:
+                            acc[i] = acc.get(i, 0) - c * v
+                    classes[t] = tuple((i, _q(v)) for i, v in sorted(acc.items()) if v)
+            self._normal_forms[k] = (std, classes)
         return self._normal_forms[k]
 
     def multiples(self, k: int, forms) -> list[list]:
@@ -180,6 +247,62 @@ class HomogeneousIdeal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"HomogeneousIdeal(<{gens}> in {self.nvars} vars over Q)"
+
+
+def _q(v):
+    """The rational v as an int when it is integral."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
+def _monic_tail(terms: dict, lc=1) -> tuple:
+    """The (monomial, coefficient / lc) pairs of `terms`."""
+    return tuple((s, _q(Fraction(c) / lc)) for s, c in terms.items())
+
+
+def _divisor(elems, t):
+    """(t / LT(g), g's tail) for the first element g of `elems` whose leading
+    monomial divides t, or None."""
+    for lt, tail in elems:
+        if all(a >= b for a, b in zip(t, lt)):
+            return tuple(a - b for a, b in zip(t, lt)), tail
+    return None
+
+
+def _add_multiple(p: dict, c, u, tail) -> None:
+    """p += c * x^u * tail, dropping the terms that cancel."""
+    for s, a in tail:
+        m = monomial_mul(u, s)
+        v = p.get(m, 0) + c * a
+        if v:
+            p[m] = v
+        else:
+            p.pop(m, None)
+
+
+def _s_polynomial(g, h) -> dict:
+    """S(g, h) of two monic elements: their tails shifted to the lcm of their
+    leading monomials, the second subtracted."""
+    lcm = tuple(map(max, g[0], h[0]))
+    out = {}
+    for (lt, tail), sign in ((g, 1), (h, -1)):
+        _add_multiple(out, sign, tuple(a - b for a, b in zip(lcm, lt)), tail)
+    return out
+
+
+def _remainder(p: dict, elems) -> dict:
+    """The remainder of the homogeneous polynomial {monomial: coefficient} p
+    under full division by the monic `elems`: no term of it is divisible by
+    a leading monomial.  p is consumed."""
+    rem = {}
+    while p:
+        t = max(p)
+        c = p.pop(t)
+        found = _divisor(elems, t)
+        if found is None:
+            rem[t] = c
+            continue
+        _add_multiple(p, -c, *found)
+    return rem
 
 
 def macaulay_rows(generators, k: int, nvars: int, field: str):
@@ -276,32 +399,6 @@ def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertR
             return rec
         diff = [b - a for a, b in zip(diff, diff[1:])]
     return rec
-
-
-def specialize_space(W: GradedSubspace, a) -> GradedSubspace:
-    """Evaluate a Q(z)-subspace at z = a and re-echelonize over Q; a subspace
-    over Q is returned unchanged.
-
-    Each echelon row is first replaced by its primitive polynomial
-    representative (denominators cleared, common z-factor divided out), so the
-    value space matches the moving-subspace definition even where the
-    normalized basis itself has a pole or a vanishing pivot; for all but a
-    discrete set of a the dimension is preserved (rank drops are the
-    detectable bad set).
-    """
-    if W.field == RATIONAL:
-        return W
-    a = Fraction(a)
-    rows = []
-    for row in W.basis.entries:
-        primitive = clear_denominators(row)
-        values = [zpoly_eval(p, a) for p in primitive]
-        if row and any(c for c in row) and not any(values):
-            raise PoleAtPoint(
-                f"primitive row vanished entirely at z={a}; "
-                "the subspace cannot be specialized there")
-        rows.append(values)
-    return GradedSubspace.from_rows(rows, cols=W.basis.cols, field=RATIONAL)
 
 
 # ---------------------------------------------------------------------------

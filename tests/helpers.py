@@ -1,5 +1,6 @@
-"""Shared constructors for the test suite, a reference Q elimination, a
-reference Q(z), a reference filtration and a reference certificate in full
+"""Shared constructors for the test suite, the specialization of Q(z)
+subspaces, a reference Q elimination, a reference Q(z), a reference
+filtration, reference normal forms and a reference certificate in full
 monomial coordinates, reference sample-doubling integrals, a fine-grid T_f
 and a reference depth-first zero finder."""
 
@@ -15,6 +16,10 @@ from nevlab.algebra import (
     PoleAtPoint,
     RationalFunction,
     ZeroDenominator,
+    _gcd,
+    _imul,
+    _iquo,
+    _zeval,
     coefficient_field,
     field_coerce,
     field_one,
@@ -90,6 +95,63 @@ def piece_over_qz(J, k):
     rows, _ = macaulay_rows(gens, k, J.nvars, RATIONAL_FUNCTION)
     return GradedSubspace.from_rows(rows, cols=monomial_count(J.M, k),
                                     field=RATIONAL_FUNCTION)
+
+
+# ---------------------------------------------------------------------------
+# Specializing a Q(z) subspace at a point, which the tests use to check that
+# moving subspaces keep their dimension at generic z.
+# ---------------------------------------------------------------------------
+
+def clear_denominators(row):
+    """Primitive integer polynomial representative of a Q(z)-row (same span line).
+
+    Multiplies by the lcm of the denominators in Z[z] and divides out the gcd
+    of the numerators, so the returned z-polynomial entries share no common
+    root: the row evaluates to a nonzero vector at every point, which is what
+    specializing a moving subspace needs.
+    """
+    lcm = (1,)
+    for v in row:
+        lcm = _imul(lcm, _iquo(v.zd, _gcd(lcm, v.zd)))
+    nums = [_imul(v.zn, _iquo(lcm, v.zd)) for v in row]
+    common = ()
+    for nu in nums:
+        if nu:
+            common = _gcd(common, nu) if common else nu
+            if common in ((1,), (-1,)):
+                return nums
+    return [_iquo(nu, common) for nu in nums] if common else nums
+
+
+def zpoly_eval(coeffs, a):
+    """Evaluate a z-polynomial given by low-to-high coefficients at a."""
+    return _zeval(tuple(coeffs), Fraction(a))
+
+
+def specialize_space(W, a):
+    """Evaluate a Q(z)-subspace at z = a and re-echelonize over Q; a subspace
+    over Q is returned unchanged.
+
+    Each echelon row is first replaced by its primitive polynomial
+    representative (denominators cleared, common z-factor divided out), so the
+    value space matches the moving-subspace definition even where the
+    normalized basis itself has a pole or a vanishing pivot; for all but a
+    discrete set of a the dimension is preserved (rank drops are the
+    detectable bad set).
+    """
+    if W.field == RATIONAL:
+        return W
+    a = Fraction(a)
+    rows = []
+    for row in W.basis.entries:
+        primitive = clear_denominators(row)
+        values = [zpoly_eval(p, a) for p in primitive]
+        if row and any(c for c in row) and not any(values):
+            raise PoleAtPoint(
+                f"primitive row vanished entirely at z={a}; "
+                "the subspace cannot be specialized there")
+        rows.append(values)
+    return GradedSubspace.from_rows(rows, cols=W.basis.cols, field=RATIONAL)
 
 
 # ---------------------------------------------------------------------------
@@ -602,3 +664,24 @@ def reference_locate_zeros(g, r, tol=1e-9, *, max_boxes=400_000):
         raise WindingAmbiguous(
             f"box subdivision found {total} zeros but the disk winding is {disk_total}")
     return ZeroList(zeros=kept, radius=r)
+
+
+# ---------------------------------------------------------------------------
+# Reference normal forms: J's full Macaulay piece row-reduced in every degree,
+# as `HomogeneousIdeal.normal_forms` built its table before it read it from
+# the reduced lex Gröbner basis.
+# ---------------------------------------------------------------------------
+
+def reference_normal_forms(J, k):
+    """(standard monomials, classes) in the format of `normal_forms`, from the
+    RREF of J_k in full monomial coordinates: the standard monomials are the
+    non-pivot columns, a standard monomial is its own class, and a pivot
+    monomial's class is minus the rest of its RREF row."""
+    piece = J.graded_piece(k)
+    basis = monomial_basis(J.M, k)
+    pivots = set(piece.pivot_cols)
+    std = [j for j in range(len(basis)) if j not in pivots]
+    classes = {basis[j]: ((i, 1),) for i, j in enumerate(std)}
+    for pc, row in zip(piece.pivot_cols, piece.basis.entries):
+        classes[basis[pc]] = tuple((i, -row[j]) for i, j in enumerate(std) if row[j])
+    return [basis[j] for j in std], classes

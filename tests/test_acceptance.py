@@ -23,7 +23,6 @@ from nevlab.filtration import (
 from nevlab.gradedgeom import (
     NOT_ADMISSIBLE_EVIDENCE,
     hilbert_function,
-    specialize_space,
     variety_invariants,
 )
 from nevlab.expr import Const, Exp, Z, sub
@@ -35,7 +34,7 @@ from nevlab.nevanlinna import (
     smt_margin,
 )
 
-from helpers import conic_ideal, p1_ideal, xvar
+from helpers import conic_ideal, p1_ideal, specialize_space, xvar
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -265,6 +265,23 @@ class TestCommands:
         assert report.results["sum_m"] == report.results["hilbert_value"] == 25
         assert report.table_sep == ";"
 
+    def test_filtration_reads_one_piece_per_generator_degree(self, tmp_path, monkeypatch):
+        # J's normal forms come from its Gröbner basis, seeded by one
+        # Macaulay piece per distinct generator degree (the conic's is 2);
+        # tables row-reduced per degree would read about 48 pieces.
+        degrees = []
+        original = gg.ideal_graded_piece
+
+        def recorded(J, extra, k):
+            degrees.append(k)
+            return original(J, extra, k)
+
+        monkeypatch.setattr(gg, "ideal_graded_piece", recorded)
+        code = main(["filtration", "--input", str(PROBLEMS / "conic_exact.prob"),
+                     "--N", "48", "--out", str(tmp_path / "report.txt")])
+        assert code == EXIT_OK
+        assert degrees == [2]
+
     def test_admissible_statuses(self):
         spec = load_problem(str(PROBLEMS / "conic_exact.prob"))
         report = run_command("admissible", spec, {})
@@ -371,6 +388,18 @@ class TestMainExitCodes:
         bad = tmp_path / "bad.prob"
         bad.write_text(MINI.replace("x0*x2 - x1^2", "x0 + x1^2"))
         assert main(["hilbert", "--input", str(bad)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["hilbert", "tf"])
+    @pytest.mark.parametrize("M, n, line", [(-1, 1, 2), (2, -1, 3)])
+    def test_negative_dimension_is_a_parse_error(self, command, M, n, line, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "negative.prob"
+        bad.write_text(f"[variety]\nM = {M}\nn = {n}\n")
+        assert main([command, "--input", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        key = "M" if M < 0 else "n"
+        assert f"line {line}" in err and f"{key} must be nonnegative" in err
+        assert "Traceback" not in err
 
     def test_missing_file(self):
         assert main(["hilbert", "--input", "/nonexistent.prob"]) == EXIT_PARSE

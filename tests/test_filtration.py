@@ -25,7 +25,7 @@ from nevlab.filtration import (
     tuple_sets,
     weighted_sums,
 )
-from nevlab.gradedgeom import NotStabilized, hilbert_function, specialize_space
+from nevlab.gradedgeom import NotStabilized, hilbert_function
 from nevlab import linear
 from nevlab.cli import load_problem, normalize_degrees
 from nevlab.linear import ExactMatrix, row_reduce
@@ -36,6 +36,7 @@ from helpers import (
     piece_over_qz,
     rand_poly,
     reference_quotient_rows,
+    specialize_space,
     xvar,
 )
 

@@ -21,7 +21,6 @@ from nevlab.gradedgeom import (
     ideal_graded_piece,
     nullstellensatz_certificate,
     primitive_form,
-    specialize_space,
     variety_invariants,
 )
 from nevlab.linear import GradedSubspace
@@ -31,6 +30,7 @@ from helpers import (
     p1_ideal,
     piece_over_qz,
     rand_poly,
+    specialize_space,
     twisted_cubic_ideal,
     xvar,
 )

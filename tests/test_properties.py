@@ -18,6 +18,12 @@ coordinates (`reference_build_table`) cell by cell, and `filtration_space`
 down to a tuple I must give the table's cells from the top of tau_N down to
 I, in descending lex order.
 
+The normal-form tables that J reads from its lex Gröbner basis must equal
+the tables row-reduced from its Macaulay pieces (`reference_normal_forms`),
+coefficient types included, on the test varieties, on random ideals and on
+fixed ideals that reach each way G gains an element; G itself must be the
+reduced basis.
+
 The quotients by the variety ideal plus targets are decided on the standard
 monomials (`hilbert_function` with forms, the certificates' membership
 test); both must agree with the full-coordinate reference piece
@@ -52,7 +58,7 @@ from nevlab.filtration import (
     weighted_sums,
 )
 from nevlab import gradedgeom as gg
-from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main
+from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main, parse_polynomial
 from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
 
 from helpers import (
@@ -61,6 +67,7 @@ from helpers import (
     plane_ideal,
     quadric_ideal,
     reference_build_table,
+    reference_normal_forms,
     reference_nullstellensatz_certificate,
     reference_quotient_rows,
     twisted_cubic_ideal,
@@ -348,11 +355,79 @@ def test_normal_forms_match_full_coordinate_remainders(name, data):
     J = make()
     forms = data.draw(forms_of_degree_0_to_3(J))
     for k in range(k_max + 1):
-        pivots = set(J.graded_piece(k).pivot_cols)
         std = J.normal_forms(k)[0]
-        assert std == [m for j, m in enumerate(monomial_basis(J.M, k)) if j not in pivots]
+        assert typed_table(J.normal_forms(k)) == typed_table(reference_normal_forms(J, k))
         assert len(std) == hilbert_function(J, k)
         assert J.multiples(k, forms) == reference_multiples(J, k, forms)
+
+
+def typed_table(table):
+    """A normal-form table with each coefficient's type beside it, so that
+    an integral Fraction does not compare equal to an int."""
+    std, classes = table
+    return std, {t: tuple((i, type(v), v) for i, v in row) for t, row in classes.items()}
+
+
+def assert_reduced_groebner_basis(J):
+    """G, as far as it is built, is J's reduced lex Gröbner basis: no leading
+    monomial divides another, and each element is t - NF(t) for its leading
+    monomial t, with NF(t) read from the Macaulay table of its degree."""
+    lts = [lt for lt, _ in J._groebner]
+    for i, a in enumerate(lts):
+        assert not any(j != i and all(x >= y for x, y in zip(a, b)) for j, b in enumerate(lts))
+    for lt, tail in J._groebner:
+        std, classes = reference_normal_forms(J, sum(lt))
+        assert sorted(tail) == sorted((std[i], -v) for i, v in classes[lt])
+
+
+@st.composite
+def random_ideals(draw):
+    """1 to 3 quadrics or cubics in 3 or 4 variables, each with 1 to 4
+    terms whose coefficients are small Fractions, and the largest degree to
+    compare tables at.  The degree bound (7 in 3 variables, 5 in 4) keeps the
+    Macaulay reference cheap; it is there for time only."""
+    nvars = draw(st.integers(3, 4))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        basis = monomial_basis(nvars - 1, draw(st.integers(2, 3)))
+        terms = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+        gens.append(MultiPoly(nvars, RATIONAL, {t: draw(coeff) for t in terms}))
+    return gg.HomogeneousIdeal(nvars, gens), 7 if nvars == 3 else 5
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_forms_of_random_ideals_match_macaulay_tables(data):
+    # Degrees are asked for in a drawn order, so G is sometimes grown past a
+    # degree before that degree's table is read.
+    J, k_max = data.draw(random_ideals())
+    for k in data.draw(st.permutations(range(k_max + 1))):
+        assert typed_table(J.normal_forms(k)) == typed_table(reference_normal_forms(J, k))
+    assert_reduced_groebner_basis(J)
+
+
+@pytest.mark.parametrize("texts, nvars, k_max, s_pair_degree", [
+    # G gains an element with leading term x0*x1*x2 in degree 3, where no
+    # generator lies: the S-pair of x0^2 and x0*x3.
+    (["x0*x3 - x1*x2", "x0^2 + 2*x1^2 - x2*x3 + 1/2*x3^2"], 4, 8, 3),
+    # The second generator joins G only in degree 13, far above the first.
+    (["x0^2", "x0*x1^12"], 3, 16, None),
+    # G gains two elements in degree 4 from S-pairs; the leading monomial
+    # x1^3*x2 of the second is a tail term of the first until it is reduced.
+    (["-2/3*x0^2 + 3*x0*x1 + 3*x1*x2 - x2^2", "-3/2*x2^3", "2*x0^2 - 2*x1^2 - x1*x2"],
+     3, 8, 4),
+], ids=["s_pair_in_degree_3", "generator_in_degree_13", "two_s_pair_elements_in_degree_4"])
+def test_normal_forms_of_fixed_ideals_match_macaulay_tables(texts, nvars, k_max,
+                                                             s_pair_degree):
+    J = gg.HomogeneousIdeal(nvars, [parse_polynomial(t, nvars, RATIONAL) for t in texts])
+    for k in range(k_max, -1, -1):
+        assert typed_table(J.normal_forms(k)) == typed_table(reference_normal_forms(J, k))
+    assert_reduced_groebner_basis(J)
+    if s_pair_degree is not None:
+        generator_degrees = {g.degree for g in J.generators}
+        assert s_pair_degree not in generator_degrees
+        assert any(sum(lt) == s_pair_degree for lt, _ in J._groebner)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
