@@ -61,6 +61,7 @@ from .expr import (
     WindingAmbiguous,
     Z,
     ZeroAtOrigin,
+    ZeroCharacteristic,
 )
 
 EXIT_OK = 0
@@ -371,7 +372,6 @@ class ProblemSpec:
     n: int
     generators: list[MultiPoly]
     hypersurfaces: list[MultiPoly]
-    declared_degrees: list[int]
     components: tuple[Expr, ...]
     options: dict
 
@@ -470,7 +470,6 @@ def parse_problem(text: str) -> ProblemSpec:
         generators.append(poly)
 
     hypersurfaces = []
-    declared_degrees = []
     for declared, body, lineno in hyp_lines:
         poly = parse_polynomial(body, nvars, RATIONAL_FUNCTION, line=lineno)
         d = poly.degree
@@ -481,7 +480,6 @@ def parse_problem(text: str) -> ProblemSpec:
             raise DegreeMismatchError(
                 f"line {lineno}: declared degree {declared} but parsed degree {d}")
         hypersurfaces.append(poly)
-        declared_degrees.append(declared)
 
     if len(curve_lines) != nvars:
         raise ArityMismatchError(
@@ -491,8 +489,7 @@ def parse_problem(text: str) -> ProblemSpec:
     merged = dict(DEFAULT_OPTIONS)
     merged.update(options)
     return ProblemSpec(M=M, n=n, generators=generators,
-                       hypersurfaces=hypersurfaces,
-                       declared_degrees=declared_degrees, components=components,
+                       hypersurfaces=hypersurfaces, components=components,
                        options=merged)
 
 
@@ -520,8 +517,7 @@ def _echo(spec: ProblemSpec) -> dict:
         "M": spec.M,
         "n": spec.n,
         "variety": [str(g) for g in spec.generators],
-        "hypersurfaces": [f"degree {d}: {q}" for d, q in
-                          zip(spec.declared_degrees, spec.hypersurfaces)],
+        "hypersurfaces": [f"degree {q.degree}: {q}" for q in spec.hypersurfaces],
         "curve": [str(c) for c in spec.components],
     }
 
@@ -692,6 +688,8 @@ def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
 
 def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
     kmax, window = _kmax_window(spec, flags)
+    if spec.n < 1:
+        raise PreconditionError(f"the filtration needs n >= 1, got n = {spec.n}")
     if len(spec.hypersurfaces) < spec.n:
         raise PreconditionError(f"the filtration needs q >= n = {spec.n} targets, "
                                 f"got q = {len(spec.hypersurfaces)}")
@@ -959,7 +957,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (PreconditionError, gg.NotStabilized, InhomogeneousInput,
             PoleAtPoint, IdenticallyZero, NonPolynomialCoefficient,
-            ZeroAtOrigin, filt.DegreeMismatch) as exc:
+            ZeroAtOrigin, ZeroCharacteristic, filt.DegreeMismatch) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (OverflowGuard, WindingAmbiguous) as exc:

@@ -41,6 +41,10 @@ class DegenerateCurve(ValueError):
     """Every component of a curve vanishes at the probe points."""
 
 
+class ZeroCharacteristic(ValueError):
+    """T_f vanishes at a radius of a sweep grid, so N_f / (d T_f) is undefined."""
+
+
 class Expr:
     __slots__ = ()
 

@@ -17,11 +17,11 @@ Newton with the box's winding as multiplicity then polishes the cluster
 from the box centre, and the winding of a box of width tol around the
 Newton limit certifies it; a box that does not certify is split further.
 The quads of every box of a generation get their windings from one batched
-call, and the split failures are those of a depth-first subdivision.  Every sample-doubling
-loop (circle quadrature, the disk winding, the box windings) nests its
-levels: halving the step is exact, so a level keeps the previous level's
-values and evaluates only the new midpoints, and its results are those of a
-full re-evaluation, bit for bit.
+call, and the first box that no jitter offset splits stops the search.
+Every sample-doubling loop (circle quadrature, the disk winding, the box
+windings) nests its levels: halving the step is exact, so a level keeps the
+previous level's values and evaluates only the new midpoints, and its
+results are those of a full re-evaluation, bit for bit.
 The zero finder evaluates g'/g at the new points of every edge still open
 at a sample level in one call, at most 16385 points per evaluation.  Counting
 functions discharge the log-weighted integral exactly over the located
@@ -58,6 +58,7 @@ from .expr import (
     WindingAmbiguous,
     Z,
     ZeroAtOrigin,
+    ZeroCharacteristic,
     add,
     mul,
     pow_,
@@ -464,6 +465,7 @@ class ZeroList:
 
 _SPLIT_JITTER = (0.0, 0.0371, -0.0523, 0.1117, -0.1463, 0.1871, -0.2293)
 _TOP_GROW = (1.0, 1.017, 1.041, 1.073, 1.113)
+_MAX_BOXES = 400_000  # boxes one locate_zeros call may examine
 
 
 _LOOP_CAP = 16384  # samples per edge at the last loop-winding level
@@ -569,7 +571,6 @@ class _Box:
     y0: float
     y1: float
     w: int
-    path: tuple[int, ...] = ()  # child ranks from the top box, in visiting order
 
     @property
     def width(self) -> float:
@@ -584,8 +585,7 @@ class _Box:
                 complex(self.x1, self.y1), complex(self.x0, self.y1)]
 
 
-def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
-                 max_boxes: int = 400_000) -> ZeroList:
+def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
     """All zeros of g in the open disk |z| < r, with multiplicities.
 
     The disk's winding number fixes the total count; the bounding box is then
@@ -616,15 +616,11 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     for m <= 2 at moderate scales; reserve tighter tolerances for simple
     zeros.
 
-    The split failures are those of a depth-first subdivision that pops the
-    last quad first.  Each generation is kept in that visiting order; when a
-    box cannot be split, the boxes after it are dropped (depth-first order
-    would never reach them) and the ones before it are expanded further,
-    since a failure among their descendants comes first.  The located zeros
-    are read in visiting order, so the first one found on the circle is the
-    one named.  The budget counts every box examined, a whole generation at a
-    time, so within a generation of max_boxes it can run out where
-    depth-first order would name a box that cannot be split.
+    A box that no jitter offset splits raises WindingAmbiguous at once, in
+    the generation where it happens, naming the first such box of the
+    generation; a zero near the circle is named in the order the zeros were
+    found.  At most _MAX_BOXES boxes are examined, a whole generation at a
+    time.
     """
     prog = Program([g, g.diff()])
     disk_total = _circle_winding(prog, r)
@@ -644,20 +640,19 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
     if top is None:
         raise WindingAmbiguous("no valid bounding box found; perturb r")
 
-    leaves: list[tuple[tuple[int, ...], complex, int]] = []  # (path, zero, multiplicity)
+    leaves: list[tuple[complex, int]] = []  # (zero, multiplicity)
     frontier = [top]
     processed = 0
-    failed = None
     while frontier:
         open_boxes = []
         for box in frontier:
             processed += 1
-            if processed > max_boxes:
+            if processed > _MAX_BOXES:
                 raise WindingAmbiguous("subdivision budget exhausted")
             if box.w == 0:
                 continue
             if box.width <= tol:
-                leaves.append((box.path, box.center, box.w))
+                leaves.append((box.center, box.w))
             else:
                 open_boxes.append(box)
         polished = _polish_boxes(prog, open_boxes, tol)
@@ -666,18 +661,16 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9, *,
             if z is None:
                 to_split.append(box)
             else:
-                leaves.append((box.path, z, box.w))
+                leaves.append((z, box.w))
         children = _split_boxes(prog, to_split)
         if None in children:
-            cut = children.index(None)
-            failed, children = to_split[cut], children[:cut]
+            failed = to_split[children.index(None)]
+            raise WindingAmbiguous(
+                f"could not split box around {failed.center} (width {failed.width:.3g})")
         frontier = [q for quads in children for q in reversed(quads) if q.w != 0]
-    if failed is not None:
-        raise WindingAmbiguous(
-            f"could not split box around {failed.center} (width {failed.width:.3g})")
 
     kept = []
-    for _, z, m in sorted(leaves, key=lambda leaf: leaf[0]):
+    for z, m in leaves:
         if abs(abs(z) - r) <= 10 * tol:
             raise WindingAmbiguous(
                 f"zero at {z} lies within tolerance of the circle |z| = {r}; perturb r")
@@ -770,11 +763,11 @@ def _split_boxes(prog: Program, boxes: list[_Box]) -> list[list[_Box] | None]:
                 box = boxes[i]
                 mx = box.x0 + (box.x1 - box.x0) * (0.5 + jx)
                 my = box.y0 + (box.y1 - box.y0) * (0.5 + jy)
-                tried.append([  # ranked in visiting order: the last quad first
-                    _Box(box.x0, mx, box.y0, my, 0, box.path + (3,)),
-                    _Box(mx, box.x1, box.y0, my, 0, box.path + (2,)),
-                    _Box(box.x0, mx, my, box.y1, 0, box.path + (1,)),
-                    _Box(mx, box.x1, my, box.y1, 0, box.path + (0,)),
+                tried.append([
+                    _Box(box.x0, mx, box.y0, my, 0),
+                    _Box(mx, box.x1, box.y0, my, 0),
+                    _Box(box.x0, mx, my, box.y1, 0),
+                    _Box(mx, box.x1, my, box.y1, 0),
                 ])
             ws = _loop_windings(prog, [q.corners() for quads in tried for q in quads])
             still_pending = []
@@ -886,8 +879,9 @@ def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
                zero_tol: float = 1e-6) -> SweepData:
     """Compose each target, locate its zeros once, and tabulate T_f and N_f.
 
-    Raises InhomogeneousInput for a target of degree < 1 and IdenticallyZero
-    when some |Q_j(f)| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point.
+    Raises InhomogeneousInput for a target of degree < 1, IdenticallyZero
+    when some |Q_j(f)| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point, and
+    ZeroCharacteristic when T_f = 0 at a radius of the grid.
     """
     radii, degrees, composed = _composed_targets(curve, Qs, r_grid)
     return _tabulate(curve, radii, degrees, composed, zero_tol)
@@ -917,6 +911,9 @@ def _tabulate(curve: EntireCurve, radii: list[float], degrees: list[int],
     zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]
 
     Tf = [characteristic_T(curve, r) for r in radii]
+    if 0.0 in Tf:
+        raise ZeroCharacteristic(
+            f"T_f = 0 at r = {radii[Tf.index(0.0)]}; the defects divide by T_f")
     Nf = [[counting_N(zl, r) for r in radii] for zl in zero_lists]
     return SweepData(radii=radii, degrees=degrees, composed=composed,
                      zero_lists=zero_lists, Tf=Tf, Nf=Nf)

@@ -66,6 +66,22 @@ seed = 1
 """
 
 
+# P^0, whose only curve is constant, so T_f = 0 on every circle; and the conic
+# declared with n = 0
+EDGE_PROBLEMS = {
+    "point": "[variety]\nM = 0\nn = 0\n\n[hypersurfaces]\ndegree 1: x0\n\n"
+             "[curve]\n1\n",
+    "conic_n0": "[variety]\nM = 2\nn = 0\nx0*x2 - x1^2\n\n[hypersurfaces]\n"
+                "degree 1: x0\n\n[curve]\n1\nexp(z)\nexp(2*z)\n",
+}
+EDGE_FAILURES = {
+    ("point", "smt"): "T_f = 0 at r = 5.0; the defects divide by T_f",
+    ("point", "defects"): "T_f = 0 at r = 5.0; the defects divide by T_f",
+    **{(problem, command): "the filtration needs n >= 1, got n = 0"
+       for problem in EDGE_PROBLEMS for command in ("filtration", "basis", "product")},
+}
+
+
 class TestPolynomialGrammar:
     def test_moving_coefficient(self):
         p = parse_polynomial("{z}*x0^2 + x1*x2", 3)
@@ -189,14 +205,14 @@ class TestProblemFiles:
         spec = parse_problem(MINI)
         assert spec.M == 2 and spec.n == 1
         assert len(spec.generators) == 1
-        assert spec.declared_degrees == [2]
+        assert [q.degree for q in spec.hypersurfaces] == [2]
         assert len(spec.curve.components) == 3
 
     def test_shipped_conic(self):
         spec = load_problem(str(PROBLEMS / "conic.prob"))
         assert spec.M == 2
         assert len(spec.hypersurfaces) == 4
-        assert all(d == 2 for d in spec.declared_degrees)
+        assert all(q.degree == 2 for q in spec.hypersurfaces)
         assert spec.options["epsilon"] == 0.5
 
     def test_inhomogeneous_generator_rejected(self):
@@ -400,6 +416,20 @@ class TestMainExitCodes:
         key = "M" if M < 0 else "n"
         assert f"line {line}" in err and f"{key} must be nonnegative" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hilbert", "admissible", "filtration", "basis",
+                                         "product", "tf", "zeros", "smt", "defects"])
+    @pytest.mark.parametrize("problem", sorted(EDGE_PROBLEMS))
+    def test_edge_dimensions_exit_cleanly(self, problem, command, tmp_path, capsys):
+        # an uncaught exception would be exit 1 with a traceback
+        path = tmp_path / f"{problem}.prob"
+        path.write_text(EDGE_PROBLEMS[problem])
+        code = main([command, "--input", str(path)])
+        err = capsys.readouterr().err
+        want = EDGE_FAILURES.get((problem, command))
+        if want is not None:
+            assert (code, err) == (EXIT_PRECONDITION, f"precondition failure: {want}\n")
+        assert code != 1 and "Traceback" not in err
 
     def test_missing_file(self):
         assert main(["hilbert", "--input", "/nonexistent.prob"]) == EXIT_PARSE

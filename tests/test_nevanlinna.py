@@ -635,8 +635,9 @@ class TestKinkAwareT:
 
 
 class TestGenerations:
-    """Each generation of boxes is split in one batch; the zeros and errors
-    are those of the depth-first reference in tests/helpers.py."""
+    """Each generation of boxes is split in one batch.  The zeros and the
+    error types are those of the depth-first reference in tests/helpers.py;
+    an error names the first failure of the first generation that has one."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(g=_exp_polys(), r=st.floats(0.5, 5.0),
@@ -663,8 +664,8 @@ class TestGenerations:
             unmatched.pop(near[0])
 
     def test_split_failure_names_the_depth_first_box(self, monkeypatch):
-        # several boxes of one generation fail to split; depth-first order
-        # reaches this one first
+        # several boxes of one generation fail to split; this one comes first
+        # in frontier order, which within a generation is depth-first order
         monkeypatch.syspath_prepend(str(ROOT / "bench"))
         instances = importlib.import_module("instances")
         spec = parse_problem(instances.pool_entry("conic_curve", 0)[1])
@@ -676,33 +677,51 @@ class TestGenerations:
 
     @pytest.mark.parametrize("text, named", [
         # the triple zero at -1 fails to split first, at index 1 of its
-        # generation; the double zero at 1/2 comes before it in depth-first
-        # order and fails generations later, so it is the one named
+        # generation; the double zero at 1/2, which would fail generations
+        # later, is never reached
         ("(z^2 - z + 1/4)*(z^3 + 3*z^2 + 3*z + 1)",
-         "(0.5000000003408948+1.2529686926531394e-09j) (width 1.68e-08)"),
-        # the triple zero at 1/2 fails at index 0; the double zero at -1
-        # comes after it and is never expanded further
+         "(-1.0000009783601684-4.405402083239499e-07j) (width 1.9e-05)"),
+        # the triple zero at 1/2 fails at index 0 of its generation
         ("(z^3 - 3/2*z^2 + 3/4*z - 1/8)*(z^2 + 2*z + 1)",
          "(0.5000005331756673+5.734521091992428e-07j) (width 1.01e-05)"),
     ], ids=["later-failure-replaces", "later-boxes-dropped"])
     def test_split_failures_follow_depth_first_order(self, text, named):
-        # expanded powers: rounding in the sums stops the boxes around the
-        # triple zero near width 1e-5 and those around the double zero near 1e-8
+        # the first failure of the first generation that has one is named
+        # (the test ids keep their depth-first names).  Expanded powers:
+        # rounding in the sums stops the boxes around the triple zero near
+        # width 1e-5 and those around the double zero near 1e-8
         with pytest.raises(WindingAmbiguous) as exc:
             locate_zeros(parse_curve_expression(text), 2.0, tol=1e-9)
         assert str(exc.value) == f"could not split box around {named}"
+
+    def test_no_box_work_after_a_split_failure(self, monkeypatch):
+        # the triple zero at -1 fails to split while the boxes around the
+        # double zero at 1/2 are still open; none of them is polished or
+        # split after that
+        calls = []
+        for name in ("_polish_boxes", "_split_boxes"):
+            def recorded(prog, boxes, *args, _original=getattr(nev, name), _name=name):
+                result = _original(prog, boxes, *args)
+                calls.append((_name, None in result))
+                return result
+            monkeypatch.setattr(nev, name, recorded)
+        g = parse_curve_expression("(z^2 - z + 1/4)*(z^3 + 3*z^2 + 3*z + 1)")
+        with pytest.raises(WindingAmbiguous, match="could not split box"):
+            locate_zeros(g, 2.0, tol=1e-9)
+        failed = calls.index(("_split_boxes", True))
+        assert failed == len(calls) - 1, calls[failed:]
 
     def test_circle_message_names_the_depth_first_zero(self):
         # all three zeros lie within 10 tol of the circle.  The simple zero
         # at -1.97 is polished first; the pair 0.012 apart at 1.9184 and
         # 1.9304 shares a box of winding 2, where Newton does not settle,
         # until four generations later, when 1.9304 is polished in a box of
-        # its own.  Depth-first order reaches 1.9304 first all the same
+        # its own.  The first zero found is named
         g = mul(mul(sub(Z(), Const(Fraction("1.9184"))), sub(Z(), Const(Fraction("1.9304")))),
                 sub(Z(), Const(Fraction("-1.97"))))
         with pytest.raises(WindingAmbiguous) as exc:
             locate_zeros(g, 2.0, tol=0.009)
-        assert str(exc.value).startswith("zero at (1.9304+0j) ")
+        assert str(exc.value).startswith("zero at (-1.97+0j) ")
 
     def test_one_winding_call_per_generation(self, monkeypatch):
         # conic.prob's targets hold 2 to 6 zeros at r = 6; with no split
