@@ -141,11 +141,21 @@ def _gcd(a, b):
     return (c,)
 
 
-def _zeval(a, t: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _zhorner(a, p: int, q: int) -> int:
+    """q^deg(a) * a(p/q) for an integer z-polynomial a, by Horner in integers:
+    the sum of a_k * p^k * q^(deg - k)."""
+    acc = 0
+    qk = 1
     for c in reversed(a):
-        acc = acc * t + c
+        acc = acc * p + c * qk
+        qk *= q
     return acc
+
+
+def _zeval(a, t: Fraction) -> Fraction:
+    """a(t) for an integer z-polynomial a."""
+    return Fraction(_zhorner(a, t.numerator, t.denominator),
+                    t.denominator ** max(len(a) - 1, 0))
 
 
 def _zstr(a) -> str:
@@ -265,10 +275,16 @@ class RationalFunction:
     def evaluate(self, a) -> Fraction:
         """Value at z = a, exact; raises PoleAtPoint when the denominator vanishes."""
         a = Fraction(a)
-        dv = _zeval(self.zd, a)
+        p, q = a.numerator, a.denominator
+        dv = _zhorner(self.zd, p, q)
         if dv == 0:
             raise PoleAtPoint(f"denominator of {self} vanishes at z={a}")
-        return _zeval(self.zn, a) / dv
+        # zn(a) / zd(a), each scaled by q^degree in _zhorner.
+        shift = len(self.zd) - len(self.zn)
+        nv = _zhorner(self.zn, p, q)
+        if shift >= 0:
+            return Fraction(nv * q ** shift, dv)
+        return Fraction(nv, dv * q ** -shift)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):

@@ -12,10 +12,15 @@ growth-exponent bookkeeping of the product decomposition.
 
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
 (`HomogeneousIdeal.multiples`), and the ideal stays over Q; so do the
-stabilization scan's quotient dimensions (`hilbert_function`).  One pass,
-`filtration_space`, computes the cells of a degree from the top of tau_N down
-to a given tuple: `build_table` reads a whole degree from it, and the
-stabilization scan reads each degree it needs once.
+stabilization scan's quotient dimensions (`hilbert_function`).  A degree is
+computed in one pass from the top of tau_N down to a given tuple, in one of
+two ways.  `filtration_space` gives each cell its preimage L and coset
+representatives, which the basis and the product decomposition need;
+`build_table` reads a whole degree from it.  The stabilization scan reads
+only the codimensions m, at each degree it needs once, so
+`cell_codimensions` gets them from one echelon per degree, with no preimage
+or kernel: each row Q^E * x^j is reduced once, and m_N^E counts the rows
+that stay nonzero.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import MultiPoly, coefficient_field
 from .gradedgeom import HomogeneousIdeal, NotStabilized, constant_tail, hilbert_function
-from .linear import GradedSubspace, preimage_of_subspace
+from .linear import Echelon, GradedSubspace, preimage_of_subspace
 
 
 class BasisDefect(RuntimeError):
@@ -160,6 +165,22 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     return cells
 
 
+def cell_codimensions(J: HomogeneousIdeal, powers, N: int,
+                      cells) -> dict[tuple[int, ...], int]:
+    """m_N^E for each E of `cells`, a stretch of tau_N from its top down in
+    descending lex order, from one echelon of quotient rows.
+
+    Each cell's rows Q^E * x^j (`powers` maps E to Q^E) are inserted in
+    reverse order of j, and m_E counts the rows that are not already in the
+    span.  That span is U plus the rows after j, so a row is inserted exactly
+    when j is not a pivot of L_N^E (see `filtration_space`): the same m,
+    without a preimage.
+    """
+    echelon = Echelon(powers[cells[0]].field)
+    return {E: sum(map(echelon.insert, reversed(J.multiples(N, [powers[E]]))))
+            for E in cells}
+
+
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                 kappa: int = 0) -> FiltrationTable:
     """All cells of the degree-N filtration, from one `filtration_space` pass."""
@@ -230,12 +251,17 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     box = [I for I in itertools.product(range(box_norm + 1), repeat=n)
            if tuple_norm(I) <= box_norm]
     box.sort(key=lambda I: (max(I) if I else 0, I))
-    # One pass per degree N = d*|I| + k, down to the lex-smallest I it needs:
-    # walking the box in descending lex order, the last I to claim N wins.
+    # One echelon pass per degree N = d*|I| + k, down to the lex-smallest I
+    # it needs: walking the box in descending lex order, the last I to claim
+    # N wins.  The powers Q^E are built once for all the passes.
     lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
               for k in range(n0, n0 + window)}
-    ms = {N: {E: cell.m for E, cell in filtration_space(J, Qs, N, I).items()}
-          for N, I in lowest.items()}
+    cells = {}
+    for N, I in lowest.items():
+        tau, _ = tuple_sets(N, d, n)
+        cells[N] = tau[tau.index(I):][::-1]
+    powers = _power_products(Qs, {E for above in cells.values() for E in above})
+    ms = {N: cell_codimensions(J, powers, N, above) for N, above in cells.items()}
     m_stable: dict[tuple[int, ...], int] = {}
     for I in box:
         seq = [ms[d * tuple_norm(I) + k][I] for k in range(n0, n0 + window)]

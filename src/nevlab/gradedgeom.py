@@ -537,7 +537,8 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
     share one certificate, computed and verified once per call.
     Negative answers report the positive Hilbert value of the specialized
     quotient when it is constant over the M + 2 degrees ending at
-    s_max + M + 3, and are marked heuristic.
+    s_max + M + 3, and are marked heuristic; those values, too, are
+    computed once per distinct primitive system.
     """
     degs = {q.degree for q in Qs}
     if len(degs) != 1:
@@ -545,6 +546,7 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
             "hypersurfaces must share a common degree; apply normalize_degrees first")
     rng = random.Random(seed)
     certified = {}  # primitive specialized system -> verified certificate or None
+    evidence = {}  # primitive specialized system -> its quotient dimensions
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):
         report = SubsetReport(subset=subset, status=INCONCLUSIVE)
@@ -575,8 +577,10 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
             report.status = ADMISSIBLE
         elif last_specialized is not None:
             window = J.nvars + 1  # M + 2 consecutive degrees
-            values = [hilbert_function(J, k, last_specialized)
-                      for k in range(s_max + window + 2)]
+            if last_specialized not in evidence:
+                evidence[last_specialized] = [hilbert_function(J, k, last_specialized)
+                                              for k in range(s_max + window + 2)]
+            values = evidence[last_specialized]
             onset = constant_tail(values, window)
             if onset is not None and values[onset] > 0:
                 report.status = NOT_ADMISSIBLE_EVIDENCE

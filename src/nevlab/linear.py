@@ -12,11 +12,14 @@ the matrix whose columns are the reduced images.  With those columns taken in
 reverse order, the kernel basis read backwards is already the preimage's
 reduced echelon form, so it is not reduced again.  A subspace grows
 incrementally: only the new rows' remainders against its basis are reduced.
+An `Echelon` grows a span one vector at a time and reports whether each
+vector was new, for callers that need ranks and not bases.
 
 Over Q the reduction runs on integers: each row is replaced by its primitive
 integer multiple and Gauss-Jordan proceeds fraction-free, dividing each pivot
 row by its pivot only at the end, so the reduced rows hold ints where the
-pivot divides an entry and Fractions elsewhere (see `_rref_integer`).  Over
+pivot divides an entry and Fractions elsewhere (see `_rref_integer`); an
+`Echelon` never divides, so its rows stay primitive integer rows.  Over
 Q(z) it runs on the field elements and keeps sparse rows sparse; integer
 elimination over Z[z] was measured 6-14x slower on the same matrices,
 because scaling whole rows destroys that sparsity and grows the z-degrees.
@@ -106,6 +109,21 @@ def _integer_row(row: list) -> list[int]:
     return row if g < 2 else [v // g for v in row]
 
 
+def _clear_integer(row: list[int], prow: list[int], c: int, support) -> list[int]:
+    """The primitive integer row (p/g)*row - (f/g)*prow, with f = row[c] != 0,
+    p = prow[c] > 0 and g = gcd(p, f): zero in column c, and a positive
+    multiple of row - (f/p)*prow.  support lists prow's nonzero columns."""
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = [a * v for v in row]
+    for j in support:
+        row[j] -= b * prow[j]
+    g = math.gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
 def _rref_integer(grid: list[list], cols: int, pivot_limit: int | None):
     """`_rref_rows` over Q by integer-preserving Gauss-Jordan.
 
@@ -142,19 +160,8 @@ def _rref_integer(grid: list[list], cols: int, pivot_limit: int | None):
             p = -p
         support = [j for j in range(c, cols) if prow[j]]
         for i in range(rows):
-            if i == r:
-                continue
-            row = grid[i]
-            f = row[c]
-            if f:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    row = [a * v for v in row]
-                for j in support:
-                    row[j] -= b * prow[j]
-                g = math.gcd(*row)
-                grid[i] = row if g < 2 else [v // g for v in row]
+            if i != r and grid[i][c]:
+                grid[i] = _clear_integer(grid[i], prow, c, support)
         pivot_cols.append(c)
         r += 1
         if r == rows:
@@ -315,6 +322,62 @@ class GradedSubspace:
         basis = ExactMatrix(len(entries), self.basis.cols, self.field, list(entries),
                             _raw=True)
         return GradedSubspace(basis, pivots)
+
+
+class Echelon:
+    """A span grown one vector at a time, held as rows in reduced echelon form.
+
+    `insert` reduces a vector against the rows and, when a remainder is
+    left, adds it as a row and clears its pivot column from the other rows.
+    Each row is zero at every other row's pivot, so the order in which a
+    vector meets the rows does not matter.  Over Q the rows are primitive
+    integer rows with a positive pivot, reduced by the fraction-free step of
+    `_rref_integer`, so every entry stays an int; over Q(z) each pivot is 1.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: str):
+        self.field = field
+        self.rows: list[list] = []  # [pivot column, row, its nonzero columns]
+
+    def insert(self, v) -> bool:
+        """Add v to the span; False, and no change, when it already lies in it."""
+        integer = self.field == RATIONAL
+        one = field_one(self.field)
+        v = _integer_row(list(v)) if integer else list(v)
+        for c, row, support in self.rows:
+            f = v[c]
+            if not f:
+                continue
+            if integer:
+                v = _clear_integer(v, row, c, support)
+            else:
+                for j in support:
+                    v[j] = v[j] - f * row[j]
+        support = [j for j, x in enumerate(v) if x]
+        if not support:
+            return False
+        c = support[0]
+        if integer and v[c] < 0:
+            v = [-x for x in v]
+        elif not integer and v[c] != one:
+            inv = one / v[c]
+            for j in support:
+                v[j] = v[j] * inv
+        for entry in self.rows:
+            row = entry[1]
+            f = row[c]
+            if not f:
+                continue
+            if integer:
+                row = entry[1] = _clear_integer(row, v, c, support)
+            else:
+                for j in support:
+                    row[j] = row[j] - f * v[j]
+            entry[2] = [j for j in range(entry[0], len(row)) if row[j]]
+        self.rows.append([c, v, support])
+        return True
 
 
 def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:

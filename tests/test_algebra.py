@@ -86,6 +86,31 @@ class TestRationalFunction:
         with pytest.raises(PoleAtPoint):
             r.evaluate(1)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ZPOLYS, ZPOLYS.filter(any), st.fractions(-40, 40, max_denominator=50),
+           st.booleans())
+    def test_evaluate_matches_fraction_horner(self, num, den, t, pole):
+        # evaluate works in integers on zn and zd; the reference runs Horner
+        # in Fractions on the printed, monic-denominator view.  With `pole`
+        # the denominator gets the factor (z - t), so t is a pole unless the
+        # numerator shares it.
+        def horner(coeffs, x):
+            acc = Fraction(0)
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
+
+        if pole:
+            den = [a - t * b for a, b in zip([0, *den], [*den, 0])]
+        r = RationalFunction(num, den)
+        dv = horner(r.den, t)
+        if dv == 0:
+            with pytest.raises(PoleAtPoint):
+                r.evaluate(t)
+            return
+        got = r.evaluate(t)
+        assert type(got) is Fraction and got == horner(r.num, t) / dv
+
     def test_canonical_string(self):
         assert str(RationalFunction((Fraction(4, 6),), (1,))) == "2/3"
         assert str(RationalFunction((1, 0, 1), (-1, 1))) == "(z^2 + 1)/(z - 1)"

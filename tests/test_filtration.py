@@ -368,21 +368,49 @@ class TestStabilization:
 
     def test_scan_reads_each_degree_once(self, monkeypatch):
         # P^2 with the lines x0 and x1: the window of every box tuple needs
-        # the degrees 0..6, and each is read off one filtration pass.
+        # the degrees 0..6, and each is read off one echelon pass; the scan
+        # computes no preimage.
         import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
         degrees = []
-        original = filt.filtration_space
+        original = filt.cell_codimensions
 
-        def recorded(J, Qs, N, I):
+        def recorded(J, powers, N, cells):
             degrees.append(N)
-            return original(J, Qs, N, I)
+            return original(J, powers, N, cells)
 
-        monkeypatch.setattr(filt, "filtration_space", recorded)
+        def unexpected(*args):
+            raise AssertionError("the scan called filtration_space")
+
+        monkeypatch.setattr(filt, "cell_codimensions", recorded)
+        monkeypatch.setattr(filt, "filtration_space", unexpected)
         scan = stabilization_scan(HomogeneousIdeal(3, []), [xvar(0), xvar(1)], 6, window=3)
         assert (scan.n0, scan.c, scan.m_min, scan.I0) == (0, 1, 1, (0, 0))
         assert sorted(degrees) == list(range(7))
+
+    def test_scan_echelon_over_q_holds_ints(self, monkeypatch):
+        # The scan's echelon over Q keeps primitive integer rows with a
+        # positive pivot, even for targets with Fraction coefficients; a true
+        # division there once gave floats and NotStabilized.
+        import nevlab.filtration as filt
+
+        echelons = []
+
+        class Recorded(linear.Echelon):
+            def __init__(self, field):
+                super().__init__(field)
+                echelons.append(self)
+
+        monkeypatch.setattr(filt, "Echelon", Recorded)
+        x0, x1, x2 = (xvar(i) for i in range(3))
+        q = x0 * x0 - (x0 * x1).scale(Fraction(1, 3)) + (x2 * x2).scale(Fraction(2, 5))
+        scan = stabilization_scan(conic_ideal(), [q], 8)
+        assert scan.c == scan.m_min == 4
+        rows = [(c, row) for e in echelons for c, row, _ in e.rows]
+        assert echelons and all(e.field == RATIONAL for e in echelons) and rows
+        assert all(type(v) is int for _, row in rows for v in row)
+        assert all(row[c] > 0 and math.gcd(*row) == 1 for c, row in rows)
 
     def test_not_stabilized_growing_quotient(self):
         from nevlab.gradedgeom import HomogeneousIdeal

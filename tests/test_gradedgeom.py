@@ -372,3 +372,26 @@ class TestCertifiedOncePerSystem:
         assert len(calls) == len(set(rep.witnesses_tried)) > 1
         assert rep.witnesses_succeeded == len(rep.witnesses_tried)
         assert len({id(c.certificate) for c in rep.certificates}) == len(calls)
+
+    def test_evidence_computed_once_per_system(self, monkeypatch):
+        # -2*x0^2 has the primitive form x0^2, so the subsets (0, 2) and
+        # (1, 2) both specialize to (x0^2, x1^2): its quotient dimensions
+        # for k = 0..s_max + M + 3 are computed once, 10 values, not 20.
+        import nevlab.gradedgeom as gg
+
+        genuine = gg.hilbert_function
+        calls = []
+
+        def counting(J, k, forms=()):
+            if forms:
+                calls.append(tuple(forms))
+            return genuine(J, k, forms)
+
+        monkeypatch.setattr(gg, "hilbert_function", counting)
+        x0, x1 = xvar(0), xvar(1)
+        Qs = [x0 * x0, (x0 * x0).scale(-2), x1 * x1]
+        reports = admissibility_check(conic_ideal(), Qs, n=1, trials=3, s_max=4, seed=3)
+        assert [r.status for r in reports] == [NOT_ADMISSIBLE_EVIDENCE] * 3
+        assert reports[1].evidence_value == reports[2].evidence_value
+        assert calls.count((x0 * x0, x1 * x1)) == 10
+        assert len(calls) == 10 * len(set(calls)) == 20

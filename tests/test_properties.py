@@ -16,7 +16,8 @@ deg V * d^n = 2, satisfy the closed forms and pass the same window check.
 Every table, on n = 1 and n = 2, must match the filtration in full monomial
 coordinates (`reference_build_table`) cell by cell, and `filtration_space`
 down to a tuple I must give the table's cells from the top of tau_N down to
-I, in descending lex order.
+I, in descending lex order.  At every (N, I) that the stabilization scan
+reads, its echelon pass must give the m of `filtration_space`.
 
 The normal-form tables that J reads from its lex Gröbner basis must equal
 the tables row-reduced from its Macaulay pieces (`reference_normal_forms`),
@@ -37,6 +38,7 @@ coordinates on the raw forms (`reference_nullstellensatz_certificate`).
 
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -57,6 +59,7 @@ from nevlab.filtration import (
     tuple_norm,
     weighted_sums,
 )
+from nevlab import filtration as filt
 from nevlab import gradedgeom as gg
 from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main, parse_polynomial
 from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
@@ -249,6 +252,61 @@ def test_quadric_scan_with_wide_coefficients():
     assert (scan.n0, scan.c, scan.c_prime, scan.m_min, scan.I0, scan.kappa) == (
         1, 2, 2, 2, (0, 0), 0)
     assert set(scan.m_stable.values()) == {2}
+
+
+# (ideal, n, k_max) of the scans whose codimensions are checked against
+# filtration_space.
+SCAN_VARIETIES = {
+    "conic": (conic_ideal, 1, 6),
+    "twisted_cubic": (twisted_cubic_ideal, 1, 6),
+    "plane": (plane_ideal, 2, 4),
+    "quadric": (quadric_ideal, 2, 4),
+}
+
+
+@pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
+@pytest.mark.parametrize("name", sorted(SCAN_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_scan_codimensions_match_filtration_space(name, field, data):
+    # Every m_N^E that the scan's echelon pass reads equals the codimension
+    # of the preimage L_N^E, at each degree N down to the lowest tuple the
+    # scan needs there.  Constant targets are dense: wide rational
+    # coefficients on curves, integers in -5..5 on surfaces, where the
+    # reference preimages grow slow.  Moving targets are c*x^a + g*x^b, with
+    # c an integer and g in Q(z), which keeps the Q(z) eliminations small.
+    make, n, k_max = SCAN_VARIETIES[name]
+    J = make()
+    basis = monomial_basis(J.M, data.draw(st.integers(1, 3 - n)))
+    if field == RATIONAL:
+        coeff = (st.fractions(-1000, 1000, max_denominator=100) if n == 1
+                 else st.integers(-5, 5))
+        coeffs = st.lists(coeff, min_size=len(basis), max_size=len(basis))
+        terms = coeffs.map(lambda cs: dict(zip(basis, cs)))
+    else:
+        coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(RationalFunction)
+        monomials = st.lists(st.sampled_from(basis), min_size=2, max_size=2, unique=True)
+        terms = st.tuples(monomials, st.integers(-2, 2), coeff).map(
+            lambda t: dict(zip(t[0], t[1:])))
+    Qs = [MultiPoly(J.nvars, field, data.draw(terms)) for _ in range(n)]
+    assume(not any(q.is_zero for q in Qs))
+    read = []
+    codimensions = filt.cell_codimensions
+
+    def recorded(J, powers, N, cells):
+        ms = codimensions(J, powers, N, cells)
+        read.append((N, cells[-1], ms))
+        return ms
+
+    with mock.patch.object(filt, "cell_codimensions", recorded):
+        try:
+            stabilization_scan(J, Qs, k_max, window=WINDOW)
+        except gg.NotStabilized:
+            pass
+    assume(read)
+    for N, I, ms in read:
+        cells = filtration_space(J, Qs, N, I)
+        assert list(ms.items()) == [(E, cell.m) for E, cell in cells.items()], (N, I)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
