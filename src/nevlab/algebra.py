@@ -152,12 +152,6 @@ def _zhorner(a, p: int, q: int) -> int:
     return acc
 
 
-def _zeval(a, t: Fraction) -> Fraction:
-    """a(t) for an integer z-polynomial a."""
-    return Fraction(_zhorner(a, t.numerator, t.denominator),
-                    t.denominator ** max(len(a) - 1, 0))
-
-
 def _zstr(a) -> str:
     if not a:
         return "0"

@@ -13,14 +13,15 @@ growth-exponent bookkeeping of the product decomposition.
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
 (`HomogeneousIdeal.multiples`), and the ideal stays over Q; so do the
 stabilization scan's quotient dimensions (`hilbert_function`).  A degree is
-computed in one pass from the top of tau_N down to a given tuple, in one of
-two ways.  `filtration_space` gives each cell its preimage L and coset
-representatives, which the basis and the product decomposition need;
-`build_table` reads a whole degree from it.  The stabilization scan reads
-only the codimensions m, at each degree it needs once, so
-`cell_codimensions` gets them from one echelon per degree, with no preimage
-or kernel: each row Q^E * x^j is reduced once, and m_N^E counts the rows
-that stay nonzero.
+computed in one pass from the top of tau_N down to a given tuple, and either
+way the span U of the multiples from the cells above grows in one
+`linear.Echelon` per pass.  `filtration_space` gives each cell its preimage
+L of U and coset representatives, which the basis and the product
+decomposition need, and inserts the reps' rows into U; `build_table` reads a
+whole degree from it.  The stabilization scan reads only the codimensions m,
+at each degree it needs once, so `cell_codimensions` gets them with no
+preimage or kernel: each row Q^E * x^j is inserted once, and m_N^E counts the
+rows that are new.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -135,10 +136,12 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     column is not a pivot, so pivots(L_N^E) = pivots(J_s) disjoint union
     pivots(cell.L).
 
-    U grows by each cell's rep rows, the images of its reps.  Working down
-    from the top index, an image that is not a rep's lies in U plus the span
-    of the images after it, so the rep rows span the same space modulo U as
-    all of the cell's rows: m rows in place of H_V(s).
+    U is an `Echelon`, and grows by each cell's rep rows, the images of its
+    reps.  Working down from the top index, an image that is not a rep's
+    lies in U plus the span of the images after it, so the rep rows span the
+    same space modulo U as all of the cell's rows: m rows in place of
+    H_V(s).  They are also independent modulo U, so each must be new to the
+    echelon; one that is not raises BasisDefect.
     """
     Qs, d = _over_common_field(Qs)
     tau, _ = tuple_sets(N, d, len(Qs))
@@ -147,7 +150,7 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     above = tau[tau.index(I):]
     powers = _power_products(Qs, above)
     field = Qs[0].field
-    U = GradedSubspace.from_rows([], cols=hilbert_function(J, N), field=field)
+    U = Echelon(field, hilbert_function(J, N))
     cells = {}
     for E in reversed(above):
         std = J.normal_forms(N - d * tuple_norm(E))[0]
@@ -155,13 +158,13 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
         L = preimage_of_subspace(rows, U)
         m = len(std) - L.dim
         pivots = set(L.pivot_cols)
-        reps = [MultiPoly.monomial(J.nvars, mono, 1, field)
-                for j, mono in enumerate(std) if j not in pivots]
-        if len(reps) != m:
-            raise BasisDefect(f"cell {E}: {len(reps)} coset representatives for m = {m}")
+        free = [j for j in range(len(std)) if j not in pivots]
+        if len(free) != m:
+            raise BasisDefect(f"cell {E}: {len(free)} coset representatives for m = {m}")
+        if not all(U.insert(rows[j]) for j in free):
+            raise BasisDefect(f"cell {E}: the rep rows are dependent modulo U")
+        reps = [MultiPoly.monomial(J.nvars, std[j], 1, field) for j in free]
         cells[E] = FiltrationCell(I=E, N=N, L=L, m=m, reps=reps)
-        if E != I:
-            U = U.extended_with([row for j, row in enumerate(rows) if j not in pivots])
     return cells
 
 
@@ -176,7 +179,7 @@ def cell_codimensions(J: HomogeneousIdeal, powers, N: int,
     when j is not a pivot of L_N^E (see `filtration_space`): the same m,
     without a preimage.
     """
-    echelon = Echelon(powers[cells[0]].field)
+    echelon = Echelon(powers[cells[0]].field, hilbert_function(J, N))
     return {E: sum(map(echelon.insert, reversed(J.multiples(N, [powers[E]]))))
             for E in cells}
 

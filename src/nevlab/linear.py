@@ -6,23 +6,24 @@ fully normalized (reduced row echelon form) and chosen deterministically as
 the first nonzero entry in column order, so echelon bases and coset
 representatives are reproducible.
 
-A preimage {g : sum_j g_j * images[j] in U} is read off one reduction: each
-image is reduced against U's echelon basis, and the preimage is the kernel of
-the matrix whose columns are the reduced images.  With those columns taken in
-reverse order, the kernel basis read backwards is already the preimage's
-reduced echelon form, so it is not reduced again.  A subspace grows
-incrementally: only the new rows' remainders against its basis are reduced.
-An `Echelon` grows a span one vector at a time and reports whether each
-vector was new, for callers that need ranks and not bases.
+A fixed subspace, such as an ideal's graded piece or a preimage, is a
+`GradedSubspace`: its reduced rows from one reduction.  A span that grows is
+an `Echelon`: it takes one vector at a time, says whether the vector was new,
+and gives any vector's remainder against the span.  A preimage
+{g : sum_j g_j * images[j] in U} of an `Echelon` U is read off one reduction:
+the kernel of the matrix whose columns are the images' remainders against U.
+With those columns taken in reverse order, the kernel basis read backwards is
+already the preimage's reduced echelon form, so it is not reduced again.
 
 Over Q the reduction runs on integers: each row is replaced by its primitive
 integer multiple and Gauss-Jordan proceeds fraction-free, dividing each pivot
 row by its pivot only at the end, so the reduced rows hold ints where the
 pivot divides an entry and Fractions elsewhere (see `_rref_integer`); an
-`Echelon` never divides, so its rows stay primitive integer rows.  Over
-Q(z) it runs on the field elements and keeps sparse rows sparse; integer
-elimination over Z[z] was measured 6-14x slower on the same matrices,
-because scaling whole rows destroys that sparsity and grows the z-degrees.
+`Echelon` never divides its rows, so they stay primitive integer rows, and
+only its remainders take Fractions.  Over Q(z) it runs on the field elements
+and keeps sparse rows sparse; integer elimination over Z[z] was measured
+6-14x slower on the same matrices, because scaling whole rows destroys that
+sparsity and grows the z-degrees.
 
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .algebra import (
     RATIONAL,
@@ -297,35 +298,10 @@ class GradedSubspace:
         rem, _ = self.reduce_vector(v)
         return not any(rem)
 
-    def extended_with(self, rows) -> "GradedSubspace":
-        """Subspace spanned by this basis together with extra row vectors.
-
-        Only the rows' remainders against this basis are reduced.  Their pivot
-        columns are then cleared from the old rows, which keep their own
-        pivots because the remainders are zero there.  Merged by pivot column,
-        the rows are in reduced echelon form and span the sum; that form is
-        unique, so it is the one a reduction of the stacked rows would give.
-        Over Q, clearing leaves integral values as Fraction(k, 1); they are
-        returned as ints, as `_rref_integer` returns them.
-        """
-        rems = [rem for rem in (self.reduce_vector(v)[0] for v in rows) if any(rem)]
-        if not rems:
-            return self
-        new = GradedSubspace.from_rows(rems, cols=self.basis.cols, field=self.field)
-        old = [new.reduce_vector(row)[0] for row in self.basis.entries]
-        if self.field == RATIONAL:
-            old = [[v.numerator if type(v) is Fraction and v.denominator == 1 else v
-                    for v in row] for row in old]
-        pivots, entries = zip(*sorted(zip(self.pivot_cols + new.pivot_cols,
-                                          old + new.basis.entries),
-                                      key=itemgetter(0)))
-        basis = ExactMatrix(len(entries), self.basis.cols, self.field, list(entries),
-                            _raw=True)
-        return GradedSubspace(basis, pivots)
-
 
 class Echelon:
-    """A span grown one vector at a time, held as rows in reduced echelon form.
+    """A span of `cols`-vectors grown one vector at a time, held as rows in
+    reduced echelon form.
 
     `insert` reduces a vector against the rows and, when a remainder is
     left, adds it as a row and clears its pivot column from the other rows.
@@ -335,10 +311,11 @@ class Echelon:
     `_rref_integer`, so every entry stays an int; over Q(z) each pivot is 1.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "cols", "rows")
 
-    def __init__(self, field: str):
+    def __init__(self, field: str, cols: int):
         self.field = field
+        self.cols = cols
         self.rows: list[list] = []  # [pivot column, row, its nonzero columns]
 
     def insert(self, v) -> bool:
@@ -379,17 +356,38 @@ class Echelon:
         self.rows.append([c, v, support])
         return True
 
+    def remainder(self, v) -> list:
+        """v minus its component in the span, v - sum (v[c]/p) * row over the
+        rows with pivot c and pivot entry p (1 over Q(z)): its remainder
+        against the span's reduced echelon form.  Unlike `insert`, this never
+        rescales v, so it is linear in v, as a preimage needs; over Q a
+        multiplier v[c]/p is a Fraction only where p does not divide v[c].
+        """
+        rem = list(v)
+        integer = self.field == RATIONAL
+        for c, row, support in self.rows:
+            f = v[c]  # every other row is zero at c, so rem[c] is still v[c]
+            if not f:
+                continue
+            if integer:
+                p = row[c]
+                f = f // p if not f % p else Fraction(f, p)
+            for j in support:
+                rem[j] = rem[j] - f * row[j]
+        return rem
 
-def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:
+
+def preimage_of_subspace(images, U: Echelon) -> GradedSubspace:
     """The subspace {g : sum_j g_j * images[j] in U}, echelonized in source
     coordinates, where images[j] is the image of source basis vector j.
 
-    Reduction against U's echelon basis is linear with kernel exactly U, so
-    the combination lies in U exactly when the reduced images, weighted by g,
-    sum to zero: the preimage is the kernel of the matrix whose columns are
-    the reduced images.
+    The remainder against U (`Echelon.remainder`) is linear with kernel
+    exactly U, so the combination lies in U exactly when the remainders of
+    the images, weighted by g, sum to zero: the preimage is the kernel of the
+    matrix whose columns are those remainders.  They are not rescaled, since
+    scaling a column would scale the kernel's entry there.
 
-    That matrix takes the reduced images in reverse order.  Its kernel vector
+    That matrix takes the remainders in reverse order.  Its kernel vector
     for a free column f has a 1 at f and nonzeros only at pivot columns left
     of f.  Reversed, and listed in reverse order, these vectors are in
     echelon form with their leading 1s at the reversed free columns, and each
@@ -398,9 +396,9 @@ def preimage_of_subspace(images, U: GradedSubspace) -> GradedSubspace:
     are the j at which image j is, modulo U, a combination of the images
     after it; the other j index a basis of the images modulo U.
     """
-    if any(len(v) != U.basis.cols for v in images):
+    if any(len(v) != U.cols for v in images):
         raise DimensionMismatch("map target does not match subspace ambient space")
-    rems = [U.reduce_vector(v)[0] for v in reversed(images)]
+    rems = [U.remainder(v) for v in reversed(images)]
     # Zero rows (U's pivot coordinates among them) constrain nothing.
     rows = [list(row) for row in zip(*rems) if any(row)]
     reduced = ExactMatrix(len(rows), len(images), U.field, rows, _raw=True)

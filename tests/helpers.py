@@ -19,7 +19,6 @@ from nevlab.algebra import (
     _gcd,
     _imul,
     _iquo,
-    _zeval,
     coefficient_field,
     field_coerce,
     field_one,

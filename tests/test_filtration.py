@@ -171,6 +171,34 @@ class TestFiltrationSpace:
         assert hilbert_function(J, N) == 49
         assert grids and max(grids) <= 49
 
+    def test_one_elimination_per_cell(self, monkeypatch):
+        # With J's normal forms warm, the 7 cells of conic_exact at N = 12
+        # make one row reduction each, their preimage's kernel, and U grows
+        # in an Echelon: no subspace is built from rows.  Growing U by
+        # re-reduced subspaces took 13 reductions and 7 subspaces.
+        spec = load_problem(str(PROBLEMS / "conic_exact.prob"))
+        J, N = spec.ideal, 12
+        _, Qs = normalize_degrees(spec.hypersurfaces)
+        for k in range(N + 1):
+            J.normal_forms(k)
+        calls = {"row_reduce": 0, "from_rows": 0}
+        row_reduce_ = linear.row_reduce
+        from_rows = linear.GradedSubspace.from_rows.__func__
+
+        def counted_row_reduce(m):
+            calls["row_reduce"] += 1
+            return row_reduce_(m)
+
+        def counted_from_rows(cls, *args, **kwargs):
+            calls["from_rows"] += 1
+            return from_rows(cls, *args, **kwargs)
+
+        monkeypatch.setattr(linear, "row_reduce", counted_row_reduce)
+        monkeypatch.setattr(linear.GradedSubspace, "from_rows", classmethod(counted_from_rows))
+        cells = filtration_space(J, Qs[:spec.n], N, (0,))
+        assert len(cells) == 7
+        assert calls == {"row_reduce": 7, "from_rows": 0}
+
 
 class TestTables:
     def test_sum_rule_p1(self):
@@ -305,27 +333,30 @@ class TestFieldPolicy:
         assert stabilization_scan(J, [qz], 8).c == 4
 
     def test_u_over_q_holds_ints_where_integral(self, monkeypatch):
-        # Over Q every integral entry of U is an int, as in the RREFs of
-        # linear._rref_integer.  Two fixed lines in P^2 at N = 5 grow U
-        # through extended_with, whose old rows once kept 1203 of their
+        # Over Q, filtration_space grows U in an Echelon of primitive
+        # integer rows, so every entry is an int at every step, although U's
+        # RREF has Fractions on the way.  Two fixed lines in P^2 at N = 5
+        # once grew U by re-reductions whose old rows kept 1203 of their
         # 4410 entries as Fraction(k, 1).
+        import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
-        extend = linear.GradedSubspace.extended_with
         grown = []
 
-        def recorded(U, rows):
-            grown.append(extend(U, rows))
-            return grown[-1]
+        class Recorded(linear.Echelon):
+            def insert(self, v):
+                new = super().insert(v)
+                grown.append((self.field, [(c, row[:]) for c, row, _ in self.rows]))
+                return new
 
-        monkeypatch.setattr(linear.GradedSubspace, "extended_with", recorded)
+        monkeypatch.setattr(filt, "Echelon", Recorded)
         x0, x1, x2 = (xvar(i) for i in range(3))
         build_table(HomogeneousIdeal(3, []),
                     [x0 + x1.scale(2) - x2, x0.scale(2) - x1 + x2], 5)
-        entries = [v for U in grown for row in U.basis.entries for v in row]
-        assert grown and all(U.field == RATIONAL for U in grown)
-        assert any(type(v) is Fraction for v in entries)
-        assert all(type(v) is int for v in entries if v == int(v))
+        rows = [(c, row) for _, U in grown for c, row in U]
+        assert grown and all(field == RATIONAL for field, _ in grown)
+        assert all(type(v) is int for _, row in rows for v in row)
+        assert any(v % row[c] for c, row in rows for v in row)  # RREF: a Fraction
 
 
 class TestBasis:
@@ -398,8 +429,8 @@ class TestStabilization:
         echelons = []
 
         class Recorded(linear.Echelon):
-            def __init__(self, field):
-                super().__init__(field)
+            def __init__(self, field, cols):
+                super().__init__(field, cols)
                 echelons.append(self)
 
         monkeypatch.setattr(filt, "Echelon", Recorded)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from nevlab.algebra import (
 )
 from nevlab.linear import (
     DimensionMismatch,
+    Echelon,
     ExactMatrix,
     GradedSubspace,
     _rref_rows,
@@ -266,6 +268,14 @@ class TestMembership:
             S.reduce_vector([Fraction(1)])
 
 
+def _echelon(rows, cols, field=RATIONAL):
+    """An `Echelon` of `cols`-vectors grown by `rows`."""
+    U = Echelon(field, cols)
+    for row in rows:
+        U.insert(row)
+    return U
+
+
 def _mult_by_x0_images():
     """Multiplication by x0 from binary degree-2 forms into degree-3 forms:
     the image of each degree-2 monomial."""
@@ -276,12 +286,12 @@ def _mult_by_x0_images():
 
 class TestPreimage:
     def test_identity_into_whole_space(self):
-        U = full_subspace(2, RATIONAL)
+        U = _echelon(full_subspace(2, RATIONAL).basis.entries, 2)
         W = preimage_of_subspace([[1, 0], [0, 1]], U)
         assert W.dim == 2
 
     def test_identity_into_zero(self):
-        U = GradedSubspace.from_rows([], cols=2, field=RATIONAL)
+        U = Echelon(RATIONAL, 2)
         W = preimage_of_subspace([[1, 0], [0, 1]], U)
         assert W.dim == 0
 
@@ -297,7 +307,7 @@ class TestPreimage:
             row = [Fraction(0)] * len(dst)
             row[index[mono]] = Fraction(1)
             rows.append(row)
-        U = GradedSubspace.from_rows(rows, cols=4, field=RATIONAL)
+        U = _echelon(rows, 4)
         W = preimage_of_subspace(_mult_by_x0_images(), U)
         assert W.dim == 2
         src = monomial_basis(1, 2)
@@ -311,7 +321,8 @@ class TestPreimage:
     @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
     def test_preimage_characterization_randomized(self, field):
         # gamma in result <=> L gamma in U, on small random systems; and the
-        # rank-nullity count dim W = src - dim((U + image L) / U).
+        # rank-nullity count dim W = src - dim((U + image L) / U), the number
+        # of images that U accepts as new.
         rng = random.Random(31)
 
         def entry():
@@ -327,20 +338,19 @@ class TestPreimage:
                              for _ in range(dst_dim)])
             u_rows = [[entry() for _ in range(dst_dim)]
                       for _ in range(rng.randint(0, dst_dim))]
-            U = GradedSubspace.from_rows(u_rows, cols=dst_dim, field=field)
+            U = _echelon(u_rows, dst_dim, field)
             images = _columns(L.entries)
             W = preimage_of_subspace(images, U)
             # every basis vector of W maps into U
             for row in W.basis.entries:
-                assert U.contains(matvec(L, row))
-            assert W.dim == src_dim - (U.extended_with(images).dim
-                                       - U.dim)
+                assert not any(U.remainder(matvec(L, row)))
             # random vectors agree with the membership characterization
             for _ in range(8):
                 v = [entry() for _ in range(src_dim)]
                 lhs = W.contains(v)
-                rhs = U.contains(matvec(L, v))
+                rhs = not any(U.remainder(matvec(L, v)))
                 assert lhs == rhs
+            assert W.dim == src_dim - sum(map(U.insert, images))
 
 
 # Q(z) entries (a + b*z)/(1 + c*z), zero common enough to leave whole
@@ -398,10 +408,20 @@ def _assert_same_subspace(got, want):
         want.basis.rows, want.basis.cols, want.field)
 
 
+def _normalised(row, c, field):
+    """An `Echelon` row divided by its pivot entry at c, ints where integral
+    over Q, as `linear._rref_integer` leaves an RREF row."""
+    if field != RATIONAL:
+        return row
+    p = row[c]
+    return [v // p if v % p == 0 else Fraction(v, p) for v in row]
+
+
 class TestMatchesStackedReduction:
-    """The preimage read off the reversed-column kernel and the incremental
-    extension equal the re-reductions from scratch in `tests/helpers.py`;
-    reduced echelon form is unique, so the entries must agree exactly."""
+    """The preimage read off the reversed-column kernel, an `Echelon` grown
+    row by row and its remainders equal the re-reductions from scratch in
+    `tests/helpers.py`; reduced echelon form is unique, so the entries must
+    agree exactly."""
 
     @pytest.mark.parametrize("case", _EDGE_CASES)
     @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
@@ -409,13 +429,32 @@ class TestMatchesStackedReduction:
     @given(data=st.data())
     def test_preimage_and_extension(self, field, case, data):
         U, images = data.draw(_subspace_and_images(field, case))
-        _assert_same_subspace(preimage_of_subspace(images, U),
+        echelon = _echelon(U.basis.entries, U.basis.cols, field)
+        _assert_same_subspace(preimage_of_subspace(images, echelon),
                               reference_preimage_of_subspace(images, U))
-        extended = U.extended_with(images)
-        _assert_same_subspace(extended, reference_extended_with(U, images))
-        if field == RATIONAL:  # ints where integral, as from_rows gives them
-            assert all(type(v) is int for row in extended.basis.entries
-                       for v in row if v == int(v))
+        for v in images:
+            echelon.insert(v)
+        if field == RATIONAL:  # primitive integer rows, never divided
+            assert all(type(v) is int for _, row, _ in echelon.rows for v in row)
+        grown = sorted(echelon.rows, key=itemgetter(0))
+        extended = reference_extended_with(U, images)
+        assert tuple(c for c, _, _ in grown) == extended.pivot_cols
+        assert [_normalised(row, c, field) for c, row, _ in grown] == extended.basis.entries
+
+    @pytest.mark.parametrize("case", _EDGE_CASES)
+    @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_echelon_remainder(self, field, case, data):
+        # The remainder against an Echelon grown by the images' first half
+        # and U's basis is the remainder against the RREF of those rows.
+        U, images = data.draw(_subspace_and_images(field, case))
+        rows = images[:len(images) // 2] + U.basis.entries
+        cols = U.basis.cols
+        echelon = _echelon(rows, cols, field)
+        rref = GradedSubspace.from_rows(rows, cols=cols, field=field)
+        for v in images + U.basis.entries:
+            assert echelon.remainder(v) == rref.reduce_vector(v)[0]
 
 
 class TestSolveRowCombinations:
