@@ -608,10 +608,6 @@ class MultiPoly:
         """Terms in descending lex order (deterministic)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def coefficient_vector(self, basis: Sequence[tuple[int, ...]]) -> list:
-        zero = field_zero(self.field)
-        return [self.terms.get(exp, zero) for exp in basis]
-
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "MultiPoly"):
         if self.nvars != other.nvars:

@@ -48,7 +48,7 @@ from .algebra import (
     monomial_count,
     monomial_mul,
 )
-from .linear import ExactMatrix, GradedSubspace, solve_row_combinations
+from .linear import Echelon, ExactMatrix, GradedSubspace, solve_row_combinations
 
 WITNESS_BOUND = 997  # witness points are drawn from the integers [-B, B]
 
@@ -346,14 +346,15 @@ def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
     """dim (K[x]/(J, forms))_k, over the field the forms call for.
 
     (J, forms)_k is J_k plus the span of the forms' `multiples`, rows already
-    reduced modulo J_k: the dimension is H_V(k) minus their rank.
+    reduced modulo J_k: the dimension is H_V(k) minus their rank, the number
+    of them that an `Echelon` accepts as new.
     """
     h = len(J.normal_forms(k)[0])
     if not forms:
         return h
     field = coefficient_field(forms)
-    rows = J.multiples(k, [f.over(field) for f in forms])
-    return h - GradedSubspace.from_rows(rows, cols=h, field=field).dim
+    span = Echelon(field, h)
+    return h - sum(map(span.insert, J.multiples(k, [f.over(field) for f in forms])))
 
 
 def constant_tail(values, window: int) -> int | None:

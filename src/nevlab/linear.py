@@ -1,29 +1,37 @@
 """Exact dense linear algebra over Q and Q(z).
 
-Row reduction, kernels, reduction of vectors against an echelon basis, and
-preimages of subspaces under linear maps.  All arithmetic is exact; pivots are
-fully normalized (reduced row echelon form) and chosen deterministically as
-the first nonzero entry in column order, so echelon bases and coset
-representatives are reproducible.
+There is one elimination, `Echelon`: a span grown one vector at a time and
+held as rows in reduced echelon form.  `insert` says whether a vector was
+new, `remainder` gives any vector's remainder against the span, and
+`reduced` reads off the span's reduced row echelon form (RREF).  An RREF is
+unique, so its pivots and entries do not depend on the order in which the
+vectors came in, and echelon bases and coset representatives are
+reproducible.  `row_reduce` (and with it `kernel` and
+`GradedSubspace.from_rows`) and `solve_row_combinations` read their results
+off one `Echelon`.
+
+`solve_row_combinations` needs no pivot limit to keep the right-hand sides
+apart.  It reduces [A^T | targets] in full.  A reduced row whose pivot lies
+in the target block is zero on A^T: it is a relation that no combination of
+A's rows meets, and it is nonzero only in the columns of the targets outside
+the row space.  Clearing it from the other rows therefore changes no entry
+that a solution is read from.
 
 A fixed subspace, such as an ideal's graded piece or a preimage, is a
-`GradedSubspace`: its reduced rows from one reduction.  A span that grows is
-an `Echelon`: it takes one vector at a time, says whether the vector was new,
-and gives any vector's remainder against the span.  A preimage
+`GradedSubspace`: the rows of its RREF.  A preimage
 {g : sum_j g_j * images[j] in U} of an `Echelon` U is read off one reduction:
 the kernel of the matrix whose columns are the images' remainders against U.
 With those columns taken in reverse order, the kernel basis read backwards is
-already the preimage's reduced echelon form, so it is not reduced again.
+already the preimage's RREF, so it is not reduced again.
 
-Over Q the reduction runs on integers: each row is replaced by its primitive
-integer multiple and Gauss-Jordan proceeds fraction-free, dividing each pivot
-row by its pivot only at the end, so the reduced rows hold ints where the
-pivot divides an entry and Fractions elsewhere (see `_rref_integer`); an
-`Echelon` never divides its rows, so they stay primitive integer rows, and
-only its remainders take Fractions.  Over Q(z) it runs on the field elements
-and keeps sparse rows sparse; integer elimination over Z[z] was measured
-6-14x slower on the same matrices, because scaling whole rows destroys that
-sparsity and grows the z-degrees.
+Over Q an `Echelon` holds primitive integer rows with a positive pivot and
+reduces them fraction-free (`_clear_integer`), so every entry stays an int;
+only `reduced` divides a row by its pivot, giving ints where the pivot
+divides an entry and Fractions elsewhere, and only `remainder` takes
+Fractions on the way.  Over Q(z) it runs on the field elements and keeps
+sparse rows sparse; integer elimination over Z[z] was measured 6-14x slower
+on the same matrices, because scaling whole rows destroys that sparsity and
+grows the z-degrees.
 
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
@@ -34,9 +42,10 @@ coefficient is constant, Q(z) otherwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     RATIONAL,
@@ -83,21 +92,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _rref_rows(grid: list[list], cols: int, field: str, pivot_limit: int | None = None):
-    """In-place reduced row echelon form on a list-of-lists grid over `field`.
-
-    Returns (rank, pivot_cols).  Pivots are taken in column order, each from
-    the first row at or below the rank with a nonzero entry there; the pivot
-    rows come out normalized (pivot 1) and every other row is zero in the
-    pivot columns.  When pivot_limit is given, pivots are only sought in
-    columns below it and the remaining columns ride along as right-hand
-    sides; otherwise the rows past the rank are zero.
-    """
-    if field == RATIONAL:
-        return _rref_integer(grid, cols, pivot_limit)
-    return _rref_sparse(grid, cols, field_one(field), pivot_limit)
-
-
 _denominator = attrgetter("denominator")
 
 
@@ -113,7 +107,13 @@ def _integer_row(row: list) -> list[int]:
 def _clear_integer(row: list[int], prow: list[int], c: int, support) -> list[int]:
     """The primitive integer row (p/g)*row - (f/g)*prow, with f = row[c] != 0,
     p = prow[c] > 0 and g = gcd(p, f): zero in column c, and a positive
-    multiple of row - (f/p)*prow.  support lists prow's nonzero columns."""
+    multiple of row - (f/p)*prow.  support lists prow's nonzero columns.
+
+    Each step keeps a row a primitive integer multiple of the row that
+    elimination over Q holds at the same step (Bareiss, Math. Comp. 22
+    (1968), with content removal in place of Sylvester's identity), so the
+    zero patterns, and with them the pivots, are those of elimination over Q.
+    """
     p, f = prow[c], row[c]
     g = math.gcd(p, f)
     a, b = p // g, f // g
@@ -125,190 +125,17 @@ def _clear_integer(row: list[int], prow: list[int], c: int, support) -> list[int
     return row if g < 2 else [v // g for v in row]
 
 
-def _rref_integer(grid: list[list], cols: int, pivot_limit: int | None):
-    """`_rref_rows` over Q by integer-preserving Gauss-Jordan.
-
-    Each row is first replaced by its primitive integer multiple.  Clearing
-    column c against the pivot row (pivot p > 0) takes a row with entry f to
-    (p/g)*row - (f/g)*pivot_row, g = gcd(p, f), and divides the result by its
-    content, so every row stays a primitive integer multiple of the row that
-    Gauss-Jordan over Q holds at the same step (Bareiss, Math. Comp. 22
-    (1968), with content removal in place of Sylvester's identity).  The zero
-    patterns agree, so the pivots, the row swaps and the rank do too; only at
-    the end is each pivot row divided by its pivot, giving int entries where
-    the pivot divides them and Fractions elsewhere.  With pivot_limit, the
-    rows past the rank keep their primitive integer right-hand sides.
-    """
-    rows = len(grid)
-    for i in range(rows):
-        grid[i] = _integer_row(grid[i])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols if pivot_limit is None else pivot_limit):
-        pivot = None
-        for i in range(r, rows):
-            if grid[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            grid[r], grid[pivot] = grid[pivot], grid[r]
-        prow = grid[r]
-        p = prow[c]
-        if p < 0:
-            prow = grid[r] = [-v for v in prow]
-            p = -p
-        support = [j for j in range(c, cols) if prow[j]]
-        for i in range(rows):
-            if i != r and grid[i][c]:
-                grid[i] = _clear_integer(grid[i], prow, c, support)
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for k, c in enumerate(pivot_cols):
-        row = grid[k]
-        p = row[c]
-        if p != 1:
-            grid[k] = [v // p if v % p == 0 else Fraction(v, p) for v in row]
-    return r, pivot_cols
-
-
-def _rref_sparse(grid: list[list], cols: int, one, pivot_limit: int | None):
-    """`_rref_rows` over Q(z) by Gauss-Jordan on the field elements.
-
-    Each pivot row is normalized as soon as it is found, and the elimination
-    iterates only over its nonzero columns, which keeps sparse
-    Macaulay-style systems fast.
-    """
-    rows = len(grid)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols if pivot_limit is None else pivot_limit):
-        pivot = None
-        for i in range(r, rows):
-            if grid[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            grid[r], grid[pivot] = grid[pivot], grid[r]
-        prow = grid[r]
-        pv = prow[c]
-        if pv != one:
-            inv = one / pv
-            for j in range(c, cols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        support = [j for j in range(c, cols) if prow[j]]
-        for i in range(rows):
-            if i == r:
-                continue
-            row = grid[i]
-            f = row[c]
-            if f:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return r, pivot_cols
-
-
-def row_reduce(m: ExactMatrix) -> tuple[int, ExactMatrix, list[int]]:
-    """Reduced row echelon form with rank and pivot columns; exact throughout."""
-    grid = [row[:] for row in m.entries]
-    rank, pivots = _rref_rows(grid, m.cols, m.field)
-    return rank, ExactMatrix(m.rows, m.cols, m.field, grid, _raw=True), pivots
-
-
-def kernel(m: ExactMatrix) -> list[list]:
-    """Basis of the null space {v : m v = 0}; count = cols - rank.
-
-    Basis vectors are the standard free-variable completions of the reduced
-    echelon form, listed in increasing free-column order.
-    """
-    rank, rref, pivots = row_reduce(m)
-    zero = field_zero(m.field)
-    one = field_one(m.field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [zero] * m.cols
-        v[free] = one
-        for r, pc in enumerate(pivots):
-            coeff = rref.entries[r][free]
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    return basis
-
-
-@dataclass(frozen=True)
-class GradedSubspace:
-    """A subspace of degree-k forms, as an echelonized basis.
-
-    basis is in reduced row echelon form with columns indexed by
-    monomial_basis(M, k), or by its standard monomials for a subspace of the
-    quotient by an ideal; dim equals the number of basis rows.
-    """
-
-    basis: ExactMatrix
-    pivot_cols: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    @property
-    def field(self) -> str:
-        return self.basis.field
-
-    @classmethod
-    def from_rows(cls, rows, *, cols: int, field: str) -> "GradedSubspace":
-        if not rows:
-            return cls(ExactMatrix(0, cols, field, [], _raw=True), ())
-        m = ExactMatrix.from_rows(rows, cols, field)
-        rank, rref, pivots = row_reduce(m)
-        trimmed = ExactMatrix(rank, cols, field, rref.entries[:rank], _raw=True)
-        return cls(trimmed, tuple(pivots))
-
-    def reduce_vector(self, v: list) -> tuple[list, list]:
-        """Reduce v against the echelon basis; returns (remainder, coords)."""
-        if len(v) != self.basis.cols:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        rem = list(v)
-        coords = []
-        for r, pc in enumerate(self.pivot_cols):
-            f = rem[pc]
-            coords.append(f)
-            if f:
-                row = self.basis.entries[r]
-                for j in range(pc, len(rem)):
-                    if row[j]:
-                        rem[j] = rem[j] - f * row[j]
-        return rem, coords
-
-    def contains(self, v: list) -> bool:
-        rem, _ = self.reduce_vector(v)
-        return not any(rem)
-
-
 class Echelon:
     """A span of `cols`-vectors grown one vector at a time, held as rows in
-    reduced echelon form.
+    reduced echelon form: every elimination in nevlab.
 
     `insert` reduces a vector against the rows and, when a remainder is
     left, adds it as a row and clears its pivot column from the other rows.
     Each row is zero at every other row's pivot, so the order in which a
     vector meets the rows does not matter.  Over Q the rows are primitive
-    integer rows with a positive pivot, reduced by the fraction-free step of
-    `_rref_integer`, so every entry stays an int; over Q(z) each pivot is 1.
+    integer rows with a positive pivot, reduced by the fraction-free step
+    `_clear_integer`, so every entry stays an int; over Q(z) each pivot is 1.
+    `reduced` divides each row by its pivot, which gives the RREF.
     """
 
     __slots__ = ("field", "cols", "rows")
@@ -376,6 +203,88 @@ class Echelon:
                 rem[j] = rem[j] - f * row[j]
         return rem
 
+    def reduced(self) -> tuple[list[int], list[list]]:
+        """(pivot columns, rows) of the span's RREF: the rows in pivot order,
+        each divided by its pivot entry.  Over Q an entry v of a row with
+        pivot p becomes v // p where p divides v and Fraction(v, p)
+        elsewhere; the RREF is unique, and so are these values and types.
+        """
+        rows = sorted(self.rows, key=itemgetter(0))
+        out = []
+        for c, row, _ in rows:
+            p = row[c]
+            if self.field != RATIONAL or p == 1:
+                out.append(row[:])
+            else:
+                out.append([v // p if v % p == 0 else Fraction(v, p) for v in row])
+        return [c for c, _, _ in rows], out
+
+
+def row_reduce(m: ExactMatrix) -> tuple[int, ExactMatrix, list[int]]:
+    """(rank, RREF, pivot columns) of m, the RREF padded with zero rows to
+    m's shape: m's rows inserted into one `Echelon`, then `reduced`."""
+    span = Echelon(m.field, m.cols)
+    for row in m.entries:
+        span.insert(row)
+    pivots, rows = span.reduced()
+    zero = field_zero(m.field)
+    rows.extend([zero] * m.cols for _ in range(m.rows - len(rows)))
+    return len(pivots), ExactMatrix(m.rows, m.cols, m.field, rows, _raw=True), pivots
+
+
+def kernel(m: ExactMatrix) -> list[list]:
+    """Basis of the null space {v : m v = 0}; count = cols - rank.
+
+    Basis vectors are the standard free-variable completions of the reduced
+    echelon form, listed in increasing free-column order.
+    """
+    rank, rref, pivots = row_reduce(m)
+    zero = field_zero(m.field)
+    one = field_one(m.field)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        v = [zero] * m.cols
+        v[free] = one
+        for r, pc in enumerate(pivots):
+            coeff = rref.entries[r][free]
+            if coeff:
+                v[pc] = -coeff
+        basis.append(v)
+    return basis
+
+
+@dataclass(frozen=True)
+class GradedSubspace:
+    """A subspace of degree-k forms, as an echelonized basis.
+
+    basis is in reduced row echelon form with columns indexed by
+    monomial_basis(M, k), or by its standard monomials for a subspace of the
+    quotient by an ideal; dim equals the number of basis rows.
+    """
+
+    basis: ExactMatrix
+    pivot_cols: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    @property
+    def field(self) -> str:
+        return self.basis.field
+
+    @classmethod
+    def from_rows(cls, rows, *, cols: int, field: str) -> "GradedSubspace":
+        if not rows:
+            return cls(ExactMatrix(0, cols, field, [], _raw=True), ())
+        m = ExactMatrix.from_rows(rows, cols, field)
+        rank, rref, pivots = row_reduce(m)
+        trimmed = ExactMatrix(rank, cols, field, rref.entries[:rank], _raw=True)
+        return cls(trimmed, tuple(pivots))
+
 
 def preimage_of_subspace(images, U: Echelon) -> GradedSubspace:
     """The subspace {g : sum_j g_j * images[j] in U}, echelonized in source
@@ -411,29 +320,29 @@ def preimage_of_subspace(images, U: Echelon) -> GradedSubspace:
 def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | None]:
     """For each target v, exact x with x . A = v, or None when v is outside the rowspace.
 
-    All targets are solved against one elimination of A^T augmented with the
-    target columns; pivots are restricted to the coefficient block so the
-    right-hand sides never interfere with each other.
+    One `Echelon` takes the rows of [A^T | targets], one per column of A.  A
+    reduced row whose pivot lies in the target block is zero on A^T, so it
+    is nonzero only in the columns of targets outside the row space: a
+    target is None exactly when such a row is nonzero in its column.  The
+    other targets are read from the rows whose pivot j is below A.rows: x_j
+    is that row's entry in the target's column, and every other x_j is 0.
     """
     for v in targets:
         if len(v) != A.cols:
             raise DimensionMismatch("target length does not match matrix columns")
-    # The augmented grid [A^T | targets]: one row per column of A.
-    grid = [[row[i] for row in A.entries] + [v[i] for v in targets]
-            for i in range(A.cols)]
-    rank, pivots = _rref_rows(grid, A.rows + len(targets), A.field,
-                              pivot_limit=A.rows)
+    span = Echelon(A.field, A.rows + len(targets))
+    for i in range(A.cols):
+        span.insert([row[i] for row in A.entries] + [v[i] for v in targets])
+    pivots, rows = span.reduced()
+    split = bisect_left(pivots, A.rows)
     zero = field_zero(A.field)
     results: list[list | None] = []
-    for k in range(len(targets)):
-        col = A.rows + k
-        # Rows past the rank have a zero coefficient block; any leftover RHS
-        # entry there means this target is outside the rowspace.
-        if any(grid[r][col] for r in range(rank, A.cols)):
+    for col in range(A.rows, A.rows + len(targets)):
+        if any(row[col] for row in rows[split:]):
             results.append(None)
             continue
         x = [zero] * A.rows
-        for r, pc in enumerate(pivots):
-            x[pc] = grid[r][col]
+        for pc, row in zip(pivots, rows[:split]):
+            x[pc] = row[col]
         results.append(x)
     return results

@@ -1,5 +1,7 @@
-"""Shared constructors for the test suite, the specialization of Q(z)
-subspaces, a reference Q elimination, a reference Q(z), a reference
+"""Shared constructors for the test suite, coefficient vectors and the
+reduction of a vector against a subspace, the specialization of Q(z)
+subspaces, a reference Gauss-Jordan elimination over Q and Q(z) with the
+subspaces, kernels and solves built on it, a reference Q(z), a reference
 filtration, reference normal forms and a reference certificate in full
 monomial coordinates, reference sample-doubling integrals, a fine-grid T_f
 and a reference depth-first zero finder."""
@@ -21,6 +23,7 @@ from nevlab.algebra import (
     _iquo,
     coefficient_field,
     field_coerce,
+    field_coerce_row,
     field_one,
     field_zero,
     monomial_basis,
@@ -28,12 +31,7 @@ from nevlab.algebra import (
 )
 from nevlab.filtration import tuple_sets
 from nevlab.gradedgeom import HomogeneousIdeal, NullstellensatzCertificate, macaulay_rows
-from nevlab.linear import (
-    ExactMatrix,
-    GradedSubspace,
-    kernel,
-    solve_row_combinations,
-)
+from nevlab.linear import DimensionMismatch, ExactMatrix, GradedSubspace
 from nevlab import nevanlinna
 from nevlab.nevanlinna import TWO_PI, OverflowGuard, WindingAmbiguous, ZeroList
 
@@ -88,12 +86,45 @@ def full_subspace(n, field):
 
 
 def piece_over_qz(J, k):
-    """J's degree-k piece by generic elimination over Q(z) of its lifted
-    Macaulay rows, independent of the Q reduction J caches."""
+    """J's degree-k piece by the reference elimination over Q(z) of its
+    lifted Macaulay rows, independent of the Q reduction J caches."""
     gens = [g.over(RATIONAL_FUNCTION) for g in J.generators]
     rows, _ = macaulay_rows(gens, k, J.nvars, RATIONAL_FUNCTION)
-    return GradedSubspace.from_rows(rows, cols=monomial_count(J.M, k),
-                                    field=RATIONAL_FUNCTION)
+    return reference_subspace(rows, monomial_count(J.M, k), RATIONAL_FUNCTION)
+
+
+# ---------------------------------------------------------------------------
+# Test-side views of polynomials and subspaces: coefficient vectors, and the
+# reduction of a vector against a subspace's RREF basis.
+# ---------------------------------------------------------------------------
+
+def coefficient_vector(p, basis):
+    """The coefficients of the polynomial p on the monomials `basis`."""
+    zero = field_zero(p.field)
+    return [p.terms.get(exp, zero) for exp in basis]
+
+
+def reduce_vector(W, v):
+    """v reduced against the RREF basis of the `GradedSubspace` W:
+    (remainder, coordinates), the coordinates being v's entries at W's
+    pivots as the reduction meets them."""
+    if len(v) != W.basis.cols:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    rem = list(v)
+    coords = []
+    for pc, row in zip(W.pivot_cols, W.basis.entries):
+        f = rem[pc]
+        coords.append(f)
+        if f:
+            for j in range(pc, len(rem)):
+                if row[j]:
+                    rem[j] = rem[j] - f * row[j]
+    return rem, coords
+
+
+def contains(W, v):
+    """Whether v lies in the `GradedSubspace` W."""
+    return not any(reduce_vector(W, v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +185,26 @@ def specialize_space(W, a):
 
 
 # ---------------------------------------------------------------------------
-# Reference preimage and extension: each result re-reduced from scratch, as
-# `linear` computed them before the preimage was read off the kernel of the
-# reversed columns and subspaces grew by their new rows' remainders.
+# Reference preimage and extension: each result re-reduced from scratch by
+# the reference elimination, as `linear` computed them before the preimage
+# was read off the kernel of the reversed columns and subspaces grew by their
+# new rows' remainders.
 # ---------------------------------------------------------------------------
 
 def reference_preimage_of_subspace(images, U):
     """{g : sum_j g_j * images[j] in U}: the RREF of the kernel of the matrix
     whose columns are the images reduced against U."""
-    rems = [U.reduce_vector(v)[0] for v in images]
+    rems = [reduce_vector(U, v)[0] for v in images]
     rows = [list(row) for row in zip(*rems) if any(row)]
-    reduced = ExactMatrix(len(rows), len(images), U.field, rows, _raw=True)
-    return GradedSubspace.from_rows(kernel(reduced), cols=len(images), field=U.field)
+    return reference_subspace(reference_kernel(rows, len(images), U.field),
+                              len(images), U.field)
 
 
 def reference_extended_with(U, rows):
     """The span of U's basis and `rows`, by one RREF of the stacked rows."""
     if not rows:
         return U
-    stacked = U.basis.entries + list(rows)
-    return GradedSubspace.from_rows(stacked, cols=U.basis.cols, field=U.field)
+    return reference_subspace(U.basis.entries + list(rows), U.basis.cols, U.field)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +230,7 @@ def reference_quotient_rows(J, k, rows):
     pivots = set(piece.pivot_cols)
     std = [j for j in range(monomial_count(J.M, k)) if j not in pivots]
     return [[rem[j] for j in std]
-            for rem in (piece.reduce_vector(row)[0] for row in rows)]
+            for rem in (reduce_vector(piece, row)[0] for row in rows)]
 
 
 def reference_build_table(J, Qs, N):
@@ -253,7 +284,8 @@ def reference_nullstellensatz_certificate(J, Qs, s_max):
                                      1, field) for i in range(nvars)]
         rows, labels = macaulay_rows(gens, s, nvars, field)
         A = ExactMatrix.from_rows(rows, len(basis), field)
-        sols = solve_row_combinations(A, [p.coefficient_vector(basis) for p in powers])
+        sols = reference_solve_row_combinations(
+            A, [coefficient_vector(p, basis) for p in powers])
         if any(sol is None for sol in sols):
             continue
         cofactors = []
@@ -297,15 +329,25 @@ def rand_poly(rng, nvars, degree, field=RATIONAL, terms=3, bound=5):
 
 
 # ---------------------------------------------------------------------------
-# Reference elimination: Gauss-Jordan on Fractions, the Q path `_rref_rows`
-# took before it moved to integer rows.
+# Reference elimination: Gauss-Jordan on the field elements, over Q on
+# Fractions, as `linear` eliminated before every elimination became an
+# `Echelon`.  The subspaces, kernels and solutions built on it run none of
+# `linear`'s elimination.
 # ---------------------------------------------------------------------------
 
-def reference_rref_rows(grid, cols, pivot_limit=None):
-    """In-place reduced row echelon form of a grid of Fractions; returns
-    (rank, pivot_cols), with pivots chosen exactly as `linear._rref_rows`
-    chooses them."""
-    one = Fraction(1)
+def reference_one(field):
+    """The one that `reference_rref_rows` divides by: Fraction(1) over Q, so
+    that Q entries stay exact."""
+    return Fraction(1) if field == RATIONAL else field_one(field)
+
+
+def reference_rref_rows(grid, cols, one, pivot_limit=None):
+    """In-place reduced row echelon form of a grid of field elements, with
+    `one` the field's one; returns (rank, pivot_cols).  Pivots are taken in
+    column order, each from the first row at or below the rank with a
+    nonzero entry there, and the pivot rows are normalized.  When
+    pivot_limit is given, pivots are only sought in columns below it and
+    the remaining columns ride along as right-hand sides."""
     rows = len(grid)
     pivot_cols = []
     r = 0
@@ -340,6 +382,56 @@ def reference_rref_rows(grid, cols, pivot_limit=None):
         if r == rows:
             break
     return r, pivot_cols
+
+
+def reference_subspace(rows, cols, field):
+    """The `GradedSubspace` spanned by `rows`, from their reference RREF."""
+    grid = [field_coerce_row(field, row) for row in rows]
+    rank, pivots = reference_rref_rows(grid, cols, reference_one(field))
+    return GradedSubspace(ExactMatrix(rank, cols, field, grid[:rank], _raw=True),
+                          tuple(pivots))
+
+
+def reference_kernel(rows, cols, field):
+    """Basis of {v : row . v = 0 for every row}: the free-variable
+    completions of the reference RREF, by increasing free column."""
+    grid = [field_coerce_row(field, row) for row in rows]
+    one = reference_one(field)
+    _, pivots = reference_rref_rows(grid, cols, one)
+    zero = field_zero(field)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [zero] * cols
+        v[free] = one
+        for row, pc in zip(grid, pivots):
+            if row[free]:
+                v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def reference_solve_row_combinations(A, targets):
+    """For each target v, x with x . A = v, or None: Gauss-Jordan on
+    [A^T | targets] with pivots only in the A^T block.  A target is None
+    when a row past the rank keeps a nonzero entry in its column; otherwise
+    x holds its column's entries at the pivots and zeros elsewhere."""
+    grid = [field_coerce_row(A.field, [row[i] for row in A.entries] + [v[i] for v in targets])
+            for i in range(A.cols)]
+    rank, pivots = reference_rref_rows(grid, A.rows + len(targets),
+                                       reference_one(A.field), pivot_limit=A.rows)
+    zero = field_zero(A.field)
+    results = []
+    for col in range(A.rows, A.rows + len(targets)):
+        if any(row[col] for row in grid[rank:]):
+            results.append(None)
+            continue
+        x = [zero] * A.rows
+        for row, pc in zip(grid, pivots):
+            x[pc] = row[col]
+        results.append(x)
+    return results
 
 
 # ---------------------------------------------------------------------------

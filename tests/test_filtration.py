@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from nevlab.linear import ExactMatrix, row_reduce
 
 from helpers import (
     conic_ideal,
+    contains,
     p1_ideal,
     piece_over_qz,
     rand_poly,
@@ -147,29 +149,37 @@ class TestFiltrationSpace:
         for rep in cell.reps:
             # cell.L lives in the standard coordinates of its source degree
             vec = J.multiples(8 - 2, [rep])[0]
-            assert not cell.L.contains(vec)
+            assert not contains(cell.L, vec)
 
     def test_cells_eliminate_within_the_quotient(self, monkeypatch):
-        # With J's normal forms warm, no grid that build_table eliminates
-        # outgrows the H_V(24) = 49 quotient coordinates: each cell reduces
-        # its images against U once, and U grows by the cell's rep rows
-        # only, never by a re-reduction of its whole basis.
+        # With J's normal forms warm, no span or matrix that build_table
+        # eliminates outgrows the H_V(24) = 49 quotient coordinates: each
+        # cell reduces its images against U once, and U grows by the cell's
+        # rep rows only, never by a re-reduction of its whole basis.  Every
+        # elimination is an Echelon: its width and the number of vectors
+        # inserted into it are recorded.
         spec = load_problem(str(PROBLEMS / "conic_exact.prob"))
         J, N = spec.ideal, 24
         _, Qs = normalize_degrees(spec.hypersurfaces)
         for k in range(N + 1):
             J.normal_forms(k)
-        grids = []
-        rref_rows = linear._rref_rows
+        spans, inserted = [], Counter()
+        init, insert = linear.Echelon.__init__, linear.Echelon.insert
 
-        def counted(grid, *args):
-            grids.append(len(grid))
-            return rref_rows(grid, *args)
+        def recorded_init(self, field, cols):
+            init(self, field, cols)
+            spans.append(self)
 
-        monkeypatch.setattr(linear, "_rref_rows", counted)
+        def counted_insert(self, v):
+            inserted[id(self)] += 1
+            return insert(self, v)
+
+        monkeypatch.setattr(linear.Echelon, "__init__", recorded_init)
+        monkeypatch.setattr(linear.Echelon, "insert", counted_insert)
         build_table(J, Qs[:spec.n], N)
         assert hilbert_function(J, N) == 49
-        assert grids and max(grids) <= 49
+        assert spans and inserted
+        assert max(U.cols for U in spans) <= 49 and max(inserted.values()) <= 49
 
     def test_one_elimination_per_cell(self, monkeypatch):
         # With J's normal forms warm, the 7 cells of conic_exact at N = 12
@@ -246,7 +256,7 @@ class TestTables:
             k = 8 - 2 * tuple_norm(I)
             piece = J.graded_piece(k, extra=[q]) if k >= 2 else J.graded_piece(k)
             for row in reference_quotient_rows(J, k, piece.basis.entries):
-                assert cell.L.contains(row)
+                assert contains(cell.L, row)
 
     def test_remark_multiplying_stays_inside(self):
         # gamma in L_N^I and P homogeneous of degree k: gamma*P in L_{N+k}^I.
@@ -272,7 +282,7 @@ class TestTables:
                 P = rand_poly(rng, 3, k, RATIONAL, terms=2).over(RATIONAL_FUNCTION)
                 prod = gamma * P
                 vec = J.multiples(N + k - 2, [prod])[0]
-                assert target.L.contains(vec)
+                assert contains(target.L, vec)
 
     def test_inclusion_chain_componentwise(self):
         # For componentwise I <= I', L_N^I sits inside L_{N + d(|I'|-|I|)}^{I'}.
@@ -284,7 +294,7 @@ class TestTables:
             shift = 2 * (tuple_norm(Ip) - tuple_norm(I))
             high = filtration_space(J, [q], N + shift, Ip)[Ip]
             for row in low.L.basis.entries:
-                assert high.L.contains(list(row))
+                assert contains(high.L, list(row))
 
     def test_specialization_preserves_m(self):
         # The moving-line table over Q(z) matches the fixed table after

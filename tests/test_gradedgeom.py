@@ -26,10 +26,12 @@ from nevlab.gradedgeom import (
 from nevlab.linear import GradedSubspace
 
 from helpers import (
+    coefficient_vector,
     conic_ideal,
     p1_ideal,
     piece_over_qz,
     rand_poly,
+    reduce_vector,
     specialize_space,
     twisted_cubic_ideal,
     xvar,
@@ -110,7 +112,7 @@ class TestSpecializeSpace:
 
         nvars = polys[0].nvars
         basis = monomial_basis(nvars - 1, k)
-        rows = [p.coefficient_vector(basis) for p in polys]
+        rows = [coefficient_vector(p, basis) for p in polys]
         return GradedSubspace.from_rows(rows, cols=len(basis), field=polys[0].field)
 
     def test_vanishing_leading_coefficient(self):
@@ -120,7 +122,7 @@ class TestSpecializeSpace:
         W = self._span([x0.scale(z) + x1], 1)
         Wa = specialize_space(W, 0)
         assert Wa.dim == 1
-        ok, _ = Wa.reduce_vector([Fraction(0), Fraction(1)])
+        ok, _ = reduce_vector(Wa, [Fraction(0), Fraction(1)])
         assert not any(ok)  # x1 spans it
 
     def test_dependent_generators_collapse_first(self):
@@ -174,7 +176,7 @@ class TestSpecializeSpace:
         W = self._span([x0.scale(RationalFunction((1,), (-1, 1)))], 1)
         Wa = specialize_space(W, 1)
         assert Wa.dim == 1
-        rem, _ = Wa.reduce_vector([Fraction(1), Fraction(0)])
+        rem, _ = reduce_vector(Wa, [Fraction(1), Fraction(0)])
         assert not any(rem)
 
 

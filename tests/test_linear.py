@@ -1,7 +1,5 @@
-import math
 import random
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,6 @@ from nevlab.linear import (
     Echelon,
     ExactMatrix,
     GradedSubspace,
-    _rref_rows,
     kernel,
     preimage_of_subspace,
     row_reduce,
@@ -29,14 +26,21 @@ from nevlab.linear import (
 )
 
 from helpers import (
+    coefficient_vector,
     conic_ideal,
+    contains,
     full_subspace,
     matvec,
     rand_fraction,
     rand_rational_function,
+    reduce_vector,
     reference_extended_with,
+    reference_kernel,
+    reference_one,
     reference_preimage_of_subspace,
     reference_rref_rows,
+    reference_solve_row_combinations,
+    reference_subspace,
 )
 
 
@@ -51,7 +55,7 @@ def _columns(rows):
 
 def _poly_row(p, k):
     basis = monomial_basis(p.nvars - 1, k)
-    return p.coefficient_vector(basis)
+    return coefficient_vector(p, basis)
 
 
 class TestRowReduce:
@@ -146,26 +150,33 @@ def _assert_q_entries(grid):
 
 
 class TestIntegerElimination:
-    """The Q path of `_rref_rows` against Gauss-Jordan on Fractions."""
+    """`row_reduce` and `solve_row_combinations` over Q against Gauss-Jordan
+    on Fractions."""
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(_q_grids())
     def test_matches_fraction_reference(self, case):
         rows, cols, pivot_limit = case
         want = [[Fraction(v) for v in row] for row in rows]
-        got = [list(row) for row in rows]
-        rank, pivots = reference_rref_rows(want, cols, pivot_limit)
-        assert _rref_rows(got, cols, RATIONAL, pivot_limit) == (rank, pivots)
-        assert got[:rank] == want[:rank]
-        _assert_q_entries(got)
-        # Past the rank: zero rows, or with a right-hand-side block the
-        # primitive integer row on the same line as the reference's.
-        for g, w in zip(got[rank:], want[rank:]):
-            assert all(type(v) is int for v in g) and math.gcd(*g) <= 1
-            assert [bool(v) for v in g] == [bool(v) for v in w]
-            k = next((j for j, v in enumerate(g) if v), None)
-            if k is not None:
-                assert all(gj * w[k] == wj * g[k] for gj, wj in zip(g, w))
+        rank, pivots = reference_rref_rows(want, cols, Fraction(1))
+        got_rank, rref, got_pivots = row_reduce(ExactMatrix.from_rows(rows, cols, RATIONAL))
+        assert (got_rank, got_pivots) == (rank, pivots)
+        assert (rref.rows, rref.cols) == (len(rows), cols)
+        assert rref.entries[:rank] == want[:rank]
+        assert not any(v for row in rref.entries[rank:] for v in row)
+        _assert_q_entries(rref.entries)
+        if pivot_limit is None:
+            return
+        # The grid as [A^T | targets]: A^T is its first pivot_limit columns,
+        # and each later column is a target.  A target is None exactly where
+        # the reference, pivoting only in the A^T block, leaves a nonzero
+        # right-hand side past its rank.
+        columns = [[row[j] for row in rows] for j in range(cols)]
+        A = ExactMatrix.from_rows(columns[:pivot_limit], len(rows), RATIONAL)
+        targets = columns[pivot_limit:]
+        sols = solve_row_combinations(A, targets)
+        assert sols == reference_solve_row_combinations(A, targets)
+        _assert_q_entries([x for x in sols if x is not None])
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(_q_grids())
@@ -177,7 +188,7 @@ class TestIntegerElimination:
         A, targets = _mat(rows[:half]), rows[half:]
         rank, rref, pivots = row_reduce(A)
         want = [[Fraction(v) for v in row] for row in rows[:half]]
-        assert (rank, pivots) == reference_rref_rows(want, cols)
+        assert (rank, pivots) == reference_rref_rows(want, cols, Fraction(1))
         assert rref.entries == want
         null = kernel(_mat(rows))
         S = GradedSubspace.from_rows(rows, cols=cols, field=RATIONAL)
@@ -190,7 +201,7 @@ class TestIntegerElimination:
         for v, x in zip(targets, sols):
             if x is None:
                 grown = [row[:] for row in want] + [[Fraction(c) for c in v]]
-                assert reference_rref_rows(grown, cols)[0] > rank
+                assert reference_rref_rows(grown, cols, Fraction(1))[0] > rank
             else:
                 assert [sum(xi * row[j] for xi, row in zip(x, A.entries))
                         for j in range(cols)] == v
@@ -210,7 +221,7 @@ class TestKernel:
         assert len(basis) == 2
         # (1, -1, 0) lies in the kernel span: reduce it against the basis.
         S = GradedSubspace.from_rows(basis, cols=3, field=RATIONAL)
-        assert S.contains([Fraction(1), Fraction(-1), Fraction(0)])
+        assert contains(S, [Fraction(1), Fraction(-1), Fraction(0)])
 
     def test_rank_nullity(self):
         rng = random.Random(5)
@@ -228,14 +239,17 @@ class TestKernel:
 
 
 class TestMembership:
+    """`helpers.reduce_vector` and `helpers.contains`, on which the oracles
+    rest."""
+
     def test_first_basis_row(self):
         S = GradedSubspace.from_rows([[1, 2, 0], [0, 0, 1]], cols=3, field=RATIONAL)
-        rem, coords = S.reduce_vector([Fraction(1), Fraction(2), Fraction(0)])
+        rem, coords = reduce_vector(S, [Fraction(1), Fraction(2), Fraction(0)])
         assert not any(rem) and coords == [Fraction(1), Fraction(0)]
 
     def test_outside_witness(self):
         S = GradedSubspace.from_rows([[1, 0, 0]], cols=3, field=RATIONAL)
-        rem, _ = S.reduce_vector([Fraction(0), Fraction(1), Fraction(0)])
+        rem, _ = reduce_vector(S, [Fraction(0), Fraction(1), Fraction(0)])
         assert any(rem)
 
     def test_conic_degree_two_combination(self):
@@ -246,7 +260,7 @@ class TestMembership:
         rows = [_poly_row(g, 2), _poly_row(x0x2, 2)]
         S = GradedSubspace.from_rows(rows, cols=6, field=RATIONAL)
         x1sq = MultiPoly.variable(3, 1) ** 2
-        assert S.contains(_poly_row(x1sq, 2))
+        assert contains(S, _poly_row(x1sq, 2))
 
     def test_certificate_reproduces_vector(self):
         rng = random.Random(9)
@@ -256,7 +270,7 @@ class TestMembership:
         cs = [rand_fraction(rng) for _ in range(S.dim)]
         v = [sum(c * S.basis.entries[i][j] for i, c in enumerate(cs))
              for j in range(5)]
-        rem, coords = S.reduce_vector(v)
+        rem, coords = reduce_vector(S, v)
         assert not any(rem)
         rebuilt = [sum(c * S.basis.entries[i][j] for i, c in enumerate(coords))
                    for j in range(5)]
@@ -265,7 +279,7 @@ class TestMembership:
     def test_dimension_mismatch(self):
         S = GradedSubspace.from_rows([[1, 0]], cols=2, field=RATIONAL)
         with pytest.raises(DimensionMismatch):
-            S.reduce_vector([Fraction(1)])
+            reduce_vector(S, [Fraction(1)])
 
 
 def _echelon(rows, cols, field=RATIONAL):
@@ -314,9 +328,9 @@ class TestPreimage:
         x0x1 = [Fraction(1) if e == (1, 1) else Fraction(0) for e in src]
         x1sq = [Fraction(1) if e == (0, 2) else Fraction(0) for e in src]
         x0sq = [Fraction(1) if e == (2, 0) else Fraction(0) for e in src]
-        assert W.contains(x0x1)
-        assert W.contains(x1sq)
-        assert not W.contains(x0sq)
+        assert contains(W, x0x1)
+        assert contains(W, x1sq)
+        assert not contains(W, x0sq)
 
     @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
     def test_preimage_characterization_randomized(self, field):
@@ -347,7 +361,7 @@ class TestPreimage:
             # random vectors agree with the membership characterization
             for _ in range(8):
                 v = [entry() for _ in range(src_dim)]
-                lhs = W.contains(v)
+                lhs = contains(W, v)
                 rhs = not any(U.remainder(matvec(L, v)))
                 assert lhs == rhs
             assert W.dim == src_dim - sum(map(U.insert, images))
@@ -375,12 +389,11 @@ def _subspace_and_images(draw, field, case):
     cols = draw(st.integers(1, 5))
     vectors = st.lists(entry, min_size=cols, max_size=cols)
     if case == "empty U":
-        U = GradedSubspace.from_rows([], cols=cols, field=field)
+        U = reference_subspace([], cols, field)
     elif case == "full U":
         U = full_subspace(cols, field)
     else:
-        U = GradedSubspace.from_rows(draw(st.lists(vectors, max_size=5)),
-                                     cols=cols, field=field)
+        U = reference_subspace(draw(st.lists(vectors, max_size=5)), cols, field)
     if case in ("no images", "single source column"):
         n = int(case == "single source column")
     else:
@@ -408,15 +421,6 @@ def _assert_same_subspace(got, want):
         want.basis.rows, want.basis.cols, want.field)
 
 
-def _normalised(row, c, field):
-    """An `Echelon` row divided by its pivot entry at c, ints where integral
-    over Q, as `linear._rref_integer` leaves an RREF row."""
-    if field != RATIONAL:
-        return row
-    p = row[c]
-    return [v // p if v % p == 0 else Fraction(v, p) for v in row]
-
-
 class TestMatchesStackedReduction:
     """The preimage read off the reversed-column kernel, an `Echelon` grown
     row by row and its remainders equal the re-reductions from scratch in
@@ -434,12 +438,13 @@ class TestMatchesStackedReduction:
                               reference_preimage_of_subspace(images, U))
         for v in images:
             echelon.insert(v)
-        if field == RATIONAL:  # primitive integer rows, never divided
-            assert all(type(v) is int for _, row, _ in echelon.rows for v in row)
-        grown = sorted(echelon.rows, key=itemgetter(0))
+        pivots, rows = echelon.reduced()
         extended = reference_extended_with(U, images)
-        assert tuple(c for c, _, _ in grown) == extended.pivot_cols
-        assert [_normalised(row, c, field) for c, row, _ in grown] == extended.basis.entries
+        assert tuple(pivots) == extended.pivot_cols
+        assert rows == extended.basis.entries
+        if field == RATIONAL:  # primitive integer rows, divided only by `reduced`
+            assert all(type(v) is int for _, row, _ in echelon.rows for v in row)
+            _assert_q_entries(rows)
 
     @pytest.mark.parametrize("case", _EDGE_CASES)
     @pytest.mark.parametrize("field", [RATIONAL, RATIONAL_FUNCTION])
@@ -452,9 +457,9 @@ class TestMatchesStackedReduction:
         rows = images[:len(images) // 2] + U.basis.entries
         cols = U.basis.cols
         echelon = _echelon(rows, cols, field)
-        rref = GradedSubspace.from_rows(rows, cols=cols, field=field)
+        rref = reference_subspace(rows, cols, field)
         for v in images + U.basis.entries:
-            assert echelon.remainder(v) == rref.reduce_vector(v)[0]
+            assert echelon.remainder(v) == reduce_vector(rref, v)[0]
 
 
 class TestSolveRowCombinations:
@@ -475,3 +480,56 @@ class TestSolveRowCombinations:
             rebuilt2 = [sum(sols[1][i] * rows[i][j] for i in range(3))
                         for j in range(4)]
             assert rebuilt2 == outside
+
+
+@st.composite
+def _qz_systems(draw):
+    """(A, targets): a Q(z) matrix of rank below its column count, sometimes
+    with a dependent row inserted, and targets of both kinds in a random
+    order: combinations of A's rows, and a unit vector at a non-pivot column
+    of A's RREF plus such a combination, which lies outside the row space.
+    The sizes (at most 5 columns and 5 targets) are bounded for time only."""
+    cols = draw(st.integers(2, 5))
+    vectors = st.lists(_QZ_ENTRY, min_size=cols, max_size=cols)
+    rows = draw(st.lists(vectors, max_size=cols - 1))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_QZ_ENTRY), draw(_QZ_ENTRY)
+        rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    A = ExactMatrix.from_rows(rows, cols, RATIONAL_FUNCTION)
+    zero, one = RationalFunction.zero(), reference_one(RATIONAL_FUNCTION)
+    _, pivots = reference_rref_rows([row[:] for row in A.entries], cols, one)
+    free = [j for j in range(cols) if j not in pivots]
+
+    def combination():
+        cs = draw(st.lists(_QZ_ENTRY, min_size=len(rows), max_size=len(rows)))
+        return [sum((c * row[j] for c, row in zip(cs, A.entries)), zero)
+                for j in range(cols)]
+
+    inside = [combination() for _ in range(draw(st.integers(1, 3)))]
+    outside = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = combination()
+        j = draw(st.sampled_from(free))
+        v[j] = v[j] + one
+        outside.append(v)
+    return A, draw(st.permutations(inside + outside))
+
+
+class TestRationalFunctionElimination:
+    """`row_reduce`, `kernel` and `solve_row_combinations` over Q(z) against
+    Gauss-Jordan on the field elements; each solve mixes targets inside and
+    outside the row space."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_qz_systems())
+    def test_matches_reference(self, system):
+        A, targets = system
+        want = [row[:] for row in A.entries]
+        rank, pivots = reference_rref_rows(want, A.cols, reference_one(A.field))
+        assert row_reduce(A) == (rank, ExactMatrix(A.rows, A.cols, A.field, want, _raw=True),
+                                 pivots)
+        assert kernel(A) == reference_kernel(A.entries, A.cols, A.field)
+        sols = solve_row_combinations(A, targets)
+        assert sols == reference_solve_row_combinations(A, targets)
+        assert None in sols and any(x is not None for x in sols)

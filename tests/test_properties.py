@@ -65,7 +65,9 @@ from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main, parse_polynomial
 from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
 
 from helpers import (
+    coefficient_vector,
     conic_ideal,
+    contains,
     p1_ideal,
     plane_ideal,
     quadric_ideal,
@@ -100,7 +102,7 @@ def instances(draw):
     field = draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
     Q = MultiPoly(J.nvars, field, dict(zip(basis, coeffs)))
     # Q must not vanish on V; V is irreducible, so that means Q is not in J_d.
-    assume(not J.graded_piece(d).contains([Fraction(c) for c in coeffs]))
+    assume(not contains(J.graded_piece(d), [Fraction(c) for c in coeffs]))
     return J, deg_v, d, N, Q
 
 
@@ -118,7 +120,7 @@ def moving_instances(draw, name):
     Q = MultiPoly(J.nvars, RATIONAL_FUNCTION,
                   {exp: RationalFunction([a, b]) for exp, (a, b) in zip(basis, coeffs)})
     # As above, Q must not vanish on V.
-    assume(not J.graded_piece(d).contains(Q.coefficient_vector(basis)))
+    assume(not contains(J.graded_piece(d), coefficient_vector(Q, basis)))
     return J, deg_v, d, N, Q
 
 
@@ -400,7 +402,7 @@ def reference_multiples(J, k, forms):
         if e is None or e > k:
             continue
         pivots = set(J.graded_piece(k - e).pivot_cols)
-        vectors += [f.shift(m).coefficient_vector(basis)
+        vectors += [coefficient_vector(f.shift(m), basis)
                     for j, m in enumerate(monomial_basis(J.M, k - e)) if j not in pivots]
     return reference_quotient_rows(J, k, vectors)
 
@@ -503,7 +505,7 @@ def test_certificate_degree_matches_full_coordinates(name, data):
     def powers_in_piece(s):
         piece = J.graded_piece(s, extra=Qs)
         basis = monomial_basis(J.M, s)
-        return all(piece.contains([int(e[i] == s) for e in basis])
+        return all(contains(piece, [int(e[i] == s) for e in basis])
                    for i in range(J.nvars))
 
     expected = next((s for s in range(1, s_max + 1) if powers_in_piece(s)), None)
