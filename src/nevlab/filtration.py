@@ -11,16 +11,26 @@ all share the value deg V * d^n, and the per-slot weighted sums S_s feed the
 growth-exponent bookkeeping of the product decomposition.
 
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
-(`HomogeneousIdeal.multiples`), and the ideal stays over Q; so do the
-stabilization scan's quotient dimensions (`hilbert_function`).  A degree is
+(`HomogeneousIdeal.multiples`), and the ideal stays over Q.  A degree is
 computed in one pass from the top of tau_N down to a given tuple, and either
 way the span U of the multiples from the cells above grows in one
 `linear.Echelon` per pass.  `filtration_space` gives each cell its preimage
 L of U and coset representatives, which the basis and the product
 decomposition need, and inserts the reps' rows into U; `build_table` reads a
-whole degree from it.  The stabilization scan reads only the codimensions m,
-at each degree it needs once, so `cell_codimensions` gets them with no
-preimage or kernel: each row Q^E * x^j is inserted once, and m_N^E counts the
+whole degree from it.
+
+The stabilization scan needs only the codimensions m, and on most targets
+it reads them off the Hilbert function h(s) = dim (R/(J, Q_1..Q_n))_s with
+no elimination over Q(z).  For every E in tau_N, m_N^E <= h(N - d*|E|):
+g -> Q^E * g maps R_s onto the cell's quotient, and its kernel holds J_s
+and, for s >= d, every Q_t * R_{s-d}, whose images are the cell E + e_t
+above E.  The cells tile the quotient, so their m sum to H_V(N).  Hence
+when sum_E u(N - d*|E|) = H_V(N) for some u >= h, every m_N^E is
+u(N - d*|E|).  Over Q(z), u is h at one point z = a: specializing cannot
+raise a rank.  The identity holds at every N exactly when Q_1..Q_n is a
+regular sequence on R/J (Stanley, Adv. Math. 28 (1978), sect. 3); when it
+fails, the scan falls back to `cell_codimensions`, one echelon pass per
+degree in which each row Q^E * x^j is inserted once and m_N^E counts the
 rows that are new.
 
 Everything here is exact; scans that detect stabilization onsets report
@@ -35,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .algebra import MultiPoly, coefficient_field
+from .algebra import MultiPoly, PoleAtPoint, coefficient_field
 from .gradedgeom import HomogeneousIdeal, NotStabilized, constant_tail, hilbert_function
 from .linear import Echelon, GradedSubspace, preimage_of_subspace
 
@@ -238,11 +248,86 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     over a bounded search box, their minimum, and the kappa threshold taken
     from the minimizer's largest slot.
 
+    The scan first tries the certificate of the module docstring.  u is the
+    Hilbert function of (J, Q_1..Q_n) over Q, and over Q(z) that of the Q_j
+    specialized at the first a in 0, 1, -1, 2, -2, ... at which no
+    coefficient has a pole and no Q_j vanishes, so u >= h.  u is computed up
+    to the largest degree T the scan reads (or k_max, if larger), and the
+    identity H_V(N) = sum_i binom(i + n - 1, n - 1) * u(N - d*i) is checked
+    at every N <= T.  Where it holds, m_N^E = h(N - d*|E|) = u(N - d*|E|) for
+    every E in tau_N (the term E = 0 gives h(N) = u(N)), whatever a was.  So
+    the quotient dimensions are u, and each m the scan reads is u(k) with k
+    in the window of the plateau: the stable m^I are all c, and c' = m_min =
+    c, I0 = (0..0), kappa = 0.  When u shows no plateau or the identity fails
+    at some N, as it does on targets that are not a regular sequence on R/J,
+    the m are read by elimination (`_scan_by_elimination`).
+
     Raises NotStabilized when either the quotient dimensions or some cell
     sequence fail to settle within the scan bounds.
     """
     Qs, d = _over_common_field(Qs)
     n = len(Qs)
+    forms = _specialized(Qs)
+    u = [hilbert_function(J, k, forms) for k in range(k_max + 1)]
+    n0 = constant_tail(u, window)
+    if n0 is not None:
+        box = _scan_box(n, d, n0)
+        top = d * max(map(tuple_norm, box)) + n0 + window - 1
+        u += [hilbert_function(J, k, forms) for k in range(k_max + 1, top + 1)]
+        if all(hilbert_function(J, N) == sum(math.comb(i + n - 1, n - 1) * u[N - d * i]
+                                             for i in range(N // d + 1))
+               for N in range(len(u))):
+            c = u[n0]
+            return StabilizationScan(n0=n0, c=c, c_prime=c, m_min=c, I0=(0,) * n,
+                                     kappa=0, m_stable=dict.fromkeys(box, c),
+                                     quotient_values=u[:k_max + 1])
+    return _scan_by_elimination(J, Qs, k_max, window)
+
+
+def _specialized(Qs) -> list[MultiPoly]:
+    """The Q_j at the first z = a in 0, 1, -1, 2, -2, ... where no coefficient
+    has a pole and no Q_j vanishes; forms over Q are returned as they are.
+    The Q_j are nonzero, so only finitely many a are skipped."""
+    for k in itertools.count():
+        a = (k + 1) // 2 * (1 if k % 2 else -1)
+        try:
+            forms = [q.specialize(a) for q in Qs]
+        except PoleAtPoint:
+            continue
+        if not any(q.is_zero for q in forms):
+            return forms
+
+
+def _scan_box(n: int, d: int, n0: int) -> list[tuple[int, ...]]:
+    """The tuples I with |I| <= 2n + n0 // d whose stable m^I the scan reads,
+    sorted by largest slot, then lex."""
+    box_norm = 2 * n + n0 // d
+    box = [I for I in itertools.product(range(box_norm + 1), repeat=n)
+           if tuple_norm(I) <= box_norm]
+    box.sort(key=lambda I: (max(I) if I else 0, I))
+    return box
+
+
+def _scan_cells(box, d: int, n0: int, window: int) -> dict[int, list[tuple[int, ...]]]:
+    """For each degree N = d*|I| + k with I in `box` and n0 <= k < n0 + window,
+    the cells of tau_N from its top down to the lex-smallest such I, in
+    descending lex order: one echelon pass per degree.  Walking the box in
+    descending lex order, the last I to claim N wins."""
+    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
+              for k in range(n0, n0 + window)}
+    cells = {}
+    for N, I in lowest.items():
+        tau, _ = tuple_sets(N, d, len(I))
+        cells[N] = tau[tau.index(I):][::-1]
+    return cells
+
+
+def _scan_by_elimination(J: HomogeneousIdeal, Qs, k_max: int,
+                         window: int) -> StabilizationScan:
+    """The scan with the quotient dimensions over the targets' field and every
+    m it reads from `cell_codimensions`: the fallback of `stabilization_scan`
+    when its certificate does not hold."""
+    Qs, d = _over_common_field(Qs)
     values = [hilbert_function(J, k, Qs) for k in range(k_max + 1)]
     n0 = constant_tail(values, window)
     if n0 is None:
@@ -250,19 +335,9 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
             f"quotient dimensions {values} show no constant tail of length {window}")
     c = values[n0]
 
-    box_norm = 2 * n + n0 // d
-    box = [I for I in itertools.product(range(box_norm + 1), repeat=n)
-           if tuple_norm(I) <= box_norm]
-    box.sort(key=lambda I: (max(I) if I else 0, I))
-    # One echelon pass per degree N = d*|I| + k, down to the lex-smallest I
-    # it needs: walking the box in descending lex order, the last I to claim
-    # N wins.  The powers Q^E are built once for all the passes.
-    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
-              for k in range(n0, n0 + window)}
-    cells = {}
-    for N, I in lowest.items():
-        tau, _ = tuple_sets(N, d, n)
-        cells[N] = tau[tau.index(I):][::-1]
+    box = _scan_box(len(Qs), d, n0)
+    cells = _scan_cells(box, d, n0, window)
+    # The powers Q^E are built once for all the passes.
     powers = _power_products(Qs, {E for above in cells.values() for E in above})
     ms = {N: cell_codimensions(J, powers, N, above) for N, above in cells.items()}
     m_stable: dict[tuple[int, ...], int] = {}

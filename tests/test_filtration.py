@@ -408,9 +408,12 @@ class TestStabilization:
         assert scan.m_min == 4 and scan.kappa == 0
 
     def test_scan_reads_each_degree_once(self, monkeypatch):
-        # P^2 with the lines x0 and x1: the window of every box tuple needs
-        # the degrees 0..6, and each is read off one echelon pass; the scan
-        # computes no preimage.
+        # P^2 with the lines x0 and x1 is a regular sequence: the scan's
+        # certificate holds and it reads no echelon pass at all.  On the line
+        # x0 = 0 with an embedded point at (0:0:1), J = (x0^2, x0*x1), the
+        # target x1 passes through the embedded point, so the certificate
+        # fails and the window of every box tuple needs the degrees 1..6,
+        # each read off one echelon pass; the scan computes no preimage.
         import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
@@ -428,12 +431,18 @@ class TestStabilization:
         monkeypatch.setattr(filt, "filtration_space", unexpected)
         scan = stabilization_scan(HomogeneousIdeal(3, []), [xvar(0), xvar(1)], 6, window=3)
         assert (scan.n0, scan.c, scan.m_min, scan.I0) == (0, 1, 1, (0, 0))
-        assert sorted(degrees) == list(range(7))
+        assert degrees == []
+        J = HomogeneousIdeal(3, [xvar(0) * xvar(0), xvar(0) * xvar(1)])
+        scan = stabilization_scan(J, [xvar(1)], 6, window=3)
+        assert (scan.n0, scan.c, scan.m_min, scan.I0, scan.kappa) == (1, 2, 1, (1,), 1)
+        assert sorted(degrees) == list(range(1, 7))
 
     def test_scan_echelon_over_q_holds_ints(self, monkeypatch):
-        # The scan's echelon over Q keeps primitive integer rows with a
+        # The fallback's echelons over Q keep primitive integer rows with a
         # positive pivot, even for targets with Fraction coefficients; a true
-        # division there once gave floats and NotStabilized.
+        # division there once gave floats and NotStabilized.  The target is
+        # regular on the conic, so the scan itself is certified: the
+        # fallback is called directly, and must agree with it.
         import nevlab.filtration as filt
 
         echelons = []
@@ -443,15 +452,96 @@ class TestStabilization:
                 super().__init__(field, cols)
                 echelons.append(self)
 
-        monkeypatch.setattr(filt, "Echelon", Recorded)
         x0, x1, x2 = (xvar(i) for i in range(3))
         q = x0 * x0 - (x0 * x1).scale(Fraction(1, 3)) + (x2 * x2).scale(Fraction(2, 5))
         scan = stabilization_scan(conic_ideal(), [q], 8)
+        monkeypatch.setattr(filt, "Echelon", Recorded)
+        assert filt._scan_by_elimination(conic_ideal(), [q], 8, 3) == scan
         assert scan.c == scan.m_min == 4
         rows = [(c, row) for e in echelons for c, row, _ in e.rows]
         assert echelons and all(e.field == RATIONAL for e in echelons) and rows
         assert all(type(v) is int for _, row in rows for v in row)
         assert all(row[c] > 0 and math.gcd(*row) == 1 for c, row in rows)
+
+    @pytest.mark.parametrize("case", ["embedded_point", "embedded_point_moving",
+                                      "late_embedded_point", "shared_factor",
+                                      "quadric_line"])
+    def test_scan_falls_back_on_non_regular_targets(self, case):
+        # Targets that are not a regular sequence on R/J: the certificate's
+        # identity fails, or u shows no plateau, and the scan must give the
+        # elimination's result, or raise NotStabilized as it does.
+        # late_embedded_point: J = (x0^2, x0*x1^5) has an embedded point at
+        # (0:0:1), which x1 + z*x2 misses but its value x1 at z = 0 does not.
+        # u is 1, 2, 2, ... while h drops to 1 at degree 6, past every degree
+        # the box reads (at most 5), so the identity fails only at N = 6.
+        import nevlab.filtration as filt
+        from nevlab.cli import parse_polynomial
+        from nevlab.gradedgeom import HomogeneousIdeal
+        from helpers import quadric_ideal
+
+        def forms(nvars, *texts):
+            return [parse_polynomial(t, nvars) for t in texts]
+
+        embedded = HomogeneousIdeal(3, forms(3, "x0^2", "x0*x1"))
+        J, Qs, k_max, window, expected = {
+            "embedded_point": (embedded, forms(3, "x1"), 6, 3, (1, 2)),
+            "embedded_point_moving": (embedded, forms(3, "x1 + {z}*x0"), 6, 3, (1, 2)),
+            "late_embedded_point": (HomogeneousIdeal(3, forms(3, "x0^2", "x0*x1^5")),
+                                    forms(3, "x1 + {z}*x2"), 6, 2, None),
+            "shared_factor": (HomogeneousIdeal(3, []), forms(3, "x0*x1", "x0*x2"), 6, 3, None),
+            "quadric_line": (quadric_ideal(), forms(4, "x0", "x1"), 6, 3, None),
+        }[case]
+
+        def outcome(scan):
+            try:
+                return scan(J, Qs, k_max, window)
+            except NotStabilized:
+                return None
+
+        got = outcome(stabilization_scan)
+        assert got == outcome(filt._scan_by_elimination)
+        assert (got and (got.n0, got.c)) == expected
+
+    @pytest.mark.parametrize("case", ["ci_quadric", "conic_moving", "pole_at_zero",
+                                      "vanishes_at_zero"])
+    def test_certified_scan_eliminates_nothing_over_qz(self, case, monkeypatch):
+        # On regular moving targets the certificate holds: the scan builds no
+        # Q(z) Echelon and does no Q(z) arithmetic that needs a polynomial
+        # gcd.  The last two targets have a pole at z = 0 or vanish there,
+        # so the specialization must move on to z = 1.
+        import nevlab.algebra as algebra
+        import nevlab.filtration as filt
+        import nevlab.gradedgeom as gg
+        from nevlab.cli import parse_polynomial
+        from helpers import quadric_ideal
+
+        J, texts, k_max, window = {
+            "ci_quadric": (quadric_ideal(), ["x0 - {z}*x1", "x3 + {1 + z}*x2"], 8, 3),
+            "conic_moving": (conic_ideal(), ["x2^2 - {2*z^2}*x0*x2"], 6, 2),
+            "pole_at_zero": (conic_ideal(), ["{1/z}*x0 + x1"], 6, 3),
+            "vanishes_at_zero": (conic_ideal(), ["{z}*x0^2 + {z^2 - z}*x1^2"], 6, 3),
+        }[case]
+        Qs = [parse_polynomial(t, J.nvars) for t in texts]
+        expected = filt._scan_by_elimination(J, Qs, k_max, window)
+        fields, gcds = [], []
+
+        class Recorded(linear.Echelon):
+            def __init__(self, field, cols):
+                super().__init__(field, cols)
+                fields.append(field)
+
+        gcd = algebra._gcd
+
+        def counted(a, b):
+            gcds.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(filt, "Echelon", Recorded)
+        monkeypatch.setattr(gg, "Echelon", Recorded)
+        monkeypatch.setattr(algebra, "_gcd", counted)
+        assert stabilization_scan(J, Qs, k_max, window) == expected
+        assert fields and RATIONAL_FUNCTION not in fields
+        assert gcds == []
 
     def test_not_stabilized_growing_quotient(self):
         from nevlab.gradedgeom import HomogeneousIdeal

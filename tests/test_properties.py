@@ -16,8 +16,11 @@ deg V * d^n = 2, satisfy the closed forms and pass the same window check.
 Every table, on n = 1 and n = 2, must match the filtration in full monomial
 coordinates (`reference_build_table`) cell by cell, and `filtration_space`
 down to a tuple I must give the table's cells from the top of tau_N down to
-I, in descending lex order.  At every (N, I) that the stabilization scan
-reads, its echelon pass must give the m of `filtration_space`.
+I, in descending lex order.  At every (N, I) that the stabilization scan's
+elimination reads, its echelon pass must give the m of `filtration_space`.
+The scan itself, which is certified from the Hilbert function of (J, Q) at
+one point z = a on regular targets, must give the elimination's result on
+random targets, non-regular ones included.
 
 The normal-form tables that J reads from its lex Gröbner basis must equal
 the tables row-reduced from its Macaulay pieces (`reference_normal_forms`),
@@ -38,7 +41,6 @@ coordinates on the raw forms (`reference_nullstellensatz_certificate`).
 
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -271,9 +273,11 @@ SCAN_VARIETIES = {
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(data=st.data())
 def test_scan_codimensions_match_filtration_space(name, field, data):
-    # Every m_N^E that the scan's echelon pass reads equals the codimension
-    # of the preimage L_N^E, at each degree N down to the lowest tuple the
-    # scan needs there.  Constant targets are dense: wide rational
+    # Every m_N^E that the scan's echelon pass would read, were the
+    # certificate to fail, equals the codimension of the preimage L_N^E, at
+    # each degree N down to the lowest tuple the scan needs there: the
+    # echelon passes run directly, on the n0 of the quotient dimensions over
+    # the targets' field.  Constant targets are dense: wide rational
     # coefficients on curves, integers in -5..5 on surfaces, where the
     # reference preimages grow slow.  Moving targets are c*x^a + g*x^b, with
     # c an integer and g in Q(z), which keeps the Q(z) eliminations small.
@@ -292,23 +296,85 @@ def test_scan_codimensions_match_filtration_space(name, field, data):
             lambda t: dict(zip(t[0], t[1:])))
     Qs = [MultiPoly(J.nvars, field, data.draw(terms)) for _ in range(n)]
     assume(not any(q.is_zero for q in Qs))
-    read = []
-    codimensions = filt.cell_codimensions
+    Qs, d = filt._over_common_field(Qs)
+    n0 = constant_tail([hilbert_function(J, k, Qs) for k in range(k_max + 1)], WINDOW)
+    assume(n0 is not None)
+    cells = filt._scan_cells(filt._scan_box(n, d, n0), d, n0, WINDOW)
+    powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
+    for N, above in cells.items():
+        ms = filt.cell_codimensions(J, powers, N, above)
+        expected = filtration_space(J, Qs, N, above[-1])
+        assert list(ms.items()) == [(E, cell.m) for E, cell in expected.items()], (N, above[-1])
 
-    def recorded(J, powers, N, cells):
-        ms = codimensions(J, powers, N, cells)
-        read.append((N, cells[-1], ms))
-        return ms
 
-    with mock.patch.object(filt, "cell_codimensions", recorded):
+# Varieties of the certificate's differential test: (ideal, n, k_max).  The
+# line x0 = 0 with an embedded point at (0:0:1) is a curve whose targets
+# through that point are zero divisors on R/J.
+CERTIFIED_VARIETIES = {
+    "p1": (p1_ideal, 1, 6),
+    "conic": (conic_ideal, 1, 6),
+    "twisted_cubic": (twisted_cubic_ideal, 1, 5),
+    "embedded_point": (lambda: gg.HomogeneousIdeal(3, [parse_polynomial("x0^2", 3),
+                                                       parse_polynomial("x0*x1", 3)]), 1, 6),
+    "plane": (plane_ideal, 2, 4),
+    "quadric": (quadric_ideal, 2, 4),
+}
+
+
+def _target_terms(basis, field):
+    """Terms of a form on `basis`: dense with integers in -3..3 over Q,
+    binomials c*x^a + g*x^b with g in Q(z) over Q(z), which keeps the Q(z)
+    eliminations small."""
+    if field == RATIONAL:
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        return coeffs.map(lambda cs: dict(zip(basis, cs)))
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(RationalFunction)
+    monomials = st.lists(st.sampled_from(basis), min_size=min(2, len(basis)),
+                         max_size=2, unique=True)
+    return st.tuples(monomials, st.integers(-2, 2), coeff).map(
+        lambda t: dict(zip(t[0], t[1:])))
+
+
+@st.composite
+def certificate_instances(draw, name):
+    """n targets of degree d over Q or Q(z).  Some draws are not regular
+    sequences: targets with a common linear factor, or forms in x0, x1
+    alone, which on the embedded-point ideal pass through (0:0:1) and on
+    the quadric meet in the line x0 = x1 = 0."""
+    make, n, k_max = CERTIFIED_VARIETIES[name]
+    J = make()
+    d = draw(st.integers(1, 3 - n))
+    field = draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
+    shape = draw(st.sampled_from(["random", "shared_factor", "in_x0_x1"]))
+    if shape == "shared_factor" and d == 2:
+        factor = MultiPoly(J.nvars, RATIONAL, draw(_target_terms(monomial_basis(J.M, 1),
+                                                                 RATIONAL)))
+        terms = _target_terms(monomial_basis(J.M, 1), field)
+        Qs = [factor.over(field) * MultiPoly(J.nvars, field, draw(terms)) for _ in range(n)]
+    else:
+        basis = monomial_basis(J.M, d)
+        if shape == "in_x0_x1":
+            basis = [e for e in basis if not any(e[2:])]
+        Qs = [MultiPoly(J.nvars, field, draw(_target_terms(basis, field))) for _ in range(n)]
+    assume(not any(q.is_zero for q in Qs))
+    return J, Qs, k_max
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scan_certificate_matches_elimination(name, data):
+    # The scan, certified or not, must give what the elimination gives on
+    # the same targets: equal results, or NotStabilized from both.
+    J, Qs, k_max = data.draw(certificate_instances(name))
+
+    def outcome(scan):
         try:
-            stabilization_scan(J, Qs, k_max, window=WINDOW)
+            return scan(J, Qs, k_max, WINDOW)
         except gg.NotStabilized:
-            pass
-    assume(read)
-    for N, I, ms in read:
-        cells = filtration_space(J, Qs, N, I)
-        assert list(ms.items()) == [(E, cell.m) for E, cell in cells.items()], (N, I)
+            return None
+
+    assert outcome(stabilization_scan) == outcome(filt._scan_by_elimination)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
