@@ -16,22 +16,25 @@ computed in one pass from the top of tau_N down to a given tuple, and either
 way the span U of the multiples from the cells above grows in one
 `linear.Echelon` per pass.  `filtration_space` gives each cell its preimage
 L of U and coset representatives, which the basis and the product
-decomposition need, and inserts the reps' rows into U; `build_table` reads a
-whole degree from it.
+decomposition need, and inserts the reps' rows into U.
 
-The stabilization scan needs only the codimensions m, and on most targets
-it reads them off the Hilbert function h(s) = dim (R/(J, Q_1..Q_n))_s with
-no elimination over Q(z).  For every E in tau_N, m_N^E <= h(N - d*|E|):
-g -> Q^E * g maps R_s onto the cell's quotient, and its kernel holds J_s
-and, for s >= d, every Q_t * R_{s-d}, whose images are the cell E + e_t
-above E.  The cells tile the quotient, so their m sum to H_V(N).  Hence
-when sum_E u(N - d*|E|) = H_V(N) for some u >= h, every m_N^E is
-u(N - d*|E|).  Over Q(z), u is h at one point z = a: specializing cannot
-raise a rank.  The identity holds at every N exactly when Q_1..Q_n is a
-regular sequence on R/J (Stanley, Adv. Math. 28 (1978), sect. 3); when it
-fails, the scan falls back to `cell_codimensions`, one echelon pass per
-degree in which each row Q^E * x^j is inserted once and m_N^E counts the
-rows that are new.
+The codimensions m alone, which the stabilization scan and the `filtration`
+report need, are read on most targets off the Hilbert function
+h(s) = dim (R/(J, Q_1..Q_n))_s with no elimination over Q(z).  For every E
+in tau_N, m_N^E <= h(N - d*|E|): g -> Q^E * g maps R_s onto the cell's
+quotient, and its kernel holds J_s and, for s >= d, every Q_t * R_{s-d},
+whose images are the cell E + e_t above E.  The cells tile the quotient, so
+their m sum to H_V(N).  Hence when sum_E u(N - d*|E|) = H_V(N) for some
+u >= h, every m_N^E is u(N - d*|E|).  Over Q(z), u is h at one point z = a:
+specializing cannot raise a rank.  The identity holds at every N exactly
+when Q_1..Q_n is a regular sequence on R/J (Stanley, Adv. Math. 28 (1978),
+sect. 3).  `build_table` checks it at N itself: where it holds, the cells
+hold m alone, and their L and reps come from one `filtration_space` pass
+when one of them is first read, which checks the m it finds against the
+certified ones; where it fails, the pass runs at once.  The scan checks it
+at every degree it reads, and where it fails falls back to
+`cell_codimensions`, one echelon pass per degree in which each row
+Q^E * x^j is inserted once and m_N^E counts the rows that are new.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -87,13 +90,49 @@ def tuple_sets(N: int, d: int, n: int, n0: int = 0,
 # Cells and tables.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FiltrationCell:
-    I: tuple[int, ...]
-    N: int
-    L: GradedSubspace  # on the standard monomials of degree N - d*|I|
-    m: int
-    reps: list[MultiPoly]
+    """The cell L_N^I: its codimension m, the subspace L on the standard
+    monomials of degree N - d*|I|, and its coset representatives.
+
+    A cell of a certified table (`build_table`) holds m alone.  The first
+    read of L or reps, on any of its cells, runs `eliminate`: one
+    `filtration_space` pass that fills L and reps on every cell of the table.
+    Comparing two cells reads both; their repr shows L and reps as None
+    until they are read.
+    """
+
+    __slots__ = ("I", "N", "m", "_L", "_reps", "_eliminate")
+
+    def __init__(self, I: tuple[int, ...], N: int, m: int, L: GradedSubspace | None = None,
+                 reps: list[MultiPoly] | None = None, eliminate=None):
+        self.I, self.N, self.m = I, N, m
+        self._L, self._reps, self._eliminate = L, reps, eliminate
+
+    @property
+    def L(self) -> GradedSubspace:
+        if self._L is None:
+            self._eliminate()
+        return self._L
+
+    @property
+    def reps(self) -> list[MultiPoly]:
+        if self._reps is None:
+            self._eliminate()
+        return self._reps
+
+    def _fields(self):
+        return self.I, self.N, self.L, self.m, self.reps
+
+    def __eq__(self, other):
+        if not isinstance(other, FiltrationCell):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"FiltrationCell(I={self.I!r}, N={self.N!r}, L={self._L!r}, m={self.m!r}, "
+                f"reps={self._reps!r})")
 
 
 @dataclass
@@ -196,14 +235,57 @@ def cell_codimensions(J: HomogeneousIdeal, powers, N: int,
 
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                 kappa: int = 0) -> FiltrationTable:
-    """All cells of the degree-N filtration, from one `filtration_space` pass."""
+    """All cells of the degree-N filtration.
+
+    The table is first certified by the lemma of the module docstring at N
+    itself.  u(s) is the Hilbert function of (J, Q_1..Q_n) in degree s, at
+    the scan's point z = a over Q(z) (`_specialized`), for every
+    s = N - d*i.  Where H_V(N) = sum_i binom(i + n - 1, n - 1) * u(N - d*i),
+    each cell's m is u(N - d*|E|), read with no elimination, and its L and
+    reps are lazy: the first read of either runs one `filtration_space`
+    pass for the whole table, which raises BasisDefect where an eliminated
+    m differs from the certified one.  Where the identity fails at N, all
+    cells come from that pass at once.
+    """
     Qs, d = _over_common_field(Qs)
     n = len(Qs)
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
+    ms = _certified_codimensions(J, Qs, N, d, tau)
+    if ms is None:
+        cells = filtration_space(J, Qs, N, (0,) * n)
+    else:
+        def eliminate():
+            for E, cell in filtration_space(J, Qs, N, (0,) * n).items():
+                if cell.m != cells[E].m:
+                    raise BasisDefect(f"cell {E}: elimination gives m = {cell.m}, "
+                                      f"the table holds {cells[E].m}")
+                cells[E]._L, cells[E]._reps = cell.L, cell.reps
+
+        cells = {E: FiltrationCell(I=E, N=N, m=ms[E], eliminate=eliminate)
+                 for E in reversed(tau)}
     return FiltrationTable(
-        N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs,
-        cells=filtration_space(J, Qs, N, (0,) * n),
+        N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs, cells=cells,
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
+
+
+def _certified_codimensions(J: HomogeneousIdeal, Qs, N: int, d: int,
+                            tau) -> dict[tuple[int, ...], int] | None:
+    """{E: u(N - d*|E|)} for E in tau when the identity of `build_table`
+    holds at N, else None."""
+    if N < 0:  # tau_N is empty; filtration_space rejects the degree
+        return None
+    forms = _specialized(Qs)
+    u = {s: hilbert_function(J, s, forms) for s in range(N % d, N + 1, d)}
+    if not _tiles(J, u, len(Qs), d, N):
+        return None
+    return {E: u[N - d * tuple_norm(E)] for E in tau}
+
+
+def _tiles(J: HomogeneousIdeal, u, n: int, d: int, N: int) -> bool:
+    """Whether H_V(N) = sum_i binom(i + n - 1, n - 1) * u[N - d*i]: the
+    bounds u(N - d*|E|) of the cells of tau_N sum to H_V(N)."""
+    return hilbert_function(J, N) == sum(math.comb(i + n - 1, n - 1) * u[N - d * i]
+                                         for i in range(N // d + 1))
 
 
 def filtration_basis(table: FiltrationTable) -> list[MultiPoly]:
@@ -274,9 +356,7 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
         box = _scan_box(n, d, n0)
         top = d * max(map(tuple_norm, box)) + n0 + window - 1
         u += [hilbert_function(J, k, forms) for k in range(k_max + 1, top + 1)]
-        if all(hilbert_function(J, N) == sum(math.comb(i + n - 1, n - 1) * u[N - d * i]
-                                             for i in range(N // d + 1))
-               for N in range(len(u))):
+        if all(_tiles(J, u, n, d, N) for N in range(len(u))):
             c = u[n0]
             return StabilizationScan(n0=n0, c=c, c_prime=c, m_min=c, I0=(0,) * n,
                                      kappa=0, m_stable=dict.fromkeys(box, c),

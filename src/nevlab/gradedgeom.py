@@ -89,6 +89,7 @@ class HomogeneousIdeal:
         self.nvars = nvars
         self.generators = tuple(gens)
         self._normal_forms: dict[int, tuple] = {}
+        self._quotient_dims: dict[tuple, int] = {}
         self._ideal_cofactors: dict[int, dict] = {}
         # G up to degree _groebner_degree: monic elements (leading monomial,
         # ((tail monomial, coefficient), ...)), and the S-pairs
@@ -347,14 +348,18 @@ def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
 
     (J, forms)_k is J_k plus the span of the forms' `multiples`, rows already
     reduced modulo J_k: the dimension is H_V(k) minus their rank, the number
-    of them that an `Echelon` accepts as new.
+    of them that an `Echelon` accepts as new.  It is cached on J per degree
+    and forms, like the normal forms.
     """
     h = len(J.normal_forms(k)[0])
     if not forms:
         return h
     field = coefficient_field(forms)
-    span = Echelon(field, h)
-    return h - sum(map(span.insert, J.multiples(k, [f.over(field) for f in forms])))
+    key = (k, tuple(f.over(field) for f in forms))
+    if key not in J._quotient_dims:
+        span = Echelon(field, h)
+        J._quotient_dims[key] = h - sum(map(span.insert, J.multiples(k, key[1])))
+    return J._quotient_dims[key]
 
 
 def constant_tail(values, window: int) -> int | None:
@@ -422,16 +427,26 @@ class NullstellensatzCertificate:
     generators: list[MultiPoly]
 
     def verify(self) -> bool:
+        """Whether sum_g cofactors[i][g] * gen_g == x_i^s for every i, as
+        polynomials.  Over Q each side is first multiplied by the lcm L of
+        the cofactors' denominators, so the sums are taken in ints when the
+        generators are integral, and compared with L * x_i^s; over Q(z),
+        L = 1.  Each sum is accumulated in one dict."""
         nvars = self.generators[0].nvars
-        ftag = self.generators[0].field
+        over_q = self.generators[0].field == RATIONAL
         for i, cofs in enumerate(self.cofactors):
-            exp = [0] * nvars
-            exp[i] = self.s
-            target = MultiPoly.monomial(nvars, exp, 1, ftag)
-            acc = MultiPoly.zero(nvars, ftag)
+            scale = (math.lcm(*(c.denominator for cof in cofs for c in cof.terms.values()))
+                     if over_q else 1)
+            acc = {}
             for cof, g in zip(cofs, self.generators):
-                acc = acc + cof * g
-            if acc != target:
+                for e, c in cof.terms.items():
+                    if scale != 1:
+                        c = c.numerator * (scale // c.denominator)
+                    for t, gc in g.terms.items():
+                        m = monomial_mul(e, t)
+                        acc[m] = acc.get(m, 0) + c * gc
+            power = tuple(self.s if j == i else 0 for j in range(nvars))
+            if {m: v for m, v in acc.items() if v} != {power: scale}:
                 return False
         return True
 

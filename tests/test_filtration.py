@@ -44,6 +44,29 @@ from helpers import (
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
+# The quadric surface with three moving hyperplanes of CI's "Scale smoke".
+QUADRIC_MOVING = """\
+[variety]
+M = 3
+n = 2
+x0*x3 - x1*x2
+
+[hypersurfaces]
+degree 1: x0 - {z}*x1
+degree 1: x3 + {1 + z}*x2
+degree 1: x1 + x2
+
+[curve]
+1
+exp(z)
+exp(2*z)
+exp(3*z)
+
+[options]
+kmax = 8
+window = 3
+"""
+
 
 def _coeff_row(p, k, width_index):
     basis, index = width_index
@@ -157,7 +180,8 @@ class TestFiltrationSpace:
         # cell reduces its images against U once, and U grows by the cell's
         # rep rows only, never by a re-reduction of its whole basis.  Every
         # elimination is an Echelon: its width and the number of vectors
-        # inserted into it are recorded.
+        # inserted into it are recorded.  The table is certified, so its
+        # cells are eliminated when their reps are read.
         spec = load_problem(str(PROBLEMS / "conic_exact.prob"))
         J, N = spec.ideal, 24
         _, Qs = normalize_degrees(spec.hypersurfaces)
@@ -176,7 +200,8 @@ class TestFiltrationSpace:
 
         monkeypatch.setattr(linear.Echelon, "__init__", recorded_init)
         monkeypatch.setattr(linear.Echelon, "insert", counted_insert)
-        build_table(J, Qs[:spec.n], N)
+        table = build_table(J, Qs[:spec.n], N)
+        assert sum(len(cell.reps) for cell in table.cells.values()) == 49
         assert hilbert_function(J, N) == 49
         assert spans and inserted
         assert max(U.cols for U in spans) <= 49 and max(inserted.values()) <= 49
@@ -310,6 +335,78 @@ class TestTables:
             spec = specialize_space(moving.cells[I].L, 7)
             assert spec.dim == moving.cells[I].L.dim
 
+    def test_table_falls_back_where_the_identity_fails(self, monkeypatch):
+        # The late embedded point of TestStabilization: u at z = 0 is
+        # 1, 2, 2, ... while h drops to 1 at degree 6, so the identity holds
+        # at N <= 5 and fails at N = 6.  There the table is eliminated when
+        # it is built, and either way it is the full-coordinate reference's.
+        import nevlab.filtration as filt
+        from nevlab.cli import parse_polynomial
+        from nevlab.gradedgeom import HomogeneousIdeal
+        from helpers import reference_build_table
+
+        J = HomogeneousIdeal(3, [parse_polynomial("x0^2", 3), parse_polynomial("x0*x1^5", 3)])
+        Qs = [parse_polynomial("x1 + {z}*x2", 3)]
+        passes = []
+        original = filt.filtration_space
+
+        def recorded(J, Qs, N, I):
+            passes.append(N)
+            return original(J, Qs, N, I)
+
+        monkeypatch.setattr(filt, "filtration_space", recorded)
+        tables = {}
+        for N in (6, 5):
+            tables[N] = build_table(J, Qs, N)
+            assert passes == [6]
+        for N, table in tables.items():
+            assert {I: (c.m, c.reps) for I, c in table.cells.items()} == \
+                reference_build_table(J, Qs, N)
+        assert passes == [6, 5]
+        assert [tables[6].cells[(i,)].m for i in range(7)] == [1, 2, 2, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("command", ["filtration", "basis"])
+    def test_certified_table_work(self, command, monkeypatch):
+        # On the CI quadric with moving targets, `filtration` reads every m
+        # off the Hilbert function at z = a: no filtration_space pass, no
+        # Q(z) Echelon and no polynomial gcd.  `basis` reads the reps, which
+        # takes exactly one filtration_space pass for the whole table.
+        import nevlab.algebra as algebra
+        import nevlab.filtration as filt
+        import nevlab.gradedgeom as gg
+        from nevlab import cli
+
+        spec = cli.parse_problem(QUADRIC_MOVING)
+        passes, fields, gcds = [], [], []
+        original, gcd = filt.filtration_space, algebra._gcd
+
+        def recorded(*args):
+            passes.append(args[2])
+            return original(*args)
+
+        class Recorded(linear.Echelon):
+            def __init__(self, field, cols):
+                super().__init__(field, cols)
+                fields.append(field)
+
+        def counted(a, b):
+            gcds.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(filt, "filtration_space", recorded)
+        for module in (filt, gg, linear):
+            monkeypatch.setattr(module, "Echelon", Recorded)
+        monkeypatch.setattr(algebra, "_gcd", counted)
+        report = cli.run_command(command, spec, {"N": 6})
+        assert report.results["hilbert_value"] == 49
+        if command == "filtration":
+            assert report.results["sum_m"] == 49
+            assert passes == [] and gcds == []
+            assert fields and RATIONAL_FUNCTION not in fields
+        else:
+            assert report.results["basis_count"] == 49
+            assert passes == [6]
+
 
 class TestFieldPolicy:
     def test_mixed_constant_and_moving_targets_stay_over_qz(self):
@@ -347,7 +444,8 @@ class TestFieldPolicy:
         # integer rows, so every entry is an int at every step, although U's
         # RREF has Fractions on the way.  Two fixed lines in P^2 at N = 5
         # once grew U by re-reductions whose old rows kept 1203 of their
-        # 4410 entries as Fraction(k, 1).
+        # 4410 entries as Fraction(k, 1).  The table is certified, so U is
+        # grown when the reps are read.
         import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
@@ -361,8 +459,9 @@ class TestFieldPolicy:
 
         monkeypatch.setattr(filt, "Echelon", Recorded)
         x0, x1, x2 = (xvar(i) for i in range(3))
-        build_table(HomogeneousIdeal(3, []),
-                    [x0 + x1.scale(2) - x2, x0.scale(2) - x1 + x2], 5)
+        table = build_table(HomogeneousIdeal(3, []),
+                            [x0 + x1.scale(2) - x2, x0.scale(2) - x1 + x2], 5)
+        assert table.cells[(0, 0)].reps
         rows = [(c, row) for _, U in grown for c, row in U]
         assert grown and all(field == RATIONAL for field, _ in grown)
         assert all(type(v) is int for _, row in rows for v in row)
@@ -392,6 +491,22 @@ class TestBasis:
         table.cells[(0,)].m += 1  # break the count on purpose
         with pytest.raises(BasisDefect):
             filtration_basis(table)
+
+    def test_tampered_certified_m_raises_when_reps_are_read(self):
+        # The certified table holds m alone: its length and its m, which the
+        # filtration report and the benchmark's tracing read, eliminate
+        # nothing.  Reading any cell's reps runs the elimination, which must
+        # find the m it was not given.  The sum is kept, so only the
+        # elimination can tell.
+        J = conic_ideal()
+        table = build_table(J, [xvar(0) * xvar(0)], 8)
+        assert len(table.cells) == 5 and table.total_m() == 17
+        assert all(cell._L is None for cell in table.cells.values())
+        table.cells[(1,)].m += 1
+        table.cells[(2,)].m -= 1
+        assert table.total_m() == table.hilbert_value
+        with pytest.raises(BasisDefect):
+            table.cells[(4,)].reps
 
 
 class TestStabilization:

@@ -20,7 +20,9 @@ I, in descending lex order.  At every (N, I) that the stabilization scan's
 elimination reads, its echelon pass must give the m of `filtration_space`.
 The scan itself, which is certified from the Hilbert function of (J, Q) at
 one point z = a on regular targets, must give the elimination's result on
-random targets, non-regular ones included.
+random targets, non-regular ones included; so must the tables certified the
+same way at their own N, whose m must be those of `filtration_space` and
+whose cells must be the full-coordinate reference's.
 
 The normal-form tables that J reads from its lex Gröbner basis must equal
 the tables row-reduced from its Macaulay pieces (`reference_normal_forms`),
@@ -375,6 +377,30 @@ def test_scan_certificate_matches_elimination(name, data):
             return None
 
     assert outcome(stabilization_scan) == outcome(filt._scan_by_elimination)
+
+
+# Largest N of the certified tables' differential test, per variety of
+# CERTIFIED_VARIETIES.
+TABLE_N_MAX = {"p1": 6, "conic": 5, "twisted_cubic": 4, "embedded_point": 6,
+               "plane": 3, "quadric": 3}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_certified_table_matches_elimination(name, data):
+    # build_table reads its m off the Hilbert function of (J, Q) where the
+    # identity holds at N, and eliminates where it fails, as on some of the
+    # non-regular draws.  Either way its m must be those of one
+    # filtration_space pass, read before any rep, and its cells must be
+    # the full-coordinate reference's.
+    J, Qs, _ = data.draw(certificate_instances(name))
+    N = data.draw(st.integers(0, TABLE_N_MAX[name]))
+    table = build_table(J, Qs, N)
+    ms = {I: cell.m for I, cell in table.cells.items()}
+    assert ms == {E: cell.m for E, cell in filtration_space(J, Qs, N, (0,) * len(Qs)).items()}
+    assert {I: (ms[I], cell.reps) for I, cell in table.cells.items()} == \
+        reference_build_table(J, Qs, N)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
