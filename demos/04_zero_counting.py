@@ -44,7 +44,8 @@ print("== Jensen residuals (quadrature vs zero list) ==")
 for name, h, r in (("e^z - 2", sub(Exp(Z()), Const(2)), 10.0),
                    ("z - 3", sub(Z(), Const(3)), 10.0),
                    ("e^z (zero-free)", Exp(Z()), 5.0)):
-    print(f"  {name:16s} at r = {r:4.1f}: residual {jensen_check(h, r):.2e}")
+    residual = jensen_check(h, r, locate_zeros(h, r * (1 + 1e-3) + 1e-6))
+    print(f"  {name:16s} at r = {r:4.1f}: residual {residual:.2e}")
 
 print()
 print("== a double zero ==")

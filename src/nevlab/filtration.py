@@ -28,13 +28,15 @@ their m sum to H_V(N).  Hence when sum_E u(N - d*|E|) = H_V(N) for some
 u >= h, every m_N^E is u(N - d*|E|).  Over Q(z), u is h at one point z = a:
 specializing cannot raise a rank.  The identity holds at every N exactly
 when Q_1..Q_n is a regular sequence on R/J (Stanley, Adv. Math. 28 (1978),
-sect. 3).  `build_table` checks it at N itself: where it holds, the cells
-hold m alone, and their L and reps come from one `filtration_space` pass
-when one of them is first read, which checks the m it finds against the
-certified ones; where it fails, the pass runs at once.  The scan checks it
-at every degree it reads, and where it fails falls back to
-`cell_codimensions`, one echelon pass per degree in which each row
-Q^E * x^j is inserted once and m_N^E counts the rows that are new.
+sect. 3); on other targets it may hold at some degrees and fail at others.
+So it is checked one degree at a time (`_tiles`), and each degree N is
+certified or eliminated on its own.  Where it holds, the m of tau_N are
+u(N - d*|E|).  Where it fails, they are eliminated: `build_table` runs one
+`filtration_space` pass at once, and the scan one `cell_codimensions` pass,
+one echelon in which each row Q^E * x^j is inserted once and m_N^E counts
+the rows that are new.  A certified table holds m alone; its L and reps
+come from one `filtration_space` pass when one of them is first read, which
+checks the m it finds against the certified ones.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -250,8 +252,9 @@ def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
     Qs, d = _over_common_field(Qs)
     n = len(Qs)
     tau, tau0 = tuple_sets(N, d, n, n0, kappa)
-    ms = _certified_codimensions(J, Qs, N, d, tau)
-    if ms is None:
+    forms = _specialized(Qs)
+    u = {s: hilbert_function(J, s, forms) for s in range(N % d, N + 1, d)}
+    if N < 0 or not _tiles(J, u, n, d, N):  # N < 0: filtration_space rejects it
         cells = filtration_space(J, Qs, N, (0,) * n)
     else:
         def eliminate():
@@ -261,24 +264,11 @@ def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                                       f"the table holds {cells[E].m}")
                 cells[E]._L, cells[E]._reps = cell.L, cell.reps
 
-        cells = {E: FiltrationCell(I=E, N=N, m=ms[E], eliminate=eliminate)
+        cells = {E: FiltrationCell(I=E, N=N, m=u[N - d * tuple_norm(E)], eliminate=eliminate)
                  for E in reversed(tau)}
     return FiltrationTable(
         N=N, d=d, n=n, nvars=J.nvars, ideal=J, Qs=Qs, cells=cells,
         tau=tau, tau0=tau0, hilbert_value=hilbert_function(J, N))
-
-
-def _certified_codimensions(J: HomogeneousIdeal, Qs, N: int, d: int,
-                            tau) -> dict[tuple[int, ...], int] | None:
-    """{E: u(N - d*|E|)} for E in tau when the identity of `build_table`
-    holds at N, else None."""
-    if N < 0:  # tau_N is empty; filtration_space rejects the degree
-        return None
-    forms = _specialized(Qs)
-    u = {s: hilbert_function(J, s, forms) for s in range(N % d, N + 1, d)}
-    if not _tiles(J, u, len(Qs), d, N):
-        return None
-    return {E: u[N - d * tuple_norm(E)] for E in tau}
 
 
 def _tiles(J: HomogeneousIdeal, u, n: int, d: int, N: int) -> bool:
@@ -330,19 +320,22 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     over a bounded search box, their minimum, and the kappa threshold taken
     from the minimizer's largest slot.
 
-    The scan first tries the certificate of the module docstring.  u is the
-    Hilbert function of (J, Q_1..Q_n) over Q, and over Q(z) that of the Q_j
-    specialized at the first a in 0, 1, -1, 2, -2, ... at which no
-    coefficient has a pole and no Q_j vanishes, so u >= h.  u is computed up
-    to the largest degree T the scan reads (or k_max, if larger), and the
-    identity H_V(N) = sum_i binom(i + n - 1, n - 1) * u(N - d*i) is checked
-    at every N <= T.  Where it holds, m_N^E = h(N - d*|E|) = u(N - d*|E|) for
-    every E in tau_N (the term E = 0 gives h(N) = u(N)), whatever a was.  So
-    the quotient dimensions are u, and each m the scan reads is u(k) with k
-    in the window of the plateau: the stable m^I are all c, and c' = m_min =
-    c, I0 = (0..0), kappa = 0.  When u shows no plateau or the identity fails
-    at some N, as it does on targets that are not a regular sequence on R/J,
-    the m are read by elimination (`_scan_by_elimination`).
+    Each degree is certified or eliminated on its own, by the lemma of the
+    module docstring.  u is the Hilbert function of (J, Q_1..Q_n) over Q, and
+    over Q(z) that of the Q_j specialized at the first a in 0, 1, -1, 2, -2,
+    ... at which no coefficient has a pole and no Q_j vanishes
+    (`_specialized`), so u >= h.  It is computed once, up to k_max or the
+    largest degree the scan reads, if larger.  Where the identity
+    H_V(N) = sum_i binom(i + n - 1, n - 1) * u(N - d*i) holds at N, every
+    m_N^E is u(N - d*|E|), whatever a was; the cell E = 0 gives h(N) = u(N).
+    So the quotient dimension h(k) is u(k) where the identity holds at k, and
+    the Hilbert function of (J, Q) over the targets' field elsewhere; n0 and
+    c come from these.  Each degree N that the box reads takes its m off u
+    where the identity holds at N, and elsewhere from one `cell_codimensions`
+    pass, from the top of tau_N down to the lowest tuple it needs there.  On
+    a regular sequence on R/J the identity holds at every N, the scan
+    eliminates nothing and every stable m^I is c; on other targets only the
+    degrees where it fails are eliminated.
 
     Raises NotStabilized when either the quotient dimensions or some cell
     sequence fail to settle within the scan bounds.
@@ -351,17 +344,44 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     n = len(Qs)
     forms = _specialized(Qs)
     u = [hilbert_function(J, k, forms) for k in range(k_max + 1)]
-    n0 = constant_tail(u, window)
-    if n0 is not None:
-        box = _scan_box(n, d, n0)
-        top = d * max(map(tuple_norm, box)) + n0 + window - 1
-        u += [hilbert_function(J, k, forms) for k in range(k_max + 1, top + 1)]
-        if all(_tiles(J, u, n, d, N) for N in range(len(u))):
-            c = u[n0]
-            return StabilizationScan(n0=n0, c=c, c_prime=c, m_min=c, I0=(0,) * n,
-                                     kappa=0, m_stable=dict.fromkeys(box, c),
-                                     quotient_values=u[:k_max + 1])
-    return _scan_by_elimination(J, Qs, k_max, window)
+    tiles = [_tiles(J, u, n, d, k) for k in range(k_max + 1)]
+    values = [u[k] if tiles[k] else hilbert_function(J, k, Qs) for k in range(k_max + 1)]
+    n0 = constant_tail(values, window)
+    if n0 is None:
+        raise NotStabilized(
+            f"quotient dimensions {values} show no constant tail of length {window}")
+
+    box = _scan_box(n, d, n0)
+    # The lowest box tuple read at each degree N = d*|I| + k: walking the box
+    # in descending lex order, the last I to claim N wins.
+    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
+              for k in range(n0, n0 + window)}
+    top = max(lowest)
+    u += [hilbert_function(J, k, forms) for k in range(len(u), top + 1)]
+    tiles += [_tiles(J, u, n, d, N) for N in range(len(tiles), top + 1)]
+    cells = {}
+    for N, I in lowest.items():
+        if not tiles[N]:
+            tau, _ = tuple_sets(N, d, n)
+            cells[N] = tau[tau.index(I):][::-1]
+    ms = {}
+    if cells:  # the powers Q^E are built once for all the passes
+        powers = _power_products(Qs, {E for above in cells.values() for E in above})
+        ms = {N: cell_codimensions(J, powers, N, above) for N, above in cells.items()}
+
+    m_stable: dict[tuple[int, ...], int] = {}
+    for I in box:
+        shift = d * tuple_norm(I)
+        seq = [ms[shift + k][I] if shift + k in ms else u[k] for k in range(n0, n0 + window)]
+        if not all(v == seq[0] for v in seq):
+            raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
+        m_stable[I] = seq[0]
+    m_min = min(m_stable.values())
+    I0 = min((I for I in box if m_stable[I] == m_min),
+             key=lambda I: (max(I) if I else 0, I))
+    return StabilizationScan(n0=n0, c=values[n0], c_prime=max(m_stable.values()),
+                             m_min=m_min, I0=I0, kappa=max(I0) if I0 else 0,
+                             m_stable=m_stable, quotient_values=values)
 
 
 def _specialized(Qs) -> list[MultiPoly]:
@@ -386,54 +406,6 @@ def _scan_box(n: int, d: int, n0: int) -> list[tuple[int, ...]]:
            if tuple_norm(I) <= box_norm]
     box.sort(key=lambda I: (max(I) if I else 0, I))
     return box
-
-
-def _scan_cells(box, d: int, n0: int, window: int) -> dict[int, list[tuple[int, ...]]]:
-    """For each degree N = d*|I| + k with I in `box` and n0 <= k < n0 + window,
-    the cells of tau_N from its top down to the lex-smallest such I, in
-    descending lex order: one echelon pass per degree.  Walking the box in
-    descending lex order, the last I to claim N wins."""
-    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
-              for k in range(n0, n0 + window)}
-    cells = {}
-    for N, I in lowest.items():
-        tau, _ = tuple_sets(N, d, len(I))
-        cells[N] = tau[tau.index(I):][::-1]
-    return cells
-
-
-def _scan_by_elimination(J: HomogeneousIdeal, Qs, k_max: int,
-                         window: int) -> StabilizationScan:
-    """The scan with the quotient dimensions over the targets' field and every
-    m it reads from `cell_codimensions`: the fallback of `stabilization_scan`
-    when its certificate does not hold."""
-    Qs, d = _over_common_field(Qs)
-    values = [hilbert_function(J, k, Qs) for k in range(k_max + 1)]
-    n0 = constant_tail(values, window)
-    if n0 is None:
-        raise NotStabilized(
-            f"quotient dimensions {values} show no constant tail of length {window}")
-    c = values[n0]
-
-    box = _scan_box(len(Qs), d, n0)
-    cells = _scan_cells(box, d, n0, window)
-    # The powers Q^E are built once for all the passes.
-    powers = _power_products(Qs, {E for above in cells.values() for E in above})
-    ms = {N: cell_codimensions(J, powers, N, above) for N, above in cells.items()}
-    m_stable: dict[tuple[int, ...], int] = {}
-    for I in box:
-        seq = [ms[d * tuple_norm(I) + k][I] for k in range(n0, n0 + window)]
-        if not all(v == seq[0] for v in seq):
-            raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
-        m_stable[I] = seq[0]
-    c_prime = max(m_stable.values())
-    m_min = min(m_stable.values())
-    I0 = min((I for I in box if m_stable[I] == m_min),
-             key=lambda I: (max(I) if I else 0, I))
-    kappa = max(I0) if I0 else 0
-    return StabilizationScan(n0=n0, c=c, c_prime=c_prime, m_min=m_min, I0=I0,
-                             kappa=kappa, m_stable=m_stable,
-                             quotient_values=values)
 
 
 # ---------------------------------------------------------------------------

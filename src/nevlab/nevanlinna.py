@@ -801,21 +801,19 @@ def counting_N(zeros: ZeroList, r: float) -> float:
     return acc
 
 
-def jensen_check(g: Expr, r: float, zeros: ZeroList | None = None,
-                 tol: float = 1e-9) -> float:
+def jensen_check(g: Expr, r: float, zeros: ZeroList) -> float:
     """|circle average of log|g| - log|g(0)| - sum m_k log(r/|z_k|)|.
 
-    The circle average is computed with the located zeros divided out (their
-    own circle averages are known exactly), which keeps the quadrature smooth
-    even when a zero sits close to the circle; a missing or misplaced zero
-    still shows up in the residual.
+    `zeros` are the zeros of g located on a disk a little wider than |z| < r.
+    The circle average is computed with them divided out (their own circle
+    averages are known exactly), which keeps the quadrature smooth even when
+    a zero sits close to the circle; a missing or misplaced zero still shows
+    up in the residual.
     """
     prog = Program([g])
     g0 = complex(eval_on(prog, 0j)[0])
     if abs(g0) == 0.0:
         raise ZeroAtOrigin("g(0) = 0: Jensen's formula does not apply")
-    if zeros is None:
-        zeros = locate_zeros(g, r * (1 + 1e-3) + 1e-6, tol=tol)
     zs = np.array([z for z, _ in zeros.zeros], dtype=complex)
     ms = np.array([m for _, m in zeros.zeros], dtype=float)
 

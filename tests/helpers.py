@@ -2,9 +2,9 @@
 reduction of a vector against a subspace, the specialization of Q(z)
 subspaces, a reference Gauss-Jordan elimination over Q and Q(z) with the
 subspaces, kernels and solves built on it, a reference Q(z), a reference
-filtration, reference normal forms and a reference certificate in full
-monomial coordinates, reference sample-doubling integrals, a fine-grid T_f
-and a reference depth-first zero finder."""
+filtration and stabilization scan, reference normal forms and a reference
+certificate in full monomial coordinates, reference sample-doubling
+integrals, a fine-grid T_f and a reference depth-first zero finder."""
 
 import math
 from fractions import Fraction
@@ -29,8 +29,16 @@ from nevlab.algebra import (
     monomial_basis,
     monomial_count,
 )
-from nevlab.filtration import tuple_sets
-from nevlab.gradedgeom import HomogeneousIdeal, NullstellensatzCertificate, macaulay_rows
+from nevlab import filtration as filt
+from nevlab.filtration import tuple_norm, tuple_sets
+from nevlab.gradedgeom import (
+    HomogeneousIdeal,
+    NotStabilized,
+    NullstellensatzCertificate,
+    constant_tail,
+    hilbert_function,
+    macaulay_rows,
+)
 from nevlab.linear import DimensionMismatch, ExactMatrix, GradedSubspace
 from nevlab import nevanlinna
 from nevlab.nevanlinna import TWO_PI, OverflowGuard, WindingAmbiguous, ZeroList
@@ -262,6 +270,59 @@ def reference_build_table(J, Qs, N):
         cells[I] = (len(src_basis) - L.dim, reps)
         U = reference_extended_with(U, rows)
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Reference stabilization scan: the quotient dimensions over the targets'
+# field and every m from `cell_codimensions`, as `stabilization_scan` read
+# them where its certificate did not hold, before it certified each degree
+# on its own.
+# ---------------------------------------------------------------------------
+
+def reference_scan_cells(box, d, n0, window):
+    """For each degree N = d*|I| + k with I in `box` and n0 <= k < n0 + window,
+    the cells of tau_N from its top down to the lex-smallest such I, in
+    descending lex order: one echelon pass per degree.  Walking the box in
+    descending lex order, the last I to claim N wins."""
+    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
+              for k in range(n0, n0 + window)}
+    cells = {}
+    for N, I in lowest.items():
+        tau, _ = tuple_sets(N, d, len(I))
+        cells[N] = tau[tau.index(I):][::-1]
+    return cells
+
+
+def reference_stabilization_scan(J, Qs, k_max, window):
+    """The scan with the quotient dimensions over the targets' field and every
+    m it reads from `cell_codimensions`, with no certificate."""
+    Qs, d = filt._over_common_field(Qs)
+    values = [hilbert_function(J, k, Qs) for k in range(k_max + 1)]
+    n0 = constant_tail(values, window)
+    if n0 is None:
+        raise NotStabilized(
+            f"quotient dimensions {values} show no constant tail of length {window}")
+    c = values[n0]
+
+    box = filt._scan_box(len(Qs), d, n0)
+    cells = reference_scan_cells(box, d, n0, window)
+    # The powers Q^E are built once for all the passes.
+    powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
+    ms = {N: filt.cell_codimensions(J, powers, N, above) for N, above in cells.items()}
+    m_stable = {}
+    for I in box:
+        seq = [ms[d * tuple_norm(I) + k][I] for k in range(n0, n0 + window)]
+        if not all(v == seq[0] for v in seq):
+            raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
+        m_stable[I] = seq[0]
+    c_prime = max(m_stable.values())
+    m_min = min(m_stable.values())
+    I0 = min((I for I in box if m_stable[I] == m_min),
+             key=lambda I: (max(I) if I else 0, I))
+    kappa = max(I0) if I0 else 0
+    return filt.StabilizationScan(n0=n0, c=c, c_prime=c_prime, m_min=m_min, I0=I0,
+                                  kappa=kappa, m_stable=m_stable,
+                                  quotient_values=values)
 
 
 # ---------------------------------------------------------------------------

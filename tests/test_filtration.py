@@ -526,9 +526,10 @@ class TestStabilization:
         # P^2 with the lines x0 and x1 is a regular sequence: the scan's
         # certificate holds and it reads no echelon pass at all.  On the line
         # x0 = 0 with an embedded point at (0:0:1), J = (x0^2, x0*x1), the
-        # target x1 passes through the embedded point, so the certificate
-        # fails and the window of every box tuple needs the degrees 1..6,
-        # each read off one echelon pass; the scan computes no preimage.
+        # target x1 passes through the embedded point.  The windows of the
+        # box tuples read the degrees 1..6; the identity holds at degree 1
+        # and fails at 2..6, each read off one echelon pass; the scan
+        # computes no preimage.
         import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
@@ -550,15 +551,68 @@ class TestStabilization:
         J = HomogeneousIdeal(3, [xvar(0) * xvar(0), xvar(0) * xvar(1)])
         scan = stabilization_scan(J, [xvar(1)], 6, window=3)
         assert (scan.n0, scan.c, scan.m_min, scan.I0, scan.kappa) == (1, 2, 1, (1,), 1)
-        assert sorted(degrees) == list(range(1, 7))
+        assert sorted(degrees) == list(range(2, 7))
+
+    @pytest.mark.parametrize("case", ["embedded_point_moving", "late_embedded_point"])
+    def test_mixed_scan_eliminates_only_the_failing_degrees(self, case, monkeypatch):
+        # Targets on which the identity holds at some degrees and fails at
+        # others.  embedded_point_moving: J = (x0^2, x0*x1) with x1 + z*x0;
+        # the identity holds at degrees 0 and 1 only, and the box reads the
+        # degrees 1..6.  late_embedded_point: J = (x0^2, x0*x1^5) with
+        # x1 + z*x2; the identity holds up to degree 5 and fails from 6 on,
+        # where h drops to its plateau 1, and the box reads the degrees
+        # 6..15.  Only the failing degrees take their quotient dimension
+        # over Q(z), only the failing degrees that the box reads run an
+        # echelon pass, and the scan is the elimination's.
+        import nevlab.filtration as filt
+        from nevlab.cli import parse_polynomial
+        from nevlab.gradedgeom import HomogeneousIdeal
+        from helpers import reference_stabilization_scan
+
+        def forms(*texts):
+            return [parse_polynomial(t, 3) for t in texts]
+
+        J, Qs, k_max, window, values_over_qz, passes = {
+            "embedded_point_moving": (HomogeneousIdeal(3, forms("x0^2", "x0*x1")),
+                                      forms("x1 + {z}*x0"), 6, 3, [2, 3, 4, 5, 6],
+                                      range(2, 7)),
+            "late_embedded_point": (HomogeneousIdeal(3, forms("x0^2", "x0*x1^5")),
+                                    forms("x1 + {z}*x2"), 8, 2, [6, 7, 8], range(6, 16)),
+        }[case]
+        expected = reference_stabilization_scan(J, Qs, k_max, window)
+        u = [hilbert_function(J, k, filt._specialized(Qs)) for k in range(max(passes) + 1)]
+        degrees, over_qz = [], []
+        original, hilbert = filt.cell_codimensions, filt.hilbert_function
+
+        def recorded(J, powers, N, cells):
+            degrees.append(N)
+            return original(J, powers, N, cells)
+
+        def recorded_hilbert(J, k, forms=()):
+            if forms and forms[0].field == RATIONAL_FUNCTION:
+                over_qz.append(k)
+            return hilbert(J, k, forms)
+
+        monkeypatch.setattr(filt, "cell_codimensions", recorded)
+        monkeypatch.setattr(filt, "hilbert_function", recorded_hilbert)
+        scan = stabilization_scan(J, Qs, k_max, window)
+        assert scan == expected
+        assert over_qz == values_over_qz
+        assert over_qz == [k for k in range(k_max + 1) if not filt._tiles(J, u, 1, 1, k)]
+        read = {tuple_norm(I) + k for I in scan.m_stable
+                for k in range(scan.n0, scan.n0 + window)}
+        assert sorted(degrees) == list(passes)
+        assert sorted(degrees) == sorted(N for N in read if not filt._tiles(J, u, 1, 1, N))
 
     def test_scan_echelon_over_q_holds_ints(self, monkeypatch):
-        # The fallback's echelons over Q keep primitive integer rows with a
+        # The scan's echelons over Q keep primitive integer rows with a
         # positive pivot, even for targets with Fraction coefficients; a true
         # division there once gave floats and NotStabilized.  The target is
-        # regular on the conic, so the scan itself is certified: the
-        # fallback is called directly, and must agree with it.
+        # regular on the conic, so the scan itself is certified: the echelon
+        # pass of every degree it reads is run directly, and each m the scan
+        # reads there must agree with it.
         import nevlab.filtration as filt
+        from helpers import reference_scan_cells
 
         echelons = []
 
@@ -570,9 +624,16 @@ class TestStabilization:
         x0, x1, x2 = (xvar(i) for i in range(3))
         q = x0 * x0 - (x0 * x1).scale(Fraction(1, 3)) + (x2 * x2).scale(Fraction(2, 5))
         scan = stabilization_scan(conic_ideal(), [q], 8)
-        monkeypatch.setattr(filt, "Echelon", Recorded)
-        assert filt._scan_by_elimination(conic_ideal(), [q], 8, 3) == scan
         assert scan.c == scan.m_min == 4
+        monkeypatch.setattr(filt, "Echelon", Recorded)
+        Qs, d = filt._over_common_field([q])
+        box = filt._scan_box(1, d, scan.n0)
+        cells = reference_scan_cells(box, d, scan.n0, 3)
+        powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
+        for N, above in cells.items():
+            ms = filt.cell_codimensions(conic_ideal(), powers, N, above)
+            assert all(ms[I] == scan.m_stable[I] for I in box
+                       if scan.n0 <= N - d * tuple_norm(I) < scan.n0 + 3)
         rows = [(c, row) for e in echelons for c, row, _ in e.rows]
         assert echelons and all(e.field == RATIONAL for e in echelons) and rows
         assert all(type(v) is int for _, row in rows for v in row)
@@ -583,16 +644,15 @@ class TestStabilization:
                                       "quadric_line"])
     def test_scan_falls_back_on_non_regular_targets(self, case):
         # Targets that are not a regular sequence on R/J: the certificate's
-        # identity fails, or u shows no plateau, and the scan must give the
+        # identity fails at some degrees, and the scan must give the
         # elimination's result, or raise NotStabilized as it does.
         # late_embedded_point: J = (x0^2, x0*x1^5) has an embedded point at
         # (0:0:1), which x1 + z*x2 misses but its value x1 at z = 0 does not.
         # u is 1, 2, 2, ... while h drops to 1 at degree 6, past every degree
         # the box reads (at most 5), so the identity fails only at N = 6.
-        import nevlab.filtration as filt
         from nevlab.cli import parse_polynomial
         from nevlab.gradedgeom import HomogeneousIdeal
-        from helpers import quadric_ideal
+        from helpers import quadric_ideal, reference_stabilization_scan
 
         def forms(nvars, *texts):
             return [parse_polynomial(t, nvars) for t in texts]
@@ -614,21 +674,22 @@ class TestStabilization:
                 return None
 
         got = outcome(stabilization_scan)
-        assert got == outcome(filt._scan_by_elimination)
+        assert got == outcome(reference_stabilization_scan)
         assert (got and (got.n0, got.c)) == expected
 
     @pytest.mark.parametrize("case", ["ci_quadric", "conic_moving", "pole_at_zero",
                                       "vanishes_at_zero"])
     def test_certified_scan_eliminates_nothing_over_qz(self, case, monkeypatch):
-        # On regular moving targets the certificate holds: the scan builds no
-        # Q(z) Echelon and does no Q(z) arithmetic that needs a polynomial
-        # gcd.  The last two targets have a pole at z = 0 or vanish there,
-        # so the specialization must move on to z = 1.
+        # On regular moving targets the certificate holds at every degree:
+        # the scan builds no product Q^E, no Q(z) Echelon and does no Q(z)
+        # arithmetic that needs a polynomial gcd.  The last two targets have
+        # a pole at z = 0 or vanish there, so the specialization must move
+        # on to z = 1.
         import nevlab.algebra as algebra
         import nevlab.filtration as filt
         import nevlab.gradedgeom as gg
         from nevlab.cli import parse_polynomial
-        from helpers import quadric_ideal
+        from helpers import quadric_ideal, reference_stabilization_scan
 
         J, texts, k_max, window = {
             "ci_quadric": (quadric_ideal(), ["x0 - {z}*x1", "x3 + {1 + z}*x2"], 8, 3),
@@ -637,7 +698,7 @@ class TestStabilization:
             "vanishes_at_zero": (conic_ideal(), ["{z}*x0^2 + {z^2 - z}*x1^2"], 6, 3),
         }[case]
         Qs = [parse_polynomial(t, J.nvars) for t in texts]
-        expected = filt._scan_by_elimination(J, Qs, k_max, window)
+        expected = reference_stabilization_scan(J, Qs, k_max, window)
         fields, gcds = [], []
 
         class Recorded(linear.Echelon):
@@ -651,6 +712,10 @@ class TestStabilization:
             gcds.append((a, b))
             return gcd(a, b)
 
+        def unexpected(*args):
+            raise AssertionError("the certified scan built a product Q^E")
+
+        monkeypatch.setattr(filt, "_power_products", unexpected)
         monkeypatch.setattr(filt, "Echelon", Recorded)
         monkeypatch.setattr(gg, "Echelon", Recorded)
         monkeypatch.setattr(algebra, "_gcd", counted)

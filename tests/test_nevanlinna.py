@@ -761,20 +761,25 @@ class TestCounting:
         assert counting_N(ZeroList(zeros=[], radius=5.0), 4.0) == 0.0
 
 
+def _jensen(g, r):
+    """jensen_check with the zeros located on a disk a little wider than r."""
+    return jensen_check(g, r, locate_zeros(g, r * (1 + 1e-3) + 1e-6))
+
+
 class TestJensen:
     def test_exp_minus_two(self):
-        assert jensen_check(sub(Exp(Z()), Const(2)), 10) < 1e-5
+        assert _jensen(sub(Exp(Z()), Const(2)), 10) < 1e-5
 
     def test_linear(self):
         # log(10/3) + log 3 = log 10, exactly
-        assert jensen_check(sub(Z(), Const(3)), 10) < 1e-6
+        assert _jensen(sub(Z(), Const(3)), 10) < 1e-6
 
     def test_nonvanishing_exponential(self):
-        assert jensen_check(Exp(Z()), 5) < 1e-9
+        assert _jensen(Exp(Z()), 5) < 1e-9
 
     def test_zero_at_origin_rejected(self):
         with pytest.raises(ZeroAtOrigin):
-            jensen_check(sub(Exp(Z()), Const(1)), 5)
+            jensen_check(sub(Exp(Z()), Const(1)), 5, ZeroList(zeros=[], radius=5.0))
 
     def test_zero_near_circle_stays_accurate(self):
         # |ln 2 + 2 pi i| = 6.3214 is within 0.022 of the radius 6.3: the

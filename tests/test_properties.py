@@ -79,6 +79,8 @@ from helpers import (
     reference_normal_forms,
     reference_nullstellensatz_certificate,
     reference_quotient_rows,
+    reference_scan_cells,
+    reference_stabilization_scan,
     twisted_cubic_ideal,
 )
 from test_filtration import oracle_m
@@ -276,7 +278,7 @@ SCAN_VARIETIES = {
 @given(data=st.data())
 def test_scan_codimensions_match_filtration_space(name, field, data):
     # Every m_N^E that the scan's echelon pass would read, were the
-    # certificate to fail, equals the codimension of the preimage L_N^E, at
+    # identity to fail at N, equals the codimension of the preimage L_N^E, at
     # each degree N down to the lowest tuple the scan needs there: the
     # echelon passes run directly, on the n0 of the quotient dimensions over
     # the targets' field.  Constant targets are dense: wide rational
@@ -301,7 +303,7 @@ def test_scan_codimensions_match_filtration_space(name, field, data):
     Qs, d = filt._over_common_field(Qs)
     n0 = constant_tail([hilbert_function(J, k, Qs) for k in range(k_max + 1)], WINDOW)
     assume(n0 is not None)
-    cells = filt._scan_cells(filt._scan_box(n, d, n0), d, n0, WINDOW)
+    cells = reference_scan_cells(filt._scan_box(n, d, n0), d, n0, WINDOW)
     powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
     for N, above in cells.items():
         ms = filt.cell_codimensions(J, powers, N, above)
@@ -366,8 +368,9 @@ def certificate_instances(draw, name):
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_scan_certificate_matches_elimination(name, data):
-    # The scan, certified or not, must give what the elimination gives on
-    # the same targets: equal results, or NotStabilized from both.
+    # The scan, with each degree certified or eliminated, must give what
+    # the elimination-only reference gives on the same targets: equal
+    # results, or NotStabilized from both.
     J, Qs, k_max = data.draw(certificate_instances(name))
 
     def outcome(scan):
@@ -376,7 +379,7 @@ def test_scan_certificate_matches_elimination(name, data):
         except gg.NotStabilized:
             return None
 
-    assert outcome(stabilization_scan) == outcome(filt._scan_by_elimination)
+    assert outcome(stabilization_scan) == outcome(reference_stabilization_scan)
 
 
 # Largest N of the certified tables' differential test, per variety of
