@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -530,7 +531,7 @@ def monomial_count(M: int, k: int) -> int:
 
 
 def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ the rank of the classes of the f_j times standard monomials
 differences of H_V.
 
 The admissibility certificates are solved on the same rows: one exact solve
-per degree writes the classes of the powers x_i^s in terms of the targets'
+at a degree writes the classes of the powers x_i^s in terms of the targets'
 multiples, which decides membership and gives the targets' cofactors at once.
+Membership is monotone in s, so the smallest s is found by a monotone search
+from a start degree, solving only at the degrees it visits.
 What is left of x_i^s lies in J_s, and its J-cofactors are read from a
 per-degree table that writes each non-standard monomial t minus its normal
 form in J's generators (`HomogeneousIdeal.ideal_cofactors`, one solve of
@@ -445,60 +447,115 @@ class NullstellensatzCertificate:
                     for t, gc in g.terms.items():
                         m = monomial_mul(e, t)
                         acc[m] = acc.get(m, 0) + c * gc
-            power = tuple(self.s if j == i else 0 for j in range(nvars))
+            power = _power(nvars, i, self.s)
             if {m: v for m, v in acc.items() if v} != {power: scale}:
                 return False
         return True
 
 
-def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int):
+def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: int = 1):
     """Smallest s <= s_max with x_i^s in (J, Qs)_s for every variable, or None.
 
-    At each s the classes of the powers x_i^s modulo J_s are solved against
-    the Qs' `multiples` in one exact solve.  x_i^s is in (J, Qs)_s exactly
-    when its class is in their span, and the solution holds the Qs'
-    cofactors on standard monomials.  The rest of x_i^s, its residual r_i,
-    lies in J_s; its J-cofactors are the sum over non-standard monomials t
-    of r_i[t] times the cofactors of t - NF(t) (`ideal_cofactors`).  The
-    caller re-verifies the certificate by substitution.  None means NOT_FOUND
-    within the cutoff, which is inconclusive for genuinely admissible systems
-    with larger s.
+    At a degree s the classes of the powers x_i^s modulo J_s, read off
+    `normal_forms`, are solved against the Qs' `multiples` in one exact
+    solve.  x_i^s is in (J, Qs)_s exactly when its class is in their span,
+    and the solution holds the Qs' cofactors on standard monomials.
+
+    Membership is monotone in s: x_i^s in the ideal gives x_i^(s+1) =
+    x_i * x_i^s in it.  So s is found by a monotone search from `start`,
+    taken into 1..s_max: when every power is in the ideal there, the search
+    steps down until a degree fails; otherwise it steps up until a degree
+    succeeds or s_max fails.  Either way it ends on the smallest s, and the
+    certificate is read from the one solve at that s, which is the one a
+    scan up from 1 ends on: `start` changes the number of solves, never the
+    result.
+
+    The rest of x_i^s, its residual r_i, lies in J_s; its J-cofactors are
+    the sum over non-standard monomials t of r_i[t] times the cofactors of
+    t - NF(t) (`ideal_cofactors`).  Over Q each power's solution is first
+    multiplied by the lcm L of its denominators, so the residual and the
+    cofactors are summed in ints (when the forms are integral), and each
+    cofactor term is divided by L once at the end.  Cofactor coefficients
+    are ints where integral and Fractions otherwise over Q, rational
+    functions over Q(z), and never zero.  The caller re-verifies the
+    certificate by substitution.  None means NOT_FOUND within the cutoff,
+    which is inconclusive for genuinely admissible systems with larger s.
     """
     field = coefficient_field(Qs)
     Qs = [q.over(field) for q in Qs if not q.is_zero]
     nvars = J.nvars
     zero, one = field_zero(field), field_one(field)
+
+    def solve(s):
+        """Each power's combination of the Qs' multiples at degree s, or None
+        when some power is outside their span."""
+        std, classes = J.normal_forms(s)
+        A = ExactMatrix.from_rows(J.multiples(s, Qs), len(std), field)
+        targets = []
+        for i in range(nvars):
+            row = [zero] * len(std)
+            for col, v in classes[_power(nvars, i, s)]:
+                row[col] = one * v
+            targets.append(row)
+        sols = solve_row_combinations(A, targets)
+        return None if any(sol is None for sol in sols) else sols
+
+    if s_max < 1:
+        return None
+    s = min(max(start, 1), s_max)
+    sols = solve(s)
+    if sols is not None:
+        while s > 1 and (lower := solve(s - 1)) is not None:
+            s, sols = s - 1, lower
+    else:
+        while sols is None and s < s_max:
+            s += 1
+            sols = solve(s)
+    if sols is None:
+        return None
+
     gens = [g.over(field) for g in J.generators] + Qs
     offset = len(J.generators)
-    for s in range(1, s_max + 1):
-        A = ExactMatrix.from_rows(J.multiples(s, Qs), len(J.normal_forms(s)[0]), field)
-        # The labels (target index, shift monomial) of the rows of `multiples`.
-        labels = [(j, m) for j, q in enumerate(Qs) if q.degree <= s
-                  for m in J.normal_forms(s - q.degree)[0]]
-        powers = [tuple(s if j == i else 0 for j in range(nvars)) for i in range(nvars)]
-        sols = solve_row_combinations(
-            A, J.multiples(s, [MultiPoly.monomial(nvars, p, 1, field) for p in powers]))
-        if any(sol is None for sol in sols):
-            continue
-        ideal_cofactors = J.ideal_cofactors(s)
-        cofactors = []
-        for power, sol in zip(powers, sols):
-            per_gen = [{} for _ in gens]
-            residual = {power: one}
-            for c, (j, m) in zip(sol, labels):
-                if not c:
-                    continue
-                per_gen[offset + j][m] = c
-                for t, qc in Qs[j].terms.items():
-                    tm = monomial_mul(t, m)
-                    residual[tm] = residual.get(tm, zero) - c * qc
-            for t, rc in residual.items():
-                if rc:
-                    for gi, m, c in ideal_cofactors.get(t, ()):
-                        per_gen[gi][m] = per_gen[gi].get(m, zero) + rc * c
-            cofactors.append([MultiPoly(nvars, field, terms) for terms in per_gen])
-        return NullstellensatzCertificate(s=s, cofactors=cofactors, generators=gens)
-    return None
+    # The labels (target index, shift monomial) of the rows of `multiples`.
+    labels = [(j, m) for j, q in enumerate(Qs) if q.degree <= s
+              for m in J.normal_forms(s - q.degree)[0]]
+    ideal_cofactors = J.ideal_cofactors(s)
+    over_q = field == RATIONAL
+    cofactors = []
+    for i, sol in enumerate(sols):
+        scale = math.lcm(*(c.denominator for c in sol)) if over_q else 1
+        if scale != 1:
+            sol = [c.numerator * (scale // c.denominator) for c in sol]
+        per_gen = [{} for _ in gens]
+        residual = {_power(nvars, i, s): one * scale}
+        for c, (j, m) in zip(sol, labels):
+            if not c:
+                continue
+            per_gen[offset + j][m] = c
+            for t, qc in Qs[j].terms.items():
+                tm = monomial_mul(t, m)
+                residual[tm] = residual.get(tm, zero) - c * qc
+        for t, rc in residual.items():
+            if rc:
+                for gi, m, c in ideal_cofactors.get(t, ()):
+                    per_gen[gi][m] = per_gen[gi].get(m, zero) + rc * c
+        cofactors.append([
+            MultiPoly(nvars, field, {m: _over(v, scale) if over_q else v
+                                     for m, v in terms.items() if v}, _raw=True)
+            for terms in per_gen])
+    return NullstellensatzCertificate(s=s, cofactors=cofactors, generators=gens)
+
+
+def _power(nvars: int, i: int, s: int) -> tuple[int, ...]:
+    """The exponent tuple of x_i^s."""
+    return tuple(s if j == i else 0 for j in range(nvars))
+
+
+def _over(v, d: int):
+    """The rational v / d as an int when it is integral."""
+    if type(v) is int:
+        return v // d if not v % d else Fraction(v, d)
+    return _q(v / d)
 
 
 def primitive_form(q: MultiPoly) -> MultiPoly:
@@ -550,7 +607,12 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
     certificate is stated over forms that generate the same ideal, and
     witnesses that give the same primitive system (constant targets, or
     targets that are a scalar multiple of a constant form at every witness)
-    share one certificate, computed and verified once per call.
+    share one certificate, computed and verified once per call.  Each
+    search for s starts at the s of the last system certified in the call
+    (1 before the first): the systems of one check tend to share their s,
+    which then costs a solve at s and one at s - 1 rather than one at every
+    degree up to s.  Membership of x_i^s is monotone in s, so the start
+    changes the cost, not the certificate (`nullstellensatz_certificate`).
     Negative answers report the positive Hilbert value of the specialized
     quotient when it is constant over the M + 2 degrees ending at
     s_max + M + 3, and are marked heuristic; those values, too, are
@@ -562,6 +624,7 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
             "hypersurfaces must share a common degree; apply normalize_degrees first")
     rng = random.Random(seed)
     certified = {}  # primitive specialized system -> verified certificate or None
+    start = 1  # the s of the last certificate found: where the next search starts
     evidence = {}  # primitive specialized system -> its quotient dimensions
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):
@@ -578,11 +641,13 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
             report.witnesses_tried.append(a)
             specialized = last_specialized = tuple(map(primitive_form, specialized))
             if specialized not in certified:
-                cert = nullstellensatz_certificate(J, list(specialized), s_max)
-                if cert is not None and not cert.verify():
-                    raise CertificateDefect(
-                        f"certificate for subset {subset} at witness {a} "
-                        "fails re-verification")
+                cert = nullstellensatz_certificate(J, list(specialized), s_max, start=start)
+                if cert is not None:
+                    if not cert.verify():
+                        raise CertificateDefect(
+                            f"certificate for subset {subset} at witness {a} "
+                            "fails re-verification")
+                    start = cert.s
                 certified[specialized] = cert
             cert = certified[specialized]
             if cert is not None:

@@ -221,6 +221,33 @@ class TestNullstellensatz:
         assert all(g.field == RATIONAL for g in cert.generators)
         assert cert.verify()
 
+    def test_search_solves_only_the_degrees_it_visits(self, monkeypatch):
+        # Membership of x_i^s is monotone in s, so a search from start = s
+        # solves at s and at s - 1 only, and a failed solve at s_max ends
+        # the search.  J's normal forms and J-cofactors are warmed first, so
+        # only the certificate's own solves are counted.
+        import nevlab.gradedgeom as gg
+
+        genuine = gg.solve_row_combinations
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return genuine(*args, **kwargs)
+
+        J = conic_ideal()
+        Qs = [xvar(0) * xvar(0), xvar(2) * xvar(2)]
+        assert nullstellensatz_certificate(J, Qs, 6).s == 4
+        monkeypatch.setattr(gg, "solve_row_combinations", counting)
+        for start, solves in ((4, 2), (1, 4)):
+            calls.clear()
+            assert nullstellensatz_certificate(J, Qs, 6, start=start).s == 4
+            assert len(calls) == solves
+        x0 = xvar(0, 2)
+        calls.clear()
+        assert nullstellensatz_certificate(p1_ideal(), [x0, x0.scale(5)], 6, start=6) is None
+        assert len(calls) == 1
+
 
 class TestAdmissibility:
     def test_p1_moving_pair_admissible(self):
@@ -281,8 +308,8 @@ class TestAdmissibility:
 
         genuine = gg.nullstellensatz_certificate
 
-        def corrupted(J, Qs, s_max):
-            cert = genuine(J, Qs, s_max)
+        def corrupted(J, Qs, s_max, **kwargs):
+            cert = genuine(J, Qs, s_max, **kwargs)
             if cert is not None:
                 bad = cert.cofactors[0][0]
                 cert.cofactors[0][0] = bad + MultiPoly.constant(bad.nvars, 1, bad.field)
@@ -337,9 +364,9 @@ class TestCertifiedOncePerSystem:
         genuine = gg.nullstellensatz_certificate
         calls = []
 
-        def counting(J, Qs, s_max):
+        def counting(J, Qs, s_max, **kwargs):
             calls.append(tuple(Qs))
-            return genuine(J, Qs, s_max)
+            return genuine(J, Qs, s_max, **kwargs)
 
         monkeypatch.setattr(gg, "nullstellensatz_certificate", counting)
         return calls
