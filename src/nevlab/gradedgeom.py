@@ -381,9 +381,9 @@ def variety_invariants(J: HomogeneousIdeal, k_max: int, window: int = 3) -> tupl
     """(n, deg V) from the eventual Hilbert polynomial, via finite differences.
 
     n is the index of the last nonzero finite difference once differences are
-    constant over `window` consecutive values; deg V is n! times that leading
-    difference.  Raises NotStabilized when no difference order settles within
-    k_max.
+    constant over `window` consecutive values; deg V is that constant n-th
+    difference itself (see hilbert_record).  Raises NotStabilized when no
+    difference order settles within k_max.
     """
     rec = hilbert_record(J, k_max, window)
     if rec.dim_v is None:
@@ -393,6 +393,15 @@ def variety_invariants(J: HomogeneousIdeal, k_max: int, window: int = 3) -> tupl
 
 
 def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertRecord:
+    """H_V(0..k_max), with dim V and deg V read off its finite differences.
+
+    The first difference order whose tail is constant over `window` values
+    is dim V = n.  The Hilbert polynomial is (deg V / n!) k^n + ..., and its
+    n-th difference is the constant n! (deg V / n!) = deg V, so deg V is
+    that constant itself.  A tail that is constantly 0 is the empty variety
+    (dim -1, deg 0); dim V and deg V stay None when no order settles within
+    k_max.
+    """
     values = {k: hilbert_function(J, k) for k in range(k_max + 1)}
     rec = HilbertRecord(values=values)
     diff = list(values.values())
@@ -403,7 +412,7 @@ def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertR
                 # Empty variety: the Hilbert polynomial is identically zero.
                 rec.dim_v, rec.deg_v = -1, 0
             else:
-                rec.dim_v, rec.deg_v = order, math.factorial(order) * lead
+                rec.dim_v, rec.deg_v = order, lead
             return rec
         diff = [b - a for a, b in zip(diff, diff[1:])]
     return rec

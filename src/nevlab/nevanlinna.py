@@ -14,8 +14,11 @@ level is that grid.  Zeros of composed targets are located by
 rectangle subdivision driven by argument-principle winding numbers, one
 generation of boxes at a time, until a box isolates one cluster of zeros.
 Newton with the box's winding as multiplicity then polishes the cluster
-from the box centre, and the winding of a box of width tol around the
-Newton limit certifies it; a box that does not certify is split further.
+from the centroid of its zeros, which the first moment of the box's
+winding integral gives from the same samples, and the winding of a box of
+width tol around the point it keeps certifies it; a box that does not
+certify is split further.  The start decides only how soon a box
+certifies, never what is reported.
 The quads of every box of a generation get their windings from one batched
 call, and the first box that no jitter offset splits stops the search.
 Every sample-doubling loop (circle quadrature, the disk winding, the box
@@ -482,7 +485,7 @@ def _edge_values(prog: Program, a, d, t, out, rows: int):
 
 
 def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CAP,
-                   snap: float = 0.25) -> list[int | None]:
+                   snap: float = 0.25, centroids: bool = False):
     """Winding number of g along each closed polyline, or None when ambiguous.
 
     One array holds the values on every edge of every loop still open, one
@@ -492,12 +495,28 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
     Each loop keeps its own edge points, per-edge sums, summation order and
     stopping rule, so its result is the one a loop-by-loop evaluation with
     full re-evaluation at every level gives.
+
+    With centroids=True it returns (windings, centroids).  The first moment
+    (1/2 pi i) times the integral of z g'/g dz along a loop is the sum of
+    the zeros it encloses (Delves and Lyness), and the winding integral is
+    their count, so their ratio is the mean of the enclosed zeros.  Both are
+    summed by the same trapezoid over the same samples, at the level where
+    the winding closes, and the centroid is the ratio of the two sums, not
+    the moment over the rounded winding.  A zero's own quadrature error is
+    then common to both sums and cancels: a loop around the only zero of
+    (z - a)^m gives a to rounding, and a cluster's errors cancel up to the
+    spread of its zeros.  What is left comes from the zeros outside the
+    loop and the rest of g'/g, and grows as they near an edge.  At a level
+    where some loop closes with a nonzero winding, one t-weighted sum per
+    edge, taken in place, is all it adds: no evaluation and no array the
+    size of the level.  Every other centroid is None.
     """
     edge_counts = [len(c) for c in loops]
     ends = np.array([e for c in loops for e in zip(c, c[1:] + c[:1])]).reshape(-1, 2)
     a = ends[:, :1]
     d = ends[:, 1:] - a
     windings: list[int | None] = [None] * len(loops)
+    means: list[complex | None] = [None] * len(loops)
     prev: list[complex | None] = [None] * len(loops)
     open_loops = list(range(len(loops)))
     n = start
@@ -507,10 +526,12 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
         f, fresh = _next_level(f, (len(a), len(t)), complex)
         _edge_values(prog, a, d, t, fresh, (cap + 1) // (n + 1))
         # uniform trapezoid on [0, 1], one row per edge
-        sums = ((f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n).tolist()
+        level_sums = (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / n
+        sums = level_sums.tolist()
         finite = np.isfinite(f).all(axis=1).tolist()
         keep = []
         still_open = []
+        closed = []  # (loop, rows, winding integral) of each nonzero winding
         row = 0
         for i in open_loops:
             loop_rows = range(row, row + edge_counts[i])
@@ -526,17 +547,29 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
             nearest = round(w.real)
             if abs(w - nearest) < snap and prev[i] is not None and abs(w - prev[i]) < 0.1:
                 windings[i] = int(nearest)
+                if centroids and nearest:
+                    closed.append((i, loop_rows, total))
             else:
                 prev[i] = w
                 keep.extend(loop_rows)
                 still_open.append(i)
+        if closed:
+            # the trapezoid of z g'/g dz on an edge z = a + d t: a times the
+            # edge's sum plus d times its sum weighted by t, whose trapezoid
+            # weights t/n are 0 at t = 0 and 1/2n at t = 1
+            tw = np.linspace(0.0, 1.0, n + 1)
+            tw[-1] = 0.5
+            firsts = (a[:, 0] * level_sums
+                      + d[:, 0] * np.einsum("ij,j->i", f, tw) / n).tolist()
+            for i, loop_rows, total in closed:
+                means[i] = sum((firsts[j] for j in loop_rows), 0j) / total
         if still_open and len(keep) < row:
             keep = np.array(keep)
             f, a, d = f[keep], a[keep], d[keep]
         open_loops = still_open
         n *= 2
         t = np.linspace(0.0, 1.0, n + 1)[1::2].copy()  # contiguous, as in _circle_midpoints
-    return windings
+    return (windings, means) if centroids else windings
 
 
 def _circle_winding(prog: Program, r: float, *, cap: int = 65536,
@@ -571,6 +604,7 @@ class _Box:
     y0: float
     y1: float
     w: int
+    centroid: complex | None = None  # mean of the zeros inside, from the first moment
 
     @property
     def width(self) -> float:
@@ -579,6 +613,16 @@ class _Box:
     @property
     def center(self) -> complex:
         return complex(0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
+
+    @property
+    def start(self) -> complex:
+        """Where Newton starts: the centroid when it lies strictly inside the
+        box, else the centre.  A centroid that is not finite never does, as
+        every comparison with nan is false."""
+        c = self.centroid
+        if c is not None and self.x0 < c.real < self.x1 and self.y0 < c.imag < self.y1:
+            return c
+        return self.center
 
     def corners(self):
         return [complex(self.x0, self.y0), complex(self.x1, self.y0),
@@ -590,14 +634,17 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
 
     The disk's winding number fixes the total count; the bounding box is then
     subdivided one generation at a time, keeping boxes of nonzero winding,
-    until each box isolates one cluster.  Before a generation is split, every
-    open box of winding 1 to _POLISH_MAX_W is polished (_polish_boxes):
-    Newton from its centre, certified by the winding of a box of width tol
-    around the limit.  A certified box becomes a leaf at the Newton limit,
-    with the box's winding as multiplicity, and is not split again.  Every
-    other box is split, and the windings of all their quads come from one
-    _loop_windings call per jitter offset; a box split down to width tol is
-    a leaf at its centre.  Split lines are jittered and re-tried whenever a
+    until each box isolates one cluster.  Every box carries the centroid of
+    its zeros, read off the first moment of the winding integral that gave
+    its winding (_loop_windings).  Before a generation is split, every open
+    box of winding 1 to _POLISH_MAX_W is polished (_polish_boxes): Newton
+    from that centroid, or from the box centre when the centroid is not
+    finite or not strictly inside the box, certified by the winding of a box
+    of width tol around the point it keeps.  A certified box becomes a leaf
+    at that point, with the box's winding as multiplicity, and is not split
+    again.  Every other box is split, and the windings of all their quads
+    come from one _loop_windings call per jitter offset; a box split down to
+    width tol is a leaf at its centre.  Split lines are jittered and re-tried whenever a
     boundary integral refuses to snap to an integer, which signals a zero on
     or near an edge.  A zero within 10 tol of the circle itself raises
     WindingAmbiguous: perturb r and re-run.
@@ -632,7 +679,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
         half = r * 1.02 * grow + 16 * tol
         cx, cy = 0.0037 * r, 0.0051 * r
         box = _Box(cx - half, cx + half, cy - half, cy + half, 0)
-        [w] = _loop_windings(prog, [box.corners()])
+        [w], [box.centroid] = _loop_windings(prog, [box.corners()], centroids=True)
         if w is not None:
             box.w = w
             top = box
@@ -692,31 +739,43 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     """The certified zero of each box, or None for a box that must be split.
 
     A box of winding w, 1 <= w <= _POLISH_MAX_W, runs Newton for a zero of
-    multiplicity w from its centre, z <- z - w g/g', with one eval_on of
-    every running candidate per step.  A candidate runs while its steps
-    shrink: it stops at a step that is not finite, leaves the box or is no
-    shorter than the step before (that step is not taken), or after
-    _NEWTON_CAP steps.  It has settled when the last step it took is at most
-    tol/4; otherwise it is dropped.  The settled point z* is certified by the
-    box of width tol centred on it, which must lie inside the box: all these
-    squares go into one _loop_windings call, and a square that winds w times
-    holds every zero of the box (the box winds w times too, and zeros count
-    positively).  So a certified cluster fits a box of width tol, like a leaf
-    of the subdivision, and its zeros count as one of multiplicity w.
+    multiplicity w, z <- z - w g/g', with one eval_on of every running
+    candidate per step.  It starts at box.start: the mean of its zeros from
+    the first moment, or the centre when that is not finite or not strictly
+    inside the box.  A candidate runs while its steps shrink: it stops at a
+    step that is not finite, leaves the box or is no shorter than the step
+    before (that step is not taken), or after _NEWTON_CAP steps.  It has settled when the last step it took is at most
+    tol/4; otherwise it is dropped.  A settled candidate keeps z*, the point
+    of smallest |g| among those it evaluated: near a multiple zero the last
+    steps wander in rounding noise, and the smallest |g| lies nearer the
+    zero than the last step does.  z* is certified by the box of width tol
+    centred on it, which must lie inside the box: all these squares go into
+    one _loop_windings call, and a square that winds w times holds every
+    zero of the box (the box winds w times too, and zeros count positively).
+    So a certified cluster fits a box of width tol, like a leaf of the
+    subdivision, and its zeros count as one of multiplicity w.  The start
+    and the choice of z* only decide which boxes certify in this generation;
+    what a certified box reports rests on its square alone.
     """
     found: list[complex | None] = [None] * len(boxes)
     tried = [i for i, box in enumerate(boxes) if 1 <= box.w <= _POLISH_MAX_W]
     if not tried:
         return found
-    z = np.array([boxes[i].center for i in tried])
+    z = np.array([boxes[i].start for i in tried])
     w, x0, x1, y0, y1 = (np.array([getattr(boxes[i], k) for i in tried], dtype=float)
                          for k in ("w", "x0", "x1", "y0", "y1"))
     last = np.full(len(tried), np.inf)
+    best = z.copy()
+    best_g = np.full(len(tried), np.inf)
     running = np.arange(len(tried))
     for _ in range(_NEWTON_CAP):
         if not running.size:
             break
         gz, dz = eval_on(prog, z[running])
+        mag = np.abs(gz)
+        lower = mag < best_g[running]
+        best[running[lower]] = z[running[lower]]
+        best_g[running[lower]] = mag[lower]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = w[running] * gz / dz
             size = np.abs(step)
@@ -732,7 +791,7 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     squares, owners = [], []
     half = 0.5 * tol
     for k in settled:
-        box, zk = boxes[tried[k]], complex(z[k])
+        box, zk = boxes[tried[k]], complex(best[k])
         if min(zk.real - box.x0, box.x1 - zk.real, zk.imag - box.y0, box.y1 - zk.imag) > half:
             squares.append(_Box(zk.real - half, zk.real + half,
                                 zk.imag - half, zk.imag + half, 0).corners())
@@ -740,7 +799,7 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     ws = _loop_windings(prog, squares) if squares else []
     for k, wk in zip(owners, ws):
         if wk == boxes[tried[k]].w:
-            found[tried[k]] = complex(z[k])
+            found[tried[k]] = complex(best[k])
     return found
 
 
@@ -769,13 +828,14 @@ def _split_boxes(prog: Program, boxes: list[_Box]) -> list[list[_Box] | None]:
                     _Box(box.x0, mx, my, box.y1, 0),
                     _Box(mx, box.x1, my, box.y1, 0),
                 ])
-            ws = _loop_windings(prog, [q.corners() for quads in tried for q in quads])
+            ws, means = _loop_windings(prog, [q.corners() for quads in tried for q in quads],
+                                       centroids=True)
             still_pending = []
             for k, (i, quads) in enumerate(zip(pending, tried)):
                 quad_ws = ws[4 * k:4 * k + 4]
                 if None not in quad_ws and sum(quad_ws) == boxes[i].w:
-                    for q, w in zip(quads, quad_ws):
-                        q.w = w
+                    for q, w, mean in zip(quads, quad_ws, means[4 * k:4 * k + 4]):
+                        q.w, q.centroid = w, mean
                     quads_of[i] = quads
                 else:
                     still_pending.append(i)

@@ -365,6 +365,14 @@ class TestTables:
         assert passes == [6, 5]
         assert [tables[6].cells[(i,)].m for i in range(7)] == [1, 2, 2, 2, 2, 2, 1]
 
+    def test_hilbert_reports_the_quadric_degree(self):
+        # the quadric surface has degree 2: H_V(k) = (k + 1)^2, whose second
+        # difference is 2
+        from nevlab import cli
+
+        report = cli.run_command("hilbert", cli.parse_problem(QUADRIC_MOVING), {})
+        assert (report.results["n"], report.results["degV"]) == (2, 2)
+
     @pytest.mark.parametrize("command", ["filtration", "basis"])
     def test_certified_table_work(self, command, monkeypatch):
         # On the CI quadric with moving targets, `filtration` reads every m

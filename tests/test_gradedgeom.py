@@ -30,6 +30,8 @@ from helpers import (
     conic_ideal,
     p1_ideal,
     piece_over_qz,
+    plane_ideal,
+    quadric_ideal,
     rand_poly,
     reduce_vector,
     specialize_space,
@@ -104,6 +106,21 @@ class TestVarietyInvariants:
     def test_not_stabilized(self):
         with pytest.raises(NotStabilized):
             variety_invariants(p1_ideal(), 2, window=3)
+
+    # deg V is the constant n-th difference of H_V itself: H_V(k) =
+    # (deg V / n!) k^n + ..., whose n-th difference is deg V
+
+    def test_plane(self):
+        assert variety_invariants(plane_ideal(), 6) == (2, 1)
+
+    def test_quadric_surface(self):
+        # H(k) = (k + 1)^2 on x0*x3 - x1*x2 = 0, the Segre image of P^1 x P^1
+        assert variety_invariants(quadric_ideal(), 6) == (2, 2)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_projective_space(self, M):
+        # H(k) = C(k + M, M) on P^M
+        assert variety_invariants(HomogeneousIdeal(M + 1, []), M + 4) == (M, 1)
 
 
 class TestSpecializeSpace:
