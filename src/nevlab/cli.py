@@ -7,6 +7,11 @@ One plain-text input format with named sections drives the whole laboratory:
     [curve]           M+1 entire expressions in z, one per line
     [options]         key = value defaults (N, epsilon, r_min, ..., seed)
 
+OPTIONS declares every settable value once: its type, its default, and
+whether it is set as a --flag, in [options], or both.  `target` and `r` are
+flags only, `residual_tol` is an [options] key only, and any other [options]
+key is a parse error.  A flag overrides the file's value.
+
 Polynomials, their `{...}` coefficients and curve expressions are three uses
 of one grammar: `+ -` bind loosest, then products, then `^ nat`, and an atom is
 a parenthesised expression, a unary minus, or a leaf.  The uses differ only in
@@ -33,11 +38,12 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 from . import filtration as filt
 from . import gradedgeom as gg
@@ -109,47 +115,19 @@ class _Token:
     col: int
 
 
-_SYMBOLS = set("+-*/^(){}")
+# A natural number, a name, a symbol, or one stray non-space character.
+_TOKEN = re.compile(r"(?P<NUM>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[-+*/^(){}])|\S")
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
     tokens = []
-    line = line_offset
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ProblemSyntaxError(f"unexpected character {ch!r}", line, col)
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        line = line_offset + text.count("\n", 0, start)
+        col = start - text.rfind("\n", 0, start)
+        if m.lastgroup is None:
+            raise ProblemSyntaxError(f"unexpected character {m[0]!r}", line, col)
+        tokens.append(_Token(m[0] if m.lastgroup == "SYM" else m.lastgroup, m[0], line, col))
     return tokens
 
 
@@ -349,21 +327,33 @@ def parse_curve_expression(text: str, line: int = 1) -> Expr:
 # Problem files.
 # ---------------------------------------------------------------------------
 
-DEFAULT_OPTIONS = {
-    "N": 12,
-    "epsilon": 0.5,
-    "r_min": 5.0,
-    "r_max": 30.0,
-    "r_steps": 26,
-    "kmax": 10,
-    "window": 3,
-    "seed": 17,
-    "samples": 512,
-    "smax": 8,
-    "trials": 5,
-    "zero_tol": 1e-6,
-    "residual_tol": 1e-8,
+class Option(NamedTuple):
+    """One settable value: its type, its default, and where it may be set."""
+    type: type
+    default: int | float | None
+    flag: bool = True     # as --key (underscores become dashes)
+    in_file: bool = True  # as `key = value` in [options]
+
+
+OPTIONS = {
+    "N": Option(int, 12),
+    "epsilon": Option(float, 0.5),
+    "r_min": Option(float, 5.0),
+    "r_max": Option(float, 30.0),
+    "r_steps": Option(int, 26),
+    "kmax": Option(int, 10),
+    "window": Option(int, 3),
+    "seed": Option(int, 17),
+    "samples": Option(int, 512),
+    "smax": Option(int, 8),
+    "trials": Option(int, 5),
+    "target": Option(int, 0, in_file=False),
+    "r": Option(float, None, in_file=False),      # zeros radius; r_max when unset
+    "tol": Option(float, None),                   # zeros merge radius; zero_tol when unset
+    "zero_tol": Option(float, 1e-6),
+    "residual_tol": Option(float, 1e-8, flag=False),
 }
+FILE_KEYS = [key for key, opt in OPTIONS.items() if opt.in_file]
 
 
 @dataclass
@@ -446,6 +436,9 @@ def parse_problem(text: str) -> ProblemSpec:
             if "=" not in line:
                 raise ProblemSyntaxError("options are `key = value` lines", lineno, 1)
             key, value = (s.strip() for s in line.split("=", 1))
+            if key not in FILE_KEYS:
+                raise ProblemSyntaxError(f"unknown [options] key {key!r}; expected one "
+                                         f"of {', '.join(FILE_KEYS)}", lineno, 1)
             try:
                 options[key] = int(value)
             except ValueError:
@@ -486,11 +479,9 @@ def parse_problem(text: str) -> ProblemSpec:
             f"curve needs {nvars} component lines (M+1), found {len(curve_lines)}")
     components = tuple(parse_curve_expression(t, line=ln) for t, ln in curve_lines)
 
-    merged = dict(DEFAULT_OPTIONS)
-    merged.update(options)
     return ProblemSpec(M=M, n=n, generators=generators,
                        hypersurfaces=hypersurfaces, components=components,
-                       options=merged)
+                       options={key: OPTIONS[key].default for key in FILE_KEYS} | options)
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -528,6 +519,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _table_text(report: RunReport) -> str:
+    header, rows = report.table
+    return "".join(report.table_sep.join(map(_fmt, row)) + "\n" for row in [header, *rows])
+
+
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Deterministic serialization: json, csv (tabular commands), or text."""
     if fmt == "json":
@@ -543,13 +539,7 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
         if report.table is None:
             raise UnsupportedFormat(
                 f"command {report.command!r} has no tabular payload; use json or text")
-        header, rows = report.table
-        sep = report.table_sep
-        buf = io.StringIO()
-        buf.write(sep.join(header) + "\n")
-        for row in rows:
-            buf.write(sep.join(_fmt(v) for v in row) + "\n")
-        return buf.getvalue().encode()
+        return _table_text(report).encode()
     if fmt == "text":
         buf = io.StringIO()
         buf.write(f"== {report.command} ==\n")
@@ -559,11 +549,8 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
         for key, value in report.results.items():
             buf.write(f"{key}: {value}\n")
         if report.table is not None:
-            header, rows = report.table
             buf.write("--\n")
-            buf.write(report.table_sep.join(header) + "\n")
-            for row in rows:
-                buf.write(report.table_sep.join(_fmt(v) for v in row) + "\n")
+            buf.write(_table_text(report))
         for w in report.warnings:
             buf.write(f"warning: {w}\n")
         return buf.getvalue().encode()
@@ -574,12 +561,15 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _opt(spec: ProblemSpec, flags: dict, key: str, cast=None):
+def _opt(spec: ProblemSpec, flags: dict, key: str):
+    """The value of option key, of the type OPTIONS gives it: the flag, else
+    the problem file's [options], else the default."""
     value = flags.get(key)
     if value is None:
-        value = spec.options.get(key, DEFAULT_OPTIONS.get(key))
-    if cast is None or value is None:
-        return value
+        value = spec.options.get(key, OPTIONS[key].default)
+        if value is None:
+            return None
+    cast = OPTIONS[key].type
     try:
         out = cast(value)
     except (ValueError, OverflowError):
@@ -590,11 +580,10 @@ def _opt(spec: ProblemSpec, flags: dict, key: str, cast=None):
     return out
 
 
-def _positive_opt(spec: ProblemSpec, flags: dict, key: str, cast, *,
-                  zero_ok: bool = False):
+def _positive_opt(spec: ProblemSpec, flags: dict, key: str, *, zero_ok: bool = False):
     """_opt for an option that must be positive (or zero, when zero_ok); any
     other value is a precondition failure."""
-    value = _opt(spec, flags, key, cast)
+    value = _opt(spec, flags, key)
     if not (value > 0 or (zero_ok and value == 0)):
         kind = "nonnegative" if zero_ok else "positive"
         raise PreconditionError(f"{key} must be a {kind} number, got {value}")
@@ -605,8 +594,8 @@ def _kmax_window(spec: ProblemSpec, flags: dict) -> tuple[int, int]:
     """kmax and window: the Hilbert values H(0..kmax) are scanned for a
     constant tail of `window` values, so fewer than `window` values can
     never show one."""
-    kmax = _positive_opt(spec, flags, "kmax", int, zero_ok=True)
-    window = _positive_opt(spec, flags, "window", int)
+    kmax = _positive_opt(spec, flags, "kmax", zero_ok=True)
+    window = _positive_opt(spec, flags, "window")
     if kmax + 1 < window:
         raise PreconditionError(
             f"kmax must be at least window - 1 = {window - 1}, got {kmax}")
@@ -614,9 +603,9 @@ def _kmax_window(spec: ProblemSpec, flags: dict) -> tuple[int, int]:
 
 
 def _radius_grid(spec, flags) -> list[float]:
-    r_min = _opt(spec, flags, "r_min", float)
-    r_max = _opt(spec, flags, "r_max", float)
-    steps = _opt(spec, flags, "r_steps", int)
+    r_min = _opt(spec, flags, "r_min")
+    r_max = _opt(spec, flags, "r_max")
+    steps = _opt(spec, flags, "r_steps")
     if steps < 1 or r_max < r_min or r_min <= 1:
         raise PreconditionError("radius grid needs 1 < r_min <= r_max and steps >= 1")
     import numpy as np
@@ -651,9 +640,9 @@ def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_admissible(spec: ProblemSpec, flags: dict) -> RunReport:
-    trials = _positive_opt(spec, flags, "trials", int)
-    smax = _positive_opt(spec, flags, "smax", int)
-    seed = _opt(spec, flags, "seed", int)
+    trials = _positive_opt(spec, flags, "trials")
+    smax = _positive_opt(spec, flags, "smax")
+    seed = _opt(spec, flags, "seed")
     if len(spec.hypersurfaces) < spec.n + 1:
         raise PreconditionError(f"admissibility needs q >= n + 1 = {spec.n + 1} "
                                 f"targets, got q = {len(spec.hypersurfaces)}")
@@ -702,7 +691,7 @@ def _scan_and_table(spec: ProblemSpec, flags: dict, N: int):
 
 
 def cmd_filtration(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _positive_opt(spec, flags, "N", int, zero_ok=True)
+    N = _positive_opt(spec, flags, "N", zero_ok=True)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     warnings = []
     if N % table.d != 0:
@@ -724,7 +713,7 @@ def cmd_filtration(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _positive_opt(spec, flags, "N", int, zero_ok=True)
+    N = _positive_opt(spec, flags, "N", zero_ok=True)
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     products = filt.filtration_basis(table)
     results = {
@@ -738,7 +727,7 @@ def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
 
 
 def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
-    N = _positive_opt(spec, flags, "N", int)
+    N = _positive_opt(spec, flags, "N")
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
     deg_v = gg.variety_invariants(J, *_kmax_window(spec, flags))[1]
     pd = filt.product_decomposition(table)
@@ -761,7 +750,7 @@ def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
 def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
     from . import nevanlinna as nev
     curve = spec.curve
-    samples = _positive_opt(spec, flags, "samples", int)
+    samples = _positive_opt(spec, flags, "samples")
     if samples >= nev.QUADRATURE_CAP:
         # a first level at the cap would be returned without a convergence test
         raise PreconditionError(
@@ -776,17 +765,14 @@ def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
 def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
     from . import nevanlinna as nev
     curve = spec.curve
-    target = flags.get("target")
-    if target is None:
-        target = 0
-    target = int(target)
+    target = _opt(spec, flags, "target")
     if not 0 <= target < len(spec.hypersurfaces):
         raise PreconditionError(f"target index {target} out of range")
-    r_key = "r_max" if flags.get("r") is None else "r"
-    r = _positive_opt(spec, flags, r_key, float, zero_ok=True)
+    r_key = "r_max" if _opt(spec, flags, "r") is None else "r"
+    r = _positive_opt(spec, flags, r_key, zero_ok=True)
     # default to the merge radius safe for double zeros; --tol tightens it for simple zeros
     tol_key = "zero_tol" if _opt(spec, flags, "tol") is None else "tol"
-    tol = _positive_opt(spec, flags, tol_key, float)
+    tol = _positive_opt(spec, flags, tol_key)
     Q = spec.hypersurfaces[target]
     g = nev.compose_form(Q, curve)
     # the zero form has no degree; it vanishes at every probe all the same
@@ -814,7 +800,7 @@ def _require_admissible(spec: ProblemSpec, flags: dict):
 def _require_on_variety(spec: ProblemSpec, flags: dict):
     from . import nevanlinna as nev
     residual = nev.curve_residual(spec.generators, spec.curve)
-    tol = _opt(spec, flags, "residual_tol", float)
+    tol = _opt(spec, flags, "residual_tol")
     if residual > tol:
         raise PreconditionError(
             f"curve residual {residual:.3g} exceeds tolerance "
@@ -825,9 +811,9 @@ def _require_on_variety(spec: ProblemSpec, flags: dict):
 def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     from . import nevanlinna as nev
     curve = spec.curve
-    epsilon = _opt(spec, flags, "epsilon", float)
+    epsilon = _opt(spec, flags, "epsilon")
     grid = _radius_grid(spec, flags)
-    zero_tol = _positive_opt(spec, flags, "zero_tol", float)
+    zero_tol = _positive_opt(spec, flags, "zero_tol")
     _cross_check_dimension(spec, *_kmax_window(spec, flags))
     adm = _require_admissible(spec, flags)
     residual = _require_on_variety(spec, flags)
@@ -870,7 +856,7 @@ def cmd_defects(spec: ProblemSpec, flags: dict) -> RunReport:
     from . import nevanlinna as nev
     curve = spec.curve
     grid = _radius_grid(spec, flags)
-    zero_tol = _positive_opt(spec, flags, "zero_tol", float)
+    zero_tol = _positive_opt(spec, flags, "zero_tol")
     data = nev.sweep_data(curve, spec.hypersurfaces, grid, zero_tol=zero_tol)
     estimates = [nev.defect_estimate(data.radii, data.Tf, Nf_j, d)
                  for Nf_j, d in zip(data.Nf, data.degrees)]
@@ -911,35 +897,26 @@ def run_command(cmd: str, spec: ProblemSpec, flags: dict) -> RunReport:
 # Entry point.
 # ---------------------------------------------------------------------------
 
-def _build_argparser() -> argparse.ArgumentParser:
+@cache
+def _argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use: one --flag per OPTIONS
+    key that may be set as a flag."""
     ap = argparse.ArgumentParser(
         prog="nevlab",
         description="Exact graded-algebra checks and growth-inequality sweeps "
                     "for curves meeting moving hypersurface targets.")
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--input", required=True, help="problem file path")
-    ap.add_argument("--N", type=int, default=None)
-    ap.add_argument("--epsilon", type=float, default=None)
-    ap.add_argument("--r-min", dest="r_min", type=float, default=None)
-    ap.add_argument("--r-max", dest="r_max", type=float, default=None)
-    ap.add_argument("--r-steps", dest="r_steps", type=int, default=None)
-    ap.add_argument("--kmax", type=int, default=None)
-    ap.add_argument("--window", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--samples", type=int, default=None)
-    ap.add_argument("--smax", type=int, default=None)
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--target", type=int, default=None)
-    ap.add_argument("--r", type=float, default=None)
-    ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--zero-tol", dest="zero_tol", type=float, default=None)
+    for key, opt in OPTIONS.items():
+        if opt.flag:
+            ap.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type)
     ap.add_argument("--format", choices=("json", "csv", "text"), default="text")
     ap.add_argument("--out", default=None)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _argparser().parse_args(argv)
     flags = vars(args)
     try:
         spec = load_problem(args.input)

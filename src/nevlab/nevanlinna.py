@@ -744,14 +744,18 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     the first moment, or the centre when that is not finite or not strictly
     inside the box.  A candidate runs while its steps shrink: it stops at a
     step that is not finite, leaves the box or is no shorter than the step
-    before (that step is not taken), or after _NEWTON_CAP steps.  It has settled when the last step it took is at most
-    tol/4; otherwise it is dropped.  A settled candidate keeps z*, the point
-    of smallest |g| among those it evaluated: near a multiple zero the last
-    steps wander in rounding noise, and the smallest |g| lies nearer the
-    zero than the last step does.  z* is certified by the box of width tol
-    centred on it, which must lie inside the box: all these squares go into
-    one _loop_windings call, and a square that winds w times holds every
-    zero of the box (the box winds w times too, and zeros count positively).
+    before (that step is not taken), or after _NEWTON_CAP steps.  A step of
+    at most tol/4 that is more than half the step before is taken and is the
+    last: Newton on a zero of multiplicity w shrinks its steps far faster,
+    so such steps wander in rounding noise.  A candidate has settled when
+    the last step it took is at most tol/4; otherwise it is dropped.  A
+    settled candidate keeps z*, the point of smallest |g| among those it
+    evaluated: near a multiple zero the last steps wander in rounding noise,
+    and the smallest |g| lies nearer the zero than the last step does.  z*
+    is certified by the box of width tol centred on it, which must lie
+    inside the box: all these squares go into one _loop_windings call, and
+    a square that winds w times holds every zero of the box (the box winds
+    w times too, and zeros count positively).
     So a certified cluster fits a box of width tol, like a leaf of the
     subdivision, and its zeros count as one of multiplicity w.  The start
     and the choice of z* only decide which boxes certify in this generation;
@@ -783,9 +787,10 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
         moves = (np.isfinite(nxt) & (size < last[running])
                  & (x0[running] < nxt.real) & (nxt.real < x1[running])
                  & (y0[running] < nxt.imag) & (nxt.imag < y1[running]))
+        settles = moves & (size <= tol / 4) & (2 * size > last[running])
         z[running[moves]] = nxt[moves]
         last[running[moves]] = size[moves]
-        running = running[moves]
+        running = running[moves & ~settles]
     settled = np.flatnonzero(last <= tol / 4).tolist()
 
     squares, owners = [], []

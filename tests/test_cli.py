@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nevlab import cli
 from nevlab import gradedgeom as gg
 from nevlab import nevanlinna as nev
 from nevlab.algebra import RATIONAL, RationalFunction
@@ -15,6 +16,7 @@ from nevlab.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    OPTIONS,
     ArityMismatchError,
     DegreeMismatchError,
     ProblemSyntaxError,
@@ -261,6 +263,71 @@ class TestProblemFiles:
             assert parse_polynomial(body, spec.nvars) == original
         for original, text in zip(spec.curve.components, echo["curve"]):
             assert str(parse_curve_expression(text)) == str(original)
+
+
+class TestOptions:
+    """Every settable value is declared once, in OPTIONS."""
+
+    def test_flags_and_defaults_come_from_the_table(self):
+        actions = {a.dest: a for a in cli._argparser()._actions}
+        spec = parse_problem(MINI.replace("seed = 1\n", ""))
+        for key, opt in OPTIONS.items():
+            if opt.flag:
+                action = actions[key]
+                assert action.option_strings == ["--" + key.replace("_", "-")]
+                assert action.type is opt.type and action.default is None
+            else:
+                assert key not in actions
+            if opt.in_file:
+                assert spec.options[key] == opt.default
+            else:
+                assert key not in spec.options
+        assert set(actions) - set(OPTIONS) == {"help", "command", "input", "format", "out"}
+        assert [k for k, o in OPTIONS.items() if not o.in_file] == ["target", "r"]
+        assert [k for k, o in OPTIONS.items() if not o.flag] == ["residual_tol"]
+
+    def test_file_value_and_default_reach_the_command(self):
+        spec = parse_problem(MINI)
+        assert cli._opt(spec, {}, "seed") == 1
+        assert cli._opt(spec, {"seed": 4}, "seed") == 4
+        assert cli._opt(spec, {}, "window") == 3
+        assert cli._opt(spec, {}, "target") == 0 and cli._opt(spec, {}, "r") is None
+
+    @pytest.mark.parametrize("line", ["kmaxx = 4", "r = 3", "target = 1", "format = json"])
+    def test_unknown_or_flag_only_key_is_a_parse_error(self, line, tmp_path, capsys):
+        path = tmp_path / "options.prob"
+        path.write_text(MINI + line + "\n")
+        assert main(["hilbert", "--input", str(path)]) == EXIT_PARSE
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(
+            f"parse error: line 17, col 1: unknown [options] key {key!r}; expected one of N, ")
+
+    @pytest.mark.parametrize("text", ["x1^²", "x1²", "é*x0"])
+    def test_non_ascii_is_a_parse_error(self, text, tmp_path, capsys):
+        path = tmp_path / "unicode.prob"
+        path.write_text(MINI.replace("x0*x2 - x1^2", text), encoding="utf-8")
+        assert main(["hilbert", "--input", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 5, col ") and "unexpected character" in err
+
+    def test_repeated_main_calls_match_separate_runs(self, capsys):
+        # the parser is built once per process; no flag of one call leaks
+        # into the next
+        runs = [["zeros", "--input", str(PROBLEMS / "conic.prob"), "--target", "1",
+                 "--r", "3", "--tol", "1e-8", "--format", "json"],
+                ["zeros", "--input", str(PROBLEMS / "conic.prob"), "--format", "csv"]]
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        script = "import sys; from nevlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        separate = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=_src_env(),
+                                  capture_output=True, text=True, timeout=120)
+            separate.append((proc.returncode, proc.stdout))
+        assert in_process == separate
+        assert in_process[0][1] != in_process[1][1]
 
 
 class TestCommands:

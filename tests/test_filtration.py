@@ -373,6 +373,25 @@ class TestTables:
         report = cli.run_command("hilbert", cli.parse_problem(QUADRIC_MOVING), {})
         assert (report.results["n"], report.results["degV"]) == (2, 2)
 
+    def test_product_leading_ratio_on_the_quadric_tends_to_one(self):
+        # fixed targets x0 and x3 on the quadric: e = (N-1)N(N+1)/3 + N(N+1)/2
+        # against the prediction deg V * N^3 / 3! = N^3/3, so the ratio is
+        # 3e/N^3 and falls toward 1.  With deg V off by n! = 2 it would tend
+        # to 1/2
+        from nevlab import cli
+
+        spec = cli.parse_problem(QUADRIC_MOVING.replace(
+            "degree 1: x0 - {z}*x1\ndegree 1: x3 + {1 + z}*x2\ndegree 1: x1 + x2",
+            "degree 1: x0\ndegree 1: x3"))
+        ratios = []
+        for N in (4, 6, 8, 10):
+            results = cli.run_command("product", spec, {"N": N}).results
+            e = (N - 1) * N * (N + 1) // 3 + N * (N + 1) // 2
+            assert results["e"] == e
+            assert results["leading_ratio"] == pytest.approx(3 * e / N ** 3, rel=1e-12)
+            ratios.append(results["leading_ratio"])
+        assert ratios == pytest.approx([1.40625, 1.2639, 1.1953, 1.155], abs=1e-4)
+
     @pytest.mark.parametrize("command", ["filtration", "basis"])
     def test_certified_table_work(self, command, monkeypatch):
         # On the CI quadric with moving targets, `filtration` reads every m

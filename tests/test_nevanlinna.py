@@ -491,6 +491,37 @@ class TestZeroFinderWork:
         assert len(sizes) <= 449
         assert max(sizes) <= 16385
 
+    def test_settled_candidates_stop(self, monkeypatch):
+        # conic.prob target 3 composes to the expanded (e^(2z) - 2)^2.  Newton
+        # reaches each double zero in about three steps, after which its
+        # steps shrink by only about 0.84 each in rounding noise; a step of at
+        # most tol/4 that is more than half the one before is the last.
+        # Candidates that ran on to _NEWTON_CAP made 36 eval_on calls here
+        spec = load_problem(str(PROBLEMS / "conic.prob"))
+        g = compose_form(spec.hypersurfaces[2], spec.curve)
+        polishing, calls = [False], []
+        original_eval, original_polish = nev.eval_on, nev._polish_boxes
+
+        def recorded_eval(prog, z):
+            calls.append(polishing[0])
+            return original_eval(prog, z)
+
+        def recorded_polish(*args):
+            polishing[0] = True
+            try:
+                return original_polish(*args)
+            finally:
+                polishing[0] = False
+
+        monkeypatch.setattr(nev, "eval_on", recorded_eval)
+        monkeypatch.setattr(nev, "_polish_boxes", recorded_polish)
+        zl = locate_zeros(g, 6.0, tol=1e-6)
+        assert [m for _, m in zl.zeros] == [2, 2, 2]
+        for k in (-1, 0, 1):
+            w = math.log(2) / 2 + k * math.pi * 1j
+            assert min(abs(z - w) for z, _ in zl.zeros) < 1e-8
+        assert sum(calls) <= 12 and len(calls) <= 24
+
     def test_capped_levels_stay_within_batch_size(self, monkeypatch):
         # a zero on the circle keeps the disk winding from converging up to
         # 65536 samples; a loop through a zero never snaps and runs to the
@@ -826,7 +857,8 @@ class TestGenerations:
         # generation that splits boxes and one per generation that certifies
         # polished zeros.  Newton starts at the centroid of each box's zeros,
         # so boxes certify generations earlier: from the box centre it took
-        # [3, 7, 8, 10] calls and 202 evaluations
+        # [3, 7, 8, 10] calls and 202 evaluations.  A settled candidate
+        # stops stepping: with candidates run on to _NEWTON_CAP it took 114
         spec = load_problem(str(PROBLEMS / "conic.prob"))
         calls = []
         original = nev._loop_windings
@@ -844,7 +876,7 @@ class TestGenerations:
             counts.append(len(calls))
         assert totals == [2, 5, 6, 6]
         assert counts == [3, 5, 5, 5]
-        assert len(sizes) <= 114
+        assert len(sizes) <= 87
 
 
 class TestCounting:
