@@ -10,7 +10,9 @@ One plain-text input format with named sections drives the whole laboratory:
 OPTIONS declares every settable value once: its type, its default, and
 whether it is set as a --flag, in [options], or both.  `target` and `r` are
 flags only, `residual_tol` is an [options] key only, and any other [options]
-key is a parse error.  A flag overrides the file's value.
+key is a parse error, as is a value not of its key's type (an integer, or for
+a float key an integer or a finite number).  A flag overrides the file's
+value.
 
 Polynomials, their `{...}` coefficients and curve expressions are three uses
 of one grammar: `+ -` bind loosest, then products, then `^ nat`, and an atom is
@@ -356,6 +358,29 @@ OPTIONS = {
 FILE_KEYS = [key for key, opt in OPTIONS.items() if opt.in_file]
 
 
+def _option_value(key: str, value: str, lineno: int) -> int | float:
+    """The [options] value of key as the type OPTIONS gives it: an integer,
+    or for a float key an integer or a finite number, kept as an int where
+    it is one.  Anything else is a parse error naming the line, the key and
+    the value."""
+    kind = OPTIONS[key].type
+    try:
+        out = int(value)
+    except ValueError:
+        out = None
+    if kind is float:
+        try:
+            as_float = float(value)
+        except ValueError:
+            as_float = math.nan
+        if math.isfinite(as_float):
+            return as_float if out is None else out
+    elif out is not None:
+        return out
+    expected = "an integer" if kind is int else "a finite number"
+    raise ProblemSyntaxError(f"[options] {key} must be {expected}, got {value!r}", lineno, 1)
+
+
 @dataclass
 class ProblemSpec:
     M: int
@@ -439,13 +464,7 @@ def parse_problem(text: str) -> ProblemSpec:
             if key not in FILE_KEYS:
                 raise ProblemSyntaxError(f"unknown [options] key {key!r}; expected one "
                                          f"of {', '.join(FILE_KEYS)}", lineno, 1)
-            try:
-                options[key] = int(value)
-            except ValueError:
-                try:
-                    options[key] = float(value)
-                except ValueError:
-                    options[key] = value
+            options[key] = _option_value(key, value, lineno)
     if M is None:
         raise ProblemSyntaxError("missing `M = ...` in [variety]", 1, 1)
     if n is None:
@@ -569,14 +588,9 @@ def _opt(spec: ProblemSpec, flags: dict, key: str):
         value = spec.options.get(key, OPTIONS[key].default)
         if value is None:
             return None
-    cast = OPTIONS[key].type
-    try:
-        out = cast(value)
-    except (ValueError, OverflowError):
-        out = None
-    if out is None or (cast is int and out != value) or not math.isfinite(out):
-        kind = "an integer" if cast is int else "a finite number"
-        raise PreconditionError(f"option {key} must be {kind}, got {value!r}")
+    out = OPTIONS[key].type(value)
+    if not math.isfinite(out):
+        raise PreconditionError(f"option {key} must be a finite number, got {value!r}")
     return out
 
 

@@ -11,6 +11,19 @@ the rank of the classes of the f_j times standard monomials
 (`HomogeneousIdeal.multiples`).  Degree and dimension come from finite
 differences of H_V.
 
+Each Hilbert function, H_V or that of (J, forms), is computed this way only
+up to the degree where persistence starts, and read off a theorem above it
+(`hilbert_function`).  Macaulay's theorem bounds every next value by
+H(s + 1) <= H(s)^<s>, a sum of binomials read off the s-th Macaulay
+representation of H(s); Gotzmann's persistence theorem says that once the
+ideal is generated in degrees <= s and the bound is met at s, it is met at
+every later degree, which fixes H(s + t) for all t.  Persistence starts at
+the first such s from the largest generator degree on, which is a few
+degrees for every shipped problem, so a certified filtration table at any N
+builds normal forms only up to the degree after it.  Every two consecutive
+values computed directly are checked against Macaulay's bound
+(`HilbertDefect`).
+
 The admissibility certificates are solved on the same rows: one exact solve
 at a degree writes the classes of the powers x_i^s in terms of the targets'
 multiples, which decides membership and gives the targets' cofactors at once.
@@ -25,7 +38,11 @@ Admissibility of a set of moving hypersurfaces is decided with one-sided
 certainty: a positive answer carries an exact membership certificate
 (cofactors writing x_i^s in terms of the generators at a witness point),
 while a negative answer is heuristic evidence (a stabilized positive Hilbert
-value of the specialized quotient) and is always flagged as such.  Each
+value of the specialized quotient) and is always flagged as such.  A
+certificate at one witness a proves general position at generic z: every
+monomial of degree (M+1)(s-1)+1 is a multiple of some x_i^s, so the
+quotient at a is 0 in that degree, and the quotient over Q(z) is no larger
+in any degree than at a point where no coefficient has a pole.  Each
 specialized system is scaled to primitive integer forms, which generate the
 same ideal, and each distinct system is certified once per check.
 """
@@ -63,6 +80,11 @@ class CertificateDefect(RuntimeError):
     """An exact certificate failed its own check: an implementation bug."""
 
 
+class HilbertDefect(RuntimeError):
+    """Two Hilbert values computed directly break Macaulay's bound: an
+    implementation bug."""
+
+
 class HomogeneousIdeal:
     """A homogeneous ideal over Q given by generators, with cached normal forms.
 
@@ -92,6 +114,9 @@ class HomogeneousIdeal:
         self.generators = tuple(gens)
         self._normal_forms: dict[int, tuple] = {}
         self._quotient_dims: dict[tuple, int] = {}
+        # Per forms: [the degree persistence is tested at next, or starts
+        # from; its Macaulay representation once it starts, else None].
+        self._persistence: dict[tuple, list] = {}
         self._ideal_cofactors: dict[int, dict] = {}
         # G up to degree _groebner_degree: monic elements (leading monomial,
         # ((tail monomial, coefficient), ...)), and the S-pairs
@@ -345,23 +370,97 @@ def ideal_graded_piece(J: HomogeneousIdeal, extra, k: int) -> GradedSubspace:
     return GradedSubspace.from_rows(rows, cols=monomial_count(J.M, k), field=field)
 
 
-def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
-    """dim (K[x]/(J, forms))_k, over the field the forms call for.
+def macaulay_representation(a: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The s-th Macaulay representation of a >= 0, for s >= 1: the pairs
+    (k_i, i), i = s, s-1, ..., j, with a = sum_i binom(k_i, i) and
+    k_s > k_{s-1} > ... > k_j >= j >= 1; empty for a = 0.
+
+    It is greedy: k_i is the largest k with binom(k, i) at most what is
+    left, so the rest is below binom(k_i + 1, i) - binom(k_i, i) =
+    binom(k_i, i - 1) and the next k is smaller.
+    """
+    rep = []
+    for i in range(s, 0, -1):
+        if not a:
+            break
+        k, c = i, 1  # c = binom(k, i)
+        while (up := c * (k + 1) // (k + 1 - i)) <= a:
+            k, c = k + 1, up
+        rep.append((k, i))
+        a -= c
+    return tuple(rep)
+
+
+def macaulay_extension(rep, t: int) -> int:
+    """sum_i binom(k_i + t, i + t) over the pairs (k_i, i) of `rep`, the
+    representation of a in degree s.  At t = 1 it is a^<s>, Macaulay's bound
+    on the next value; once a Hilbert function persists from degree s, it is
+    H(s + t) for every t >= 0."""
+    return sum(math.comb(k + t, i + t) for k, i in rep)
+
+
+def _quotient_dim(J: HomogeneousIdeal, k: int, forms: tuple, field: str) -> int:
+    """dim (K[x]/(J, forms))_k from degree k's normal forms, cached on J per
+    degree and forms, and checked against Macaulay's bound beside each
+    neighbouring degree computed the same way.
 
     (J, forms)_k is J_k plus the span of the forms' `multiples`, rows already
     reduced modulo J_k: the dimension is H_V(k) minus their rank, the number
-    of them that an `Echelon` accepts as new.  It is cached on J per degree
-    and forms, like the normal forms.
+    of them that an `Echelon` accepts as new.
     """
-    h = len(J.normal_forms(k)[0])
-    if not forms:
-        return h
-    field = coefficient_field(forms)
-    key = (k, tuple(f.over(field) for f in forms))
+    key = (k, forms)
     if key not in J._quotient_dims:
-        span = Echelon(field, h)
-        J._quotient_dims[key] = h - sum(map(span.insert, J.multiples(k, key[1])))
+        h = len(J.normal_forms(k)[0])
+        if forms:
+            span = Echelon(field, h)
+            h -= sum(map(span.insert, J.multiples(k, forms)))
+        J._quotient_dims[key] = h
+        for s in (k - 1, k):
+            a, b = (J._quotient_dims.get((j, forms)) for j in (s, s + 1))
+            if s < 1 or a is None or b is None:
+                continue
+            bound = macaulay_extension(macaulay_representation(a, s), 1)
+            if b > bound:
+                raise HilbertDefect(f"H({s + 1}) = {b} exceeds Macaulay's bound "
+                                    f"H({s})^<{s}> = {bound} for {J} with forms {forms}")
     return J._quotient_dims[key]
+
+
+def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
+    """dim (K[x]/(J, forms))_k, over the field the forms call for.
+
+    Values are computed from the normal forms (`_quotient_dim`) up to the
+    degree where persistence starts, and read off Gotzmann's persistence
+    theorem above it (Gotzmann, Math. Z. 158 (1978); Bruns & Herzog,
+    Cohen-Macaulay Rings, section 4.3).  The ideal (J, forms) is generated
+    in degrees <= s0, the largest degree of J's generators and of the
+    nonzero forms (at least 1).  Macaulay's theorem bounds every next value,
+    H(s + 1) <= H(s)^<s> (`macaulay_extension` at t = 1); Gotzmann's says
+    that once the bound is met at some s >= s0, it is met at every later
+    degree, so H(s + t) = sum_i binom(k_i + t, i + t) from the s-th Macaulay
+    representation of H(s), over any field.  Persistence starts at the first
+    s >= s0 below k where the bound is met; from then on no degree above
+    s + 1 is computed directly, for any k.  Where it has not started, H(k)
+    is computed directly.  The search state is cached on J per forms, so
+    each degree is tested at most once.
+    """
+    field = coefficient_field(forms)
+    forms = tuple(f.over(field) for f in forms)
+    state = J._persistence.get(forms)
+    if state is None:
+        s0 = max([1, *(g.degree for g in J.generators),
+                  *(f.degree for f in forms if not f.is_zero)])
+        state = J._persistence[forms] = [s0, None]  # [degree, representation]
+    while state[1] is None and state[0] < k:
+        s = state[0]
+        rep = macaulay_representation(_quotient_dim(J, s, forms, field), s)
+        if _quotient_dim(J, s + 1, forms, field) == macaulay_extension(rep, 1):
+            state[1] = rep
+        else:
+            state[0] = s + 1
+    if state[1] is not None and k > state[0]:
+        return macaulay_extension(state[1], k - state[0])
+    return _quotient_dim(J, k, forms, field)
 
 
 def constant_tail(values, window: int) -> int | None:
@@ -612,6 +711,16 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
 
     Positive answers are sound: each carries a certificate at a random integer
     witness, re-verified here before it counts (CertificateDefect if not).
+    A certificate at one witness a proves that the subset is in general
+    position on V at generic z, not only at a.  x_i^s lies in the ideal of
+    J and the targets at a for every i, and every monomial of degree
+    (M+1)(s-1)+1 is a multiple of some x_i^s, so the quotient h_a at a is 0
+    in that degree.  The specialized targets have no pole at a, so every
+    minor of the targets' multiples that is nonzero at a is a nonzero
+    rational function: the rank over Q(z) is at least the rank at a, and
+    h over Q(z) <= h_a = 0 there.  So the targets have no common zero on V
+    over the closure of Q(z), nor at any z but the finitely many where such
+    a minor vanishes.
     The specialized forms are scaled to their primitive forms, so a
     certificate is stated over forms that generate the same ideal, and
     witnesses that give the same primitive system (constant targets, or

@@ -293,6 +293,11 @@ class TestOptions:
         assert cli._opt(spec, {}, "window") == 3
         assert cli._opt(spec, {}, "target") == 0 and cli._opt(spec, {}, "r") is None
 
+    def test_float_key_keeps_an_integer_value(self):
+        spec = parse_problem(MINI + "r_max = 7\nzero_tol = 1e-7\n")
+        assert spec.options["r_max"] == 7 and type(spec.options["r_max"]) is int
+        assert cli._opt(spec, {}, "r_max") == 7.0 and cli._opt(spec, {}, "zero_tol") == 1e-7
+
     @pytest.mark.parametrize("line", ["kmaxx = 4", "r = 3", "target = 1", "format = json"])
     def test_unknown_or_flag_only_key_is_a_parse_error(self, line, tmp_path, capsys):
         path = tmp_path / "options.prob"
@@ -610,7 +615,9 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("command, key, value", [
         ("tf", "samples", "abc"),
+        ("hilbert", "samples", "abc"),  # a key the command never reads
         ("tf", "r_steps", "2.5"),
+        ("tf", "r_max", "1e400"),
         ("tf", "r_max", "abc"),
         ("hilbert", "kmax", "6.5"),
         ("admissible", "seed", "inf"),
@@ -619,9 +626,10 @@ class TestMainExitCodes:
         prob = tmp_path / "options.prob"
         text = (PROBLEMS / "conic.prob").read_text().rstrip("\n")
         prob.write_text(f"{text}\n{key} = {value}\n")
-        assert main([command, "--input", str(prob)]) == EXIT_PRECONDITION
+        assert main([command, "--input", str(prob)]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert "precondition failure" in err
+        line = len(text.splitlines()) + 1
+        assert err.startswith(f"parse error: line {line}, col 1: [options] {key} must be ")
         assert key in err and value in err
 
     def test_zero_radius_has_no_zeros(self, capsys):
@@ -828,3 +836,32 @@ class TestSweepPipeline:
         assert code == EXIT_PRECONDITION
         assert capsys.readouterr().err == (
             "precondition failure: the composed target vanishes at all probe points\n")
+
+
+def _pool_problem(family: str, index: int) -> str:
+    """The problem text of a benchmark pool entry, from bench/instances.py."""
+    bench = str(PROBLEMS.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import instances
+
+    return instances.pool_entry(family, index)[1]
+
+
+@pytest.mark.parametrize("problem, N, hilbert_value", [
+    ("conic_exact", 256, 2 * 256 + 1),
+    ("cubic_fixed_1", 48, 3 * 48 + 1),
+])
+def test_certified_table_builds_no_normal_forms_above_a_few_degrees(problem, N,
+                                                                    hilbert_value):
+    # u and H_V(N) are read off Gotzmann persistence, which starts by degree
+    # 4 on both, so no normal-form table is built above degree 5 whatever N.
+    if (PROBLEMS / f"{problem}.prob").exists():
+        text = (PROBLEMS / f"{problem}.prob").read_text()
+    else:
+        family, index = problem.rsplit("_", 1)
+        text = _pool_problem(family, int(index))
+    spec = parse_problem(text)
+    results = run_command("filtration", spec, {"N": N}).results
+    assert results["sum_m"] == results["hilbert_value"] == hilbert_value
+    assert max(spec.ideal._normal_forms) <= 5

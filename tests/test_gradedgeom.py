@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,15 +15,19 @@ from nevlab.gradedgeom import (
     ADMISSIBLE,
     NOT_ADMISSIBLE_EVIDENCE,
     CertificateDefect,
+    HilbertDefect,
     HomogeneousIdeal,
     NotStabilized,
     admissibility_check,
     hilbert_function,
     ideal_graded_piece,
+    macaulay_extension,
+    macaulay_representation,
     nullstellensatz_certificate,
     primitive_form,
     variety_invariants,
 )
+from nevlab.cli import parse_polynomial
 from nevlab.linear import GradedSubspace
 
 from helpers import (
@@ -87,6 +92,87 @@ class TestHilbert:
         J2 = HomogeneousIdeal(3, [x0 * x2 - x1 * x1, x0 * x0])
         for k in range(0, 8):
             assert hilbert_function(J2, k) <= hilbert_function(J1, k)
+
+
+def rational_normal_curve(d):
+    """The 2x2 minors of [[x0 .. x_{d-1}], [x1 .. x_d]]: the rational normal
+    curve of degree d in P^d."""
+    x = [xvar(i, d + 1) for i in range(d + 1)]
+    return HomogeneousIdeal(d + 1, [x[i] * x[j + 1] - x[i + 1] * x[j]
+                                    for i in range(d) for j in range(i + 1, d)])
+
+
+def koszul_hilbert(M, degrees, k):
+    """dim (K[x0..xM]/(f_1..f_r))_k for a regular sequence of forms of the
+    given degrees, from the Koszul complex: the alternating sum over subsets
+    S of binom(k - |S|_deg + M, M)."""
+    return sum((-1) ** r * math.comb(k - sum(S) + M, M)
+               for r in range(len(degrees) + 1) for S in combinations(degrees, r)
+               if k - sum(S) >= 0)
+
+
+class TestPersistence:
+    def test_macaulay_representation(self):
+        for s in range(1, 7):
+            for a in range(200):
+                rep = macaulay_representation(a, s)
+                assert sum(math.comb(k, i) for k, i in rep) == a
+                assert [i for _, i in rep] == list(range(s, s - len(rep), -1))
+                assert all(k > k2 for (k, _), (k2, _) in zip(rep, rep[1:]))
+                assert all(k >= i >= 1 for k, i in rep)
+        # 5 = binom(3, 2) + binom(2, 1), so 5^<2> = binom(4, 3) + binom(3, 2)
+        assert macaulay_representation(5, 2) == ((3, 2), (2, 1))
+        assert macaulay_extension(((3, 2), (2, 1)), 1) == 7
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rational_normal_curve(self, d):
+        J = rational_normal_curve(d)
+        assert [hilbert_function(J, k) for k in range(41)] == [d * k + 1 for k in range(41)]
+        # Persistence starts at the Gotzmann number of dk + 1, d + (d-1)(d-2)/2,
+        # and no table is built above the degree after it.
+        assert max(J._normal_forms) == d + (d - 1) * (d - 2) // 2 + 1
+
+    @pytest.mark.parametrize("nvars, texts", [
+        (3, ["x0^2", "x1^3"]),
+        (3, ["x0*x2 - x1^2", "x0^3 + x1^3 + x2^3"]),
+        (4, ["x0^2", "x1^3", "x2^2"]),
+        (4, ["x0*x3 - x1*x2", "x0^2 - x3^2 + x1*x2", "x1^2 + x2^2"]),
+    ])
+    def test_complete_intersection(self, nvars, texts):
+        forms = [parse_polynomial(t, nvars, RATIONAL) for t in texts]
+        degrees = [f.degree for f in forms]
+        want = [koszul_hilbert(nvars - 1, degrees, k) for k in range(41)]
+        if nvars == len(forms) + 1:  # points: H is the product of the degrees
+            assert want[-1] == math.prod(degrees)
+        # as an ideal, and as J plus forms over Q and over Q(z)
+        assert [hilbert_function(HomogeneousIdeal(nvars, forms), k)
+                for k in range(41)] == want
+        J = HomogeneousIdeal(nvars, forms[:1])
+        assert [hilbert_function(J, k, forms[1:]) for k in range(41)] == want
+        # (1 + z) * f generates what f does, over Q(z)
+        unit = RationalFunction([1, 1])
+        moving = [f.over(RATIONAL_FUNCTION).scale(unit) for f in forms[1:]]
+        assert [hilbert_function(J, k, moving) for k in range(41)] == want
+
+    def test_no_normal_forms_above_the_onset(self):
+        # H_V of the conic persists from degree 2: 5^<2> = 7 = H_V(3)
+        J = conic_ideal()
+        assert hilbert_function(J, 500) == 1001
+        assert sorted(J._normal_forms) == [2, 3]
+        assert J._persistence[()] == [2, ((3, 2), (2, 1))]
+
+    def test_macaulay_bound_violation_is_a_defect(self, monkeypatch):
+        J = conic_ideal()
+        genuine = J.normal_forms
+
+        def wrong(k):  # one standard monomial too many in degree 3
+            std, classes = genuine(k)
+            return (std + [std[0]], classes) if k == 3 else (std, classes)
+
+        monkeypatch.setattr(J, "normal_forms", wrong)
+        assert hilbert_function(J, 2) == 5
+        with pytest.raises(HilbertDefect, match="exceeds Macaulay's bound"):
+            hilbert_function(J, 3)
 
 
 class TestVarietyInvariants:

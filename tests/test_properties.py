@@ -35,12 +35,17 @@ monomials (`hilbert_function` with forms, the certificates' membership
 test); both must agree with the full-coordinate reference piece
 `graded_piece(k, extra)`, which no command may call.  The classes that
 `multiples` sums from the normal-form table must equal the remainders of
-the full coefficient vectors against J_k (`reference_quotient_rows`).
+the full coefficient vectors against J_k (`reference_quotient_rows`).  The
+values `hilbert_function` reads off Gotzmann persistence must equal the
+full-coordinate dimensions, or the values computed directly from the normal
+forms, up to degree 20 on random ideals and forms, and every pair of
+consecutive values must satisfy Macaulay's bound.
 Certificates, and the s that `admissibility_check` reports at each witness
 on its primitive forms, must match the certificate solved in full monomial
 coordinates on the raw forms (`reference_nullstellensatz_certificate`).
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +58,7 @@ from nevlab.algebra import (
     RATIONAL_FUNCTION,
     MultiPoly,
     RationalFunction,
+    coefficient_field,
     monomial_basis,
     monomial_count,
 )
@@ -583,6 +589,75 @@ def test_normal_forms_of_fixed_ideals_match_macaulay_tables(texts, nvars, k_max,
         generator_degrees = {g.degree for g in J.generators}
         assert s_pair_degree not in generator_degrees
         assert any(sum(lt) == s_pair_degree for lt, _ in J._groebner)
+
+
+def macaulay_bound(a, s):
+    """a^<s> = sum_i binom(k_i + 1, i + 1) over the s-th Macaulay
+    representation a = sum_i binom(k_i, i), each k_i the largest with
+    binom(k_i, i) at most what is left."""
+    bound = 0
+    for i in range(s, 0, -1):
+        k = i - 1
+        while math.comb(k + 1, i) <= a:
+            k += 1
+        if k >= i:
+            a -= math.comb(k, i)
+            bound += math.comb(k + 1, i + 1)
+    return bound
+
+
+# Persisted values are compared with the full-coordinate piece up to the
+# degree bound of `random_ideals` (7 in 3 variables, 5 in 4), and from there
+# with the values computed directly from each degree's normal forms on a
+# fresh copy of the ideal, which the tests above compare with full
+# coordinates: up to degree 20 in 3 variables, and 10 in 4.  The direct
+# values are the work persistence saves: in 4 variables they take up to half
+# a minute a draw at degree 20 over Q, and over Q(z) up to 85 s at degree 10,
+# so forms over Q(z) are drawn in 3 variables only.
+DIRECT_K_MAX = {3: 20, 4: 10}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_persisted_hilbert_values_match_full_coordinates(data):
+    """`hilbert_function` reads each value above the onset of persistence off
+    the Macaulay representation; every value must be the dimension of
+    (K[x]/(J, forms))_k, on random ideals with no forms or with random forms
+    over Q or Q(z), zero forms and forms inside J included, and Macaulay's
+    bound must hold between every two consecutive values."""
+    J, oracle_max = data.draw(random_ideals())
+    field = RATIONAL if J.nvars == 4 else data.draw(st.sampled_from([RATIONAL,
+                                                                     RATIONAL_FUNCTION]))
+    forms = data.draw(random_forms(J, data.draw(st.integers(0, 2)), field))
+    if data.draw(st.booleans()):
+        forms.append(MultiPoly.zero(J.nvars, field))
+    if data.draw(st.booleans()):
+        forms.append(J.generators[0].over(field))  # a form inside J
+    k_max = DIRECT_K_MAX[J.nvars]
+    values = [hilbert_function(J, k, forms) for k in range(k_max + 1)]
+    fresh = gg.HomogeneousIdeal(J.nvars, J.generators)
+    field = coefficient_field(forms)
+    key = tuple(f.over(field) for f in forms)
+    for k, value in enumerate(values):
+        if k <= oracle_max:
+            expected = monomial_count(J.M, k) - fresh.graded_piece(k, extra=forms).dim
+        else:
+            expected = gg._quotient_dim(fresh, k, key, field)
+        assert value == expected, (k, values)
+    for k in range(1, k_max):
+        assert values[k + 1] <= macaulay_bound(values[k], k), (k, values)
+
+
+def test_late_persistence_matches_full_coordinates():
+    # H_V(k) = 2k + 1 up to degree 12 and k + 13 from 13 on.  Macaulay's
+    # bound is met at every degree from 1 to 12, but persistence may only
+    # start at the largest generator degree, 13, where it does.
+    J = gg.HomogeneousIdeal(3, [parse_polynomial(t, 3, RATIONAL) for t in ("x0^2", "x0*x1^12")])
+    values = [hilbert_function(J, k) for k in range(21)]
+    assert J._persistence[()][0] == 13
+    fresh = gg.HomogeneousIdeal(3, J.generators)
+    assert values == [monomial_count(2, k) - fresh.graded_piece(k).dim for k in range(21)]
+    assert max(J._normal_forms) == 14
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
