@@ -626,29 +626,22 @@ def _radius_grid(spec, flags) -> list[float]:
     return [float(r) for r in np.linspace(r_min, r_max, steps)]
 
 
-def _cross_check_dimension(spec: ProblemSpec, kmax: int, window: int):
-    J = spec.ideal
-    dim_v, deg_v = gg.variety_invariants(J, kmax, window)
+def _cross_check_dimension(spec: ProblemSpec):
+    dim_v = gg.variety_invariants(spec.ideal)[0]
     if dim_v != spec.n:
         raise PreconditionError(
             f"declared n = {spec.n} but the Hilbert data gives dim V = {dim_v}")
-    return J, dim_v, deg_v
 
 
 def cmd_hilbert(spec: ProblemSpec, flags: dict) -> RunReport:
-    kmax, window = _kmax_window(spec, flags)
-    J = spec.ideal
-    rec = gg.hilbert_record(J, kmax, window)
-    results = {"values": {str(k): v for k, v in sorted(rec.values.items())}}
+    kmax, _ = _kmax_window(spec, flags)
+    rec = gg.hilbert_record(spec.ideal, kmax)
+    results = {"values": {str(k): v for k, v in sorted(rec.values.items())},
+               "n": rec.dim_v, "degV": rec.deg_v}
     warnings = []
-    if rec.dim_v is None:
-        warnings.append(f"NotStabilized: no constant difference tail within kmax={kmax}")
-    else:
-        results["n"] = rec.dim_v
-        results["degV"] = rec.deg_v
-        if rec.dim_v != spec.n:
-            warnings.append(
-                f"declared n = {spec.n} differs from computed dim V = {rec.dim_v}")
+    if rec.dim_v != spec.n:
+        warnings.append(
+            f"declared n = {spec.n} differs from computed dim V = {rec.dim_v}")
     table = (["k", "H"], [[k, rec.values[k]] for k in sorted(rec.values)])
     return RunReport("hilbert", _echo(spec), results, warnings, table)
 
@@ -743,7 +736,7 @@ def cmd_basis(spec: ProblemSpec, flags: dict) -> RunReport:
 def cmd_product(spec: ProblemSpec, flags: dict) -> RunReport:
     N = _positive_opt(spec, flags, "N")
     J, Qn, scan, table = _scan_and_table(spec, flags, N)
-    deg_v = gg.variety_invariants(J, *_kmax_window(spec, flags))[1]
+    deg_v = gg.variety_invariants(J)[1]
     pd = filt.product_decomposition(table)
     results = {
         "N": N,
@@ -770,7 +763,7 @@ def cmd_tf(spec: ProblemSpec, flags: dict) -> RunReport:
         raise PreconditionError(
             f"samples must be below the quadrature cap {nev.QUADRATURE_CAP}, got {samples}")
     grid = _radius_grid(spec, flags)
-    values = [nev.characteristic_T(curve, r, samples=samples) for r in grid]
+    values = nev.characteristic_T(curve, grid, samples=samples)
     results = {"r": grid, "Tf": values}
     return RunReport("tf", _echo(spec), results,
                      table=(["r", "Tf"], [[r, t] for r, t in zip(grid, values)]))
@@ -790,7 +783,7 @@ def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
     Q = spec.hypersurfaces[target]
     g = nev.compose_form(Q, curve)
     # the zero form has no degree; it vanishes at every probe all the same
-    nev.assert_not_identically_zero(curve, g, Q.degree or 0, r)
+    nev.assert_not_identically_zero(curve, nev.Program([g]), [Q.degree or 0], r)
     zl = nev.locate_zeros(g, r, tol=tol)
     rows = [[z.real, z.imag, m] for z, m in zl.zeros]
     results = {
@@ -811,9 +804,9 @@ def _require_admissible(spec: ProblemSpec, flags: dict):
     return rep
 
 
-def _require_on_variety(spec: ProblemSpec, flags: dict):
+def _require_on_variety(spec: ProblemSpec, flags: dict, grid: list[float]):
     from . import nevanlinna as nev
-    residual = nev.curve_residual(spec.generators, spec.curve)
+    residual = nev.curve_residual(spec.generators, spec.curve, grid)
     tol = _opt(spec, flags, "residual_tol")
     if residual > tol:
         raise PreconditionError(
@@ -828,9 +821,10 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     epsilon = _opt(spec, flags, "epsilon")
     grid = _radius_grid(spec, flags)
     zero_tol = _positive_opt(spec, flags, "zero_tol")
-    _cross_check_dimension(spec, *_kmax_window(spec, flags))
+    _kmax_window(spec, flags)  # smt rejects bad kmax and window options as the exact commands do
+    _cross_check_dimension(spec)
     adm = _require_admissible(spec, flags)
-    residual = _require_on_variety(spec, flags)
+    residual = _require_on_variety(spec, flags, grid)
     sweep = nev.smt_margin(curve, spec.hypersurfaces, spec.n, epsilon,
                            grid, zero_tol=zero_tol, admissibility_checked=True)
     q = sweep.q

@@ -446,21 +446,33 @@ def hilbert_function(J: HomogeneousIdeal, k: int, forms=()) -> int:
     """
     field = coefficient_field(forms)
     forms = tuple(f.over(field) for f in forms)
+    state = _persistence_search(J, forms, field, k)
+    if state[1] is not None and k > state[0]:
+        return macaulay_extension(state[1], k - state[0])
+    return _quotient_dim(J, k, forms, field)
+
+
+def _persistence_search(J: HomogeneousIdeal, forms: tuple, field: str,
+                        below: int | None) -> list:
+    """hilbert_function's search for the degree where persistence starts,
+    run until it starts or, when `below` is given, until it has tested
+    every degree below `below`.  Returns the state cached on J for these
+    forms: [s, representation], the representation None until a degree s
+    meets the bound.  Persistence starts at the latest at the Gotzmann
+    number of the Hilbert polynomial, so the search without a bound ends."""
     state = J._persistence.get(forms)
     if state is None:
         s0 = max([1, *(g.degree for g in J.generators),
                   *(f.degree for f in forms if not f.is_zero)])
         state = J._persistence[forms] = [s0, None]  # [degree, representation]
-    while state[1] is None and state[0] < k:
+    while state[1] is None and (below is None or state[0] < below):
         s = state[0]
         rep = macaulay_representation(_quotient_dim(J, s, forms, field), s)
         if _quotient_dim(J, s + 1, forms, field) == macaulay_extension(rep, 1):
             state[1] = rep
         else:
             state[0] = s + 1
-    if state[1] is not None and k > state[0]:
-        return macaulay_extension(state[1], k - state[0])
-    return _quotient_dim(J, k, forms, field)
+    return state
 
 
 def constant_tail(values, window: int) -> int | None:
@@ -472,49 +484,37 @@ def constant_tail(values, window: int) -> int | None:
 @dataclass
 class HilbertRecord:
     values: dict[int, int]
-    dim_v: int | None = None
-    deg_v: int | None = None
+    dim_v: int
+    deg_v: int
 
 
-def variety_invariants(J: HomogeneousIdeal, k_max: int, window: int = 3) -> tuple[int, int]:
-    """(n, deg V) from the eventual Hilbert polynomial, via finite differences.
+def variety_invariants(J: HomogeneousIdeal, k_max: int | None = None,
+                       window: int | None = None) -> tuple[int, int]:
+    """(dim V, deg V) read off the Macaulay representation at which H_V
+    persists, with no window.
 
-    n is the index of the last nonzero finite difference once differences are
-    constant over `window` consecutive values; deg V is that constant n-th
-    difference itself (see hilbert_record).  Raises NotStabilized when no
-    difference order settles within k_max.
+    From the degree s where persistence starts (hilbert_function), H_V(s +
+    t) = sum_i binom(k_i + t, i + t) = sum_i binom(k_i + t, k_i - i) over
+    the pairs (k_i, i) of the representation: a polynomial in t of degree
+    max_i (k_i - i) whose leading coefficient is the number of pairs with
+    k_i - i at that maximum, over its factorial.  The Hilbert polynomial is
+    (deg V / n!) k^n + ..., so dim V = n = max_i (k_i - i) and deg V is
+    that number of pairs.  An empty representation (H_V = 0 from s on) is
+    the empty variety, (-1, 0).  k_max and window are accepted from callers
+    that scan a window of values, and not read.
     """
-    rec = hilbert_record(J, k_max, window)
-    if rec.dim_v is None:
-        raise NotStabilized(
-            f"Hilbert differences not constant over a window of {window} by degree {k_max}")
-    return rec.dim_v, rec.deg_v
+    _, rep = _persistence_search(J, (), RATIONAL, None)
+    if not rep:
+        return -1, 0
+    dims = [k - i for k, i in rep]
+    dim_v = max(dims)
+    return dim_v, dims.count(dim_v)
 
 
-def hilbert_record(J: HomogeneousIdeal, k_max: int, window: int = 3) -> HilbertRecord:
-    """H_V(0..k_max), with dim V and deg V read off its finite differences.
-
-    The first difference order whose tail is constant over `window` values
-    is dim V = n.  The Hilbert polynomial is (deg V / n!) k^n + ..., and its
-    n-th difference is the constant n! (deg V / n!) = deg V, so deg V is
-    that constant itself.  A tail that is constantly 0 is the empty variety
-    (dim -1, deg 0); dim V and deg V stay None when no order settles within
-    k_max.
-    """
+def hilbert_record(J: HomogeneousIdeal, k_max: int) -> HilbertRecord:
+    """H_V(0..k_max), with dim V and deg V from variety_invariants."""
     values = {k: hilbert_function(J, k) for k in range(k_max + 1)}
-    rec = HilbertRecord(values=values)
-    diff = list(values.values())
-    for order in range(k_max + 1):
-        if constant_tail(diff, window) is not None:
-            lead = diff[-1]
-            if lead == 0:
-                # Empty variety: the Hilbert polynomial is identically zero.
-                rec.dim_v, rec.deg_v = -1, 0
-            else:
-                rec.dim_v, rec.deg_v = order, lead
-            return rec
-        diff = [b - a for a, b in zip(diff, diff[1:])]
-    return rec
+    return HilbertRecord(values, *variety_invariants(J))
 
 
 # ---------------------------------------------------------------------------

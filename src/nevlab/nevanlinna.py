@@ -32,6 +32,18 @@ zeros; Jensen's formula ties the zero finder to the quadrature as a
 standing cross-check.  One function, sweep_data, locates each target's
 zeros once and tabulates T_f and N_f for the sweep and the defects.
 
+The circle computations of a sweep take its whole radius grid at once.
+characteristic_T and jensen_check accept a sequence of radii, and each of
+their steps (a kink grid, an Illinois step, a Gauss-Legendre level, a
+trapezoid level) is one evaluation for every radius still open; a single
+radius is a one-element grid.  circle_quadrature takes one row per radius.
+Each radius keeps its own samples and stopping rules, so its value is that
+of a one-radius call.  No evaluation of a curve or its targets exceeds
+_BATCH_POINTS (2,048) points: T_f takes the radii in groups whose grids fit,
+and every larger point set is evaluated in slices (_moduli).  The sweep
+compiles its composed targets into one Program that serves the z = 0
+check, the identically-zero probes and the admissibility floor.
+
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
 """
@@ -71,6 +83,10 @@ TWO_PI = 2.0 * math.pi
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
 QUADRATURE_CAP = 65536  # samples at the last circle-quadrature level
 ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every probe
+# Points per batched evaluation of a curve or its targets: the admissibility
+# floor's samples on one circle.  T_f takes the radii of a grid in groups
+# whose kink grids fit in it.
+_BATCH_POINTS = 2048
 JENSEN_GATE = 1e-5  # a Jensen residual at or above this is reported as a warning
 
 
@@ -161,6 +177,21 @@ def eval_on(prog: Program, z):
                  else np.broadcast_to(np.asarray(v), z.shape) for v in prog.eval(z))
 
 
+def _moduli(prog: Program, z) -> np.ndarray:
+    """The moduli of the compiled trees' values at the points z, of any
+    shape, as one float array of shape (trees,) + z.shape, from eval_on
+    calls of at most _BATCH_POINTS points each.  Every operation is
+    elementwise, so the values are those of one call on all the points; no
+    complex array larger than one call's outputs is held."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.empty((len(prog.outputs), flat.size))
+    for s in range(0, flat.size, _BATCH_POINTS):
+        for row, v in zip(out, eval_on(prog, flat[s:s + _BATCH_POINTS])):
+            np.abs(v, out=row[s:s + _BATCH_POINTS])
+    return out.reshape((len(prog.outputs),) + z.shape)
+
+
 @dataclass
 class EntireCurve:
     """M+1 entire components, compiled into one Program; not all
@@ -175,7 +206,7 @@ class EntireCurve:
         self.program = Program(self.components)
         probes = np.array([0.31 + 0.17j, -0.83 + 0.55j, 1.29 - 0.71j,
                            -1.51 - 1.13j, 2.03 + 0.37j])
-        mags = np.abs(self.eval_components(probes))
+        mags = self.moduli(probes)
         if float(mags.max()) == 0.0:
             raise DegenerateCurve("all curve components vanish at the probe points")
 
@@ -183,11 +214,12 @@ class EntireCurve:
     def nvars(self) -> int:
         return len(self.components)
 
-    def eval_components(self, z) -> np.ndarray:
-        return np.stack(eval_on(self.program, z))
+    def moduli(self, z) -> np.ndarray:
+        """|f_i| at the points z, one row per component (_moduli)."""
+        return _moduli(self.program, z)
 
     def log_max_norm(self, z) -> np.ndarray:
-        mags = np.abs(self.eval_components(z))
+        mags = self.moduli(z)
         return np.log(np.max(mags, axis=0))
 
 
@@ -247,7 +279,7 @@ def _circle_midpoints(n: int) -> np.ndarray:
 
 
 def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
-                      rel_tol: float = 1e-8) -> float:
+                      rel_tol: float = 1e-8):
     """Mean of fn over the circle parameter via trapezoid with sample doubling.
 
     On the periodic domain the uniform trapezoid rule is the plain mean;
@@ -256,24 +288,42 @@ def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
     halving the step is exact, so each level keeps the previous values and
     calls fn only on the new midpoints, and every estimate is the one a full
     re-evaluation gives, bit for bit.
+
+    fn may return one row of values per integrand, an array of shape
+    (rows, len(theta)), to cover a radius grid in one call: the result is
+    then the array of the rows' means.  Each row stops on its own, at the
+    first level where it meets the stopping rule, and only its own samples
+    up to that level must be finite; fn still evaluates every row at every
+    level until the last row stops.  A row's mean is, bit for bit, the
+    float that a one-row fn returning that row gives.
     """
     if start < 1:
         raise ValueError(f"circle quadrature needs at least 1 sample, got {start}")
     n = start
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
     vals = None
-    prev = None
     while True:
         new = np.asarray(fn(theta), dtype=float)
-        if not np.all(np.isfinite(new)):
+        rows = new.reshape(-1, new.shape[-1])
+        if vals is None:
+            result = np.empty(len(rows))
+            running = np.ones(len(rows), dtype=bool)
+            prev = None
+        if not np.all(np.isfinite(rows[running])):
             raise OverflowGuard("non-finite integrand sample on the circle")
-        vals, fresh = _next_level(vals, new.shape, float)
-        fresh[...] = new
-        est = float(vals.mean())
-        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1.0):
-            return est
+        vals, fresh = _next_level(vals, rows.shape, float)
+        fresh[...] = rows
+        est = vals.mean(axis=-1)
         if n >= cap:
-            return est
+            stops = running.copy()
+        elif prev is None:
+            stops = np.zeros(len(rows), dtype=bool)
+        else:
+            stops = running & (np.abs(est - prev) <= rel_tol * np.maximum(np.abs(est), 1.0))
+        result[stops] = est[stops]
+        running &= ~stops
+        if not running.any():
+            return result if new.ndim > 1 else float(result[0])
         prev = est
         n *= 2
         theta = _circle_midpoints(n)
@@ -310,8 +360,21 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def characteristic_T(curve: EntireCurve, r: float, samples: int = 512) -> float:
+def _radius_list(r) -> np.ndarray:
+    """One radius or a sequence of them, as a 1-D float array."""
+    return np.array([r] if np.ndim(r) == 0 else r, dtype=float).reshape(-1)
+
+
+def characteristic_T(curve: EntireCurve, r, samples: int = 512):
     """T_f(r): circle average of log max_i |f_i| at radius r (> 1).
+
+    r is one radius, for which a float is returned, or a sequence of radii,
+    for which the list of their T_f is returned: one call covers a radius
+    grid, and a single radius is a one-element grid.  The radii are taken
+    in groups of _BATCH_POINTS // samples (at least one), so no evaluation
+    exceeds _BATCH_POINTS points, and within a group every step below is
+    one evaluation for all of its radii.  Each radius keeps its own samples
+    and stopping rules, so its value does not depend on the others.
 
     The integrand has a kink wherever the largest component changes, and
     there the trapezoid rule converges only like h^2.  So the components are
@@ -319,92 +382,110 @@ def characteristic_T(curve: EntireCurve, r: float, samples: int = 512) -> float:
     changes between neighbouring samples, _kink_angles finds the crossing,
     and _arc_integrals integrates each arc between consecutive crossings by
     Gauss-Legendre.  A grid with no change, a root finder that fails, or an
-    arc that reaches its node cap leaves the whole circle to the trapezoid
-    with sample doubling (circle_quadrature).  The grid is its first level,
-    so a curve with one largest component gets the trapezoid's value bit
-    for bit.  A pair of crossings between two samples changes nothing on the
-    grid.  When the nodes of the arc holding them see it, that arc does not
-    converge and the trapezoid takes the circle; a bump narrower than the
-    spacing of the first levels' nodes can pass unseen, as it passes the
-    trapezoid's.  An arc stops at a relative change of 1e-13, where the
-    trapezoid stops at 1e-8.  Non-finite grid samples raise OverflowGuard.
+    arc that reaches its node cap leaves that radius's circle to the
+    trapezoid with sample doubling (circle_quadrature), one call for every
+    such radius of the grid.  The grid is its first level, so a curve with
+    one largest component gets the trapezoid's value bit for bit.  A pair
+    of crossings between two samples changes nothing on the grid.  When the
+    nodes of the arc holding them see it, that arc does not converge and
+    the trapezoid takes the circle; a bump narrower than the spacing of the
+    first levels' nodes can pass unseen, as it passes the trapezoid's.  An
+    arc stops at a relative change of 1e-13, where the trapezoid stops at
+    1e-8.  Non-finite grid samples raise OverflowGuard.
     """
-    if r <= 1:
+    radii = _radius_list(r)
+    if np.any(radii <= 1):
         raise ValueError("characteristic is defined for r > 1")
     theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    mags = np.abs(curve.eval_components(r * np.exp(1j * theta)))
-    grid = np.log(np.max(mags, axis=0))
-    if not np.all(np.isfinite(grid)):
-        raise OverflowGuard("non-finite integrand sample on the circle")
-    top = mags.argmax(axis=0)
-    left = np.flatnonzero(top != np.roll(top, -1))
-    if left.size:
-        kinks = _kink_angles(curve, r, theta, mags, top, left)
-        if kinks is not None:
-            arcs = _arc_integrals(curve, r, kinks, np.append(kinks[1:], kinks[0] + TWO_PI))
-            if arcs is not None:
-                return float(arcs.sum()) / TWO_PI
+    circle = np.exp(1j * theta)
+    values = np.empty(len(radii))
+    trapezoid, first = [], []  # radii left to the trapezoid, and their grid rows
+    group = max(1, _BATCH_POINTS // samples)
+    for s in range(0, len(radii), group):
+        rs = radii[s:s + group]
+        mags = curve.moduli(rs[:, None] * circle)
+        grid = np.log(np.max(mags, axis=0))
+        if not np.all(np.isfinite(grid)):
+            raise OverflowGuard("non-finite integrand sample on the circle")
+        kinks = _kink_angles(curve, rs, theta, mags)
+        for k, total in enumerate(_arc_integrals(curve, rs, kinks)):
+            if total is None:
+                trapezoid.append(s + k)
+                first.append(grid[k])
+            else:
+                values[s + k] = total / TWO_PI
+    if trapezoid:
+        rows = radii[trapezoid]
+        first = [np.array(first)]
 
-    first = [grid]  # the trapezoid's first level, already evaluated
+        def fn(angles):
+            if first:
+                return first.pop()
+            return curve.log_max_norm(rows[:, None] * np.exp(1j * angles))
 
-    def fn(angles):
-        if first:
-            return first.pop()
-        return curve.log_max_norm(r * np.exp(1j * angles))
-
-    return circle_quadrature(fn, start=samples)
+        values[trapezoid] = circle_quadrature(fn, start=samples)
+    return float(values[0]) if np.ndim(r) == 0 else values.tolist()
 
 
-def _kink_angles(curve: EntireCurve, r: float, theta, mags, top, left):
-    """The sorted angles where the largest component changes, one per grid
-    interval [theta_k, theta_k+1] (k in `left`, cyclically) across which the
-    argmax changes from i to j, or None when the root finder fails.
+def _kink_angles(curve: EntireCurve, rs, theta, mags) -> list:
+    """For each radius rs[k], the sorted angles where the largest component
+    changes, one per grid interval [theta_m, theta_m+1] (cyclically) across
+    which the argmax changes from i to j; None where the argmax never
+    changes or the root finder fails.  mags[:, k] holds the moduli of the
+    components on radius k's grid.
 
-    The root is that of h = log|f_j| - log|f_i|, which is <= 0 at theta_k
-    and >= 0 at theta_k+1.  Every bracket takes an Illinois step (regula
-    falsi that halves the h of an end kept twice) per iteration, all of them
-    in one evaluation.  A root is an end or a step where |h| lies at the
-    noise floor _KINK_NOISE * max(1, |log|f_i||), or the midpoint of a
-    bracket narrowed to _KINK_WIDTH.  A bracket with both ends at the noise
-    floor (components of equal modulus, ordered by rounding) takes its left
-    end: the jump in slope there is at the noise floor too.  The finder
-    fails on a non-finite h, an end that is not at the noise floor and has
-    the wrong sign, or after _KINK_STEPS iterations.
+    The root is that of h = log|f_j| - log|f_i|, which is <= 0 at theta_m
+    and >= 0 at theta_m+1.  Every bracket of every radius takes an Illinois
+    step (regula falsi that halves the h of an end kept twice) per
+    iteration, all of them in one evaluation.  A root is an end or a step
+    where |h| lies at the noise floor _KINK_NOISE * max(1, |log|f_i||), or
+    the midpoint of a bracket narrowed to _KINK_WIDTH.  A bracket with both
+    ends at the noise floor (components of equal modulus, ordered by
+    rounding) takes its left end: the jump in slope there is at the noise
+    floor too.  The finder fails for a radius on a non-finite h, an end that
+    is not at the noise floor and has the wrong sign, or after _KINK_STEPS
+    iterations, in any of its brackets; its other brackets stop there, and
+    no other radius's brackets change.
     """
+    top = mags.argmax(axis=0)
+    row, left = np.nonzero(top != np.roll(top, -1, axis=1))
     right = (left + 1) % len(theta)
-    i, j = top[left], top[right]
+    i, j = top[row, left], top[row, right]
     a = theta[left]
     b = np.where(right == 0, TWO_PI, theta[right])
 
-    def crossing(m, k, cols):
-        """h and log|f_i| of the brackets k at the samples m[:, cols]."""
+    def crossing(mi, mj):
+        """h and log|f_i| from the moduli of f_i and f_j."""
         with np.errstate(divide="ignore"):
-            li = np.log(m[i[k], cols])
-            return np.log(m[j[k], cols]) - li, li
+            li = np.log(mi)
+            return np.log(mj) - li, li
 
     def at_floor(h, li):
         return np.abs(h) <= _KINK_NOISE * np.maximum(1.0, np.abs(li))
 
-    every = slice(None)
-    (ha, li_a), (hb, li_b) = crossing(mags, every, left), crossing(mags, every, right)
-    if not (np.all(np.isfinite(ha)) and np.all(np.isfinite(hb))):
-        return None
+    ha, li_a = crossing(mags[i, row, left], mags[j, row, left])
+    hb, li_b = crossing(mags[i, row, right], mags[j, row, right])
     root_a, root_b = at_floor(ha, li_a), at_floor(hb, li_b)
     roots = np.where(root_a, a, b)
-    run = np.flatnonzero(~(root_a | root_b))
-    if np.any(ha[run] >= 0) or np.any(hb[run] <= 0):
-        return None
-    kept = np.zeros(len(left), dtype=np.int8)  # the end moved last: -1 a, +1 b
+    open_ = ~(root_a | root_b)
+    failed = np.zeros(len(rs), dtype=bool)
+    failed[row[~(np.isfinite(ha) & np.isfinite(hb)) | (open_ & ((ha >= 0) | (hb <= 0)))]] = True
+    run = np.flatnonzero(open_ & ~failed[row])
+    kept = np.zeros(len(row), dtype=np.int8)  # the end moved last: -1 a, +1 b
     for _ in range(_KINK_STEPS):
         if not run.size:
             break
         # ha < 0 < hb, so the secant point lies strictly inside [a, b]
         x = a[run] - ha[run] * (b[run] - a[run]) / (hb[run] - ha[run])
         x = np.where((a[run] < x) & (x < b[run]), x, 0.5 * (a[run] + b[run]))
-        h, li = crossing(np.abs(curve.eval_components(r * np.exp(1j * x))), run,
-                         np.arange(len(run)))
-        if not np.all(np.isfinite(h)):
-            return None
+        m = curve.moduli(rs[row[run]] * np.exp(1j * x))
+        cols = np.arange(len(run))
+        h, li = crossing(m[i[run], cols], m[j[run], cols])
+        finite = np.isfinite(h)
+        if not finite.all():
+            failed[row[run[~finite]]] = True
+            live = ~failed[row[run]]
+            run, x, h, li = run[live], x[live], h[live], li[live]
         done = at_floor(h, li)
         roots[run[done]] = x[done]
         below = h < 0  # the root lies in [x, b]: x replaces a
@@ -418,39 +499,53 @@ def _kink_angles(curve: EntireCurve, r: float, theta, mags, top, left):
         narrow = b[run] - a[run] <= _KINK_WIDTH
         roots[run[narrow]] = 0.5 * (a[run[narrow]] + b[run[narrow]])
         run = run[~narrow]
-    return None if run.size else np.unique(roots)
+    failed[row[run]] = True
+    failed[np.setdiff1d(np.arange(len(rs)), row)] = True  # no kink on the grid
+    return [None if failed[k] else np.unique(roots[row == k]) for k in range(len(rs))]
 
 
-def _arc_integrals(curve: EntireCurve, r: float, lo, hi):
-    """The integral of log max_i |f_i(r e^{i theta})| over each arc
-    [lo_k, hi_k], or None when an arc reaches _ARC_CAP nodes or meets a
-    non-finite sample.
+def _arc_integrals(curve: EntireCurve, rs, kinks) -> list:
+    """For each radius rs[k] with kink angles kinks[k], the integral of
+    log max_i |f_i(r e^{i theta})| over the circle, summed arc by arc in
+    the kinks' order over the arcs between consecutive kinks; None where
+    kinks[k] is None, or an arc of that radius reaches _ARC_CAP nodes or
+    meets a non-finite sample.
 
     Gauss-Legendre with _ARC_START nodes, doubled until a doubling changes
     the arc's value by at most _ARC_REL_TOL * max(1, |value|).  Every arc
-    still open at a level is evaluated in one call.
+    of every radius still open at a level is evaluated in one call; an arc
+    that stops, or whose radius fails, is dropped from the next.
     """
+    found = [k for k, ks in enumerate(kinks) if ks is not None]
+    failed = np.array([ks is None for ks in kinks])
+    if not found:
+        return [None] * len(kinks)
+    owner = np.concatenate([np.full(len(kinks[k]), k) for k in found])
+    lo = np.concatenate([kinks[k] for k in found])
+    hi = np.concatenate([np.append(kinks[k][1:], kinks[k][0] + TWO_PI) for k in found])
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     values = np.empty(len(lo))
-    prev = None
+    prev = np.empty(len(lo))
     run = np.arange(len(lo))
     m = _ARC_START
-    while m <= _ARC_CAP:
+    while m <= _ARC_CAP and run.size:
         nodes, weights = _gauss_legendre(m)
         angles = mid[run, None] + half[run, None] * nodes
-        vals = curve.log_max_norm(r * np.exp(1j * angles.ravel()))
-        if not np.all(np.isfinite(vals)):
-            return None
-        est = half[run] * (vals.reshape(len(run), m) @ weights)
-        if prev is not None:
-            done = np.abs(est - prev) <= _ARC_REL_TOL * np.maximum(1.0, np.abs(est))
+        vals = curve.log_max_norm(rs[owner[run], None] * np.exp(1j * angles))
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            failed[owner[run[~finite]]] = True
+            live = ~failed[owner[run]]
+            run, vals = run[live], vals[live]
+        est = half[run] * (vals @ weights)
+        if m > _ARC_START:
+            done = np.abs(est - prev[run]) <= _ARC_REL_TOL * np.maximum(1.0, np.abs(est))
             values[run[done]] = est[done]
             run, est = run[~done], est[~done]
-            if not run.size:
-                return values
-        prev = est
+        prev[run] = est
         m *= 2
-    return None
+    failed[owner[run]] = True
+    return [None if failed[k] else float(values[owner == k].sum()) for k in range(len(kinks))]
 
 
 # ---------------------------------------------------------------------------
@@ -866,34 +961,39 @@ def counting_N(zeros: ZeroList, r: float) -> float:
     return acc
 
 
-def jensen_check(g: Expr, r: float, zeros: ZeroList) -> float:
-    """|circle average of log|g| - log|g(0)| - sum m_k log(r/|z_k|)|.
+def jensen_check(g: Expr, r, zeros: ZeroList) -> float:
+    """|circle average of log|g| - log|g(0)| - sum m_k log(r/|z_k|)|, the
+    largest over r when r is a sequence of radii.
 
-    `zeros` are the zeros of g located on a disk a little wider than |z| < r.
-    The circle average is computed with them divided out (their own circle
-    averages are known exactly), which keeps the quadrature smooth even when
-    a zero sits close to the circle; a missing or misplaced zero still shows
-    up in the residual.
+    `zeros` are the zeros of g located on a disk a little wider than the
+    largest |z| < r.  The circle average is computed with them divided out,
+    one zero at a time (their own circle averages are known exactly), which
+    keeps the quadrature smooth even when a zero sits close to the circle; a
+    missing or misplaced zero still shows up in the residual.  One call
+    covers a radius grid: g is compiled once, g(0) evaluated once, and every
+    radius is a row of one circle_quadrature, stopping on its own, in
+    evaluations of at most _BATCH_POINTS points.
     """
+    radii = _radius_list(r)
     prog = Program([g])
     g0 = complex(eval_on(prog, 0j)[0])
     if abs(g0) == 0.0:
         raise ZeroAtOrigin("g(0) = 0: Jensen's formula does not apply")
-    zs = np.array([z for z, _ in zeros.zeros], dtype=complex)
-    ms = np.array([m for _, m in zeros.zeros], dtype=float)
 
     def fn(theta):
-        z = r * np.exp(1j * theta)
-        vals = np.log(np.abs(eval_on(prog, z)[0]))
-        if len(zs):
-            vals = vals - (ms[None, :] * np.log(np.abs(z[:, None] - zs[None, :]))).sum(axis=1)
+        z = radii[:, None] * np.exp(1j * theta)
+        vals = np.log(_moduli(prog, z)[0])
+        for zk, mk in zeros.zeros:
+            vals -= mk * np.log(np.abs(z - zk))
         return vals
 
-    smooth_mean = circle_quadrature(fn, start=512)
-    add_back = float(sum(m * math.log(max(r, abs(z))) for z, m in zeros.zeros))
-    integral = smooth_mean + add_back
-    jensen_sum = sum(m * math.log(r / abs(z)) for z, m in zeros.zeros if abs(z) < r)
-    return abs(integral - math.log(abs(g0)) - jensen_sum)
+    smooth_means = circle_quadrature(fn, start=512)
+    worst = 0.0
+    for rk, smooth_mean in zip(radii.tolist(), smooth_means.tolist()):
+        add_back = float(sum(m * math.log(max(rk, abs(z))) for z, m in zeros.zeros))
+        jensen_sum = sum(m * math.log(rk / abs(z)) for z, m in zeros.zeros if abs(z) < rk)
+        worst = max(worst, abs(smooth_mean + add_back - math.log(abs(g0)) - jensen_sum))
+    return worst
 
 
 def defect_estimate(radii, Tf, Nf_j, d: int) -> tuple[float, list[tuple[float, float]]]:
@@ -912,18 +1012,28 @@ def defect_estimate(radii, Tf, Nf_j, d: int) -> tuple[float, list[tuple[float, f
 # The main-inequality sweep.
 # ---------------------------------------------------------------------------
 
-def assert_not_identically_zero(curve, gq: Expr, d: int, r: float):
-    """Raise IdenticallyZero when |gq| <= ZERO_PROBE_TOL * ||f||^d at every
-    probe point, on circles of radius 1.5, r/2 and r."""
-    prog = Program([gq])
+def _log_ratios(curve: EntireCurve, prog: Program, degrees, z) -> np.ndarray:
+    """log|g_j| - d_j log||f|| at the points z, one row per tree g_j of
+    prog, a Program of targets Q_j(f) of degrees d_j on the curve."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm = curve.log_max_norm(z)
+        ratios = _moduli(prog, z)
+        np.log(ratios, out=ratios)
+        for row, d in zip(ratios, degrees):
+            row -= d * log_norm
+    return ratios
+
+
+def assert_not_identically_zero(curve: EntireCurve, prog: Program, degrees, r: float):
+    """Raise IdenticallyZero when some target g_j, a tree of prog of degree
+    d_j, has |g_j| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point, 16 on
+    each of the circles of radius 1.5, r/2 and r: one evaluation of the 48
+    points for every target."""
     theta = np.linspace(0.0, TWO_PI, 17)[:-1]
-    for rr in (1.5, 0.5 * r, r):
-        z = rr * np.exp(1j * theta)
-        vals = np.abs(eval_on(prog, z)[0])
-        norm = np.exp(d * curve.log_max_norm(z))
-        if np.any(vals > ZERO_PROBE_TOL * norm):
-            return
-    raise IdenticallyZero("the composed target vanishes at all probe points")
+    z = np.array([1.5, 0.5 * r, r])[:, None] * np.exp(1j * theta)
+    ratios = _log_ratios(curve, prog, degrees, z)
+    if not np.all(np.any(ratios > math.log(ZERO_PROBE_TOL), axis=(1, 2))):
+        raise IdenticallyZero("the composed target vanishes at all probe points")
 
 
 @dataclass
@@ -946,13 +1056,13 @@ def sweep_data(curve: EntireCurve, Qs: list[MultiPoly], r_grid, *,
     when some |Q_j(f)| <= ZERO_PROBE_TOL * ||f||^d_j at every probe point, and
     ZeroCharacteristic when T_f = 0 at a radius of the grid.
     """
-    radii, degrees, composed = _composed_targets(curve, Qs, r_grid)
+    radii, degrees, composed, _ = _composed_targets(curve, Qs, r_grid)
     return _tabulate(curve, radii, degrees, composed, zero_tol)
 
 
 def _composed_targets(curve: EntireCurve, Qs: list[MultiPoly], r_grid):
-    """The sorted radii, and the degree and composition Q_j(f) of each
-    target, with sweep_data's checks."""
+    """The sorted radii, the degree and composition Q_j(f) of each target,
+    and one Program of the targets, with sweep_data's checks."""
     radii = sorted(float(r) for r in r_grid)
     if not radii:
         raise ValueError("empty radius grid")
@@ -963,9 +1073,9 @@ def _composed_targets(curve: EntireCurve, Qs: list[MultiPoly], r_grid):
             raise InhomogeneousInput(f"target {Q} is not homogeneous of degree >= 1")
         degrees.append(d)
     composed = [compose_form(Q, curve) for Q in Qs]
-    for gq, d in zip(composed, degrees):
-        assert_not_identically_zero(curve, gq, d, radii[-1])
-    return radii, degrees, composed
+    prog = Program(composed)
+    assert_not_identically_zero(curve, prog, degrees, radii[-1])
+    return radii, degrees, composed, prog
 
 
 def _tabulate(curve: EntireCurve, radii: list[float], degrees: list[int],
@@ -973,7 +1083,7 @@ def _tabulate(curve: EntireCurve, radii: list[float], degrees: list[int],
     locate_r = radii[-1] * (1 + 1e-3) + 0.25
     zero_lists = [locate_zeros(gq, locate_r, tol=zero_tol) for gq in composed]
 
-    Tf = [characteristic_T(curve, r) for r in radii]
+    Tf = characteristic_T(curve, radii)
     if 0.0 in Tf:
         raise ZeroCharacteristic(
             f"T_f = 0 at r = {radii[Tf.index(0.0)]}; the defects divide by T_f")
@@ -1044,9 +1154,9 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     membership (set admissibility_checked accordingly; it is only echoed into
     the warnings when False).
     """
-    radii, degrees, composed = _composed_targets(curve, Qs, r_grid)
-    for j, (Q, gq) in enumerate(zip(Qs, composed)):
-        if eval_on(Program([gq]), 0j)[0] == 0:
+    radii, degrees, composed, prog = _composed_targets(curve, Qs, r_grid)
+    for j, (Q, g0) in enumerate(zip(Qs, eval_on(prog, 0j))):
+        if g0 == 0:
             raise ZeroAtOrigin(f"target {j} ({Q}) vanishes at z = 0 on the curve; "
                                "Jensen's formula needs a nonzero value there")
     data = _tabulate(curve, radii, degrees, composed, zero_tol)
@@ -1062,15 +1172,13 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
         margins.append(sum(Nf[j][i] / degrees[j] for j in range(q)) - factor * Tf[i])
     violations = [r for r, mgn in zip(radii, margins) if mgn < 0]
 
-    jensen_max = 0.0
-    for gq, zl in zip(data.composed, data.zero_lists):
-        for r in radii:
-            jensen_max = max(jensen_max, jensen_check(gq, r, zeros=zl))
+    jensen_max = max(jensen_check(gq, radii, zeros=zl)
+                     for gq, zl in zip(data.composed, data.zero_lists))
     if jensen_max >= JENSEN_GATE:
         warnings.append(f"Jensen residual {jensen_max:.3g} is at or above the gate "
                         f"{JENSEN_GATE:g}; a zero may lie on a grid circle")
 
-    floor_values = [_admissibility_floor(curve, data.composed, degrees, r) for r in radii]
+    floor_values = _admissibility_floor(curve, prog, degrees, radii)
     floor_fit = fit_admissibility_floor(radii, floor_values)
 
     defects = [defect_estimate(radii, Tf, Nf[j], degrees[j])[0] for j in range(q)]
@@ -1092,34 +1200,29 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
         n=n, zero_counts=[zl.total() for zl in data.zero_lists], warnings=warnings)
 
 
-def _admissibility_floor(curve: EntireCurve, composed: list[Expr],
-                         degrees: list[int], r: float, samples: int = 2048) -> float:
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    z = r * np.exp(1j * theta)
-    log_norm = curve.log_max_norm(z)
-    best = None
-    for gz, d in zip(eval_on(Program(composed), z), degrees):
-        vals = np.log(np.abs(gz)) - d * log_norm
-        best = vals if best is None else np.maximum(best, vals)
-    return float(np.min(best))
+def _admissibility_floor(curve: EntireCurve, prog: Program, degrees: list[int], radii,
+                         samples: int = _BATCH_POINTS) -> list[float]:
+    """min over theta of max_j log(|Q_j(f)| / ||f||^d_j) on each circle,
+    from the one Program of the targets, one evaluation of the curve and
+    one of the targets per radius."""
+    circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples, endpoint=False))
+    return [float(np.min(np.max(_log_ratios(curve, prog, degrees, r * circle), axis=0)))
+            for r in radii]
 
 
 def curve_residual(generators: list[MultiPoly], curve: EntireCurve,
                    radii=(1.5, 5.0, 10.0), samples: int = 64) -> float:
-    """max over sample circles of |P_i(f)| / ||f||^deg P_i for the variety generators."""
-    worst = 0.0
+    """max over sample circles of |P_i(f)| / ||f||^deg P_i for the variety
+    generators, taken in log space, so that no power of ||f|| overflows.
+    Every generator and every circle is one Program and one batch of
+    evaluations; smt probes the circles of its own radius grid."""
+    kept = [P for P in generators if P.degree is not None]
+    if not kept:
+        return 0.0
+    prog = Program([compose_form(P, curve) for P in kept])
     theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    for P in generators:
-        d = P.degree
-        if d is None:
-            continue
-        prog = Program([compose_form(P, curve)])
-        for r in radii:
-            z = r * np.exp(1j * theta)
-            vals = np.abs(eval_on(prog, z)[0])
-            norm = np.exp(d * curve.log_max_norm(z))
-            worst = max(worst, float(np.max(vals / norm)))
-    return worst
+    z = _radius_list(radii)[:, None] * np.exp(1j * theta)
+    return float(np.exp(np.max(_log_ratios(curve, prog, [P.degree for P in kept], z))))
 
 
 # ---------------------------------------------------------------------------
@@ -1148,18 +1251,17 @@ def basis_growth_diagnostic(basis_forms: list[MultiPoly], curve: EntireCurve,
     composed = [compose_form(phi, curve) for phi in basis_forms]
     F = EntireCurve(components=tuple(composed))
     radii = sorted(float(r) for r in radii)
-    T_f = [characteristic_T(curve, r) for r in radii]
-    T_F = [characteristic_T(F, r) for r in radii]
+    T_f = characteristic_T(curve, radii)
+    T_F = characteristic_T(F, radii)
     bound = all(tF <= N * tf + slack * max(tf, 1.0) for tf, tF in zip(T_f, T_F))
-    cartan = []
-    for r in radii:
-        def fn(theta, _r=r):
-            z = _r * np.exp(1j * theta)
-            mags = np.abs(F.eval_components(z))
-            log_norm = np.log(np.max(mags, axis=0))
-            return (log_norm[None, :] - np.log(mags)).sum(axis=0)
+    rows = np.array(radii)
 
-        cartan.append(circle_quadrature(fn, start=512, cap=8192))
+    def fn(theta):
+        mags = F.moduli(rows[:, None] * np.exp(1j * theta))
+        log_norm = np.log(np.max(mags, axis=0))
+        return (log_norm[None] - np.log(mags)).sum(axis=0)
+
+    cartan = circle_quadrature(fn, start=512, cap=8192).tolist()
     return BasisGrowthDiagnostic(N=N, radii=radii, T_f=T_f, T_F=T_F,
                                  slack=slack, bound_holds=bound,
                                  cartan_sums=cartan)

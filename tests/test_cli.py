@@ -708,13 +708,43 @@ def _write_p1(tmp_path, targets, curve="exp(z)"):
     return path
 
 
+FAST_CUBIC = """\
+[variety]
+M = 3
+n = 1
+x0*x2 - x1^2
+x1*x3 - x2^2
+x0*x3 - x1*x2
+
+[hypersurfaces]
+degree 1: 2*x0 - x1 + 2*x2 + 2*x3
+degree 1: -x0 - x1 - x2 + 2*x3
+degree 1: -x0 - 2*x1 + 2*x2 - x3
+
+[curve]
+1
+exp(30*z)
+exp(60*z)
+exp(90*z)
+
+[options]
+kmax = 6
+window = 2
+seed = 57
+smax = 6
+trials = 3
+"""
+
+
 class TestSweepPipeline:
     def test_defects_match_smt_with_one_T_per_radius(self, tmp_path, monkeypatch):
+        # each command passes characteristic_T its radius grid, each radius once
         calls = []
         original = nev.characteristic_T
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            radii = args[1]
+            calls.extend(radii if isinstance(radii, (list, tuple)) else [radii])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(nev, "characteristic_T", counted)
@@ -728,10 +758,50 @@ class TestSweepPipeline:
                          "--out", str(out)])
             assert code == EXIT_OK
             payloads[cmd] = json.loads(out.read_text())["results"]
-            if cmd == "defects":
-                assert len(calls) == 2
+            assert calls == [5.0, 6.0]
         assert payloads["defects"]["defects"] == payloads["smt"]["defects"]
         assert payloads["defects"]["defect_sum"] == payloads["smt"]["defect_sum"]
+
+    def test_sweep_evaluations_within_the_batch_budget(self, tmp_path, monkeypatch):
+        # T_f, Jensen, the floor and the probes evaluate at most
+        # _BATCH_POINTS points at a time (locate_zeros keeps its own chunks),
+        # and tf covers conic.prob's 26 radii in a few evaluations per group
+        # of 4: the grid and two arc levels
+        sizes, locating = [], []
+        original_eval, original_locate = nev.eval_on, nev.locate_zeros
+
+        def counted(prog, z):
+            if not locating:
+                sizes.append(getattr(z, "size", 1))
+            return original_eval(prog, z)
+
+        def locate(*args, **kwargs):
+            locating.append(True)
+            try:
+                return original_locate(*args, **kwargs)
+            finally:
+                locating.pop()
+
+        monkeypatch.setattr(nev, "eval_on", counted)
+        monkeypatch.setattr(nev, "locate_zeros", locate)
+        problem = str(PROBLEMS / "conic.prob")
+        assert main(["tf", "--input", problem, "--out", str(tmp_path / "tf.txt")]) == EXIT_OK
+        assert len(sizes) <= 24 and max(sizes) <= nev._BATCH_POINTS
+        sizes.clear()
+        assert main(["smt", "--input", problem, "--r-steps", "6",
+                     "--out", str(tmp_path / "smt.txt")]) == EXIT_OK
+        assert max(sizes) <= nev._BATCH_POINTS
+
+    def test_curve_residual_on_the_sweep_grid(self, tmp_path):
+        # the twisted cubic as (1 : e^30z : e^60z : e^90z): at r = 10 its
+        # exp arguments pass the guard, so only circles of the grid are probed
+        path = tmp_path / "cubic_fast.prob"
+        path.write_text(FAST_CUBIC)
+        out = tmp_path / "smt.json"
+        code = main(["smt", "--input", str(path), "--r-min", "2", "--r-max", "3",
+                     "--r-steps", "2", "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["results"]["curve_residual"] < 1e-12
 
     def test_smt_reduces_each_degree_of_the_ideal_once(self, tmp_path, monkeypatch):
         # The dimension cross-check and the admissibility certificates share

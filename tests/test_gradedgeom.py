@@ -28,6 +28,7 @@ from nevlab.gradedgeom import (
     variety_invariants,
 )
 from nevlab.cli import parse_polynomial
+from nevlab.filtration import stabilization_scan
 from nevlab.linear import GradedSubspace
 
 from helpers import (
@@ -190,11 +191,39 @@ class TestVarietyInvariants:
         assert variety_invariants(J, 7) == (1, 3)
 
     def test_not_stabilized(self):
+        # dim V and deg V need no window; the stabilization scan still reads
+        # one.  On P^1 the quotient by x0^2 has dimensions 1, 2, 2, ..., so
+        # its three values up to k_max = 2 show no constant tail of length 3
+        x0 = xvar(0, nvars=2)
         with pytest.raises(NotStabilized):
-            variety_invariants(p1_ideal(), 2, window=3)
+            stabilization_scan(p1_ideal(), [x0 * x0], 2, window=3)
 
-    # deg V is the constant n-th difference of H_V itself: H_V(k) =
-    # (deg V / n!) k^n + ..., whose n-th difference is deg V
+    def test_window_that_settles_early(self):
+        # On J = (x0^2, x0*x1^12) H_V(k) = 2k + 1 up to k = 12 and k + 13
+        # from k = 13, where persistence starts with the representation
+        # ((14, 13), (12, 12), ..., (1, 1)): V is the line x0 = 0.  A window
+        # of 3 values up to k_max = 10 would read (1, 2).
+        x0, x1, _ = (xvar(i) for i in range(3))
+        J = HomogeneousIdeal(3, [x0 * x0, x0 * x1 ** 12])
+        assert variety_invariants(J) == (1, 1)
+        assert J._persistence[()] == [13, ((14, 13),) + tuple((i, i) for i in range(12, 0, -1))]
+        assert [hilbert_function(J, k) for k in (10, 12, 13, 20)] == [21, 25, 26, 33]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rational_normal_curve(self, d):
+        # the 2x2 minors of [[x0 .. x_{d-1}], [x1 .. x_d]]: H(k) = dk + 1
+        x = [MultiPoly.variable(d + 1, i) for i in range(d + 1)]
+        J = HomogeneousIdeal(d + 1, [x[i] * x[j + 1] - x[i + 1] * x[j]
+                                     for i in range(d) for j in range(i + 1, d)])
+        assert variety_invariants(J) == (1, d)
+
+    def test_empty_variety(self):
+        # (x0, x1)^2 in P^1: H_V = 1, 2, 0, 0, ... and the representation is empty
+        x0, x1 = xvar(0, nvars=2), xvar(1, nvars=2)
+        assert variety_invariants(HomogeneousIdeal(2, [x0 * x0, x0 * x1, x1 * x1])) == (-1, 0)
+
+    # deg V is the leading coefficient of the Hilbert polynomial times n!:
+    # H_V(k) = (deg V / n!) k^n + ...
 
     def test_plane(self):
         assert variety_invariants(plane_ideal(), 6) == (2, 1)

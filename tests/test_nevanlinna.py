@@ -738,7 +738,7 @@ class TestKinkAwareT:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = characteristic_T(curve, r)
-        top = np.abs(curve.eval_components(r * np.exp(1j * _GRID))).argmax(axis=0)
+        top = curve.moduli(r * np.exp(1j * _GRID)).argmax(axis=0)
         if np.all(top == top[0]):
             # no kink on the grid: the trapezoid path, bit for bit
             assert got == reference_circle_quadrature(_log_max_on_circle(curve, r))
@@ -760,6 +760,97 @@ class TestKinkAwareT:
         # the default grid sees both bumps, and their four kinks are located
         want = reference_characteristic_T(curve, 2.0)
         assert abs(characteristic_T(curve, 2.0) - want) <= 1e-9 * abs(want)
+
+
+class TestRadiusGrid:
+    """One call covers a radius grid, and every radius keeps its own samples
+    and stopping rules: each value is that of a one-radius call."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(components=st.lists(_exp_polys(), min_size=2, max_size=3),
+           radii=st.lists(st.floats(1.5, 8.0), min_size=1, max_size=6),
+           samples=st.sampled_from([64, 512, 1024]))
+    def test_characteristic_matches_one_radius_calls(self, components, radii, samples):
+        # 2048 // samples radii share a kink grid.  A radius with no kink on
+        # its grid is on the trapezoid path, bit for bit; the arcs' dot
+        # products may round differently with other radii's arcs beside them
+        curve = EntireCurve(components=tuple(components))
+        grid = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+        got = characteristic_T(curve, radii, samples=samples)
+        assert isinstance(got, list) and len(got) == len(radii)
+        for r, t in zip(radii, got):
+            want = characteristic_T(curve, r, samples=samples)
+            assert isinstance(want, float)
+            top = curve.moduli(r * np.exp(1j * grid)).argmax(axis=0)
+            if np.all(top == top[0]):
+                assert t == want
+            else:
+                assert abs(t - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_fallback_changes_no_other_radius(self):
+        # test_hidden_kink_pair_falls_back's curve: on a 16-angle grid the
+        # circle r = 2 falls back to the trapezoid, the others take the arcs
+        a = Fraction(math.exp(-1.5 * (1 - 0.1 ** 2)))
+        bump = mul(Const(a), Exp(sub(Z(), mul(Const(Fraction(1, 4)), pow_(Z(), 2)))))
+        curve = EntireCurve(components=(Const(1), bump, Exp(neg(Z()))))
+        radii = [1.5, 2.0, 3.0, 6.0]
+        got = characteristic_T(curve, radii, samples=16)
+        assert got[1] == reference_circle_quadrature(_log_max_on_circle(curve, 2.0), 16)
+        for r, t in zip(radii, got):
+            want = characteristic_T(curve, r, samples=16)
+            assert abs(t - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_grid_of_one_and_scale(self, monkeypatch):
+        curve = load_problem(str(PROBLEMS / "conic.prob")).curve
+        sizes = watch_eval_on(monkeypatch)
+        radii = np.linspace(5, 45, 400).tolist()
+        values = characteristic_T(curve, radii)
+        assert max(abs(t - 2 * r / math.pi) for r, t in zip(radii, values)) <= 1e-12
+        # 4 radii per group, one evaluation for the grid and one per arc level
+        assert len(sizes) <= 400 and max(sizes) <= nev._BATCH_POINTS
+        assert characteristic_T(curve, [7.5]) == [characteristic_T(curve, 7.5)]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(gs=st.lists(st.tuples(_exp_polys(), st.floats(0.2, 4.0)), min_size=1, max_size=4),
+           start=st.sampled_from([1, 3, 16, 512]), doublings=st.integers(0, 6),
+           rel_tol=st.sampled_from([1e-8, 1e-5, 1e-12]))
+    def test_quadrature_rows_match_one_row_calls(self, gs, start, doublings, rel_tol):
+        # rows of different integrands stop at different levels; each row's
+        # mean is the one-row call's, bit for bit, and the rows raise
+        # OverflowGuard exactly when some one-row call does
+        fns = [_log_abs_on_circle(g, r) for g, r in gs]
+        cap = start * 2 ** doublings
+
+        def rows(theta):
+            return np.stack([fn(theta) for fn in fns])
+
+        want = [_outcome(lambda fn=fn: nev.circle_quadrature(fn, start, cap, rel_tol))
+                for fn in fns]
+        got = _outcome(lambda: nev.circle_quadrature(rows, start, cap, rel_tol))
+        if any(isinstance(w, str) for w in want):
+            assert isinstance(got, str) and got.startswith("OverflowGuard")
+        else:
+            assert isinstance(got, np.ndarray) and got.tolist() == want
+
+    def test_quadrature_rows_stop_on_their_own(self):
+        # a constant row stops at the second level; e^{3 cos t} needs more
+        levels = []
+
+        def rows(theta):
+            levels.append(len(theta))
+            return np.stack([np.ones_like(theta), np.exp(3 * np.cos(theta))])
+
+        got = nev.circle_quadrature(rows, start=4)
+        assert got[0] == 1.0
+        assert got[1] == nev.circle_quadrature(lambda t: np.exp(3 * np.cos(t)), start=4)
+        assert len(levels) > 2
+
+    @pytest.mark.parametrize("g", [sub(Exp(Z()), Const(2)), sub(Z(), Const(3)),
+                                   sub(Exp(mul(Const(2), Z())), mul(Z(), Z()))])
+    def test_jensen_is_the_largest_one_radius_residual(self, g):
+        radii = [2.0, 3.5, 5.0, 8.0]
+        zl = locate_zeros(g, 8 * (1 + 1e-3) + 1e-6)
+        assert jensen_check(g, radii, zl) == max(jensen_check(g, r, zl) for r in radii)
 
 
 class TestGenerations:
