@@ -605,8 +605,9 @@ def _positive_opt(spec: ProblemSpec, flags: dict, key: str, *, zero_ok: bool = F
 
 
 def _kmax_window(spec: ProblemSpec, flags: dict) -> tuple[int, int]:
-    """kmax and window: the Hilbert values H(0..kmax) are scanned for a
-    constant tail of `window` values, so fewer than `window` values can
+    """kmax and window: `hilbert` reports H(0..kmax), and the
+    stabilization scan looks for a constant tail of `window` values among
+    the quotient dimensions up to kmax, so fewer than `window` values can
     never show one."""
     kmax = _positive_opt(spec, flags, "kmax", zero_ok=True)
     window = _positive_opt(spec, flags, "window")

@@ -8,8 +8,8 @@ degree k are those no leading term of G divides, with each degree-k
 monomial's class modulo J as a sparse row on them.  A form's class is the
 sum of its terms' classes, and dim (K[x]/(J, f_1..f_r))_k is H_V(k) minus
 the rank of the classes of the f_j times standard monomials
-(`HomogeneousIdeal.multiples`).  Degree and dimension come from finite
-differences of H_V.
+(`HomogeneousIdeal.multiples`).  Degree and dimension are read off the
+Macaulay representation at which H_V persists (`variety_invariants`).
 
 Each Hilbert function, H_V or that of (J, forms), is computed this way only
 up to the degree where persistence starts, and read off a theorem above it
@@ -73,7 +73,7 @@ WITNESS_BOUND = 997  # witness points are drawn from the integers [-B, B]
 
 
 class NotStabilized(RuntimeError):
-    """Finite differences or dimension scans did not settle within the window."""
+    """Dimension scans did not settle within the window."""
 
 
 class CertificateDefect(RuntimeError):

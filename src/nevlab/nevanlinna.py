@@ -362,7 +362,7 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _radius_list(r) -> np.ndarray:
     """One radius or a sequence of them, as a 1-D float array."""
-    return np.array([r] if np.ndim(r) == 0 else r, dtype=float).reshape(-1)
+    return np.atleast_1d(np.asarray(r, dtype=float))
 
 
 def characteristic_T(curve: EntireCurve, r, samples: int = 512):
@@ -399,7 +399,7 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
     theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
     circle = np.exp(1j * theta)
     values = np.empty(len(radii))
-    trapezoid, first = [], []  # radii left to the trapezoid, and their grid rows
+    trapezoid, grids = [], []  # radii left to the trapezoid, and their grid rows
     group = max(1, _BATCH_POINTS // samples)
     for s in range(0, len(radii), group):
         rs = radii[s:s + group]
@@ -411,12 +411,12 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
         for k, total in enumerate(_arc_integrals(curve, rs, kinks)):
             if total is None:
                 trapezoid.append(s + k)
-                first.append(grid[k])
+                grids.append(grid[k])
             else:
                 values[s + k] = total / TWO_PI
     if trapezoid:
         rows = radii[trapezoid]
-        first = [np.array(first)]
+        first = [np.array(grids)]
 
         def fn(angles):
             if first:

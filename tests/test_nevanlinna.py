@@ -800,7 +800,7 @@ class TestRadiusGrid:
             want = characteristic_T(curve, r, samples=16)
             assert abs(t - want) <= 1e-15 * max(1.0, abs(want))
 
-    def test_grid_of_one_and_scale(self, monkeypatch):
+    def test_scale_point_and_one_element_grid(self, monkeypatch):
         curve = load_problem(str(PROBLEMS / "conic.prob")).curve
         sizes = watch_eval_on(monkeypatch)
         radii = np.linspace(5, 45, 400).tolist()
