@@ -2,9 +2,10 @@
 
 Curves are tuples of the expression trees of `expr` (rational constants, z,
 +, *, -, integer powers, exp).  There is one evaluator: every tree is
-compiled into a Program, a flat list of numpy operations with common
-subtrees shared across the trees compiled together (a curve's components,
-a target and its derivative), and eval_on runs it on a point set.  The
+compiled into a Program (`program`), a flat list of numpy operations with
+common subtrees shared across the trees compiled together (a curve's
+components, a target and its derivative), and eval_on runs it on a point
+set.  The
 characteristic function is a circle average of log of the max-norm.  That
 integrand has a kink wherever the largest component changes:
 characteristic_T locates the kinks from one grid of samples and integrates
@@ -52,24 +53,18 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .algebra import RATIONAL_FUNCTION, InhomogeneousInput, MultiPoly, RationalFunction
 from .expr import (
-    Add,
     Const,
     DegenerateCurve,
-    Exp,
     Expr,
     IdenticallyZero,
-    Mul,
-    Neg,
     NonPolynomialCoefficient,
     OverflowGuard,
-    Pow,
     WindingAmbiguous,
     Z,
     ZeroAtOrigin,
@@ -78,9 +73,9 @@ from .expr import (
     mul,
     pow_,
 )
+from .program import Program
 
 TWO_PI = 2.0 * math.pi
-EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
 QUADRATURE_CAP = 65536  # samples at the last circle-quadrature level
 ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every probe
 # Points per batched evaluation of a curve or its targets: the admissibility
@@ -93,80 +88,6 @@ JENSEN_GATE = 1e-5  # a Jensen residual at or above this is reported as a warnin
 # ---------------------------------------------------------------------------
 # Compiled evaluation.
 # ---------------------------------------------------------------------------
-
-def _guarded_exp(w):
-    mx = np.max(np.real(w)) if np.ndim(w) else float(np.real(w))
-    if mx > EXP_REAL_CAP:
-        raise OverflowGuard(
-            f"exp argument real part {mx:.1f} exceeds the guard {EXP_REAL_CAP}")
-    return np.exp(w)
-
-
-_OPERATORS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg,
-              Pow: operator.pow, Exp: _guarded_exp}
-
-
-class Program:
-    """Expression trees compiled into one flat list of numpy operations.
-
-    Structurally equal subtrees are hash-consed across all the trees, so a
-    shared exp(z) is computed once per point set.  Constants are converted to
-    complex once.  The ops run in the trees' post-order, each applying its
-    node's operator (operator.add/mul/neg/pow or _guarded_exp), so the first
-    exp argument past the guard, in that order, raises the OverflowGuard.  A
-    register is released after its last use.
-    """
-
-    def __init__(self, exprs):
-        self._init: list = [None]  # register values before a run; register 0 holds z
-        self._keys: dict = {}      # structural key -> register
-        self._ops: list = []       # (operator, destination, source registers)
-        seen: dict[int, int] = {}
-        self.outputs = tuple(self._emit(e, seen) for e in exprs)
-        last_use = {s: i for i, (_, _, srcs) in enumerate(self._ops) for s in srcs}
-        self._ops = [(fn, dst, srcs, tuple(s for s in set(srcs)
-                                           if last_use[s] == i and s not in self.outputs))
-                     for i, (fn, dst, srcs) in enumerate(self._ops)]
-
-    def _register(self, key, value=None) -> int:
-        reg = self._keys.get(key)
-        if reg is None:
-            reg = self._keys[key] = len(self._init)
-            self._init.append(value)
-        return reg
-
-    def _emit(self, e: Expr, seen: dict[int, int]) -> int:
-        reg = seen.get(id(e))
-        if reg is not None:
-            return reg
-        if isinstance(e, Const):
-            reg = self._register(("const", e.value), complex(e.value))
-        elif isinstance(e, Z):
-            reg = 0
-        else:
-            srcs = [self._emit(e.a, seen)]
-            if isinstance(e, (Add, Mul)):
-                srcs.append(self._emit(e.b, seen))
-            elif isinstance(e, Pow):
-                srcs.append(self._register(("int", e.k), e.k))
-            srcs = tuple(srcs)
-            key = (type(e), srcs)
-            if key not in self._keys:
-                self._ops.append((_OPERATORS[type(e)], self._register(key), srcs))
-            reg = self._keys[key]
-        seen[id(e)] = reg
-        return reg
-
-    def eval(self, z) -> list:
-        """Values of the compiled trees at z, constants left unbroadcast."""
-        regs = list(self._init)
-        regs[0] = z
-        for fn, dst, srcs, dead in self._ops:
-            regs[dst] = fn(*[regs[s] for s in srcs])
-            for s in dead:
-                regs[s] = None
-        return [regs[o] for o in self.outputs]
-
 
 def eval_on(prog: Program, z):
     """Values of the compiled trees on an array of points: a tuple with one
@@ -301,30 +222,23 @@ def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
         raise ValueError(f"circle quadrature needs at least 1 sample, got {start}")
     n = start
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = None
+    vals = result = None
     while True:
         new = np.asarray(fn(theta), dtype=float)
         rows = new.reshape(-1, new.shape[-1])
-        if vals is None:
-            result = np.empty(len(rows))
-            running = np.ones(len(rows), dtype=bool)
-            prev = None
-        if not np.all(np.isfinite(rows[running])):
+        if result is None:  # nan marks a row still running
+            result, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+        run = np.isnan(result)
+        if not np.all(np.isfinite(rows[run])):
             raise OverflowGuard("non-finite integrand sample on the circle")
         vals, fresh = _next_level(vals, rows.shape, float)
         fresh[...] = rows
-        est = vals.mean(axis=-1)
-        if n >= cap:
-            stops = running.copy()
-        elif prev is None:
-            stops = np.zeros(len(rows), dtype=bool)
-        else:
-            stops = running & (np.abs(est - prev) <= rel_tol * np.maximum(np.abs(est), 1.0))
-        result[stops] = est[stops]
-        running &= ~stops
-        if not running.any():
+        est = vals[run].mean(axis=-1)
+        stop = (n >= cap) | (np.abs(est - prev[run]) <= rel_tol * np.maximum(np.abs(est), 1.0))
+        result[run] = np.where(stop, est, np.nan)
+        if stop.all():
             return result if new.ndim > 1 else float(result[0])
-        prev = est
+        prev[run] = est
         n *= 2
         theta = _circle_midpoints(n)
 
@@ -398,8 +312,7 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
         raise ValueError("characteristic is defined for r > 1")
     theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
     circle = np.exp(1j * theta)
-    values = np.empty(len(radii))
-    trapezoid, grids = [], []  # radii left to the trapezoid, and their grid rows
+    values, grids = [], []  # nan for a radius left to the trapezoid, and its grid row
     group = max(1, _BATCH_POINTS // samples)
     for s in range(0, len(radii), group):
         rs = radii[s:s + group]
@@ -407,14 +320,12 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
         grid = np.log(np.max(mags, axis=0))
         if not np.all(np.isfinite(grid)):
             raise OverflowGuard("non-finite integrand sample on the circle")
-        kinks = _kink_angles(curve, rs, theta, mags)
-        for k, total in enumerate(_arc_integrals(curve, rs, kinks)):
-            if total is None:
-                trapezoid.append(s + k)
-                grids.append(grid[k])
-            else:
-                values[s + k] = total / TWO_PI
-    if trapezoid:
+        totals = _arc_integrals(curve, rs, *_kink_angles(curve, rs, theta, mags))
+        values.extend(totals / TWO_PI)
+        grids.extend(grid[np.isnan(totals)])
+    values = np.array(values)
+    trapezoid = np.isnan(values)
+    if grids:
         rows = radii[trapezoid]
         first = [np.array(grids)]
 
@@ -427,12 +338,12 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
     return float(values[0]) if np.ndim(r) == 0 else values.tolist()
 
 
-def _kink_angles(curve: EntireCurve, rs, theta, mags) -> list:
-    """For each radius rs[k], the sorted angles where the largest component
-    changes, one per grid interval [theta_m, theta_m+1] (cyclically) across
-    which the argmax changes from i to j; None where the argmax never
-    changes or the root finder fails.  mags[:, k] holds the moduli of the
-    components on radius k's grid.
+def _kink_angles(curve: EntireCurve, rs, theta, mags):
+    """The grid intervals [theta_m, theta_m+1] (cyclically) across which the
+    argmax of radius rs[k]'s moduli mags[:, k] changes from i to j, as
+    (row, roots, failed): the radius k of each interval, the angle where
+    the largest component changes in it, and, per radius, whether it has
+    no such interval or its root finder failed.
 
     The root is that of h = log|f_j| - log|f_i|, which is <= 0 at theta_m
     and >= 0 at theta_m+1.  Every bracket of every radius takes an Illinois
@@ -454,23 +365,26 @@ def _kink_angles(curve: EntireCurve, rs, theta, mags) -> list:
     a = theta[left]
     b = np.where(right == 0, TWO_PI, theta[right])
 
-    def crossing(mi, mj):
-        """h and log|f_i| from the moduli of f_i and f_j."""
+    def crossing(m, k, cols):
+        """h and log|f_i| of the brackets k at the samples m[:, cols]."""
         with np.errstate(divide="ignore"):
-            li = np.log(mi)
-            return np.log(mj) - li, li
+            li = np.log(m[i[k], cols])
+            return np.log(m[j[k], cols]) - li, li
 
     def at_floor(h, li):
         return np.abs(h) <= _KINK_NOISE * np.maximum(1.0, np.abs(li))
 
-    ha, li_a = crossing(mags[i, row, left], mags[j, row, left])
-    hb, li_b = crossing(mags[i, row, right], mags[j, row, right])
+    flat = mags.reshape(len(mags), -1)
+    every = slice(None)
+    (ha, li_a), (hb, li_b) = (crossing(flat, every, row * len(theta) + ends)
+                              for ends in (left, right))
     root_a, root_b = at_floor(ha, li_a), at_floor(hb, li_b)
     roots = np.where(root_a, a, b)
-    open_ = ~(root_a | root_b)
-    failed = np.zeros(len(rs), dtype=bool)
-    failed[row[~(np.isfinite(ha) & np.isfinite(hb)) | (open_ & ((ha >= 0) | (hb <= 0)))]] = True
-    run = np.flatnonzero(open_ & ~failed[row])
+    run = ~(root_a | root_b)
+    failed = np.ones(len(rs), dtype=bool)
+    failed[row] = False
+    failed[row[~(np.isfinite(ha) & np.isfinite(hb)) | (run & ((ha >= 0) | (hb <= 0)))]] = True
+    run = np.flatnonzero(run & ~failed[row])
     kept = np.zeros(len(row), dtype=np.int8)  # the end moved last: -1 a, +1 b
     for _ in range(_KINK_STEPS):
         if not run.size:
@@ -478,14 +392,9 @@ def _kink_angles(curve: EntireCurve, rs, theta, mags) -> list:
         # ha < 0 < hb, so the secant point lies strictly inside [a, b]
         x = a[run] - ha[run] * (b[run] - a[run]) / (hb[run] - ha[run])
         x = np.where((a[run] < x) & (x < b[run]), x, 0.5 * (a[run] + b[run]))
-        m = curve.moduli(rs[row[run]] * np.exp(1j * x))
-        cols = np.arange(len(run))
-        h, li = crossing(m[i[run], cols], m[j[run], cols])
-        finite = np.isfinite(h)
-        if not finite.all():
-            failed[row[run[~finite]]] = True
-            live = ~failed[row[run]]
-            run, x, h, li = run[live], x[live], h[live], li[live]
+        h, li = crossing(curve.moduli(rs[row[run]] * np.exp(1j * x)), run,
+                         np.arange(len(run)))
+        failed[row[run[~np.isfinite(h)]]] = True
         done = at_floor(h, li)
         roots[run[done]] = x[done]
         below = h < 0  # the root lies in [x, b]: x replaces a
@@ -498,17 +407,16 @@ def _kink_angles(curve: EntireCurve, rs, theta, mags) -> list:
         run = run[~done]
         narrow = b[run] - a[run] <= _KINK_WIDTH
         roots[run[narrow]] = 0.5 * (a[run[narrow]] + b[run[narrow]])
-        run = run[~narrow]
+        run = run[~narrow & ~failed[row[run]]]
     failed[row[run]] = True
-    failed[np.setdiff1d(np.arange(len(rs)), row)] = True  # no kink on the grid
-    return [None if failed[k] else np.unique(roots[row == k]) for k in range(len(rs))]
+    return row, roots, failed
 
 
-def _arc_integrals(curve: EntireCurve, rs, kinks) -> list:
-    """For each radius rs[k] with kink angles kinks[k], the integral of
-    log max_i |f_i(r e^{i theta})| over the circle, summed arc by arc in
-    the kinks' order over the arcs between consecutive kinks; None where
-    kinks[k] is None, or an arc of that radius reaches _ARC_CAP nodes or
+def _arc_integrals(curve: EntireCurve, rs, row, roots, failed) -> np.ndarray:
+    """For each radius rs[k] not `failed`, the integral of
+    log max_i |f_i(r e^{i theta})| over the circle, summed arc by arc over
+    the arcs between its sorted, distinct kink angles roots[row == k]; nan
+    for a failed radius, or one with an arc that reaches _ARC_CAP nodes or
     meets a non-finite sample.
 
     Gauss-Legendre with _ARC_START nodes, doubled until a doubling changes
@@ -516,27 +424,28 @@ def _arc_integrals(curve: EntireCurve, rs, kinks) -> list:
     of every radius still open at a level is evaluated in one call; an arc
     that stops, or whose radius fails, is dropped from the next.
     """
-    found = [k for k, ks in enumerate(kinks) if ks is not None]
-    failed = np.array([ks is None for ks in kinks])
-    if not found:
-        return [None] * len(kinks)
-    owner = np.concatenate([np.full(len(kinks[k]), k) for k in found])
-    lo = np.concatenate([kinks[k] for k in found])
-    hi = np.concatenate([np.append(kinks[k][1:], kinks[k][0] + TWO_PI) for k in found])
+    failed = failed.copy()
+    totals = np.full(len(rs), np.nan)
+    owner, lo, hi = [], [], []
+    for k in np.flatnonzero(~failed):
+        kinks = np.unique(roots[row == k])
+        owner += [k] * len(kinks)
+        lo.append(kinks)
+        hi.append(np.append(kinks[1:], kinks[0] + TWO_PI))
+    if not owner:
+        return totals
+    owner, lo, hi = np.array(owner), np.concatenate(lo), np.concatenate(hi)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    values = np.empty(len(lo))
-    prev = np.empty(len(lo))
+    values, prev = np.empty(len(lo)), np.empty(len(lo))
     run = np.arange(len(lo))
     m = _ARC_START
     while m <= _ARC_CAP and run.size:
         nodes, weights = _gauss_legendre(m)
         angles = mid[run, None] + half[run, None] * nodes
         vals = curve.log_max_norm(rs[owner[run], None] * np.exp(1j * angles))
-        finite = np.isfinite(vals).all(axis=1)
-        if not finite.all():
-            failed[owner[run[~finite]]] = True
-            live = ~failed[owner[run]]
-            run, vals = run[live], vals[live]
+        failed[owner[run[~np.isfinite(vals).all(axis=1)]]] = True
+        live = ~failed[owner[run]]
+        run, vals = run[live], vals[live]
         est = half[run] * (vals @ weights)
         if m > _ARC_START:
             done = np.abs(est - prev[run]) <= _ARC_REL_TOL * np.maximum(1.0, np.abs(est))
@@ -545,7 +454,9 @@ def _arc_integrals(curve: EntireCurve, rs, kinks) -> list:
         prev[run] = est
         m *= 2
     failed[owner[run]] = True
-    return [None if failed[k] else float(values[owner == k].sum()) for k in range(len(kinks))]
+    for k in np.flatnonzero(~failed):
+        totals[k] = values[owner == k].sum()
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nevlab.algebra import (
     RationalFunction,
 )
 from nevlab import nevanlinna as nev
+from nevlab.program import _guarded_exp
 from nevlab.cli import load_problem, parse_curve_expression, parse_problem
 from nevlab.expr import (
     Add,
@@ -146,7 +147,7 @@ def tree_eval(e, z):
         return -tree_eval(e.a, z)
     if isinstance(e, Pow):
         return tree_eval(e.a, z) ** e.k
-    return nev._guarded_exp(tree_eval(e.a, z))
+    return _guarded_exp(tree_eval(e.a, z))
 
 
 def tree_on(e, z):
