@@ -323,6 +323,7 @@ def characteristic_T(curve: EntireCurve, r, samples: int = 512):
         totals = _arc_integrals(curve, rs, *_kink_angles(curve, rs, theta, mags))
         values.extend(totals / TWO_PI)
         grids.extend(grid[np.isnan(totals)])
+        del mags, grid  # freed before the next group is evaluated
     values = np.array(values)
     trapezoid = np.isnan(values)
     if grids:
@@ -1115,10 +1116,19 @@ def _admissibility_floor(curve: EntireCurve, prog: Program, degrees: list[int], 
                          samples: int = _BATCH_POINTS) -> list[float]:
     """min over theta of max_j log(|Q_j(f)| / ||f||^d_j) on each circle,
     from the one Program of the targets, one evaluation of the curve and
-    one of the targets per radius."""
-    circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples, endpoint=False))
-    return [float(np.min(np.max(_log_ratios(curve, prog, degrees, r * circle), axis=0)))
-            for r in radii]
+    one of the targets per radius.  The max over targets is kept as it
+    goes, so no array of every target's ratios is held."""
+    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+
+    def floor(z):
+        log_norm = curve.log_max_norm(z)
+        best = None
+        for gz, d in zip(eval_on(prog, z), degrees):
+            vals = np.log(np.abs(gz)) - d * log_norm
+            best = vals if best is None else np.maximum(best, vals)
+        return float(np.min(best))
+
+    return [floor(r * np.exp(1j * theta)) for r in radii]
 
 
 def curve_residual(generators: list[MultiPoly], curve: EntireCurve,
