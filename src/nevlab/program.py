@@ -1,10 +1,11 @@
-"""Expression trees compiled into flat numpy programs.
+"""Expression trees of composed targets, compiled into flat numpy programs.
 
-There is one evaluator for the numeric side: the expression trees of `expr`
-(rational constants, z, +, *, -, integer powers, exp) are compiled into a
-Program, a flat list of numpy operations with common subtrees shared across
-the trees compiled together, and run on a point set.  exp arguments are
-guarded, so magnitudes stay below about 1e304.
+compose_form writes a form Q(f_0, ..., f_M) on a curve's components as an
+expression tree of `expr` (rational constants, z, +, *, -, integer powers,
+exp).  There is one evaluator for the numeric side: trees are compiled into
+a Program, a flat list of numpy operations with common subtrees shared
+across the trees compiled together, and run on a point set.  exp arguments
+are guarded, so magnitudes stay below about 1e304.
 """
 
 from __future__ import annotations
@@ -13,7 +14,22 @@ import operator
 
 import numpy as np
 
-from .expr import Add, Const, Exp, Expr, Mul, Neg, OverflowGuard, Pow, Z
+from .algebra import RATIONAL_FUNCTION, MultiPoly, RationalFunction
+from .expr import (
+    Add,
+    Const,
+    Exp,
+    Expr,
+    Mul,
+    Neg,
+    NonPolynomialCoefficient,
+    OverflowGuard,
+    Pow,
+    Z,
+    add,
+    mul,
+    pow_,
+)
 
 EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
 
@@ -90,3 +106,35 @@ class Program:
             for s in dead:
                 regs[s] = None
         return [regs[o] for o in self.outputs]
+
+
+def rf_to_expr(coeff: RationalFunction) -> Expr:
+    """Polynomial-in-z coefficient as an expression tree (Horner form)."""
+    if len(coeff.den) != 1 or coeff.den[0] != 1:
+        raise NonPolynomialCoefficient(
+            f"numeric targets need polynomial coefficients, got {coeff}")
+    coeffs = coeff.num
+    if not coeffs:
+        return Const(0)
+    acc: Expr = Const(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = add(Const(c), mul(Z(), acc))
+    return acc
+
+
+def compose_form(Q: MultiPoly, curve) -> Expr:
+    """Q(f_0,...,f_M) as an expression tree, for a curve (an EntireCurve)
+    with components f_i; coefficients must be polynomial in z."""
+    if Q.nvars != curve.nvars:
+        raise ValueError("variable count of the form does not match the curve")
+    total: Expr = Const(0)
+    for exp, c in Q.items():
+        if Q.field == RATIONAL_FUNCTION:
+            term: Expr = rf_to_expr(c)
+        else:
+            term = Const(c)
+        for i, k in enumerate(exp):
+            if k:
+                term = mul(term, pow_(curve.components[i], k))
+        total = add(total, term)
+    return total
