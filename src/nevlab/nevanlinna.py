@@ -2,10 +2,11 @@
 
 Curves are tuples of the expression trees of `expr` (rational constants, z,
 +, *, -, integer powers, exp).  There is one evaluator: every tree is
-compiled into a Program (`program`), a flat list of numpy operations with
-common subtrees shared across the trees compiled together (a curve's
-components, a target and its derivative), and eval_on runs it on a point
-set.  The
+compiled into a Program (`program`, which also composes the targets with a
+curve), a flat list of numpy operations with common subtrees shared across
+the trees compiled together (a curve's components, a target and its
+derivative), and eval_on runs it on a point set.  The circle rules live in
+`quadrature`.  The
 characteristic function is a circle average of log of the max-norm.  That
 integrand has a kink wherever the largest component changes:
 characteristic_T locates the kinks from one grid of samples and integrates
