@@ -59,7 +59,9 @@ def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
     first level where it meets the stopping rule, and only its own samples
     up to that level must be finite; fn still evaluates every row at every
     level until the last row stops.  A row's mean is, bit for bit, the
-    float that a one-row fn returning that row gives.
+    float that a one-row fn returning that row gives.  The integrands of
+    T_f, Jensen and the Cartan sums evaluate their rows at most 2,048
+    points at a time (nevanlinna._moduli).
     """
     if start < 1:
         raise ValueError(f"circle quadrature needs at least 1 sample, got {start}")
