@@ -16,7 +16,7 @@ conic = HomogeneousIdeal(3, [x0 * x2 - x1 * x1])
 values = [hilbert_function(conic, k) for k in range(11)]
 print("H(0..10) =", values)
 print("closed form 2N+1 matches:", values[1:] == [2 * k + 1 for k in range(1, 11)])
-n, deg = variety_invariants(conic, 10)
+n, deg = variety_invariants(conic)
 print(f"dimension n = {n}, degree = {deg}   (a degree-2 curve)")
 
 print()
@@ -26,11 +26,11 @@ cubic = HomogeneousIdeal(4, [y[0] * y[2] - y[1] * y[1],
                              y[1] * y[3] - y[2] * y[2],
                              y[0] * y[3] - y[1] * y[2]])
 print("H(1..6) =", [hilbert_function(cubic, k) for k in range(1, 7)])
-n, deg = variety_invariants(cubic, 7)
+n, deg = variety_invariants(cubic)
 print(f"dimension n = {n}, degree = {deg}   (H(N) = 3N + 1)")
 
 print()
 print("== P^1 itself (the zero ideal) ==")
 line = HomogeneousIdeal(2, [])
 print("H(0..6) =", [hilbert_function(line, k) for k in range(7)])
-print("invariants:", variety_invariants(line, 6))
+print("invariants:", variety_invariants(line))

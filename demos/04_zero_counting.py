@@ -13,6 +13,7 @@ import math
 from nevlab.expr import Const, Exp, Z, sub
 from nevlab.nevanlinna import (
     EntireCurve,
+    Program,
     characteristic_T,
     counting_N,
     jensen_check,
@@ -44,7 +45,7 @@ print("== Jensen residuals (quadrature vs zero list) ==")
 for name, h, r in (("e^z - 2", sub(Exp(Z()), Const(2)), 10.0),
                    ("z - 3", sub(Z(), Const(3)), 10.0),
                    ("e^z (zero-free)", Exp(Z()), 5.0)):
-    residual = jensen_check(h, r, locate_zeros(h, r * (1 + 1e-3) + 1e-6))
+    residual = jensen_check(Program([h]), r, [locate_zeros(h, r * (1 + 1e-3) + 1e-6)])
     print(f"  {name:16s} at r = {r:4.1f}: residual {residual:.2e}")
 
 print()

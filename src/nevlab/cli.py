@@ -31,7 +31,7 @@ with it, only then.  The exact commands never read the curve.
 Exit codes: 0 success, 2 parse error (for a numeric command, also a curve
 whose components all vanish at the probe points), 3 precondition failure
 (e.g. a non-admissible system), 4 numeric guard trip (overflow, ambiguous
-winding).
+winding, a zero cluster that tol cannot resolve).
 """
 
 from __future__ import annotations

@@ -488,8 +488,7 @@ class HilbertRecord:
     deg_v: int
 
 
-def variety_invariants(J: HomogeneousIdeal, k_max: int | None = None,
-                       window: int | None = None) -> tuple[int, int]:
+def variety_invariants(J: HomogeneousIdeal) -> tuple[int, int]:
     """(dim V, deg V) read off the Macaulay representation at which H_V
     persists, with no window.
 
@@ -500,8 +499,7 @@ def variety_invariants(J: HomogeneousIdeal, k_max: int | None = None,
     k_i - i at that maximum, over its factorial.  The Hilbert polynomial is
     (deg V / n!) k^n + ..., so dim V = n = max_i (k_i - i) and deg V is
     that number of pairs.  An empty representation (H_V = 0 from s on) is
-    the empty variety, (-1, 0).  k_max and window are accepted from callers
-    that scan a window of values, and not read.
+    the empty variety, (-1, 0).
     """
     _, rep = _persistence_search(J, (), RATIONAL, None)
     if not rep:

@@ -44,7 +44,8 @@ of a one-radius call.  No evaluation of a curve or its targets exceeds
 _BATCH_POINTS (2,048) points: T_f takes the radii in groups whose grids fit,
 and every larger point set is evaluated in slices (_moduli).  The sweep
 compiles its composed targets into one Program that serves the z = 0
-check, the identically-zero probes and the admissibility floor.
+check, the identically-zero probes, Jensen (one quadrature of targets x
+radii rows) and the admissibility floor (_log_ratios per circle).
 
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
@@ -548,9 +549,9 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
     lies above about tol/4 it does not settle, the box is split down to
     width tol, and if the floor lies above tol the windings of the last
     boxes drown in rounding noise: the subdivision raises WindingAmbiguous
-    or splits the cluster into zeros of lower multiplicity.  1e-6 is safe
-    for m <= 2 at moderate scales; reserve tighter tolerances for simple
-    zeros.
+    or splits the cluster into leaves within tol of each other (max norm),
+    which raise it too.  1e-6 is safe for m <= 2 at moderate scales;
+    reserve tighter tolerances for simple zeros.
 
     A box that no jitter offset splits raises WindingAmbiguous at once, in
     the generation where it happens, naming the first such box of the
@@ -605,6 +606,14 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
                 f"could not split box around {failed.center} (width {failed.width:.3g})")
         frontier = [q for quads in children for q in reversed(quads) if q.w != 0]
 
+    if len(leaves) > 1:  # a cluster tol cannot resolve comes back as close leaves
+        pts = np.array([z for z, _ in leaves])
+        gap = np.maximum(abs(pts.real[:, None] - pts.real), abs(pts.imag[:, None] - pts.imag))
+        np.fill_diagonal(gap, np.inf)
+        i, j = divmod(int(gap.argmin()), len(pts))
+        if gap[i, j] <= tol:
+            raise WindingAmbiguous(f"zeros at {pts[i]} and {pts[j]} lie within tol = {tol:g} "
+                                   "of each other: an unresolved cluster; loosen tol")
     kept = []
     for z, m in leaves:
         if abs(abs(z) - r) <= 10 * tol:
@@ -755,38 +764,42 @@ def counting_N(zeros: ZeroList, r: float) -> float:
     return acc
 
 
-def jensen_check(g: Expr, r, zeros: ZeroList) -> float:
-    """|circle average of log|g| - log|g(0)| - sum m_k log(r/|z_k|)|, the
-    largest over r when r is a sequence of radii.
+def jensen_check(prog: Program, r, zero_lists: list[ZeroList]) -> float:
+    """The largest |circle average of log|g_j| - log|g_j(0)| - sum m_k
+    log(r/|z_k|)| over the trees g_j of prog and the radii r (one or a
+    sequence).
 
-    `zeros` are the zeros of g located on a disk a little wider than the
-    largest |z| < r.  The circle average is computed with them divided out,
-    one zero at a time (their own circle averages are known exactly), which
-    keeps the quadrature smooth even when a zero sits close to the circle; a
-    missing or misplaced zero still shows up in the residual.  One call
-    covers a radius grid: g is compiled once, g(0) evaluated once, and every
-    radius is a row of one circle_quadrature, stopping on its own, in
-    evaluations of at most _BATCH_POINTS points.
+    zero_lists[j] are the zeros of g_j located on a disk a little wider
+    than the largest |z| < r.  The circle average is computed with them
+    divided out, one zero at a time (their own circle averages are known
+    exactly), which keeps the quadrature smooth even when a zero sits close
+    to the circle; a missing or misplaced zero still shows up in the
+    residual.  Every (target, radius) pair is a row of one
+    circle_quadrature, stopping on its own, in evaluations of at most
+    _BATCH_POINTS points, so each residual is that of a one-target,
+    one-radius call, bit for bit.
     """
     radii = _radius_list(r)
-    prog = Program([g])
-    g0 = complex(eval_on(prog, 0j)[0])
-    if abs(g0) == 0.0:
+    g0s = [abs(complex(v)) for v in eval_on(prog, 0j)]
+    if 0.0 in g0s:
         raise ZeroAtOrigin("g(0) = 0: Jensen's formula does not apply")
 
     def fn(theta):
         z = radii[:, None] * np.exp(1j * theta)
-        vals = np.log(_moduli(prog, z)[0])
-        for zk, mk in zeros.zeros:
-            vals -= mk * np.log(np.abs(z - zk))
-        return vals
+        vals = _moduli(prog, z)
+        np.log(vals, out=vals)
+        for row, zeros in zip(vals, zero_lists):
+            for zk, mk in zeros.zeros:
+                row -= mk * np.log(np.abs(z - zk))
+        return vals.reshape(-1, len(theta))
 
-    smooth_means = circle_quadrature(fn, start=512)
+    smooth_means = circle_quadrature(fn, start=512).reshape(len(g0s), len(radii))
     worst = 0.0
-    for rk, smooth_mean in zip(radii.tolist(), smooth_means.tolist()):
-        add_back = float(sum(m * math.log(max(rk, abs(z))) for z, m in zeros.zeros))
-        jensen_sum = sum(m * math.log(rk / abs(z)) for z, m in zeros.zeros if abs(z) < rk)
-        worst = max(worst, abs(smooth_mean + add_back - math.log(abs(g0)) - jensen_sum))
+    for g0, zeros, means in zip(g0s, zero_lists, smooth_means.tolist()):
+        for rk, smooth_mean in zip(radii.tolist(), means):
+            add_back = float(sum(m * math.log(max(rk, abs(z))) for z, m in zeros.zeros))
+            jensen_sum = sum(m * math.log(rk / abs(z)) for z, m in zeros.zeros if abs(z) < rk)
+            worst = max(worst, abs(smooth_mean + add_back - math.log(g0) - jensen_sum))
     return worst
 
 
@@ -836,7 +849,6 @@ class SweepData:
 
     radii: list[float]
     degrees: list[int]
-    composed: list[Expr]
     zero_lists: list[ZeroList]
     Tf: list[float]
     Nf: list[list[float]]        # Nf[j][i]: target j at radius i
@@ -882,8 +894,7 @@ def _tabulate(curve: EntireCurve, radii: list[float], degrees: list[int],
         raise ZeroCharacteristic(
             f"T_f = 0 at r = {radii[Tf.index(0.0)]}; the defects divide by T_f")
     Nf = [[counting_N(zl, r) for r in radii] for zl in zero_lists]
-    return SweepData(radii=radii, degrees=degrees, composed=composed,
-                     zero_lists=zero_lists, Tf=Tf, Nf=Nf)
+    return SweepData(radii=radii, degrees=degrees, zero_lists=zero_lists, Tf=Tf, Nf=Nf)
 
 
 @dataclass
@@ -966,8 +977,7 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
         margins.append(sum(Nf[j][i] / degrees[j] for j in range(q)) - factor * Tf[i])
     violations = [r for r, mgn in zip(radii, margins) if mgn < 0]
 
-    jensen_max = max(jensen_check(gq, radii, zeros=zl)
-                     for gq, zl in zip(data.composed, data.zero_lists))
+    jensen_max = jensen_check(prog, radii, data.zero_lists)
     if jensen_max >= JENSEN_GATE:
         warnings.append(f"Jensen residual {jensen_max:.3g} is at or above the gate "
                         f"{JENSEN_GATE:g}; a zero may lie on a grid circle")
@@ -994,36 +1004,27 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
         n=n, zero_counts=[zl.total() for zl in data.zero_lists], warnings=warnings)
 
 
-def _admissibility_floor(curve: EntireCurve, prog: Program, degrees: list[int], radii,
-                         samples: int = _BATCH_POINTS) -> list[float]:
-    """min over theta of max_j log(|Q_j(f)| / ||f||^d_j) on each circle,
-    from the one Program of the targets, one evaluation of the curve and
-    one of the targets per radius.  The max over targets is kept as it
-    goes, so no array of every target's ratios is held."""
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-
-    def floor(z):
-        log_norm = curve.log_max_norm(z)
-        best = None
-        for gz, d in zip(eval_on(prog, z), degrees):
-            vals = np.log(np.abs(gz)) - d * log_norm
-            best = vals if best is None else np.maximum(best, vals)
-        return float(np.min(best))
-
-    return [floor(r * np.exp(1j * theta)) for r in radii]
+def _admissibility_floor(curve: EntireCurve, prog: Program, degrees: list[int],
+                         radii) -> list[float]:
+    """min over theta of max_j log(|Q_j(f)| / ||f||^d_j) on each circle of
+    _BATCH_POINTS angles: _log_ratios of the one Program of the targets,
+    one circle at a time."""
+    circle = np.exp(1j * np.linspace(0.0, TWO_PI, _BATCH_POINTS, endpoint=False))
+    return [float(_log_ratios(curve, prog, degrees, r * circle).max(axis=0).min())
+            for r in radii]
 
 
 def curve_residual(generators: list[MultiPoly], curve: EntireCurve,
-                   radii=(1.5, 5.0, 10.0), samples: int = 64) -> float:
-    """max over sample circles of |P_i(f)| / ||f||^deg P_i for the variety
-    generators, taken in log space, so that no power of ||f|| overflows.
-    Every generator and every circle is one Program and one batch of
-    evaluations; smt probes the circles of its own radius grid."""
+                   radii=(1.5, 5.0, 10.0)) -> float:
+    """max over 64 angles of each circle of |P_i(f)| / ||f||^deg P_i for the
+    variety generators, taken in log space, so that no power of ||f||
+    overflows.  Every generator and every circle is one Program and one
+    batch of evaluations; smt probes the circles of its own radius grid."""
     kept = [P for P in generators if P.degree is not None]
     if not kept:
         return 0.0
     prog = Program([compose_form(P, curve) for P in kept])
-    theta = np.linspace(0.0, TWO_PI, samples, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     z = _radius_list(radii)[:, None] * np.exp(1j * theta)
     return float(np.exp(np.max(_log_ratios(curve, prog, [P.degree for P in kept], z))))
 

@@ -44,6 +44,14 @@ from nevlab import nevanlinna
 from nevlab.nevanlinna import TWO_PI, OverflowGuard, WindingAmbiguous, ZeroList
 
 
+# A polynomial with double zeros at 1 +- 0.4i and simple ones at
+# 1.1 +- 0.4i, 0.4 +- i, -0.4 +- 0.1i and 1.8 +- 1.8i.  Times e^z, the
+# cancellation floor of each double zero lies above tol = 1e-6
+UNRESOLVED_CLUSTER = (RationalFunction((162, -90, 25)) * RationalFunction((29, -50, 25)) ** 2
+                      * RationalFunction((29, -20, 25)) * RationalFunction((137, -220, 100))
+                      * RationalFunction((17, 80, 100))) / 3906250000
+
+
 def xvar(i, nvars=3, field=RATIONAL):
     return MultiPoly.variable(nvars, i, field)
 

@@ -30,6 +30,8 @@ from nevlab.cli import (
     run_command,
 )
 
+from helpers import UNRESOLVED_CLUSTER
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
@@ -571,6 +573,16 @@ class TestMainExitCodes:
         code = main(["tf", "--input", str(PROBLEMS / "conic.prob"),
                      "--r-min", "380", "--r-max", "400", "--r-steps", "2"])
         assert code == EXIT_NUMERIC
+
+    def test_unresolved_cluster_exit(self, tmp_path, capsys):
+        # P(z) e^z, whose double zeros at 1 +- 0.4i have cancellation
+        # floors above the default zero_tol 1e-6
+        path = tmp_path / "cluster.prob"
+        path.write_text("[variety]\nM = 1\nn = 1\n\n[hypersurfaces]\n"
+                        f"degree 1: {{{UNRESOLVED_CLUSTER}}}*x1\n\n[curve]\n1\nexp(z)\n")
+        code = main(["zeros", "--input", str(path), "--target", "0", "--r", "3.4"])
+        assert code == EXIT_NUMERIC
+        assert "an unresolved cluster" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["tf", "--samples", "0"],

@@ -15,7 +15,7 @@ from nevlab.algebra import (
     RationalFunction,
 )
 from nevlab import nevanlinna as nev
-from nevlab.program import _guarded_exp
+from nevlab.program import _guarded_exp, rf_to_expr
 from nevlab.cli import load_problem, parse_curve_expression, parse_problem
 from nevlab.expr import (
     Add,
@@ -52,6 +52,7 @@ from nevlab.nevanlinna import (
 )
 
 from helpers import (
+    UNRESOLVED_CLUSTER,
     reference_characteristic_T,
     reference_circle_quadrature,
     reference_circle_winding,
@@ -375,6 +376,14 @@ class TestPolishedZeros:
         for a, m in zeros:
             err = min(abs(z - a) for z, mz in zl.zeros if mz == m)
             assert err < (1e-9 if m == 1 else 10 * floor + 1e-12)
+
+    def test_unresolved_double_zero_raises(self):
+        # the double zeros at 1 +- 0.4i have a cancellation floor above tol:
+        # each came back as two simple zeros 8.3e-7 apart, and the total
+        # still matched the disk winding
+        g = mul(Exp(Z()), rf_to_expr(UNRESOLVED_CLUSTER))
+        with pytest.raises(WindingAmbiguous, match="within tol = 1e-06 of each other"):
+            locate_zeros(g, 3.4, tol=1e-6)
 
 
 def _box_loop(x0, x1, y0, y1):
@@ -763,6 +772,10 @@ class TestKinkAwareT:
         assert abs(characteristic_T(curve, 2.0) - want) <= 1e-9 * abs(want)
 
 
+_JENSEN_TARGETS = [sub(Exp(Z()), Const(2)), sub(Z(), Const(3)),
+                   sub(Exp(mul(Const(2), Z())), mul(Z(), Z()))]
+
+
 class TestRadiusGrid:
     """One call covers a radius grid, and every radius keeps its own samples
     and stopping rules: each value is that of a one-radius call."""
@@ -846,12 +859,36 @@ class TestRadiusGrid:
         assert got[1] == nev.circle_quadrature(lambda t: np.exp(3 * np.cos(t)), start=4)
         assert len(levels) > 2
 
-    @pytest.mark.parametrize("g", [sub(Exp(Z()), Const(2)), sub(Z(), Const(3)),
-                                   sub(Exp(mul(Const(2), Z())), mul(Z(), Z()))])
-    def test_jensen_is_the_largest_one_radius_residual(self, g):
+    @pytest.mark.parametrize("g", _JENSEN_TARGETS)
+    def test_jensen_is_the_largest_one_radius_residual(self, g, monkeypatch):
+        # one call on several targets, g's rows first, is one quadrature
+        # whose rows stop at different levels: the zero of z - 8.05 lies
+        # outside the disk the zeros are located on, and so close to the
+        # circle r = 8 that its row needs thousands of samples.  The call's
+        # residual is the largest one-target, one-radius residual, bit for bit
         radii = [2.0, 3.5, 5.0, 8.0]
-        zl = locate_zeros(g, 8 * (1 + 1e-3) + 1e-6)
-        assert jensen_check(g, radii, zl) == max(jensen_check(g, r, zl) for r in radii)
+        gs = ([g] + [t for t in _JENSEN_TARGETS if t is not g]
+              + [sub(Z(), Const(Fraction(161, 20)))])
+        zls = [locate_zeros(t, 8 * (1 + 1e-3) + 1e-6) for t in gs]
+        singles = [[jensen_check(Program([t]), rk, [zl]) for rk in radii]
+                   for t, zl in zip(gs, zls)]
+        assert jensen_check(Program([g]), radii, zls[:1]) == max(singles[0])
+        levels, original = [], nev.circle_quadrature
+
+        def counted(fn, **kwargs):
+            def fn_counted(theta):
+                levels[-1] += 1
+                return fn(theta)
+            levels.append(0)
+            return original(fn_counted, **kwargs)
+
+        monkeypatch.setattr(nev, "circle_quadrature", counted)
+        for t, zl in zip(gs, zls):
+            jensen_check(Program([t]), radii, [zl])
+        assert len(set(levels)) > 1
+        del levels[:]
+        assert jensen_check(Program(gs), radii, zls) == max(map(max, singles))
+        assert len(levels) == 1
 
 
 class TestGenerations:
@@ -988,7 +1025,7 @@ class TestCounting:
 
 def _jensen(g, r):
     """jensen_check with the zeros located on a disk a little wider than r."""
-    return jensen_check(g, r, locate_zeros(g, r * (1 + 1e-3) + 1e-6))
+    return jensen_check(Program([g]), r, [locate_zeros(g, r * (1 + 1e-3) + 1e-6)])
 
 
 class TestJensen:
@@ -1004,14 +1041,14 @@ class TestJensen:
 
     def test_zero_at_origin_rejected(self):
         with pytest.raises(ZeroAtOrigin):
-            jensen_check(sub(Exp(Z()), Const(1)), 5, ZeroList(zeros=[], radius=5.0))
+            jensen_check(Program([sub(Exp(Z()), Const(1))]), 5, [ZeroList(zeros=[], radius=5.0)])
 
     def test_zero_near_circle_stays_accurate(self):
         # |ln 2 + 2 pi i| = 6.3214 is within 0.022 of the radius 6.3: the
         # smoothed quadrature keeps the residual small anyway.
         g = sub(Exp(Z()), Const(2))
         zl = locate_zeros(g, 9, tol=1e-10)
-        assert jensen_check(g, 6.3, zeros=zl) < 1e-5
+        assert jensen_check(Program([g]), 6.3, [zl]) < 1e-5
 
 
 class TestDefects:
@@ -1126,3 +1163,23 @@ class TestSweep:
         assert min(rep.floor_values) >= -(rep.floor_fit.c1
                                      + rep.floor_fit.c2 * math.log(30)
                                      + 1e-6)
+
+    def test_floor_is_the_running_maximum_over_targets(self):
+        # the floor reads _log_ratios one circle at a time; on conic.prob's
+        # grid it is, bit for bit, the minimum over 2,048 angles of the
+        # running maximum of log|g_j| - d_j log||f|| taken target by target
+        spec = load_problem(str(PROBLEMS / "conic.prob"))
+        curve, degrees = spec.curve, [Q.degree for Q in spec.hypersurfaces]
+        prog = Program([compose_form(Q, curve) for Q in spec.hypersurfaces])
+        radii = np.linspace(5, 30, 26).tolist()
+        theta = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+        want = []
+        for r in radii:
+            z = r * np.exp(1j * theta)
+            log_norm = curve.log_max_norm(z)
+            best = None
+            for gz, d in zip(eval_on(prog, z), degrees):
+                vals = np.log(np.abs(gz)) - d * log_norm
+                best = vals if best is None else np.maximum(best, vals)
+            want.append(float(np.min(best)))
+        assert nev._admissibility_floor(curve, prog, degrees, radii) == want
