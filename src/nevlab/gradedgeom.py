@@ -24,11 +24,13 @@ builds normal forms only up to the degree after it.  Every two consecutive
 values computed directly are checked against Macaulay's bound
 (`HilbertDefect`).
 
-The admissibility certificates are solved on the same rows: one exact solve
-at a degree writes the classes of the powers x_i^s in terms of the targets'
-multiples, which decides membership and gives the targets' cofactors at once.
-Membership is monotone in s, so the smallest s is found by a monotone search
-from a start degree, solving only at the degrees it visits.
+The admissibility certificates are decided on the same rows.  Membership of
+the powers x_i^s is monotone in s, so the smallest s is found by a monotone
+search from a start degree.  At every degree it visits but the one it
+certifies, it only tests membership: the classes of the powers against one
+elimination of the targets' multiples.  An exact solve, at the start and
+again only at the degree the search ends on when it moved, writes the classes
+of the powers in terms of the multiples, which gives the targets' cofactors.
 What is left of x_i^s lies in J_s, and its J-cofactors are read from a
 per-degree table that writes each non-standard monomial t minus its normal
 form in J's generators (`HomogeneousIdeal.ideal_cofactors`, one solve of
@@ -562,19 +564,24 @@ class NullstellensatzCertificate:
 def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: int = 1):
     """Smallest s <= s_max with x_i^s in (J, Qs)_s for every variable, or None.
 
-    At a degree s the classes of the powers x_i^s modulo J_s, read off
-    `normal_forms`, are solved against the Qs' `multiples` in one exact
-    solve.  x_i^s is in (J, Qs)_s exactly when its class is in their span,
-    and the solution holds the Qs' cofactors on standard monomials.
+    x_i^s is in (J, Qs)_s exactly when its class modulo J_s, read off
+    `normal_forms`, is in the span of the Qs' `multiples`.  A membership
+    test inserts the multiples into one `Echelon` on the standard columns
+    and stops at the first power whose class leaves a nonzero remainder.  A
+    full solve (`solve_row_combinations`) writes every power's class in
+    terms of the multiples, which gives the Qs' cofactors on standard
+    monomials, and it returns no None exactly when the test says yes.
 
     Membership is monotone in s: x_i^s in the ideal gives x_i^(s+1) =
     x_i * x_i^s in it.  So s is found by a monotone search from `start`,
-    taken into 1..s_max: when every power is in the ideal there, the search
-    steps down until a degree fails; otherwise it steps up until a degree
-    succeeds or s_max fails.  Either way it ends on the smallest s, and the
-    certificate is read from the one solve at that s, which is the one a
-    scan up from 1 ends on: `start` changes the number of solves, never the
-    result.
+    taken into 1..s_max.  The search solves in full at `start`, which is
+    usually the answer.  When every power is in the ideal there, it steps
+    down, testing membership, until a degree fails; otherwise it steps up,
+    testing membership, until a degree succeeds or s_max fails.  Either way
+    it ends on the smallest s, and it solves in full again only there, when
+    that s is not `start`.  The certificate is read from the solve at that
+    s, which is the one a scan up from 1 ends on: `start` changes the
+    number of eliminations, never the result.
 
     The rest of x_i^s, its residual r_i, lies in J_s; its J-cofactors are
     the sum over non-standard monomials t of r_i[t] times the cofactors of
@@ -592,33 +599,56 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: i
     nvars = J.nvars
     zero, one = field_zero(field), field_one(field)
 
-    def solve(s):
-        """Each power's combination of the Qs' multiples at degree s, or None
-        when some power is outside their span."""
+    def power_classes(s):
+        """(x_i^s for each variable, their classes modulo J_s as rows on
+        the standard monomials)."""
         std, classes = J.normal_forms(s)
-        A = ExactMatrix.from_rows(J.multiples(s, Qs), len(std), field)
-        targets = []
-        for i in range(nvars):
+        powers = [_power(nvars, i, s) for i in range(nvars)]
+        rows = []
+        for p in powers:
             row = [zero] * len(std)
-            for col, v in classes[_power(nvars, i, s)]:
+            for col, v in classes[p]:
                 row[col] = one * v
-            targets.append(row)
+            rows.append(row)
+        return powers, rows
+
+    def member(s):
+        """Whether every power's class lies in the span of the Qs' multiples
+        at degree s.  The multiples go into one Echelon on the standard
+        columns, and the first power whose class leaves a nonzero remainder
+        answers no."""
+        span = Echelon(field, len(J.normal_forms(s)[0]))
+        for row in J.multiples(s, Qs):
+            span.insert(row)
+        return not any(any(span.remainder(v)) for v in power_classes(s)[1])
+
+    def solve(s):
+        """(the powers, each power's combination of the Qs' multiples at
+        degree s), or None when some power is outside their span."""
+        rows = J.multiples(s, Qs)
+        # The rows are field elements already, so they are not coerced again.
+        A = ExactMatrix(len(rows), len(J.normal_forms(s)[0]), field, rows, _raw=True)
+        powers, targets = power_classes(s)
         sols = solve_row_combinations(A, targets)
-        return None if any(sol is None for sol in sols) else sols
+        return None if any(sol is None for sol in sols) else (powers, sols)
 
     if s_max < 1:
         return None
-    s = min(max(start, 1), s_max)
-    sols = solve(s)
-    if sols is not None:
-        while s > 1 and (lower := solve(s - 1)) is not None:
-            s, sols = s - 1, lower
+    s = top = min(max(start, 1), s_max)
+    solved = solve(s)
+    if solved is not None:
+        while s > 1 and member(s - 1):
+            s -= 1
     else:
-        while sols is None and s < s_max:
-            s += 1
-            sols = solve(s)
-    if sols is None:
-        return None
+        s = next((k for k in range(s + 1, s_max + 1) if member(k)), None)
+        if s is None:
+            return None
+    if s != top:
+        solved = solve(s)
+        if solved is None:
+            raise CertificateDefect(
+                f"the powers pass the membership test at degree {s} but have no solution")
+    powers, sols = solved
 
     gens = [g.over(field) for g in J.generators] + Qs
     offset = len(J.generators)
@@ -633,7 +663,7 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: i
         if scale != 1:
             sol = [c.numerator * (scale // c.denominator) for c in sol]
         per_gen = [{} for _ in gens]
-        residual = {_power(nvars, i, s): one * scale}
+        residual = {powers[i]: one * scale}
         for c, (j, m) in zip(sol, labels):
             if not c:
                 continue
@@ -726,9 +756,10 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
     share one certificate, computed and verified once per call.  Each
     search for s starts at the s of the last system certified in the call
     (1 before the first): the systems of one check tend to share their s,
-    which then costs a solve at s and one at s - 1 rather than one at every
-    degree up to s.  Membership of x_i^s is monotone in s, so the start
-    changes the cost, not the certificate (`nullstellensatz_certificate`).
+    which then costs a solve at s and a membership test at s - 1 rather
+    than one elimination at every degree up to s.  Membership of x_i^s is
+    monotone in s, so the start changes the cost, not the certificate
+    (`nullstellensatz_certificate`).
     Negative answers report the positive Hilbert value of the specialized
     quotient when it is constant over the M + 2 degrees ending at
     s_max + M + 3, and are marked heuristic; those values, too, are

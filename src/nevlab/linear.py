@@ -26,12 +26,12 @@ already the preimage's RREF, so it is not reduced again.
 
 Over Q an `Echelon` holds primitive integer rows with a positive pivot and
 reduces them fraction-free (`_clear_integer`), so every entry stays an int;
-only `reduced` divides a row by its pivot, giving ints where the pivot
-divides an entry and Fractions elsewhere, and only `remainder` takes
-Fractions on the way.  Over Q(z) it runs on the field elements and keeps
-sparse rows sparse; integer elimination over Z[z] was measured 6-14x slower
-on the same matrices, because scaling whole rows destroys that sparsity and
-grows the z-degrees.
+only `reduced`, and `solve_row_combinations` on the entries it reads, divide
+by a row's pivot, giving ints where the pivot divides an entry and Fractions
+elsewhere, and only `remainder` takes Fractions on the way.  Over Q(z) it
+runs on the field elements and keeps sparse rows sparse; integer
+elimination over Z[z] was measured 6-14x slower on the same matrices,
+because scaling whole rows destroys that sparsity and grows the z-degrees.
 
 Every matrix is reduced over its own field tag and entries are never
 inspected to pick a cheaper one.  The field is chosen once, by the callers,
@@ -42,7 +42,6 @@ coefficient is constant, Q(z) otherwise.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -325,7 +324,10 @@ def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | N
     is nonzero only in the columns of targets outside the row space: a
     target is None exactly when such a row is nonzero in its column.  The
     other targets are read from the rows whose pivot j is below A.rows: x_j
-    is that row's entry in the target's column, and every other x_j is 0.
+    is that row's entry in the target's column divided by its pivot entry,
+    which is the RREF's entry there, and every other x_j is 0.  Only those
+    entries are divided, not the whole RREF (`Echelon.reduced`), so over Q
+    no Fraction is made for a column that no answer reads.
     """
     for v in targets:
         if len(v) != A.cols:
@@ -333,16 +335,21 @@ def solve_row_combinations(A: ExactMatrix, targets: list[list]) -> list[list | N
     span = Echelon(A.field, A.rows + len(targets))
     for i in range(A.cols):
         span.insert([row[i] for row in A.entries] + [v[i] for v in targets])
-    pivots, rows = span.reduced()
-    split = bisect_left(pivots, A.rows)
+    integer = A.field == RATIONAL
     zero = field_zero(A.field)
     results: list[list | None] = []
     for col in range(A.rows, A.rows + len(targets)):
-        if any(row[col] for row in rows[split:]):
-            results.append(None)
-            continue
         x = [zero] * A.rows
-        for pc, row in zip(pivots, rows[:split]):
-            x[pc] = row[col]
+        for c, row, _ in span.rows:
+            v = row[col]
+            if not v:
+                continue
+            if c >= A.rows:
+                x = None
+                break
+            if integer:
+                p = row[c]
+                v = v // p if not v % p else Fraction(v, p)
+            x[c] = v
         results.append(x)
     return results

@@ -44,8 +44,9 @@ of a one-radius call.  No evaluation of a curve or its targets exceeds
 _BATCH_POINTS (2,048) points: T_f takes the radii in groups whose grids fit,
 and every larger point set is evaluated in slices (_moduli).  The sweep
 compiles its composed targets into one Program that serves the z = 0
-check, the identically-zero probes, Jensen (one quadrature of targets x
-radii rows) and the admissibility floor (_log_ratios per circle).
+check, the identically-zero probes, Jensen (quadratures of targets x radii
+rows, at most _JENSEN_ROWS rows each) and the admissibility floor
+(_log_ratios per circle).
 
 Floating point only lives here; every input the exact modules care about
 stays exact upstream.
@@ -83,6 +84,10 @@ ZERO_PROBE_TOL = 1e-12  # identically zero: |Q(f)| <= this * ||f||^d at every pr
 # floor's samples on one circle.  T_f takes the radii of a grid in groups
 # whose kink grids fit in it.
 _BATCH_POINTS = 2048
+# Target x radius rows per Jensen quadrature: a grid's radii go in groups of
+# at most this many rows (one radius at least), so the samples a quadrature
+# holds are bounded by the group, not by the grid.
+_JENSEN_ROWS = 32
 JENSEN_GATE = 1e-5  # a Jensen residual at or above this is reported as a warning
 
 
@@ -774,26 +779,32 @@ def jensen_check(prog: Program, r, zero_lists: list[ZeroList]) -> float:
     divided out, one zero at a time (their own circle averages are known
     exactly), which keeps the quadrature smooth even when a zero sits close
     to the circle; a missing or misplaced zero still shows up in the
-    residual.  Every (target, radius) pair is a row of one
-    circle_quadrature, stopping on its own, in evaluations of at most
-    _BATCH_POINTS points, so each residual is that of a one-target,
-    one-radius call, bit for bit.
+    residual.  Every (target, radius) pair is a row of a circle_quadrature,
+    stopping on its own, in evaluations of at most _BATCH_POINTS points.
+    The radii go in groups of _JENSEN_ROWS // targets (at least one), one
+    quadrature each, so the samples held stay bounded on any grid, and each
+    residual is that of a one-target, one-radius call, bit for bit.
     """
     radii = _radius_list(r)
     g0s = [abs(complex(v)) for v in eval_on(prog, 0j)]
     if 0.0 in g0s:
         raise ZeroAtOrigin("g(0) = 0: Jensen's formula does not apply")
 
-    def fn(theta):
-        z = radii[:, None] * np.exp(1j * theta)
-        vals = _moduli(prog, z)
-        np.log(vals, out=vals)
-        for row, zeros in zip(vals, zero_lists):
-            for zk, mk in zeros.zeros:
-                row -= mk * np.log(np.abs(z - zk))
-        return vals.reshape(-1, len(theta))
+    def integrand(rs):
+        def fn(theta):
+            z = rs[:, None] * np.exp(1j * theta)
+            vals = _moduli(prog, z)
+            np.log(vals, out=vals)
+            for row, zeros in zip(vals, zero_lists):
+                for zk, mk in zeros.zeros:
+                    row -= mk * np.log(np.abs(z - zk))
+            return vals.reshape(-1, len(theta))
+        return fn
 
-    smooth_means = circle_quadrature(fn, start=512).reshape(len(g0s), len(radii))
+    group = max(1, _JENSEN_ROWS // len(g0s))
+    smooth_means = np.hstack([
+        circle_quadrature(integrand(radii[s:s + group]), start=512).reshape(len(g0s), -1)
+        for s in range(0, len(radii), group)])
     worst = 0.0
     for g0, zeros, means in zip(g0s, zero_lists, smooth_means.tolist()):
         for rk, smooth_mean in zip(radii.tolist(), means):

@@ -906,6 +906,33 @@ class TestSweepPipeline:
             f"Jensen residual {jensen_max:.3g} is at or above the gate 1e-05; "
             "a zero may lie on a grid circle"]
 
+    def test_smt_allocation_bounded_in_the_radius_count(self, tmp_path):
+        # Jensen takes its radii in groups of at most _JENSEN_ROWS target x
+        # radius rows, so 200 radii allocate at most twice the peak of the
+        # default 26; one quadrature of all 800 rows peaked 7x higher.  The
+        # first run warms the caches, which are not per-radius work
+        import tracemalloc
+
+        problem = str(PROBLEMS / "conic.prob")
+
+        def peak(*grid):
+            tracemalloc.start()
+            try:
+                code = main(["smt", "--input", problem, *grid,
+                             "--out", str(tmp_path / "smt.txt")])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak()[0] == EXIT_OK
+        code, default = peak()
+        assert code == EXIT_OK
+        code, wide = peak("--r-steps", "200")
+        assert code == EXIT_OK
+        table = (tmp_path / "smt.txt").read_text().split("\nr,Tf,")[1].splitlines()
+        assert len(table) == 1 + 200
+        assert wide <= 2 * default
+
     @pytest.mark.parametrize("r", ["3", "0"])
     def test_zeros_on_a_vanishing_target_is_precondition(self, r, tmp_path, capsys):
         # target 3 replaced by the variety's own generator, which vanishes

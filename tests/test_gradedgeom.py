@@ -355,30 +355,48 @@ class TestNullstellensatz:
 
     def test_search_solves_only_the_degrees_it_visits(self, monkeypatch):
         # Membership of x_i^s is monotone in s, so a search from start = s
-        # solves at s and at s - 1 only, and a failed solve at s_max ends
-        # the search.  J's normal forms and J-cofactors are warmed first, so
-        # only the certificate's own solves are counted.
+        # solves in full at s and tests membership at s - 1 only, a search
+        # up from 1 solves at 1, tests 2, 3 and 4 and solves at 4, and a
+        # failed solve at s_max ends the search.  J's normal forms and
+        # J-cofactors are warmed first, so only the certificate's own
+        # eliminations are counted: full solves through
+        # solve_row_combinations, membership tests through the Echelon that
+        # each builds on the standard columns.
         import nevlab.gradedgeom as gg
 
-        genuine = gg.solve_row_combinations
-        calls = []
+        counts = {"solves": 0, "tests": 0}
+        genuine_solve, genuine_echelon = gg.solve_row_combinations, gg.Echelon
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return genuine(*args, **kwargs)
+        def counting_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return genuine_solve(*args, **kwargs)
+
+        def counting_echelon(*args, **kwargs):
+            counts["tests"] += 1
+            return genuine_echelon(*args, **kwargs)
 
         J = conic_ideal()
         Qs = [xvar(0) * xvar(0), xvar(2) * xvar(2)]
         assert nullstellensatz_certificate(J, Qs, 6).s == 4
-        monkeypatch.setattr(gg, "solve_row_combinations", counting)
-        for start, solves in ((4, 2), (1, 4)):
-            calls.clear()
+        monkeypatch.setattr(gg, "solve_row_combinations", counting_solve)
+        monkeypatch.setattr(gg, "Echelon", counting_echelon)
+        for start, solves, tests in ((4, 1, 1), (1, 2, 3)):
+            counts.update(solves=0, tests=0)
             assert nullstellensatz_certificate(J, Qs, 6, start=start).s == 4
-            assert len(calls) == solves
+            assert counts == {"solves": solves, "tests": tests}
         x0 = xvar(0, 2)
-        calls.clear()
+        counts.update(solves=0, tests=0)
         assert nullstellensatz_certificate(p1_ideal(), [x0, x0.scale(5)], 6, start=6) is None
-        assert len(calls) == 1
+        assert counts == {"solves": 1, "tests": 0}
+
+    def test_membership_without_a_solution_is_a_defect(self, monkeypatch):
+        # the membership test at s = 4 says yes, so a solve there that
+        # leaves a power outside the span is an implementation bug
+        import nevlab.gradedgeom as gg
+
+        monkeypatch.setattr(gg, "solve_row_combinations", lambda A, targets: [None] * len(targets))
+        with pytest.raises(CertificateDefect, match="degree 4"):
+            nullstellensatz_certificate(conic_ideal(), [xvar(0) * xvar(0), xvar(2) * xvar(2)], 6)
 
 
 class TestAdmissibility:

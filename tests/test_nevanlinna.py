@@ -890,6 +890,29 @@ class TestRadiusGrid:
         assert jensen_check(Program(gs), radii, zls) == max(map(max, singles))
         assert len(levels) == 1
 
+    def test_jensen_groups_give_the_one_quadrature_means(self, monkeypatch):
+        # a grid split into one quadrature per radius gives every (target,
+        # radius) row's mean of the one quadrature of the grid, bit for bit
+        radii = [2.0, 3.5, 5.0, 8.0]
+        gs = _JENSEN_TARGETS + [sub(Z(), Const(Fraction(161, 20)))]
+        zls = [locate_zeros(t, 8 * (1 + 1e-3) + 1e-6) for t in gs]
+        means, original = [], nev.circle_quadrature
+
+        def recorded(fn, **kwargs):
+            means.append(original(fn, **kwargs).reshape(len(gs), -1))
+            return means[-1]
+
+        monkeypatch.setattr(nev, "circle_quadrature", recorded)
+        runs = {}
+        for rows in (len(gs), len(gs) * len(radii)):
+            monkeypatch.setattr(nev, "_JENSEN_ROWS", rows)
+            del means[:]
+            residual = jensen_check(Program(gs), radii, zls)
+            runs[rows] = (residual, np.hstack(means).tolist(), len(means))
+        split, whole = runs[len(gs)], runs[len(gs) * len(radii)]
+        assert (split[2], whole[2]) == (len(radii), 1)
+        assert split[:2] == whole[:2]
+
 
 class TestGenerations:
     """Each generation of boxes is split in one batch.  The zeros and the

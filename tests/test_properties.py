@@ -43,6 +43,10 @@ consecutive values must satisfy Macaulay's bound.
 Certificates, and the s that `admissibility_check` reports at each witness
 on its primitive forms, must match the certificate solved in full monomial
 coordinates on the raw forms (`reference_nullstellensatz_certificate`).
+The search for s, which tests membership at every degree but the one it
+certifies, must give the same certificate from every start on random
+primitive pairs on P^1, the conic and the twisted cubic, and a full solve one
+degree below its s must leave some power outside the span.
 """
 
 import math
@@ -73,6 +77,7 @@ from nevlab import filtration as filt
 from nevlab import gradedgeom as gg
 from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main, parse_polynomial
 from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
+from nevlab.linear import ExactMatrix, solve_row_combinations
 
 from helpers import (
     coefficient_vector,
@@ -697,6 +702,78 @@ def test_certificate_degree_matches_full_coordinates(name, data):
     reference = reference_nullstellensatz_certificate(J, Qs, s_max)
     assert (None if reference is None else reference.s) == expected
     assert cert is None or cert.verify()
+
+
+# Curves of the search's property test, with the s_max searched to.
+SEARCH_S_MAX = {"p1": (p1_ideal, 6), "conic": (conic_ideal, 6),
+                "twisted_cubic": (twisted_cubic_ideal, 6)}
+
+
+@st.composite
+def primitive_pairs(draw, J):
+    """Two primitive forms of one degree d in 1..2, with integer
+    coefficients in -5..5 before scaling.  In some draws both are multiples
+    of one linear form L, so they share L's zeros on the curve and no
+    certificate exists."""
+    def form(d):
+        basis = monomial_basis(J.M, d)
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+        q = MultiPoly(J.nvars, RATIONAL, dict(zip(basis, coeffs)))
+        assume(not q.is_zero)
+        return q
+
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        L = form(1)
+        pair = [L, L.scale(-3)] if d == 1 else [L * form(1), L * form(1)]
+    else:
+        pair = [form(d), form(d)]
+    return [gg.primitive_form(q) for q in pair]
+
+
+def _full_solve_misses_a_power(J, Qs, s):
+    """Whether the full solve of the powers x_i^s against the Qs' multiples
+    at degree s, solve_row_combinations on ExactMatrix.from_rows, leaves
+    some power outside their span."""
+    std, classes = J.normal_forms(s)
+    A = ExactMatrix.from_rows(J.multiples(s, Qs), len(std), RATIONAL)
+    targets = []
+    for i in range(J.nvars):
+        row = [0] * len(std)
+        for col, v in classes[tuple(s if j == i else 0 for j in range(J.nvars))]:
+            row[col] = v
+        targets.append(row)
+    return any(sol is None for sol in solve_row_combinations(A, targets))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_S_MAX))
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_search_from_any_start_gives_the_scan_certificate(name, data):
+    """The search for s tests membership at every degree it visits but the
+    one it certifies.  From every start in 1..s_max it must give the
+    certificate that the scan up from 1 gives: the same s, the same
+    generators, and every cofactor coefficient with its type.  One degree
+    below that s, or at s_max when there is none, the full solve must leave
+    some power outside the span of the targets' multiples."""
+    make, s_max = SEARCH_S_MAX[name]
+    J = make()
+    Qs = data.draw(primitive_pairs(J))
+
+    def typed(c):
+        def terms(p):
+            return {e: (type(v), v) for e, v in p.terms.items()}
+        return c and (c.s, [terms(g) for g in c.generators],
+                      [[terms(p) for p in cofs] for cofs in c.cofactors])
+
+    first = nullstellensatz_certificate(J, Qs, s_max)
+    for start in range(1, s_max + 1):
+        assert typed(nullstellensatz_certificate(J, Qs, s_max, start=start)) == typed(first)
+    if first is None:
+        assert _full_solve_misses_a_power(J, Qs, s_max)
+        return
+    assert first.verify()
+    assert first.s == 1 or _full_solve_misses_a_power(J, Qs, first.s - 1)
 
 
 # The s cutoff, trial count and number of examples below bound the test's
