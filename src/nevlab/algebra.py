@@ -544,13 +544,19 @@ class MultiPoly:
     terms maps exponent tuples (length nvars) to nonzero coefficients; the
     zero polynomial has an empty term dict.  `degree` is the common total of
     all exponents, or None when the polynomial is zero or inhomogeneous.
+
+    Instances are immutable: the hash and the set of term degrees are
+    computed on first use and kept, so `terms` must not change after
+    construction, and a `_raw=True` caller hands over a dict of nonzero
+    field elements that it no longer touches.
     """
 
-    __slots__ = ("nvars", "field", "terms")
+    __slots__ = ("nvars", "field", "terms", "_hash", "_degrees")
 
     def __init__(self, nvars: int, field: str, terms: dict | None = None, _raw=False):
         self.nvars = nvars
         self.field = field
+        self._hash = self._degrees = None
         if _raw:
             self.terms = terms or {}
             return
@@ -596,14 +602,13 @@ class MultiPoly:
     @property
     def degree(self):
         """Common total degree, or None when zero or inhomogeneous."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        if self._degrees is None:
+            self._degrees = frozenset(map(sum, self.terms))
+        return next(iter(self._degrees)) if len(self._degrees) == 1 else None
 
     @property
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
+        return not self.terms or self.degree is not None
 
     def items(self):
         """Terms in descending lex order (deterministic)."""
@@ -666,22 +671,23 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        acc = MultiPoly.constant(self.nvars, 1, self.field)
-        base = self
+        acc, base = None, self
         while k:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             k >>= 1
             if k:
                 base = base * base
-        return acc
+        return MultiPoly.constant(self.nvars, 1, self.field) if acc is None else acc
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
                 and self.field == other.field and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, self.field, tuple(self.items())))
+        if self._hash is None:
+            self._hash = hash((self.nvars, self.field, tuple(self.items())))
+        return self._hash
 
     # -- field moves -------------------------------------------------------
     def over(self, field: str) -> "MultiPoly":

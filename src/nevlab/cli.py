@@ -56,6 +56,8 @@ from .algebra import (
     MultiPoly,
     PoleAtPoint,
     RationalFunction,
+    field_coerce,
+    field_one,
     normalize_degrees,
 )
 from .expr import (
@@ -109,76 +111,60 @@ class UnsupportedFormat(ValueError):
 # Tokenizer and recursive-descent parsers.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Token:
-    kind: str  # NUM, NAME, or a single symbol
-    value: str
-    line: int
-    col: int
-
-
 # A natural number, a name, a symbol, or one stray non-space character.
 _TOKEN = re.compile(r"(?P<NUM>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[-+*/^(){}])|\S")
 
 
-def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        start = m.start()
-        line = line_offset + text.count("\n", 0, start)
-        col = start - text.rfind("\n", 0, start)
-        if m.lastgroup is None:
-            raise ProblemSyntaxError(f"unexpected character {m[0]!r}", line, col)
-        tokens.append(_Token(m[0] if m.lastgroup == "SYM" else m.lastgroup, m[0], line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
+    """One text's tokens as (kind, value, offset), kind being NUM, NAME or the
+    symbol, ended by (None, None, None).  Line and column are worked out only
+    for an error; the end of input is column 1 of the first line."""
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def __init__(self, text: str, line: int):
+        self.text, self.line = text, line
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                self.error(f"unexpected character {m[0]!r}", m.start())
+            self.tokens.append((m[0] if kind == "SYM" else kind, m[0], m.start()))
+        self.tokens.append((None, None, None))
+        self.pos, self.tok = 0, self.tokens[0]
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ProblemSyntaxError("unexpected end of input", self.end_line, 1)
+    def position(self, offset: int | None) -> tuple[int, int]:
+        if offset is None:
+            return self.line, 1
+        return (self.line + self.text.count("\n", 0, offset),
+                offset - self.text.rfind("\n", 0, offset))
+
+    def error(self, message: str, offset: int | None = None):
+        raise ProblemSyntaxError(message, *self.position(
+            self.tok[2] if offset is None else offset))
+
+    def next(self) -> tuple:
+        tok = self.tok
+        if tok[0] is None:
+            self.error("unexpected end of input")
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.next()
-        if tok.kind != kind:
-            raise ProblemSyntaxError(f"expected {kind!r}, found {tok.value!r}",
-                                     tok.line, tok.col)
+        if tok[0] != kind:
+            self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
-
-    def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def error(self, message: str):
-        tok = self.peek()
-        if tok is None:
-            raise ProblemSyntaxError(message, self.end_line, 1)
-        raise ProblemSyntaxError(message, tok.line, tok.col)
 
 
 def _parse_nat(p: _Parser) -> int:
-    return int(p.expect("NUM").value)
+    return int(p.expect("NUM")[1])
 
 
 def _parse_rational(p: _Parser) -> Fraction:
-    num = int(p.expect("NUM").value)
-    if p.at("/") and p.pos + 1 < len(p.tokens) and p.tokens[p.pos + 1].kind == "NUM":
+    num = int(p.expect("NUM")[1])
+    if p.tok[0] == "/" and p.tokens[p.pos + 1][0] == "NUM":
         p.next()
-        den = int(p.expect("NUM").value)
+        den = int(p.next()[1])
         if den == 0:
             p.error("zero denominator in rational literal")
         return Fraction(num, den)
@@ -204,8 +190,8 @@ class _Grammar:
 
 def _expr(p: _Parser, g: _Grammar):
     acc = _term(p, g)
-    while p.at("+") or p.at("-"):
-        op = p.next().kind
+    while p.tok[0] in ("+", "-"):
+        op = p.next()[0]
         rhs = _term(p, g)
         acc = acc + rhs if op == "+" else acc - rhs
     return acc
@@ -213,8 +199,8 @@ def _expr(p: _Parser, g: _Grammar):
 
 def _term(p: _Parser, g: _Grammar):
     acc = _factor(p, g)
-    while any(p.at(op) for op in g.products):
-        op = p.next().kind
+    while p.tok[0] in g.products:
+        op = p.next()[0]
         rhs = _factor(p, g)
         if op == "*":
             acc = acc * rhs
@@ -227,45 +213,47 @@ def _term(p: _Parser, g: _Grammar):
 
 def _factor(p: _Parser, g: _Grammar):
     base = _atom(p, g)
-    if p.at("^"):
+    if p.tok[0] == "^":
         p.next()
         base = base ** _parse_nat(p)
     return base
 
 
 def _atom(p: _Parser, g: _Grammar):
-    tok = p.peek()
-    if tok is None:
+    tok = p.tok
+    kind = tok[0]
+    if kind is None:
         p.error(f"unexpected end of {g.noun}")
-    if tok.kind == "(":
+    if kind == "(":
         p.next()
         inner = _expr(p, g)
         p.expect(")")
         return inner
-    if tok.kind == "-":
+    if kind == "-":
         p.next()
         return -_factor(p, g)
     value = g.leaf(p, tok)
     if value is None:
-        what = "name" if tok.kind == "NAME" else "token"
-        p.error(f"unexpected {what} {tok.value!r} in {g.noun}")
+        what = "name" if kind == "NAME" else "token"
+        p.error(f"unexpected {what} {tok[1]!r} in {g.noun}")
     return value
 
 
 def _parse(text: str, line: int, g: _Grammar):
-    p = _Parser(_tokenize(text, line), line)
+    p = _Parser(text, line)
     value = _expr(p, g)
-    if not p.done():
+    if p.tok[0] is not None:
         p.error(f"trailing input after {g.noun}")
     return value
 
 
-def _coefficient_leaf(p: _Parser, tok: _Token) -> RationalFunction | None:
-    if tok.kind == "NUM":
+def _coefficient_leaf(p: _Parser, tok: tuple) -> RationalFunction | None:
+    kind, name, _ = tok
+    if kind == "NUM":
         return RationalFunction.from_fraction(_parse_rational(p))
-    if tok.kind == "NAME":
-        if tok.value != "z":
-            p.error(f"unexpected name {tok.value!r} in coefficient (only z is allowed)")
+    if kind == "NAME":
+        if name != "z":
+            p.error(f"unexpected name {name!r} in coefficient (only z is allowed)")
         p.next()
         return RationalFunction.z()
     return None
@@ -276,40 +264,47 @@ _COEFFICIENT = _Grammar("coefficient", ("*", "/"), _coefficient_leaf)
 
 def parse_polynomial(text: str, nvars: int, ftag: str = RATIONAL_FUNCTION,
                      line: int = 1) -> MultiPoly:
-    """Parse one polynomial in x0..x{M}; raises ProblemSyntaxError with position."""
+    """Parse one polynomial in x0..x{M}; raises ProblemSyntaxError with position.
+    Leaves are built raw, their coefficients coerced into ftag once."""
+    const = (0,) * nvars
 
-    def leaf(p: _Parser, tok: _Token) -> MultiPoly | None:
-        if tok.kind == "NUM":
-            return MultiPoly.constant(nvars, _parse_rational(p), ftag)
-        if tok.kind == "{":
+    def raw(exp: tuple, c) -> MultiPoly:
+        return MultiPoly(nvars, ftag, {exp: c} if c else {}, _raw=True)
+
+    def leaf(p: _Parser, tok: tuple) -> MultiPoly | None:
+        kind, name, offset = tok
+        if kind == "NUM":
+            return raw(const, field_coerce(ftag, _parse_rational(p)))
+        if kind == "{":
             if ftag != RATIONAL_FUNCTION:
                 p.error("coefficient literals {...} are not allowed here "
                         "(variety generators have rational constant coefficients)")
             p.next()
             value = _expr(p, _COEFFICIENT)
             p.expect("}")
-            return MultiPoly.constant(nvars, value, ftag)
-        name = tok.value
-        if tok.kind == "NAME" and name[:1] == "x" and name[1:].isdigit():
-            idx = int(name[1:])
+            return raw(const, value)
+        digits = name[1:]  # x and a numeral: x01 is no name of x1
+        if kind == "NAME" and digits.isdigit() and name == f"x{int(digits)}":
+            idx = int(digits)
             if idx >= nvars:
-                raise ArityMismatchError(
-                    f"line {tok.line}, col {tok.col}: variable {name} exceeds "
-                    f"the declared M = {nvars - 1}")
+                ln, col = p.position(offset)
+                raise ArityMismatchError(f"line {ln}, col {col}: variable {name} "
+                                         f"exceeds the declared M = {nvars - 1}")
             p.next()
-            return MultiPoly.variable(nvars, idx, ftag)
+            return raw(const[:idx] + (1,) + const[idx + 1:], field_one(ftag))
         return None
 
     return _parse(text, line, _Grammar("polynomial", ("*",), leaf))
 
 
-def _curve_leaf(p: _Parser, tok: _Token) -> Expr | None:
-    if tok.kind == "NUM":
+def _curve_leaf(p: _Parser, tok: tuple) -> Expr | None:
+    kind, name, _ = tok
+    if kind == "NUM":
         return Const(_parse_rational(p))
-    if tok.kind == "NAME" and tok.value == "z":
+    if kind == "NAME" and name == "z":
         p.next()
         return Z()
-    if tok.kind == "NAME" and tok.value == "exp":
+    if kind == "NAME" and name == "exp":
         p.next()
         p.expect("(")
         inner = _expr(p, _CURVE)

@@ -4,9 +4,11 @@ subspaces, a reference Gauss-Jordan elimination over Q and Q(z) with the
 subspaces, kernels and solves built on it, a reference Q(z), a reference
 filtration and stabilization scan, reference normal forms and a reference
 certificate in full monomial coordinates, reference sample-doubling
-integrals, a fine-grid T_f and a reference depth-first zero finder."""
+integrals, a fine-grid T_f, a reference depth-first zero finder, and
+expression trees for the parser with their texts and operator-built values."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -395,6 +397,76 @@ def rand_poly(rng, nvars, degree, field=RATIONAL, terms=3, bound=5):
             coeff = rand_rational_function(rng, 1, bound)
         out = out + MultiPoly.monomial(nvars, exp, coeff, field)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Expression trees for the parser: ("num", Fraction), ("var", i), ("z",),
+# ("coef", tree), ("neg", a), ("pow", a, k) and (op, a, b) for op in + - * /.
+# `expression_text` prints a tree with the parentheses the grammar needs to
+# read it back as the same tree; `expression_value` builds its value with
+# the operators, from the coercing constructors.
+# ---------------------------------------------------------------------------
+
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1, "neg": 2, "pow": 2}
+
+
+def expression_text(tree) -> str:
+    """A tree's text: a sum's right operand is a product or tighter, a
+    product's a factor; a power's base is an atom, and so is a literal right
+    of "/" (so that z/2/3 is not read as z/(2/3))."""
+    kind = tree[0]
+
+    def operand(sub, least):
+        text = expression_text(sub)
+        return text if _PRECEDENCE.get(sub[0], 3) >= least else f"({text})"
+
+    if kind == "num":
+        q = tree[1]
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if kind == "var":
+        return f"x{tree[1]}"
+    if kind == "z":
+        return "z"
+    if kind == "coef":
+        return "{" + expression_text(tree[1]) + "}"
+    if kind == "neg":
+        return "-" + operand(tree[1], 2)
+    if kind == "pow":
+        return f"{operand(tree[1], 3)}^{tree[2]}"
+    if kind in "+-":
+        return f"{operand(tree[1], 0)} {kind} {operand(tree[2], 1)}"
+    right = f"({expression_text(tree[2])})" if tree[2][0] == "num" else operand(tree[2], 2)
+    return f"{operand(tree[1], 1)}{kind}{right}"
+
+
+def expression_value(tree, nvars=None, field=RATIONAL_FUNCTION):
+    """A tree's value: with nvars None a Q(z) coefficient built from
+    RationalFunction(...), else a polynomial built from MultiPoly.constant
+    and MultiPoly.variable over field."""
+    kind = tree[0]
+    if kind == "num":
+        if nvars is None:
+            return RationalFunction(tree[1])
+        return MultiPoly.constant(nvars, tree[1], field)
+    if kind == "var":
+        return MultiPoly.variable(nvars, tree[1], field)
+    if kind == "z":
+        return RationalFunction((0, 1))
+    if kind == "coef":
+        return MultiPoly.constant(nvars, expression_value(tree[1]), field)
+    a = expression_value(tree[1], nvars, field)
+    if kind == "neg":
+        return -a
+    if kind == "pow":
+        return a ** tree[2]
+    b = expression_value(tree[2], nvars, field)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}[kind](a, b)
+
+
+def typed_terms(p) -> dict:
+    """p's terms with each coefficient's type beside it."""
+    return {e: (c, type(c)) for e, c in p.terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from nevlab.algebra import (
     monomial_basis,
     normalize_degrees,
 )
+from nevlab.cli import parse_polynomial
 
-from helpers import ReferenceRF, rand_rational_function, xvar, zgcd_monic
+from helpers import ReferenceRF, rand_rational_function, typed_terms, xvar, zgcd_monic
 
 # Polynomials in z of degree <= 3 with small rational coefficients.
 ZPOLYS = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=4)
@@ -278,6 +279,49 @@ class TestMultiPoly:
         assert coefficient_field([x0, x1]) == RATIONAL
         assert coefficient_field([u0, u1.scale(3)]) == RATIONAL
         assert coefficient_field([x0, u1 - u0.scale(z)]) == RATIONAL_FUNCTION
+
+
+# Zero, constant, inhomogeneous and homogeneous polynomials over Q and Q(z).
+MEMO_TEXTS = [("0", 3, RATIONAL), ("0", 3, RATIONAL_FUNCTION), ("5/3", 2, RATIONAL),
+              ("{z}", 2, RATIONAL_FUNCTION), ("x0 + x1^2 - 1", 3, RATIONAL),
+              ("{1/(z - 1)}*x0^3 + x1", 2, RATIONAL_FUNCTION),
+              ("x0*x2 - x1^2", 3, RATIONAL), ("{z^2}*x0*x1 - 1/2*x1^2", 2, RATIONAL_FUNCTION)]
+
+
+class TestMultiPolyMemo:
+    """The hash and the term degrees are computed once per polynomial; each
+    must equal a fresh computation, before and after it is kept."""
+
+    @pytest.mark.parametrize("text, nvars, field", MEMO_TEXTS)
+    def test_memo_equals_recomputation(self, text, nvars, field):
+        p = parse_polynomial(text, nvars, field)
+        degs = {sum(e) for e in p.terms}
+        for _ in range(2):
+            assert hash(p) == hash((p.nvars, p.field, tuple(p.items())))
+            assert p.degree == (next(iter(degs)) if len(degs) == 1 else None)
+            assert p.is_homogeneous == (len(degs) <= 1)
+
+    def test_equal_polynomials_hash_equal_along_every_path(self):
+        x0, x1, x2 = (xvar(i) for i in range(3))
+        parsed = parse_polynomial("x0^2 - 1/2*x1*x2 + 3*x2^2", 3, RATIONAL)
+        built = x0 ** 2 - (x1 * x2).scale(Fraction(1, 2)) + (x2 * x2).scale(3)
+        lifted = parse_polynomial("x0^2 - 1/2*x1*x2 + 3*x2^2", 3)
+        specialized = parse_polynomial("{z}*x0^2 - {1/(z + 1)}*x1*x2 + {z + 2}*x2^2",
+                                       3).specialize(1)
+        demoted = lifted.over(RATIONAL)
+        assert {type(c) for c in specialized.terms.values()} == {Fraction}
+        for p in (built, demoted, specialized):
+            assert p == parsed and hash(p) == hash(parsed)
+            assert {parsed: 1}[p] == 1
+        assert lifted == parsed.over(RATIONAL_FUNCTION)
+        assert hash(lifted) == hash(parsed.over(RATIONAL_FUNCTION))
+        assert lifted.degree == built.degree == specialized.degree == 2
+
+    def test_power_keeps_terms_and_types(self):
+        x0, x1 = xvar(0, 2), xvar(1, 2)
+        p = (x0 - x1).scale(Fraction(2, 3)) + x1
+        assert p ** 1 == p and p ** 0 == MultiPoly.constant(2, 1)
+        assert typed_terms(p ** 3) == typed_terms(p * (p * p))
 
 
 class TestMonomialBasis:

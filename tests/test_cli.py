@@ -185,6 +185,8 @@ def _parse_curve(text):
      "line 7, col 1: unexpected end of input"),
     (_parse_rational_polynomial, "x0^x1", ProblemSyntaxError,
      "line 7, col 4: expected 'NUM', found 'x1'"),
+    (_parse_rational_polynomial, "x0 + x01", ProblemSyntaxError,
+     "line 7, col 6: unexpected name 'x01' in polynomial"),
     # entire curve expressions
     (_parse_curve, "z +", ProblemSyntaxError,
      "line 7, col 1: unexpected end of curve expression"),

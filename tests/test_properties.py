@@ -47,6 +47,14 @@ The search for s, which tests membership at every degree but the one it
 certifies, must give the same certificate from every start on random
 primitive pairs on P^1, the conic and the twisted cubic, and a full solve one
 degree below its s must leave some power outside the span.
+
+The parser must read random expression texts (sums, products, powers,
+parentheses, rational literals and `{...}` coefficients in z with division)
+as the value the same expression gives when built with the MultiPoly and
+RationalFunction operators from their coercing constructors, coefficient
+types included, or fail exactly where that build divides by zero; and the
+printed form of a random polynomial over Q or Q(z), which every report
+echoes, must parse back to it.
 """
 
 import math
@@ -75,7 +83,7 @@ from nevlab.filtration import (
 )
 from nevlab import filtration as filt
 from nevlab import gradedgeom as gg
-from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, main, parse_polynomial
+from nevlab.cli import EXIT_OK, EXIT_PRECONDITION, ProblemSyntaxError, main, parse_polynomial
 from nevlab.gradedgeom import constant_tail, hilbert_function, nullstellensatz_certificate
 from nevlab.linear import ExactMatrix, solve_row_combinations
 
@@ -83,6 +91,8 @@ from helpers import (
     coefficient_vector,
     conic_ideal,
     contains,
+    expression_text,
+    expression_value,
     p1_ideal,
     plane_ideal,
     quadric_ideal,
@@ -93,6 +103,7 @@ from helpers import (
     reference_scan_cells,
     reference_stabilization_scan,
     twisted_cubic_ideal,
+    typed_terms,
 )
 from test_filtration import oracle_m
 
@@ -859,3 +870,72 @@ def test_commands_never_build_full_pieces_with_targets(monkeypatch, tmp_path):
     ]
     for argv, code in runs:
         assert main([*argv, "--out", str(tmp_path / "report.txt")]) == code
+
+
+# -- the polynomial parser ----------------------------------------------------
+
+_LITERALS = st.tuples(st.just("num"), st.builds(Fraction, st.integers(0, 5), st.integers(1, 4)))
+
+
+@st.composite
+def expression_trees(draw, leaves, ops, size):
+    """A tree with `size` leaves, each node possibly negated or raised to a
+    power 0..2."""
+    if size == 1:
+        tree = draw(leaves)
+    else:
+        left = draw(st.integers(1, size - 1))
+        tree = (draw(st.sampled_from(ops)), draw(expression_trees(leaves, ops, left)),
+                draw(expression_trees(leaves, ops, size - left)))
+    wrap = draw(st.sampled_from(["", "", "", "neg", "pow"]))
+    if wrap == "neg":
+        return ("neg", tree)
+    return ("pow", tree, draw(st.integers(0, 2))) if wrap == "pow" else tree
+
+
+@st.composite
+def polynomial_trees(draw, nvars, field):
+    leaves = [_LITERALS, st.tuples(st.just("var"), st.integers(0, nvars - 1))]
+    if field == RATIONAL_FUNCTION:
+        coefficient = expression_trees(st.one_of(_LITERALS, st.just(("z",))),
+                                       ["+", "-", "*", "/"], draw(st.integers(1, 4)))
+        leaves.append(st.tuples(st.just("coef"), coefficient))
+    return draw(expression_trees(st.one_of(leaves), ["+", "-", "*"], draw(st.integers(1, 6))))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsed_expressions_match_operator_values(data):
+    field = data.draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
+    nvars = data.draw(st.integers(1, 4))
+    tree = data.draw(polynomial_trees(nvars, field))
+    text = expression_text(tree)
+    try:
+        want = expression_value(tree, nvars, field)
+    except ZeroDivisionError:
+        with pytest.raises(ProblemSyntaxError, match="division by zero in coefficient"):
+            parse_polynomial(text, nvars, field)
+        return
+    got = parse_polynomial(text, nvars, field)
+    assert (got.nvars, got.field) == (nvars, field)
+    assert typed_terms(got) == typed_terms(want), text
+
+
+@st.composite
+def printed_polynomials(draw):
+    field = draw(st.sampled_from([RATIONAL, RATIONAL_FUNCTION]))
+    nvars = draw(st.integers(1, 4))
+    if field == RATIONAL:
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        zpoly = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+        coeffs = st.builds(RationalFunction, zpoly, zpoly.filter(any))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return MultiPoly(nvars, field, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(printed_polynomials())
+def test_printed_polynomials_parse_back(p):
+    q = parse_polynomial(str(p), p.nvars, p.field)
+    assert typed_terms(q) == typed_terms(p), str(p)
