@@ -54,6 +54,7 @@ stays exact upstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -369,6 +370,28 @@ _MAX_BOXES = 400_000  # boxes one locate_zeros call may examine
 _LOOP_CAP = 16384  # samples per edge at the last loop-winding level
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_level(n: int, first: bool) -> np.ndarray:
+    """The edge parameters t of the n-step level, read-only and built once
+    per n: all n + 1 at the first level, else the midpoints the n/2-step
+    level lacks, contiguous, as in _circle_midpoints."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    if not first:
+        t = t[1::2].copy()
+    t.flags.writeable = False
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_weights(n: int) -> np.ndarray:
+    """The t of the n-step level with the last halved, read-only: n times
+    the trapezoid weights of the first moment's t-weighted edge sum."""
+    tw = np.linspace(0.0, 1.0, n + 1)
+    tw[-1] = 0.5
+    tw.flags.writeable = False
+    return tw
+
+
 def _edge_values(prog: Program, a, d, t, out, rows: int):
     """Write g'/g times d at the points a + d * t into out, one row per
     segment (a and d are column vectors of segment starts and directions),
@@ -415,7 +438,7 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
     prev: list[complex | None] = [None] * len(loops)
     open_loops = list(range(len(loops)))
     n = start
-    t = np.linspace(0.0, 1.0, n + 1)
+    t = _edge_level(n, True)
     f = None
     while n <= cap and open_loops:
         f, fresh = _next_level(f, (len(a), len(t)), complex)
@@ -452,10 +475,8 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
             # the trapezoid of z g'/g dz on an edge z = a + d t: a times the
             # edge's sum plus d times its sum weighted by t, whose trapezoid
             # weights t/n are 0 at t = 0 and 1/2n at t = 1
-            tw = np.linspace(0.0, 1.0, n + 1)
-            tw[-1] = 0.5
             firsts = (a[:, 0] * level_sums
-                      + d[:, 0] * np.einsum("ij,j->i", f, tw) / n).tolist()
+                      + d[:, 0] * np.einsum("ij,j->i", f, _moment_weights(n)) / n).tolist()
             for i, loop_rows, total in closed:
                 means[i] = sum((firsts[j] for j in loop_rows), 0j) / total
         if still_open and len(keep) < row:
@@ -463,7 +484,7 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
             f, a, d = f[keep], a[keep], d[keep]
         open_loops = still_open
         n *= 2
-        t = np.linspace(0.0, 1.0, n + 1)[1::2].copy()  # contiguous, as in _circle_midpoints
+        t = _edge_level(n, False)
     return (windings, means) if centroids else windings
 
 
@@ -668,38 +689,41 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     tried = [i for i, box in enumerate(boxes) if 1 <= box.w <= _POLISH_MAX_W]
     if not tried:
         return found
+    # the running candidates' state, cut down as they stop; a candidate's
+    # last step and best point go to last_of and best_of when it stops
     z = np.array([boxes[i].start for i in tried])
     w, x0, x1, y0, y1 = (np.array([getattr(boxes[i], k) for i in tried], dtype=float)
                          for k in ("w", "x0", "x1", "y0", "y1"))
-    last = np.full(len(tried), np.inf)
-    best = z.copy()
-    best_g = np.full(len(tried), np.inf)
+    last, best, best_g = np.full(len(tried), np.inf), z.copy(), np.full(len(tried), np.inf)
+    last_of, best_of = last.copy(), z.copy()
     running = np.arange(len(tried))
     for _ in range(_NEWTON_CAP):
         if not running.size:
             break
-        gz, dz = eval_on(prog, z[running])
+        gz, dz = eval_on(prog, z)
         mag = np.abs(gz)
-        lower = mag < best_g[running]
-        best[running[lower]] = z[running[lower]]
-        best_g[running[lower]] = mag[lower]
+        lower = mag < best_g
+        best[lower], best_g[lower] = z[lower], mag[lower]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = w[running] * gz / dz
+            step = w * gz / dz
             size = np.abs(step)
-            nxt = z[running] - step
-        moves = (np.isfinite(nxt) & (size < last[running])
-                 & (x0[running] < nxt.real) & (nxt.real < x1[running])
-                 & (y0[running] < nxt.imag) & (nxt.imag < y1[running]))
-        settles = moves & (size <= tol / 4) & (2 * size > last[running])
-        z[running[moves]] = nxt[moves]
-        last[running[moves]] = size[moves]
-        running = running[moves & ~settles]
-    settled = np.flatnonzero(last <= tol / 4).tolist()
+            nxt = z - step
+        moves = (np.isfinite(nxt) & (size < last)
+                 & (x0 < nxt.real) & (nxt.real < x1) & (y0 < nxt.imag) & (nxt.imag < y1))
+        settles = moves & (size <= tol / 4) & (2 * size > last)
+        z[moves], last[moves] = nxt[moves], size[moves]
+        keep = moves & ~settles
+        if not keep.all():
+            last_of[running[~keep]], best_of[running[~keep]] = last[~keep], best[~keep]
+            running, z, last, best, best_g, w, x0, x1, y0, y1 = (
+                v[keep] for v in (running, z, last, best, best_g, w, x0, x1, y0, y1))
+    last_of[running], best_of[running] = last, best
+    settled = np.flatnonzero(last_of <= tol / 4).tolist()
 
     squares, owners = [], []
     half = 0.5 * tol
     for k in settled:
-        box, zk = boxes[tried[k]], complex(best[k])
+        box, zk = boxes[tried[k]], complex(best_of[k])
         if min(zk.real - box.x0, box.x1 - zk.real, zk.imag - box.y0, box.y1 - zk.imag) > half:
             squares.append(_Box(zk.real - half, zk.real + half,
                                 zk.imag - half, zk.imag + half, 0).corners())
@@ -707,7 +731,7 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
     ws = _loop_windings(prog, squares) if squares else []
     for k, wk in zip(owners, ws):
         if wk == boxes[tried[k]].w:
-            found[tried[k]] = complex(best[k])
+            found[tried[k]] = complex(best_of[k])
     return found
 
 

@@ -35,7 +35,7 @@ EXP_REAL_CAP = 700.0  # exp argument guard: keeps magnitudes below ~1e304
 
 
 def _guarded_exp(w):
-    mx = np.max(np.real(w)) if np.ndim(w) else float(np.real(w))
+    mx = w.real.max() if np.ndim(w) else float(np.real(w))
     if mx > EXP_REAL_CAP:
         raise OverflowGuard(
             f"exp argument real part {mx:.1f} exceeds the guard {EXP_REAL_CAP}")
@@ -51,22 +51,23 @@ class Program:
 
     Structurally equal subtrees are hash-consed across all the trees, so a
     shared exp(z) is computed once per point set.  Constants are converted to
-    complex once.  The ops run in the trees' post-order, each applying its
-    node's operator (operator.add/mul/neg/pow or _guarded_exp), so the first
-    exp argument past the guard, in that order, raises the OverflowGuard.  A
-    register is released after its last use.
+    complex once.  An op is (operator, destination, source, second source or
+    None, registers it frees): eval applies operator.add/mul/neg/pow or
+    _guarded_exp to one or two registers.  The ops run in the trees'
+    post-order, so the first exp argument past the guard, in that order,
+    raises the OverflowGuard.  A register is freed after its last use.
     """
 
     def __init__(self, exprs):
         self._init: list = [None]  # register values before a run; register 0 holds z
         self._keys: dict = {}      # structural key -> register
-        self._ops: list = []       # (operator, destination, source registers)
+        self._ops: list = []       # (operator, destination, source, source or None)
         seen: dict[int, int] = {}
         self.outputs = tuple(self._emit(e, seen) for e in exprs)
-        last_use = {s: i for i, (_, _, srcs) in enumerate(self._ops) for s in srcs}
-        self._ops = [(fn, dst, srcs, tuple(s for s in set(srcs)
+        last_use = {s: i for i, (_, _, a, b) in enumerate(self._ops) for s in (a, b)}
+        self._ops = [(fn, dst, a, b, tuple(s for s in {a, b} - {None}
                                            if last_use[s] == i and s not in self.outputs))
-                     for i, (fn, dst, srcs) in enumerate(self._ops)]
+                     for i, (fn, dst, a, b) in enumerate(self._ops)]
 
     def _register(self, key, value=None) -> int:
         reg = self._keys.get(key)
@@ -84,15 +85,14 @@ class Program:
         elif isinstance(e, Z):
             reg = 0
         else:
-            srcs = [self._emit(e.a, seen)]
+            a, b = self._emit(e.a, seen), None
             if isinstance(e, (Add, Mul)):
-                srcs.append(self._emit(e.b, seen))
+                b = self._emit(e.b, seen)
             elif isinstance(e, Pow):
-                srcs.append(self._register(("int", e.k), e.k))
-            srcs = tuple(srcs)
-            key = (type(e), srcs)
+                b = self._register(("int", e.k), e.k)
+            key = (type(e), a, b)
             if key not in self._keys:
-                self._ops.append((_OPERATORS[type(e)], self._register(key), srcs))
+                self._ops.append((_OPERATORS[type(e)], self._register(key), a, b))
             reg = self._keys[key]
         seen[id(e)] = reg
         return reg
@@ -101,10 +101,11 @@ class Program:
         """Values of the compiled trees at z, constants left unbroadcast."""
         regs = list(self._init)
         regs[0] = z
-        for fn, dst, srcs, dead in self._ops:
-            regs[dst] = fn(*[regs[s] for s in srcs])
-            for s in dead:
-                regs[s] = None
+        for fn, dst, a, b, dead in self._ops:
+            regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+            if dead:
+                for s in dead:
+                    regs[s] = None
         return [regs[o] for o in self.outputs]
 
 

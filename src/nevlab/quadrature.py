@@ -35,11 +35,16 @@ def _next_level(vals, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
     return level, level[..., 1::2]
 
 
+@functools.lru_cache(maxsize=None)
 def _circle_midpoints(n: int) -> np.ndarray:
     """The angles of the n-sample level that the n/2-sample level lacks, as
     a contiguous array: numpy then runs the same loops on them as on a
-    whole level, so the values match a full re-evaluation bit for bit."""
-    return np.linspace(0.0, TWO_PI, n, endpoint=False)[1::2].copy()
+    whole level, so the values match a full re-evaluation bit for bit.
+    Read-only and built once per n (under 512 KiB for a start's levels up
+    to QUADRATURE_CAP)."""
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)[1::2].copy()
+    theta.flags.writeable = False
+    return theta
 
 
 def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
@@ -51,7 +56,8 @@ def circle_quadrature(fn, start: int = 512, cap: int = QUADRATURE_CAP,
     test meaningful near zero) or at the sample cap.  The levels are nested:
     halving the step is exact, so each level keeps the previous values and
     calls fn only on the new midpoints, and every estimate is the one a full
-    re-evaluation gives, bit for bit.
+    re-evaluation gives, bit for bit.  After the first level, fn gets the
+    shared read-only arrays of _circle_midpoints.
 
     fn may return one row of values per integrand, an array of shape
     (rows, len(theta)), to cover a radius grid in one call: the result is

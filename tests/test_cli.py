@@ -575,6 +575,21 @@ class TestMainExitCodes:
         code = main(["tf", "--input", str(PROBLEMS / "conic.prob"),
                      "--r-min", "380", "--r-max", "400", "--r-steps", "2"])
         assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric guard: exp argument real part 800.0 exceeds the guard 700.0\n")
+
+    def test_overflow_guard_in_box_windings(self, tmp_path, capsys):
+        # exp(20z) passes the curve's probes, the identically-zero probes and
+        # the disk winding at r = 34.5 (20 * 34.5 = 690), and trips the guard
+        # on the edges of the top box, which reach past the circle
+        path = tmp_path / "p1_exp20.prob"
+        path.write_text("[variety]\nM = 1\nn = 1\n\n[hypersurfaces]\n"
+                        "degree 1: x1 - 2*x0\ndegree 1: x0\ndegree 1: x1\n\n"
+                        "[curve]\n1\nexp(20*z)\n")
+        code = main(["zeros", "--input", str(path), "--target", "0", "--r", "34.5"])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric guard: exp argument real part 706.4 exceeds the guard 700.0\n")
 
     def test_unresolved_cluster_exit(self, tmp_path, capsys):
         # P(z) e^z, whose double zeros at 1 +- 0.4i have cancellation

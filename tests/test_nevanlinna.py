@@ -15,7 +15,7 @@ from nevlab.algebra import (
     RationalFunction,
 )
 from nevlab import nevanlinna as nev
-from nevlab.program import _guarded_exp, rf_to_expr
+from nevlab.program import rf_to_expr
 from nevlab.cli import load_problem, parse_curve_expression, parse_problem
 from nevlab.expr import (
     Add,
@@ -134,6 +134,15 @@ def _expr_trees():
     return extend(st.recursive(leaves, extend, max_leaves=10))
 
 
+def _oracle_exp(w):
+    """exp with the guard written out, so that a change to the program's
+    guard cannot move the oracle along with it."""
+    mx = np.max(np.real(w))
+    if mx > 700.0:
+        raise OverflowGuard(f"exp argument real part {mx:.1f} exceeds the guard 700.0")
+    return np.exp(w)
+
+
 def tree_eval(e, z):
     """Recursive evaluation of a tree: the oracle the Program is checked against."""
     if isinstance(e, Const):
@@ -148,7 +157,7 @@ def tree_eval(e, z):
         return -tree_eval(e.a, z)
     if isinstance(e, Pow):
         return tree_eval(e.a, z) ** e.k
-    return _guarded_exp(tree_eval(e.a, z))
+    return _oracle_exp(tree_eval(e.a, z))
 
 
 def tree_on(e, z):
@@ -186,6 +195,46 @@ class TestProgram:
         for g, w in zip(got, want):
             assert g.shape == w.shape == self.POINTS.shape
             assert np.array_equal(g, w, equal_nan=True)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(pieces=st.lists(_expr_trees(), min_size=2, max_size=3),
+           recipe=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                     st.sampled_from([Add, Mul]), st.booleans()),
+                           min_size=3, max_size=5))
+    def test_matches_tree_with_shared_subtrees(self, pieces, recipe):
+        # 3 to 5 trees built from the same pieces: a piece's registers are
+        # shared across trees and freed after its last use, mid-run
+        trees = []
+        for i, j, op, wrap in recipe:
+            e = op(pieces[i % len(pieces)], pieces[j % len(pieces)])
+            trees.append(Exp(e) if wrap else e)
+        want = [_outcome(lambda e=e: tree_on(e, self.POINTS)) for e in trees]
+        got = _outcome(lambda: eval_on(Program(trees), self.POINTS))
+        tripped = [w for w in want if isinstance(w, str)]
+        if tripped:
+            # the trees run in order, so the first tree past the guard names it
+            assert got == tripped[0]
+            return
+        assert len(got) == len(trees)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == self.POINTS.shape
+            assert np.array_equal(g, w, equal_nan=True)
+
+    def test_first_overflow_across_trees(self):
+        # exp(3z) is shared by all four trees and freed after the last; the
+        # second tree is the first past the guard, though the fourth's
+        # argument is larger
+        shared = Exp(Mul(Const(3), Z()))
+        trees = [Add(shared, Z()), Mul(shared, Exp(Mul(Const(750), Z()))),
+                 Neg(shared), Add(Exp(Mul(Const(800), Z())), shared)]
+        prog = Program(trees)
+        assert any(dead for *_, dead in prog._ops[:-1])
+        z = np.array([1 + 0j, 0.5 + 0j])
+        want = [_outcome(lambda e=e: tree_on(e, z)) for e in trees]
+        assert [isinstance(w, str) for w in want] == [False, True, False, True]
+        assert want[1] == "OverflowGuard: exp argument real part 750.0 exceeds the guard 700.0"
+        assert want[3] == "OverflowGuard: exp argument real part 800.0 exceeds the guard 700.0"
+        assert _outcome(lambda: eval_on(prog, z)) == want[1]
 
     def test_shared_subtrees_computed_once(self):
         e2 = Exp(Mul(Const(2), Z()))
@@ -652,6 +701,35 @@ class TestNestedLevels:
         got = _outcome(lambda: nev._loop_windings(prog, loops, start=start, cap=cap,
                                                   snap=snap))
         assert got == want
+
+    def test_cached_edge_grids_match_linspace(self):
+        # every level size _loop_windings requests at its default start
+        n = 32
+        while n <= nev._LOOP_CAP:
+            full = np.linspace(0.0, 1.0, n + 1)
+            weights = full.copy()
+            weights[-1] = 0.5
+            grids = [(nev._edge_level(n, True), full), (nev._edge_level(n, False), full[1::2]),
+                     (nev._moment_weights(n), weights)]
+            for got, want in grids:
+                assert got.flags.c_contiguous and not got.flags.writeable
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+            n *= 2
+
+    def test_cached_circle_midpoints_match_linspace(self):
+        # the levels above every start used here and in the library, up to the cap
+        for start in (1, 2, 3, 5, 7, 12, 31, 64, 256, 512):
+            n = 2 * start
+            while n <= nev.QUADRATURE_CAP:
+                got = nev._circle_midpoints(n)
+                want = np.linspace(0.0, 2 * math.pi, n, endpoint=False)[1::2]
+                assert got.flags.c_contiguous and not got.flags.writeable
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+                n *= 2
 
     def test_circle_quadrature_needs_a_sample(self):
         # with no samples the level would never grow
