@@ -31,7 +31,7 @@ with it, only then.  The exact commands never read the curve.
 Exit codes: 0 success, 2 parse error (for a numeric command, also a curve
 whose components all vanish at the probe points), 3 precondition failure
 (e.g. a non-admissible system), 4 numeric guard trip (overflow, ambiguous
-winding, a zero cluster that tol cannot resolve).
+winding, a zero cluster that zero_tol cannot resolve).
 """
 
 from __future__ import annotations
@@ -346,7 +346,6 @@ OPTIONS = {
     "trials": Option(int, 5),
     "target": Option(int, 0, in_file=False),
     "r": Option(float, None, in_file=False),      # zeros radius; r_max when unset
-    "tol": Option(float, None),                   # zeros merge radius; zero_tol when unset
     "zero_tol": Option(float, 1e-6),
     "residual_tol": Option(float, 1e-8, flag=False),
 }
@@ -404,7 +403,7 @@ class ProblemSpec:
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse a problem file; errors carry line/column positions."""
+    """Parse a problem file; errors carry the line and the column within it."""
     section = None
     M: int | None = None
     n: int | None = None
@@ -413,7 +412,9 @@ def parse_problem(text: str) -> ProblemSpec:
     curve_lines: list[tuple[str, int]] = []
     options: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # expressions keep their place in the line, so errors give its columns
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -437,9 +438,10 @@ def parse_problem(text: str) -> ProblemSpec:
                 else:
                     n = ivalue
             else:
-                gen_lines.append((line, lineno))
+                gen_lines.append((code, lineno))
         elif section == "hypersurfaces":
-            head, sep, body = line.partition(":")
+            head, sep, body = code.partition(":")
+            indent = " " * (len(head) + len(sep))
             head = head.strip().lower()
             if not sep or not head.startswith("degree"):
                 raise ProblemSyntaxError(
@@ -449,9 +451,9 @@ def parse_problem(text: str) -> ProblemSpec:
                 declared = int(head[len("degree"):].strip())
             except ValueError:
                 raise ProblemSyntaxError("bad declared degree", lineno, 1)
-            hyp_lines.append((declared, body.strip(), lineno))
+            hyp_lines.append((declared, indent + body, lineno))
         elif section == "curve":
-            curve_lines.append((line, lineno))
+            curve_lines.append((code, lineno))
         elif section == "options":
             if "=" not in line:
                 raise ProblemSyntaxError("options are `key = value` lines", lineno, 1)
@@ -473,7 +475,7 @@ def parse_problem(text: str) -> ProblemSpec:
             continue
         if not poly.is_homogeneous:
             raise DegreeMismatchError(
-                f"line {lineno}: variety generator {text_line!r} is inhomogeneous")
+                f"line {lineno}: variety generator {text_line.strip()!r} is inhomogeneous")
         generators.append(poly)
 
     hypersurfaces = []
@@ -482,7 +484,7 @@ def parse_problem(text: str) -> ProblemSpec:
         d = poly.degree
         if d is None:
             raise DegreeMismatchError(
-                f"line {lineno}: hypersurface {body!r} is inhomogeneous")
+                f"line {lineno}: hypersurface {body.strip()!r} is inhomogeneous")
         if d != declared:
             raise DegreeMismatchError(
                 f"line {lineno}: declared degree {declared} but parsed degree {d}")
@@ -773,14 +775,12 @@ def cmd_zeros(spec: ProblemSpec, flags: dict) -> RunReport:
         raise PreconditionError(f"target index {target} out of range")
     r_key = "r_max" if _opt(spec, flags, "r") is None else "r"
     r = _positive_opt(spec, flags, r_key, zero_ok=True)
-    # default to the merge radius safe for double zeros; --tol tightens it for simple zeros
-    tol_key = "zero_tol" if _opt(spec, flags, "tol") is None else "tol"
-    tol = _positive_opt(spec, flags, tol_key)
+    zero_tol = _positive_opt(spec, flags, "zero_tol")
     Q = spec.hypersurfaces[target]
     g = nev.compose_form(Q, curve)
     # the zero form has no degree; it vanishes at every probe all the same
     nev.assert_not_identically_zero(curve, nev.Program([g]), [Q.degree or 0], r)
-    zl = nev.locate_zeros(g, r, tol=tol)
+    zl = nev.locate_zeros(g, r, tol=zero_tol)
     rows = [[z.real, z.imag, m] for z, m in zl.zeros]
     results = {
         "target": target, "r": r, "count": zl.total(),
@@ -822,7 +822,7 @@ def cmd_smt(spec: ProblemSpec, flags: dict) -> RunReport:
     adm = _require_admissible(spec, flags)
     residual = _require_on_variety(spec, flags, grid)
     sweep = nev.smt_margin(curve, spec.hypersurfaces, spec.n, epsilon,
-                           grid, zero_tol=zero_tol, admissibility_checked=True)
+                           grid, zero_tol=zero_tol)
     q = sweep.q
     header = (["r", "Tf"] + [f"Nf_{j + 1}" for j in range(q)]
               + ["margin", "lemma23_diag"])

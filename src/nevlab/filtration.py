@@ -11,11 +11,11 @@ all share the value deg V * d^n, and the per-slot weighted sums S_s feed the
 growth-exponent bookkeeping of the product decomposition.
 
 Every matrix lives in the quotient R_N/J_N, on the H_V(N) standard monomials
-(`HomogeneousIdeal.multiples`), and the ideal stays over Q.  A degree is
-computed in one pass from the top of tau_N down to a given tuple, and either
-way the span U of the multiples from the cells above grows in one
-`linear.Echelon` per pass.  `filtration_space` gives each cell its preimage
-L of U and coset representatives, which the basis and the product
+(`HomogeneousIdeal.multiples`), and the ideal stays over Q.  The one
+elimination, `filtration_space`, computes a degree in one pass from the top
+of tau_N down to a given tuple, and the span U of the multiples from the
+cells above grows in one `linear.Echelon` per pass.  It gives each cell its
+preimage L of U and coset representatives, which the basis and the product
 decomposition need, and inserts the reps' rows into U.
 
 The codimensions m alone, which the stabilization scan and the `filtration`
@@ -31,12 +31,11 @@ when Q_1..Q_n is a regular sequence on R/J (Stanley, Adv. Math. 28 (1978),
 sect. 3); on other targets it may hold at some degrees and fail at others.
 So it is checked one degree at a time (`_tiles`), and each degree N is
 certified or eliminated on its own.  Where it holds, the m of tau_N are
-u(N - d*|E|).  Where it fails, they are eliminated: `build_table` runs one
-`filtration_space` pass at once, and the scan one `cell_codimensions` pass,
-one echelon in which each row Q^E * x^j is inserted once and m_N^E counts
-the rows that are new.  A certified table holds m alone; its L and reps
-come from one `filtration_space` pass when one of them is first read, which
-checks the m it finds against the certified ones.
+u(N - d*|E|).  Where it fails, they come from one `filtration_space` pass:
+`build_table` runs it over all of tau_N, and the scan from the top of tau_N
+down to the lowest tuple it reads at N.  A certified table holds m alone;
+its L and reps come from one `filtration_space` pass when one of them is
+first read, which checks the m it finds against the certified ones.
 
 Everything here is exact; scans that detect stabilization onsets report
 NotStabilized instead of guessing when a window never settles.
@@ -219,22 +218,6 @@ def filtration_space(J: HomogeneousIdeal, Qs, N: int,
     return cells
 
 
-def cell_codimensions(J: HomogeneousIdeal, powers, N: int,
-                      cells) -> dict[tuple[int, ...], int]:
-    """m_N^E for each E of `cells`, a stretch of tau_N from its top down in
-    descending lex order, from one echelon of quotient rows.
-
-    Each cell's rows Q^E * x^j (`powers` maps E to Q^E) are inserted in
-    reverse order of j, and m_E counts the rows that are not already in the
-    span.  That span is U plus the rows after j, so a row is inserted exactly
-    when j is not a pivot of L_N^E (see `filtration_space`): the same m,
-    without a preimage.
-    """
-    echelon = Echelon(powers[cells[0]].field, hilbert_function(J, N))
-    return {E: sum(map(echelon.insert, reversed(J.multiples(N, [powers[E]]))))
-            for E in cells}
-
-
 def build_table(J: HomogeneousIdeal, Qs, N: int, *, n0: int = 0,
                 kappa: int = 0) -> FiltrationTable:
     """All cells of the degree-N filtration.
@@ -331,8 +314,8 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     So the quotient dimension h(k) is u(k) where the identity holds at k, and
     the Hilbert function of (J, Q) over the targets' field elsewhere; n0 and
     c come from these.  Each degree N that the box reads takes its m off u
-    where the identity holds at N, and elsewhere from one `cell_codimensions`
-    pass, from the top of tau_N down to the lowest tuple it needs there.  On
+    where the identity holds at N, and elsewhere from one `filtration_space`
+    pass, from the top of tau_N down to the lowest box tuple read there.  On
     a regular sequence on R/J the identity holds at every N, the scan
     eliminates nothing and every stable m^I is c; on other targets only the
     degrees where it fails are eliminated.
@@ -359,20 +342,13 @@ def stabilization_scan(J: HomogeneousIdeal, Qs, k_max: int,
     top = max(lowest)
     u += [hilbert_function(J, k, forms) for k in range(len(u), top + 1)]
     tiles += [_tiles(J, u, n, d, N) for N in range(len(tiles), top + 1)]
-    cells = {}
-    for N, I in lowest.items():
-        if not tiles[N]:
-            tau, _ = tuple_sets(N, d, n)
-            cells[N] = tau[tau.index(I):][::-1]
-    ms = {}
-    if cells:  # the powers Q^E are built once for all the passes
-        powers = _power_products(Qs, {E for above in cells.values() for E in above})
-        ms = {N: cell_codimensions(J, powers, N, above) for N, above in cells.items()}
+    cells = {N: filtration_space(J, Qs, N, I) for N, I in lowest.items() if not tiles[N]}
 
     m_stable: dict[tuple[int, ...], int] = {}
     for I in box:
         shift = d * tuple_norm(I)
-        seq = [ms[shift + k][I] if shift + k in ms else u[k] for k in range(n0, n0 + window)]
+        seq = [cells[shift + k][I].m if shift + k in cells else u[k]
+               for k in range(n0, n0 + window)]
         if not all(v == seq[0] for v in seq):
             raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
         m_stable[I] = seq[0]

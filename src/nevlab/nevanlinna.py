@@ -403,8 +403,9 @@ def _edge_values(prog: Program, a, d, t, out, rows: int):
 
 
 def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CAP,
-                   snap: float = 0.25, centroids: bool = False):
-    """Winding number of g along each closed polyline, or None when ambiguous.
+                   snap: float = 0.25):
+    """(windings, centroids): the winding number of g along each closed
+    polyline, or None when ambiguous, and the mean of the zeros it encloses.
 
     One array holds the values on every edge of every loop still open, one
     row per edge.  A level evaluates only the new midpoints of those edges,
@@ -414,20 +415,20 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
     stopping rule, so its result is the one a loop-by-loop evaluation with
     full re-evaluation at every level gives.
 
-    With centroids=True it returns (windings, centroids).  The first moment
-    (1/2 pi i) times the integral of z g'/g dz along a loop is the sum of
-    the zeros it encloses (Delves and Lyness), and the winding integral is
-    their count, so their ratio is the mean of the enclosed zeros.  Both are
-    summed by the same trapezoid over the same samples, at the level where
-    the winding closes, and the centroid is the ratio of the two sums, not
-    the moment over the rounded winding.  A zero's own quadrature error is
-    then common to both sums and cancels: a loop around the only zero of
-    (z - a)^m gives a to rounding, and a cluster's errors cancel up to the
-    spread of its zeros.  What is left comes from the zeros outside the
-    loop and the rest of g'/g, and grows as they near an edge.  At a level
-    where some loop closes with a nonzero winding, one t-weighted sum per
-    edge, taken in place, is all it adds: no evaluation and no array the
-    size of the level.  Every other centroid is None.
+    The first moment (1/2 pi i) times the integral of z g'/g dz along a
+    loop is the sum of the zeros it encloses (Delves and Lyness), and the
+    winding integral is their count, so their ratio is the mean of the
+    enclosed zeros.  Both are summed by the same trapezoid over the same
+    samples, at the level where the winding closes, and the centroid is the
+    ratio of the two sums, not the moment over the rounded winding.  A
+    zero's own quadrature error is then common to both sums and cancels: a
+    loop around the only zero of (z - a)^m gives a to rounding, and a
+    cluster's errors cancel up to the spread of its zeros.  What is left
+    comes from the zeros outside the loop and the rest of g'/g, and grows
+    as they near an edge.  At a level where some loop closes with a nonzero
+    winding, one t-weighted sum per edge, taken in place, is all it adds: no
+    evaluation and no array the size of the level.  Every other centroid is
+    None.
     """
     edge_counts = [len(c) for c in loops]
     ends = np.array([e for c in loops for e in zip(c, c[1:] + c[:1])]).reshape(-1, 2)
@@ -465,7 +466,7 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
             nearest = round(w.real)
             if abs(w - nearest) < snap and prev[i] is not None and abs(w - prev[i]) < 0.1:
                 windings[i] = int(nearest)
-                if centroids and nearest:
+                if nearest:
                     closed.append((i, loop_rows, total))
             else:
                 prev[i] = w
@@ -485,7 +486,7 @@ def _loop_windings(prog: Program, loops, *, start: int = 32, cap: int = _LOOP_CA
         open_loops = still_open
         n *= 2
         t = _edge_level(n, False)
-    return (windings, means) if centroids else windings
+    return windings, means
 
 
 def _circle_winding(prog: Program, r: float, *, cap: int = 65536,
@@ -595,7 +596,7 @@ def locate_zeros(g: Expr, r: float, tol: float = 1e-9) -> ZeroList:
         half = r * 1.02 * grow + 16 * tol
         cx, cy = 0.0037 * r, 0.0051 * r
         box = _Box(cx - half, cx + half, cy - half, cy + half, 0)
-        [w], [box.centroid] = _loop_windings(prog, [box.corners()], centroids=True)
+        [w], [box.centroid] = _loop_windings(prog, [box.corners()])
         if w is not None:
             box.w = w
             top = box
@@ -728,7 +729,7 @@ def _polish_boxes(prog: Program, boxes: list[_Box], tol: float) -> list[complex 
             squares.append(_Box(zk.real - half, zk.real + half,
                                 zk.imag - half, zk.imag + half, 0).corners())
             owners.append(k)
-    ws = _loop_windings(prog, squares) if squares else []
+    ws = _loop_windings(prog, squares)[0] if squares else []
     for k, wk in zip(owners, ws):
         if wk == boxes[tried[k]].w:
             found[tried[k]] = complex(best_of[k])
@@ -760,8 +761,7 @@ def _split_boxes(prog: Program, boxes: list[_Box]) -> list[list[_Box] | None]:
                     _Box(box.x0, mx, my, box.y1, 0),
                     _Box(mx, box.x1, my, box.y1, 0),
                 ])
-            ws, means = _loop_windings(prog, [q.corners() for quads in tried for q in quads],
-                                       centroids=True)
+            ws, means = _loop_windings(prog, [q.corners() for quads in tried for q in quads])
             still_pending = []
             for k, (i, quads) in enumerate(zip(pending, tried)):
                 quad_ws = ws[4 * k:4 * k + 4]
@@ -978,8 +978,7 @@ class SweepReport(SweepData):
 
 
 def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
-               r_grid, *, zero_tol: float = 1e-6,
-               admissibility_checked: bool = False) -> SweepReport:
+               r_grid, *, zero_tol: float = 1e-6) -> SweepReport:
     """Sweep the growth inequality sum_j N_f(r,Q_j)/d_j >= (q-n-1-eps) T_f(r).
 
     Per radius: T_f, every N_f(r, Q_j) from one shared zero list per target,
@@ -991,8 +990,7 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     raises ZeroAtOrigin, naming it, before any zero is located.
 
     The caller is responsible for having verified admissibility and curve
-    membership (set admissibility_checked accordingly; it is only echoed into
-    the warnings when False).
+    membership.
     """
     radii, degrees, composed, prog = _composed_targets(curve, Qs, r_grid)
     for j, (Q, g0) in enumerate(zip(Qs, eval_on(prog, 0j))):
@@ -1003,8 +1001,6 @@ def smt_margin(curve: EntireCurve, Qs: list[MultiPoly], n: int, epsilon: float,
     radii, degrees, Tf, Nf = data.radii, data.degrees, data.Tf, data.Nf
     q = len(Qs)
     warnings: list[str] = []
-    if not admissibility_checked:
-        warnings.append("admissibility was not verified by the caller")
 
     factor = q - n - 1 - epsilon
     margins = []

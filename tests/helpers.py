@@ -235,7 +235,9 @@ def reference_extended_with(U, rows):
 def _lift(piece, field):
     """The Q subspace `piece` with its entries coerced into `field`; an RREF
     over Q is already an RREF over Q(z)."""
-    entries = [[field_coerce(field, v) for v in row] for row in piece.basis.entries]
+    zero = field_zero(field)
+    entries = [[field_coerce(field, v) if v else zero for v in row]
+               for row in piece.basis.entries]
     basis = ExactMatrix(piece.basis.rows, piece.basis.cols, field, entries, _raw=True)
     return GradedSubspace(basis, piece.pivot_cols)
 
@@ -251,8 +253,9 @@ def reference_quotient_rows(J, k, rows):
             for rem in (reduce_vector(piece, row)[0] for row in rows)]
 
 
-def reference_build_table(J, Qs, N):
-    """{I: (m, reps)} for every cell of the degree-N filtration of (J, Qs).
+def reference_build_table(J, Qs, N, lowest=None):
+    """{I: (m, reps)} for every cell of the degree-N filtration of (J, Qs),
+    or for the cells from the top of tau_N down to `lowest`.
 
     U starts as J_N and grows by all the Q^I-multiples of each cell, in
     descending lex order; L_N^I is the preimage of U in the full monomial
@@ -265,8 +268,9 @@ def reference_build_table(J, Qs, N):
     nvars = J.nvars
     tau, _ = tuple_sets(N, d, len(Qs))
     U = _lift(J.graded_piece(N), field)
+    above = tau[tau.index(lowest) if lowest else 0:]
     cells = {}
-    for I in reversed(tau):
+    for I in reversed(above):
         QI = MultiPoly.constant(nvars, 1, field)
         for q, e in zip(Qs, I):
             QI = QI * q ** e
@@ -278,34 +282,31 @@ def reference_build_table(J, Qs, N):
         reps = [MultiPoly.monomial(nvars, mono, 1, field)
                 for j, mono in enumerate(src_basis) if j not in pivots]
         cells[I] = (len(src_basis) - L.dim, reps)
-        U = reference_extended_with(U, rows)
+        if I != above[0]:  # only the cells below read U
+            U = reference_extended_with(U, rows)
     return cells
 
 
 # ---------------------------------------------------------------------------
 # Reference stabilization scan: the quotient dimensions over the targets'
-# field and every m from `cell_codimensions`, as `stabilization_scan` read
-# them where its certificate did not hold, before it certified each degree
-# on its own.
+# field and every m from the full-coordinate filtration
+# (`reference_build_table`) of each degree the box reads, with no
+# certificate.
 # ---------------------------------------------------------------------------
 
-def reference_scan_cells(box, d, n0, window):
-    """For each degree N = d*|I| + k with I in `box` and n0 <= k < n0 + window,
-    the cells of tau_N from its top down to the lex-smallest such I, in
-    descending lex order: one echelon pass per degree.  Walking the box in
-    descending lex order, the last I to claim N wins."""
-    lowest = {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
-              for k in range(n0, n0 + window)}
-    cells = {}
-    for N, I in lowest.items():
-        tau, _ = tuple_sets(N, d, len(I))
-        cells[N] = tau[tau.index(I):][::-1]
-    return cells
+def reference_scan_lowest(box, d, n0, window):
+    """{N: I} for each degree N = d*|I| + k with I in `box` and
+    n0 <= k < n0 + window: the lex-smallest such I, down to which the scan
+    eliminates N.  Walking the box in descending lex order, the last I to
+    claim N wins."""
+    return {d * tuple_norm(I) + k: I for I in sorted(box, reverse=True)
+            for k in range(n0, n0 + window)}
 
 
 def reference_stabilization_scan(J, Qs, k_max, window):
     """The scan with the quotient dimensions over the targets' field and every
-    m it reads from `cell_codimensions`, with no certificate."""
+    m it reads from the degree-N filtration in full monomial coordinates, down
+    to the lowest box tuple read at N."""
     Qs, d = filt._over_common_field(Qs)
     values = [hilbert_function(J, k, Qs) for k in range(k_max + 1)]
     n0 = constant_tail(values, window)
@@ -315,13 +316,11 @@ def reference_stabilization_scan(J, Qs, k_max, window):
     c = values[n0]
 
     box = filt._scan_box(len(Qs), d, n0)
-    cells = reference_scan_cells(box, d, n0, window)
-    # The powers Q^E are built once for all the passes.
-    powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
-    ms = {N: filt.cell_codimensions(J, powers, N, above) for N, above in cells.items()}
+    tables = {N: reference_build_table(J, Qs, N, I)
+              for N, I in reference_scan_lowest(box, d, n0, window).items()}
     m_stable = {}
     for I in box:
-        seq = [ms[d * tuple_norm(I) + k][I] for k in range(n0, n0 + window)]
+        seq = [tables[d * tuple_norm(I) + k][I][0] for k in range(n0, n0 + window)]
         if not all(v == seq[0] for v in seq):
             raise NotStabilized(f"m_N^{I} did not settle over window {window}: {seq}")
         m_stable[I] = seq[0]
@@ -839,7 +838,7 @@ def _reference_split_box(prog, box):
                 nevanlinna._Box(box.x0, mx, my, box.y1, 0),
                 nevanlinna._Box(mx, box.x1, my, box.y1, 0),
             ]
-            ws = nevanlinna._loop_windings(prog, [q.corners() for q in quads])
+            ws, _ = nevanlinna._loop_windings(prog, [q.corners() for q in quads])
             if None not in ws and sum(ws) == box.w:
                 for q, w in zip(quads, ws):
                     q.w = w
@@ -859,7 +858,7 @@ def reference_locate_zeros(g, r, tol=1e-9, *, max_boxes=400_000):
         half = r * 1.02 * grow + 16 * tol
         cx, cy = 0.0037 * r, 0.0051 * r
         box = nevanlinna._Box(cx - half, cx + half, cy - half, cy + half, 0)
-        [w] = nevanlinna._loop_windings(prog, [box.corners()])
+        [w], _ = nevanlinna._loop_windings(prog, [box.corners()])
         if w is not None:
             box.w = w
             top = box

@@ -76,8 +76,7 @@ def conic_sweep():
     spec = load_problem(str(PROBLEMS / "conic.prob"))
     adm = run_command("admissible", spec, {})
     grid = [float(r) for r in np.linspace(5, 30, 26)]
-    sweep = smt_margin(spec.curve, spec.hypersurfaces, spec.n, 0.5, grid,
-                       admissibility_checked=True)
+    sweep = smt_margin(spec.curve, spec.hypersurfaces, spec.n, 0.5, grid)
     return {"spec": spec, "admissible": adm, "sweep": sweep,
             "elapsed": time.time() - start}
 

@@ -231,6 +231,20 @@ class TestProblemFiles:
         with pytest.raises(DegreeMismatchError):
             parse_problem(bad)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("degree 2: {z}*x0^2 + x1*x2", "  degree 2:  x0 * * x1",
+         "line 8, col 19: unexpected token '*' in polynomial"),
+        ("x0*x2 - x1^2", "   x0*x2 - - * x1^2",
+         "line 5, col 14: unexpected token '*' in polynomial"),
+        ("exp(2*z)", "  exp(2*z) ) ", "line 13, col 12: trailing input after curve expression"),
+    ], ids=["hypersurface", "indented_generator", "indented_curve"])
+    def test_parse_error_columns_are_the_files(self, old, new, message):
+        # the column counts from the start of the file's line, not from the
+        # start of the expression
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(MINI.replace(old, new))
+        assert str(err.value) == message
+
     def test_curve_arity(self):
         bad = MINI.replace("exp(2*z)\n", "")
         with pytest.raises(ArityMismatchError):
@@ -323,7 +337,7 @@ class TestOptions:
         # the parser is built once per process; no flag of one call leaks
         # into the next
         runs = [["zeros", "--input", str(PROBLEMS / "conic.prob"), "--target", "1",
-                 "--r", "3", "--tol", "1e-8", "--format", "json"],
+                 "--r", "3", "--zero-tol", "1e-8", "--format", "json"],
                 ["zeros", "--input", str(PROBLEMS / "conic.prob"), "--format", "csv"]]
         in_process = []
         for argv in runs:
@@ -387,7 +401,7 @@ class TestCommands:
     def test_zeros_command(self):
         spec = load_problem(str(PROBLEMS / "conic.prob"))
         report = run_command("zeros", spec, {"target": 0, "r": 10.0,
-                                             "tol": 1e-10})
+                                             "zero_tol": 1e-10})
         zs = report.results["zeros"]
         assert len(zs) == 2
         for entry in zs:
@@ -608,10 +622,9 @@ class TestMainExitCodes:
         ["tf", "--samples", "70000"],
         ["zeros", "--r", "-2"],
         ["zeros", "--r", "nan"],
-        ["zeros", "--tol", "0"],
-        ["zeros", "--tol", "-1"],
-        ["zeros", "--tol", "nan"],
+        ["zeros", "--zero-tol", "0"],
         ["zeros", "--zero-tol", "-1"],
+        ["zeros", "--zero-tol", "nan"],
         ["smt", "--zero-tol", "-1"],
         ["defects", "--zero-tol", "0"],
         ["defects", "--zero-tol", "inf"],

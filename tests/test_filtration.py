@@ -551,34 +551,30 @@ class TestStabilization:
 
     def test_scan_reads_each_degree_once(self, monkeypatch):
         # P^2 with the lines x0 and x1 is a regular sequence: the scan's
-        # certificate holds and it reads no echelon pass at all.  On the line
-        # x0 = 0 with an embedded point at (0:0:1), J = (x0^2, x0*x1), the
-        # target x1 passes through the embedded point.  The windows of the
-        # box tuples read the degrees 1..6; the identity holds at degree 1
-        # and fails at 2..6, each read off one echelon pass; the scan
-        # computes no preimage.
+        # certificate holds and it eliminates nothing.  On the line x0 = 0
+        # with an embedded point at (0:0:1), J = (x0^2, x0*x1), the target x1
+        # passes through the embedded point.  The windows of the box tuples
+        # (0), (1), (2), (3) read the degrees 1..6; the identity holds at
+        # degree 1 and fails at 2..6, each eliminated once by one
+        # filtration_space pass down to the lowest box tuple read there.
         import nevlab.filtration as filt
         from nevlab.gradedgeom import HomogeneousIdeal
 
-        degrees = []
-        original = filt.cell_codimensions
+        passes = []
+        original = filt.filtration_space
 
-        def recorded(J, powers, N, cells):
-            degrees.append(N)
-            return original(J, powers, N, cells)
+        def recorded(J, Qs, N, I):
+            passes.append((N, I))
+            return original(J, Qs, N, I)
 
-        def unexpected(*args):
-            raise AssertionError("the scan called filtration_space")
-
-        monkeypatch.setattr(filt, "cell_codimensions", recorded)
-        monkeypatch.setattr(filt, "filtration_space", unexpected)
+        monkeypatch.setattr(filt, "filtration_space", recorded)
         scan = stabilization_scan(HomogeneousIdeal(3, []), [xvar(0), xvar(1)], 6, window=3)
         assert (scan.n0, scan.c, scan.m_min, scan.I0) == (0, 1, 1, (0, 0))
-        assert degrees == []
+        assert passes == []
         J = HomogeneousIdeal(3, [xvar(0) * xvar(0), xvar(0) * xvar(1)])
         scan = stabilization_scan(J, [xvar(1)], 6, window=3)
         assert (scan.n0, scan.c, scan.m_min, scan.I0, scan.kappa) == (1, 2, 1, (1,), 1)
-        assert sorted(degrees) == list(range(2, 7))
+        assert sorted(passes) == [(2, (0,)), (3, (0,)), (4, (1,)), (5, (2,)), (6, (3,))]
 
     @pytest.mark.parametrize("case", ["embedded_point_moving", "late_embedded_point"])
     def test_mixed_scan_eliminates_only_the_failing_degrees(self, case, monkeypatch):
@@ -589,17 +585,18 @@ class TestStabilization:
         # x1 + z*x2; the identity holds up to degree 5 and fails from 6 on,
         # where h drops to its plateau 1, and the box reads the degrees
         # 6..15.  Only the failing degrees take their quotient dimension
-        # over Q(z), only the failing degrees that the box reads run an
-        # echelon pass, and the scan is the elimination's.
+        # over Q(z), each failing degree that the box reads runs one
+        # filtration_space pass, down to the lowest box tuple read there,
+        # and the scan is the elimination's.
         import nevlab.filtration as filt
         from nevlab.cli import parse_polynomial
         from nevlab.gradedgeom import HomogeneousIdeal
-        from helpers import reference_stabilization_scan
+        from helpers import reference_scan_lowest, reference_stabilization_scan
 
         def forms(*texts):
             return [parse_polynomial(t, 3) for t in texts]
 
-        J, Qs, k_max, window, values_over_qz, passes = {
+        J, Qs, k_max, window, values_over_qz, degrees = {
             "embedded_point_moving": (HomogeneousIdeal(3, forms("x0^2", "x0*x1")),
                                       forms("x1 + {z}*x0"), 6, 3, [2, 3, 4, 5, 6],
                                       range(2, 7)),
@@ -607,39 +604,40 @@ class TestStabilization:
                                     forms("x1 + {z}*x2"), 8, 2, [6, 7, 8], range(6, 16)),
         }[case]
         expected = reference_stabilization_scan(J, Qs, k_max, window)
-        u = [hilbert_function(J, k, filt._specialized(Qs)) for k in range(max(passes) + 1)]
-        degrees, over_qz = [], []
-        original, hilbert = filt.cell_codimensions, filt.hilbert_function
+        u = [hilbert_function(J, k, filt._specialized(Qs)) for k in range(max(degrees) + 1)]
+        passes, over_qz = [], []
+        original, hilbert = filt.filtration_space, filt.hilbert_function
 
-        def recorded(J, powers, N, cells):
-            degrees.append(N)
-            return original(J, powers, N, cells)
+        def recorded(J, Qs, N, I):
+            passes.append((N, I))
+            return original(J, Qs, N, I)
 
         def recorded_hilbert(J, k, forms=()):
             if forms and forms[0].field == RATIONAL_FUNCTION:
                 over_qz.append(k)
             return hilbert(J, k, forms)
 
-        monkeypatch.setattr(filt, "cell_codimensions", recorded)
+        monkeypatch.setattr(filt, "filtration_space", recorded)
         monkeypatch.setattr(filt, "hilbert_function", recorded_hilbert)
         scan = stabilization_scan(J, Qs, k_max, window)
         assert scan == expected
         assert over_qz == values_over_qz
         assert over_qz == [k for k in range(k_max + 1) if not filt._tiles(J, u, 1, 1, k)]
-        read = {tuple_norm(I) + k for I in scan.m_stable
-                for k in range(scan.n0, scan.n0 + window)}
-        assert sorted(degrees) == list(passes)
-        assert sorted(degrees) == sorted(N for N in read if not filt._tiles(J, u, 1, 1, N))
+        lowest = reference_scan_lowest(filt._scan_box(1, 1, scan.n0), 1, scan.n0, window)
+        assert sorted(N for N, _ in passes) == list(degrees)
+        assert sorted(passes) == sorted((N, I) for N, I in lowest.items()
+                                        if not filt._tiles(J, u, 1, 1, N))
 
     def test_scan_echelon_over_q_holds_ints(self, monkeypatch):
-        # The scan's echelons over Q keep primitive integer rows with a
-        # positive pivot, even for targets with Fraction coefficients; a true
-        # division there once gave floats and NotStabilized.  The target is
-        # regular on the conic, so the scan itself is certified: the echelon
-        # pass of every degree it reads is run directly, and each m the scan
-        # reads there must agree with it.
+        # The echelons over Q of the scan's passes keep primitive integer
+        # rows with a positive pivot, even for targets with Fraction
+        # coefficients; a true division there once gave floats and
+        # NotStabilized.  The target is regular on the conic, so the scan
+        # itself is certified: the filtration_space pass of every degree it
+        # reads, down to the lowest box tuple read there, is run directly,
+        # and each m the scan reads there must agree with it.
         import nevlab.filtration as filt
-        from helpers import reference_scan_cells
+        from helpers import reference_scan_lowest
 
         echelons = []
 
@@ -653,13 +651,11 @@ class TestStabilization:
         scan = stabilization_scan(conic_ideal(), [q], 8)
         assert scan.c == scan.m_min == 4
         monkeypatch.setattr(filt, "Echelon", Recorded)
-        Qs, d = filt._over_common_field([q])
+        d = q.degree
         box = filt._scan_box(1, d, scan.n0)
-        cells = reference_scan_cells(box, d, scan.n0, 3)
-        powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
-        for N, above in cells.items():
-            ms = filt.cell_codimensions(conic_ideal(), powers, N, above)
-            assert all(ms[I] == scan.m_stable[I] for I in box
+        for N, lowest in reference_scan_lowest(box, d, scan.n0, 3).items():
+            cells = filt.filtration_space(conic_ideal(), [q], N, lowest)
+            assert all(cells[I].m == scan.m_stable[I] for I in box
                        if scan.n0 <= N - d * tuple_norm(I) < scan.n0 + 3)
         rows = [(c, row) for e in echelons for c, row, _ in e.rows]
         assert echelons and all(e.field == RATIONAL for e in echelons) and rows

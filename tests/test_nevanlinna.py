@@ -475,9 +475,8 @@ class TestCentroidStart:
         # moves Newton's start
         g, zeros, corners = drawn
         prog = Program([g, g.diff()])
-        [w], [centroid] = nev._loop_windings(prog, [corners], centroids=True)
+        [w], [centroid] = nev._loop_windings(prog, [corners])
         assert w == len(zeros)
-        assert nev._loop_windings(prog, [corners]) == [w]
         width = max(abs(corners[1] - corners[0]), abs(corners[2] - corners[1]))
         assert abs(centroid - sum(zeros) / len(zeros)) <= 1e-5 * width
 
@@ -489,8 +488,7 @@ class TestCentroidStart:
         # is off-centre: the zero is 0.1 of its width from the left edge
         g = pow_(sub(Z(), Const(at)), m)
         corners = _box_loop(float(at) - 0.1, float(at) + 0.9, -0.3, 0.7)
-        [w], [centroid] = nev._loop_windings(Program([g, g.diff()]), [corners],
-                                             centroids=True)
+        [w], [centroid] = nev._loop_windings(Program([g, g.diff()]), [corners])
         assert w == m
         assert abs(centroid - float(at)) <= 1e-13 * max(1.0, abs(float(at)))
 
@@ -500,7 +498,7 @@ class TestCentroidStart:
         prog = Program([g, g.diff()])
         loops = [_box_loop(2.0, 3.0, -0.5, 0.5), _box_loop(0.0, 2.0, 0.0, 2.0),
                  _box_loop(0.5, 1.5, -0.5, 0.5)]
-        windings, centroids = nev._loop_windings(prog, loops, cap=512, centroids=True)
+        windings, centroids = nev._loop_windings(prog, loops, cap=512)
         assert windings == [0, None, 1]
         assert centroids[:2] == [None, None] and abs(centroids[2] - 1) <= 1e-15
 
@@ -590,7 +588,8 @@ class TestZeroFinderWork:
             locate_zeros(sub(Z(), Const(2)), 2.0)
         g = sub(Z(), Const(1))
         corners = [0j, 2 + 0j, 2 + 2j, 2j]
-        assert nev._loop_windings(Program([g, g.diff()]), [corners] * 4) == [None] * 4
+        windings, centroids = nev._loop_windings(Program([g, g.diff()]), [corners] * 4)
+        assert windings == centroids == [None] * 4
         assert max(sizes) == 16385
 
 
@@ -699,7 +698,7 @@ class TestNestedLevels:
         want = _outcome(lambda: reference_loop_windings(prog, loops, start=start, cap=cap,
                                                         snap=snap))
         got = _outcome(lambda: nev._loop_windings(prog, loops, start=start, cap=cap,
-                                                  snap=snap))
+                                                  snap=snap)[0])
         assert got == want
 
     def test_cached_edge_grids_match_linspace(self):
@@ -777,7 +776,7 @@ class TestNestedLevels:
     def test_loop_samples_each_point_once(self, g, corners, cap, monkeypatch):
         prog = Program([g, g.diff()])
         seen = _record_eval_on(monkeypatch)
-        got = nev._loop_windings(prog, [corners], cap=cap)
+        got, _ = nev._loop_windings(prog, [corners], cap=cap)
         new = [row for z in seen for row in z]
         seen.clear()
         assert got == reference_loop_windings(prog, [corners], cap=cap)
@@ -1213,17 +1212,10 @@ class TestSweep:
         x0 = xvar(0, 2, RATIONAL_FUNCTION)
         x1 = xvar(1, 2, RATIONAL_FUNCTION)
         Qs = [x0, x1 - x0.scale(z)]
-        rep = smt_margin(f, Qs, n=1, epsilon=0.5, r_grid=[5, 10, 15],
-                         admissibility_checked=True)
+        rep = smt_margin(f, Qs, n=1, epsilon=0.5, r_grid=[5, 10, 15])
         assert rep.violations == []
         assert all(m >= 0 for m in rep.margins)
         assert rep.jensen_max < 1e-5
-
-    def test_unchecked_admissibility_warns(self):
-        f = exp_curve()
-        Qs = [xvar(0, 2).over(RATIONAL_FUNCTION)]
-        rep = smt_margin(f, Qs, n=0, epsilon=0.5, r_grid=[5, 10])
-        assert any("admissibility" in w for w in rep.warnings)
 
     def test_zero_curve_rejected(self):
         with pytest.raises(ValueError):
@@ -1257,8 +1249,7 @@ class TestSweep:
         x0 = xvar(0, 2, RATIONAL_FUNCTION)
         x1 = xvar(1, 2, RATIONAL_FUNCTION)
         grid = np.linspace(5, 30, 16)
-        rep = smt_margin(f, [x0, x1 - x0.scale(z)], n=1, epsilon=0.5,
-                         r_grid=grid, admissibility_checked=True)
+        rep = smt_margin(f, [x0, x1 - x0.scale(z)], n=1, epsilon=0.5, r_grid=grid)
         assert rep.floor_fit.holds
         assert rep.floor_fit.c2 <= 1.5
         assert min(rep.floor_values) >= -(rep.floor_fit.c1

@@ -16,8 +16,9 @@ deg V * d^n = 2, satisfy the closed forms and pass the same window check.
 Every table, on n = 1 and n = 2, must match the filtration in full monomial
 coordinates (`reference_build_table`) cell by cell, and `filtration_space`
 down to a tuple I must give the table's cells from the top of tau_N down to
-I, in descending lex order.  At every (N, I) that the stabilization scan's
-elimination reads, its echelon pass must give the m of `filtration_space`.
+I, in descending lex order.  At every degree N that the stabilization scan
+reads, the `filtration_space` pass down to the lowest box tuple read at N
+must give the scan's stable m^I.
 The scan itself, which is certified from the Hilbert function of (J, Q) at
 one point z = a on regular targets, must give the elimination's result on
 random targets, non-regular ones included; so must the tables certified the
@@ -100,7 +101,7 @@ from helpers import (
     reference_normal_forms,
     reference_nullstellensatz_certificate,
     reference_quotient_rows,
-    reference_scan_cells,
+    reference_scan_lowest,
     reference_stabilization_scan,
     twisted_cubic_ideal,
     typed_terms,
@@ -299,14 +300,14 @@ SCAN_VARIETIES = {
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(data=st.data())
 def test_scan_codimensions_match_filtration_space(name, field, data):
-    # Every m_N^E that the scan's echelon pass would read, were the
-    # identity to fail at N, equals the codimension of the preimage L_N^E, at
-    # each degree N down to the lowest tuple the scan needs there: the
-    # echelon passes run directly, on the n0 of the quotient dimensions over
-    # the targets' field.  Constant targets are dense: wide rational
-    # coefficients on curves, integers in -5..5 on surfaces, where the
-    # reference preimages grow slow.  Moving targets are c*x^a + g*x^b, with
-    # c an integer and g in Q(z), which keeps the Q(z) eliminations small.
+    # Every stable m^I of the scan equals m_N^I of the filtration_space pass
+    # that the scan runs at a degree N of I's window where the identity
+    # fails: the pass from the top of tau_N down to the lowest box tuple read
+    # at N, run here at every degree the box reads.  Constant targets are
+    # dense: wide rational coefficients on curves, integers in -5..5 on
+    # surfaces, where the preimages grow slow.  Moving targets are
+    # c*x^a + g*x^b, with c an integer and g in Q(z), which keeps the Q(z)
+    # eliminations small.
     make, n, k_max = SCAN_VARIETIES[name]
     J = make()
     basis = monomial_basis(J.M, data.draw(st.integers(1, 3 - n)))
@@ -322,15 +323,17 @@ def test_scan_codimensions_match_filtration_space(name, field, data):
             lambda t: dict(zip(t[0], t[1:])))
     Qs = [MultiPoly(J.nvars, field, data.draw(terms)) for _ in range(n)]
     assume(not any(q.is_zero for q in Qs))
-    Qs, d = filt._over_common_field(Qs)
-    n0 = constant_tail([hilbert_function(J, k, Qs) for k in range(k_max + 1)], WINDOW)
-    assume(n0 is not None)
-    cells = reference_scan_cells(filt._scan_box(n, d, n0), d, n0, WINDOW)
-    powers = filt._power_products(Qs, {E for above in cells.values() for E in above})
-    for N, above in cells.items():
-        ms = filt.cell_codimensions(J, powers, N, above)
-        expected = filtration_space(J, Qs, N, above[-1])
-        assert list(ms.items()) == [(E, cell.m) for E, cell in expected.items()], (N, above[-1])
+    try:
+        scan = stabilization_scan(J, Qs, k_max, window=WINDOW)
+    except gg.NotStabilized:
+        assume(False)
+    d = Qs[0].degree
+    box = filt._scan_box(n, d, scan.n0)
+    for N, lowest in reference_scan_lowest(box, d, scan.n0, WINDOW).items():
+        cells = filtration_space(J, Qs, N, lowest)
+        assert list(cells)[-1] == lowest
+        read = {I: cells[I].m for I in box if 0 <= N - d * tuple_norm(I) - scan.n0 < WINDOW}
+        assert read == {I: scan.m_stable[I] for I in read}, (N, lowest)
 
 
 # Varieties of the certificate's differential test: (ideal, n, k_max).  The
