@@ -576,12 +576,13 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: i
     x_i * x_i^s in it.  So s is found by a monotone search from `start`,
     taken into 1..s_max.  The search solves in full at `start`, which is
     usually the answer.  When every power is in the ideal there, it steps
-    down, testing membership, until a degree fails; otherwise it steps up,
-    testing membership, until a degree succeeds or s_max fails.  Either way
-    it ends on the smallest s, and it solves in full again only there, when
-    that s is not `start`.  The certificate is read from the solve at that
-    s, which is the one a scan up from 1 ends on: `start` changes the
-    number of eliminations, never the result.
+    down, testing membership, until a degree fails; otherwise, unless the
+    persistence search on (J, Qs) up to s_max finds a nonzero Hilbert
+    polynomial, it steps up, testing membership, until a degree succeeds or
+    s_max fails.  Either way it ends on the smallest s, and it solves in
+    full again only there, when that s is not `start`.  The certificate is
+    read from the solve at that s, which is the one a scan up from 1 ends
+    on: `start` changes the number of eliminations, never the result.
 
     The rest of x_i^s, its residual r_i, lies in J_s; its J-cofactors are
     the sum over non-standard monomials t of r_i[t] times the cofactors of
@@ -591,8 +592,10 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: i
     cofactor term is divided by L once at the end.  Cofactor coefficients
     are ints where integral and Fractions otherwise over Q, rational
     functions over Q(z), and never zero.  The caller re-verifies the
-    certificate by substitution.  None means NOT_FOUND within the cutoff,
-    which is inconclusive for genuinely admissible systems with larger s.
+    certificate by substitution.  None means NOT_FOUND within the cutoff:
+    a proof that no s exists when the Hilbert polynomial is nonzero (a
+    certificate makes the quotient 0 from degree (M+1)(s-1)+1 on), else
+    inconclusive for genuinely admissible systems with larger s.
     """
     field = coefficient_field(Qs)
     Qs = [q.over(field) for q in Qs if not q.is_zero]
@@ -640,6 +643,8 @@ def nullstellensatz_certificate(J: HomogeneousIdeal, Qs, s_max: int, *, start: i
         while s > 1 and member(s - 1):
             s -= 1
     else:
+        if s < s_max and _persistence_search(J, tuple(Qs), field, s_max)[1]:
+            return None  # a nonzero Hilbert polynomial: no s exists
         s = next((k for k in range(s + 1, s_max + 1) if member(k)), None)
         if s is None:
             return None
@@ -709,6 +714,21 @@ def primitive_form(q: MultiPoly) -> MultiPoly:
     return MultiPoly(q.nvars, RATIONAL, {e: c // g for e, c in ints.items()}, _raw=True)
 
 
+def _predicted_s(J: HomogeneousIdeal, n: int, d: int, s_max: int) -> int:
+    """e + 1 in 1..s_max, e = deg h_J + (n + 1)(d - 1) and h_J = (1 - t)^(n+1)
+    times R/J's Hilbert series: n + 1 degree-d forms regular on an
+    arithmetically Cohen-Macaulay V of dimension n give the series h_J(t)
+    (1 + ... + t^(d-1))^(n+1), of degree e.  There h_J's coefficients form
+    an O-sequence, so deg h_J is one below the first of them that is 0."""
+    H, k = [], 0
+    for k in range(s_max + 1):
+        H.append(len(J.normal_forms(k)[0]))  # H_V(k)
+        if not sum((-1) ** i * math.comb(n + 1, i) * H[k - i]
+                   for i in range(min(k, n + 1) + 1)):
+            break
+    return max(1, min(k + (n + 1) * (d - 1), s_max))
+
+
 ADMISSIBLE = "ADMISSIBLE"
 NOT_ADMISSIBLE_EVIDENCE = "NOT_ADMISSIBLE_EVIDENCE"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -755,24 +775,28 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
     targets that are a scalar multiple of a constant form at every witness)
     share one certificate, computed and verified once per call.  Each
     search for s starts at the s of the last system certified in the call
-    (1 before the first): the systems of one check tend to share their s,
-    which then costs a solve at s and a membership test at s - 1 rather
-    than one elimination at every degree up to s.  Membership of x_i^s is
-    monotone in s, so the start changes the cost, not the certificate
-    (`nullstellensatz_certificate`).
+    (the first at `_predicted_s`): the systems of one check tend to share
+    their s, which then costs a solve at s and a membership test at s - 1
+    rather than one elimination at every degree up to s.  Membership of
+    x_i^s is monotone in s, so the start changes the cost, not the
+    certificate (`nullstellensatz_certificate`).
     Negative answers report the positive Hilbert value of the specialized
     quotient when it is constant over the M + 2 degrees ending at
     s_max + M + 3, and are marked heuristic; those values, too, are
-    computed once per distinct primitive system.
+    computed once per distinct primitive system, and read off the persisted
+    representation where the search for s proved that no s exists.
     """
     degs = {q.degree for q in Qs}
     if len(degs) != 1:
         raise InhomogeneousInput(
             "hypersurfaces must share a common degree; apply normalize_degrees first")
+    d = degs.pop()
     rng = random.Random(seed)
     certified = {}  # primitive specialized system -> verified certificate or None
-    start = 1  # the s of the last certificate found: where the next search starts
+    start = None  # the s of the last certificate found: where the next search starts
     evidence = {}  # primitive specialized system -> its quotient dimensions
+    fixed = [primitive_form(q.over(RATIONAL)) if q.terms and coefficient_field([q]) == RATIONAL
+             else None for q in Qs]  # one primitive form per constant target
     reports = []
     for subset in combinations(range(len(Qs)), n + 1):
         report = SubsetReport(subset=subset, status=INCONCLUSIVE)
@@ -780,14 +804,17 @@ def admissibility_check(J: HomogeneousIdeal, Qs, n: int, *, s_max: int, trials: 
         for _ in range(trials):
             a = Fraction(rng.randint(-WITNESS_BOUND, WITNESS_BOUND))
             try:
-                specialized = [Qs[j].specialize(a) for j in subset]
+                specialized = [fixed[j] or Qs[j].specialize(a) for j in subset]
             except PoleAtPoint:
                 continue
             if any(q.is_zero for q in specialized):
                 continue  # degenerate witness: some hypersurface vanished entirely
             report.witnesses_tried.append(a)
-            specialized = last_specialized = tuple(map(primitive_form, specialized))
+            specialized = last_specialized = tuple(
+                fixed[j] or primitive_form(q) for j, q in zip(subset, specialized))
             if specialized not in certified:
+                if start is None:
+                    start = _predicted_s(J, n, d, s_max)
                 cert = nullstellensatz_certificate(J, list(specialized), s_max, start=start)
                 if cert is not None:
                     if not cert.verify():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from nevlab.algebra import (
     RATIONAL_FUNCTION,
     MultiPoly,
     RationalFunction,
+    normalize_degrees,
 )
 from nevlab.gradedgeom import (
     ADMISSIBLE,
@@ -27,7 +29,7 @@ from nevlab.gradedgeom import (
     primitive_form,
     variety_invariants,
 )
-from nevlab.cli import parse_polynomial
+from nevlab.cli import load_problem, parse_polynomial
 from nevlab.filtration import stabilization_scan
 from nevlab.linear import GradedSubspace
 
@@ -44,6 +46,8 @@ from helpers import (
     twisted_cubic_ideal,
     xvar,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 class TestGradedPieces:
@@ -312,6 +316,30 @@ class TestSpecializeSpace:
         assert not any(rem)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of the eliminations gradedgeom runs from here on: full solves
+    through solve_row_combinations, and membership tests and quotient
+    dimensions through the Echelon that each builds on the standard
+    columns."""
+    import nevlab.gradedgeom as gg
+
+    counts = {"solves": 0, "tests": 0}
+    genuine_solve, genuine_echelon = gg.solve_row_combinations, gg.Echelon
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return genuine_solve(*args, **kwargs)
+
+    def counting_echelon(*args, **kwargs):
+        counts["tests"] += 1
+        return genuine_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(gg, "solve_row_combinations", counting_solve)
+    monkeypatch.setattr(gg, "Echelon", counting_echelon)
+    return counts
+
+
 class TestNullstellensatz:
     def test_p1_one_step(self):
         J = p1_ideal()
@@ -353,41 +381,38 @@ class TestNullstellensatz:
         assert all(g.field == RATIONAL for g in cert.generators)
         assert cert.verify()
 
-    def test_search_solves_only_the_degrees_it_visits(self, monkeypatch):
+    def test_search_solves_only_the_degrees_it_visits(self, eliminations):
         # Membership of x_i^s is monotone in s, so a search from start = s
         # solves in full at s and tests membership at s - 1 only, a search
         # up from 1 solves at 1, tests 2, 3 and 4 and solves at 4, and a
-        # failed solve at s_max ends the search.  J's normal forms and
-        # J-cofactors are warmed first, so only the certificate's own
-        # eliminations are counted: full solves through
-        # solve_row_combinations, membership tests through the Echelon that
-        # each builds on the standard columns.
-        import nevlab.gradedgeom as gg
-
-        counts = {"solves": 0, "tests": 0}
-        genuine_solve, genuine_echelon = gg.solve_row_combinations, gg.Echelon
-
-        def counting_solve(*args, **kwargs):
-            counts["solves"] += 1
-            return genuine_solve(*args, **kwargs)
-
-        def counting_echelon(*args, **kwargs):
-            counts["tests"] += 1
-            return genuine_echelon(*args, **kwargs)
-
+        # failed solve at s_max ends the search.  J's normal forms, its
+        # J-cofactors and the persistence search on (J, Qs) are warmed
+        # first, so only the certificate's own eliminations are counted.
         J = conic_ideal()
         Qs = [xvar(0) * xvar(0), xvar(2) * xvar(2)]
         assert nullstellensatz_certificate(J, Qs, 6).s == 4
-        monkeypatch.setattr(gg, "solve_row_combinations", counting_solve)
-        monkeypatch.setattr(gg, "Echelon", counting_echelon)
         for start, solves, tests in ((4, 1, 1), (1, 2, 3)):
-            counts.update(solves=0, tests=0)
+            eliminations.update(solves=0, tests=0)
             assert nullstellensatz_certificate(J, Qs, 6, start=start).s == 4
-            assert counts == {"solves": solves, "tests": tests}
+            assert eliminations == {"solves": solves, "tests": tests}
         x0 = xvar(0, 2)
-        counts.update(solves=0, tests=0)
+        eliminations.update(solves=0, tests=0)
         assert nullstellensatz_certificate(p1_ideal(), [x0, x0.scale(5)], 6, start=6) is None
-        assert counts == {"solves": 1, "tests": 0}
+        assert eliminations == {"solves": 1, "tests": 0}
+
+    def test_failing_search_work_does_not_grow_with_s_max(self, eliminations):
+        # x0^2 and x1^2 share the point (0:0:1) of the conic, so no s exists.
+        # The persistence search proves it from a few low degrees (the
+        # Hilbert polynomial is nonzero), so a fresh J does the same
+        # eliminations at s_max = 8 as at 24, where a membership test at
+        # every degree up to s_max would grow with it.
+        Qs = [xvar(0) * xvar(0), xvar(1) * xvar(1)]
+        seen = []
+        for s_max in (8, 24):
+            eliminations.update(solves=0, tests=0)
+            assert nullstellensatz_certificate(conic_ideal(), Qs, s_max) is None
+            seen.append(dict(eliminations))
+        assert seen[0] == seen[1] and seen[0]["solves"] == 1
 
     def test_membership_without_a_solution_is_a_defect(self, monkeypatch):
         # the membership test at s = 4 says yes, so a solve there that
@@ -449,6 +474,28 @@ class TestAdmissibility:
         for rep in reports:
             for cert in rep.certificates:
                 assert cert.certificate.verify()
+
+    @pytest.mark.parametrize("problem, s", [("conic.prob", 4), ("twisted_cubic", 2),
+                                            ("p1_line.prob", 1)])
+    def test_first_search_starts_at_the_predicted_s(self, problem, s, eliminations):
+        # The first search starts at e + 1, e = deg h_J + (n + 1)(d - 1),
+        # which is the certified s on the shipped conic and P^1 problems and
+        # on a twisted cubic with two fixed hyperplanes: one full solve at s,
+        # and one membership test at s - 1 where there is a lower degree.
+        # J's J-cofactors at s are warmed first, so only the search's own
+        # eliminations are counted.
+        if problem == "twisted_cubic":
+            J = twisted_cubic_ideal()
+            Qs = [parse_polynomial(t, 4, RATIONAL)
+                  for t in ("2*x0 - x1 + 2*x2 + 2*x3", "-x0 - x1 - x2 + 2*x3")]
+        else:
+            spec = load_problem(str(PROBLEMS / problem))
+            J, Qs = spec.ideal, normalize_degrees(spec.hypersurfaces)[1][:2]
+        J.ideal_cofactors(s)
+        eliminations.update(solves=0, tests=0)
+        [report] = admissibility_check(J, Qs, n=1, trials=1, s_max=8, seed=0)
+        assert [c.s for c in report.certificates] == [s]
+        assert eliminations == {"solves": 1, "tests": int(s > 1)}
 
     def test_corrupted_certificate_rejected(self, monkeypatch):
         # admissibility_check re-verifies every certificate before it counts:

@@ -838,6 +838,38 @@ def test_admissibility_matches_full_coordinate_certificates(name, data):
         assert rep.evidence_value == (values[onset] if evidence else None)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_VARIETIES))
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_admissibility_from_the_predicted_s_equals_a_start_at_one(name, data):
+    """The first search of a call starts at the s predicted from H_V, and a
+    failing one may stop on a persisted Hilbert polynomial; neither may
+    change a report.  Every report, certificates with their cofactors'
+    coefficient types included, must equal that of a run on a fresh J
+    whose first search starts at 1."""
+    make, n, _ = REFERENCE_VARIETIES[name]
+    Qs = data.draw(random_forms(make(), n + data.draw(st.integers(1, 2))))
+    assume(not any(q.is_zero for q in Qs))
+    if data.draw(st.booleans()):
+        Qs[-1] = Qs[0].scale(-2)  # subsets holding both share Q0's zeros on V
+    seed = data.draw(st.integers(0, 99))
+
+    def typed(reports):
+        def terms(p):
+            return {e: (type(v), v) for e, v in p.terms.items()}
+        return [(r, [(c.witness, c.s, [terms(g) for g in c.certificate.generators],
+                      [[terms(p) for p in cofs] for cofs in c.certificate.cofactors])
+                     for c in r.certificates]) for r in reports]
+
+    predicted = gg.admissibility_check(make(), Qs, n, s_max=ADMISSIBILITY_S_MAX, trials=3,
+                                       seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gg, "_predicted_s", lambda *args: 1)
+        from_one = gg.admissibility_check(make(), Qs, n, s_max=ADMISSIBILITY_S_MAX, trials=3,
+                                          seed=seed)
+    assert typed(predicted) == typed(from_one)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2), max_size=8), st.integers(1, 5))
 def test_constant_tail_matches_both_old_rules(values, window):
